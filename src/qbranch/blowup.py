@@ -32,15 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateBlowupError, RangeError)
-from .grids import TWO_PI, PolarGrid
+from .grids import (M_DIM, PolarGrid, _cubic_window, _ring_profile,
+                    d_dr_geometric)
 from .curves import QFunction, analytic_degree, CurveSpec
 from .frequency import (frequency_profile, frequency_limit, recenter,
                         default_profile_radii)
 
 #: normalizers below this relative size abort the blow-up as trivial
 DEGENERACY_FLOOR = 1e-14
-
-M_DIM = 2  # base dimension of every graph in this laboratory
 
 
 @dataclass(frozen=True)
@@ -134,13 +133,7 @@ def _sample_rings(values: np.ndarray, grid: PolarGrid,
     t = grid.t
     out = np.empty(values.shape[:1] + (t_targets.size,) + values.shape[2:])
     for m, ts in enumerate(t_targets):
-        i = int(np.clip(np.searchsorted(t, ts) - 1, 0, t.size - 2))
-        j0 = min(max(i - 1, 0), t.size - 4)
-        offs = t[j0:j0 + 4] - ts
-        V = np.vander(offs, 4, increasing=True).T
-        e = np.zeros(4)
-        e[0] = 1.0
-        w = np.linalg.solve(V, e)
+        j0, w = _cubic_window(t, ts)
         out[:, m] = np.einsum("c,kctn->ktn", w, values[:, j0:j0 + 4])
     return out
 
@@ -170,13 +163,8 @@ def average_free_part(f: QFunction) -> QFunction:
 
 def l2_norm_on_ball(f: QFunction, radius: float) -> float:
     """sqrt of int_{B_radius} |f|^2."""
-    grid = f.grid
-    grid.require_radius(radius)
-    rule = f.rule()
-    B = TWO_PI * np.mean(
-        np.einsum("krtn,krtn->rt", f.values, f.values), axis=-1)
-    w = rule.weights(grid.t[0], math.log(radius), 2.0)
-    return float(np.sqrt(w @ B + rule.inner_core(B, 2.0)))
+    return float(np.sqrt(f.rule()._disk_integral(_ring_profile(f.values),
+                                                 radius)))
 
 
 def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
@@ -339,10 +327,8 @@ class HardtSimonResult:
 
 def _radial_derivative_profile(f: QFunction) -> np.ndarray:
     """Ring profile of sum_i |d/dr (f_i / |x|)|^2, with the 2 pi weight."""
-    from .grids import d_dr_geometric
     w = f.values / f.grid.radii[None, :, None, None]
-    dw = d_dr_geometric(w, f.grid.radii, axis=1)
-    return TWO_PI * np.mean(np.einsum("krtn,krtn->rt", dw, dw), axis=-1)
+    return _ring_profile(d_dr_geometric(w, f.grid.radii, axis=1))
 
 
 def hardt_simon_check(f: QFunction, rho_inner: float,
@@ -363,14 +349,12 @@ def hardt_simon_check(f: QFunction, rho_inner: float,
     W = _radial_derivative_profile(f)
 
     def integral_from(rho):
-        w = rule.weights(math.log(rho), math.log(0.5), 2.0)
-        return float(w @ W)
+        return float(rule.weights(math.log(rho), math.log(0.5), 2.0) @ W)
 
     integral = integral_from(rho_inner)
 
     # boundary data and homogeneity estimate
-    B = TWO_PI * np.mean(
-        np.einsum("krtn,krtn->rt", f.values, f.values), axis=-1)
+    B = _ring_profile(f.values)
     i_top = grid.n_rings - 1
     i_mid = max(i_top - 16, 0)
     if alpha is None:

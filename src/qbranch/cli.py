@@ -5,10 +5,9 @@ intervals, selfcheck.  Exit codes: 0 ok, 2 configuration error, 3 numeric
 degeneracy, 4 internal error.  Every run validates its configuration before
 any computation, computes everything in memory, and only then writes its
 output files through a temporary name and an atomic rename, so a failing
-run leaves no partial files.  Identical configuration and seed produce
-byte-identical outputs for any --threads value: worker threads only spread
-independent per-radius and per-step computations, and results are assembled
-in index order.
+run leaves no partial files.  Computation is single-threaded, so identical
+configuration and seed produce byte-identical outputs; --threads is still
+accepted and validated for compatibility, and has no effect.
 
 Options may come from a flat key-value config file (one `key value` pair
 per line, '#' comments) with command-line `--key value` overrides.
@@ -43,10 +42,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
 
-#: worker pool size when --threads is not given; any value produces
-#: byte-identical outputs
-DEFAULT_THREADS = max(1, os.cpu_count() or 1)
-
 _COMMANDS = ("frequency", "degree", "excess-decay", "bv-track",
              "hardt-simon", "intervals", "selfcheck")
 
@@ -60,7 +55,8 @@ _KEYS = {
     "cutoff": (str, lambda v: v in ("ramp", "paper_phi", "sharp"),
                "cutoff kind"),
     "out": (str, None, "output directory"),
-    "threads": (int, lambda v: v >= 1, "worker threads"),
+    "threads": (int, lambda v: v >= 1,
+                "accepted for compatibility; has no effect"),
     "seed": (int, lambda v: v >= 0, "seed for randomized suites"),
     "eps3": (float, lambda v: 0 < v <= 1, "excess threshold eps3^2"),
     "eps-bar": (float, lambda v: 0 < v <= 1, "floor amplitude"),
@@ -81,10 +77,14 @@ _KEYS = {
 
 def _parse_number(text: str) -> float:
     text = text.strip()
-    if "^" in text:
-        base, expo = text.split("^", 1)
-        return float(base) ** float(expo)
-    return float(text)
+    try:
+        if "^" in text:
+            base, expo = text.split("^", 1)
+            return float(float(base) ** float(expo))
+        return float(text)
+    except (TypeError, ValueError, OverflowError):
+        # a negative base to a fractional power is complex: float() refuses
+        raise ConfigError(f"cannot parse number {text!r}") from None
 
 
 def _parse_radii(spec: str, grid) -> list:
@@ -108,24 +108,30 @@ def _parse_perturbation(text: str):
     if not text:
         return ()
     if "z" not in text:
-        return tuple(complex(tok) for tok in text.split(","))
+        try:
+            return tuple(complex(tok) for tok in text.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"cannot parse perturbation {text!r}") from None
     coeffs: dict[int, complex] = {}
     for term in text.replace("-", "+-").split("+"):
         term = term.strip()
         if not term:
             continue
-        if "z" not in term:
-            raise ConfigError(f"cannot parse perturbation term {term!r}")
-        head, _, tail = term.partition("z")
-        power = 1
-        if tail.startswith("^"):
-            power = int(tail[1:])
-        elif tail:
+        head, z, tail = term.partition("z")
+        if not z or (tail and not tail.startswith("^")):
             raise ConfigError(f"cannot parse perturbation term {term!r}")
         head = head.strip().rstrip("*").strip()
-        coef = complex(head) if head not in ("", "-") else \
-            (-1 + 0j if head == "-" else 1 + 0j)
+        try:
+            power = int(tail[1:]) if tail else 1
+            coef = complex(head) if head not in ("", "-") else \
+                (-1 + 0j if head == "-" else 1 + 0j)
+        except ValueError:
+            raise ConfigError(
+                f"cannot parse perturbation term {term!r}") from None
         coeffs[power] = coeffs.get(power, 0j) + coef
+    if not coeffs:
+        raise ConfigError(f"cannot parse perturbation {text!r}")
     top = max(coeffs)
     return tuple(coeffs.get(k, 0j) for k in range(top + 1))
 
@@ -143,7 +149,7 @@ def _load_config_file(path: str) -> dict:
                     raise ConfigError(
                         f"{path}:{lineno}: expected 'key value'")
                 out[parts[0]] = parts[1].strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     return out
 
@@ -155,12 +161,9 @@ def _coerce(options: dict) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
         typ, check, _ = _KEYS[key]
         try:
-            if typ is float:
-                coerced = _parse_number(str(val))
-            else:
-                coerced = typ(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad value for {key!r}: {val!r}")
+            coerced = _parse_number(str(val)) if typ is float else typ(val)
+        except (ConfigError, TypeError, ValueError):
+            raise ConfigError(f"bad value for {key!r}: {val!r}") from None
         if check is not None and not check(coerced):
             raise ConfigError(f"value for {key!r} out of range: {val!r}")
         out[key] = coerced
@@ -238,8 +241,7 @@ def cmd_frequency(run: Run) -> int:
         radii = _parse_radii(run.opt["radii"], f.grid)
     else:
         radii = default_profile_radii(f.grid)
-    prof = frequency_profile(f, radii=radii, cutoff=cutoff,
-                             threads=run.get("threads", DEFAULT_THREADS))
+    prof = frequency_profile(f, radii=radii, cutoff=cutoff)
     lim = frequency_limit(prof)
     run.stage("frequency_profile.csv", prof.to_csv())
     run.stage("frequency_limit.json", json.dumps(lim, sort_keys=True,
@@ -332,7 +334,6 @@ def cmd_intervals(run: Run) -> int:
 def cmd_selfcheck(run: Run) -> int:
     """Run the built-in oracle suites on a reduced grid and write a
     canonical report; byte-identical for any --threads value."""
-    threads = run.get("threads", DEFAULT_THREADS)
     seed = run.get("seed", 0)
     lines = [f"qbranch selfcheck v{__version__} seed={seed}"]
     ok = True
@@ -353,8 +354,7 @@ def cmd_selfcheck(run: Run) -> int:
 
     grid = default_grid(r_min=2.0 ** -10, n_theta=256)
     f = make_multigraph(CurveSpec(2, 3), grid)
-    prof = frequency_profile(f, radii=default_profile_radii(grid),
-                             threads=threads)
+    prof = frequency_profile(f, radii=default_profile_radii(grid))
     err = max(abs(rec.I - 1.5) for rec in prof.valid_records())
     check("curve23_frequency_error", err, err < 1e-3)
 
@@ -414,17 +414,14 @@ def main(argv=None) -> int:
     options = {}
     cli_options = {k.replace("_", "-"): v for k, v in vars(ns).items()
                    if k != "command" and v is not None}
-    if "config" in cli_options:
-        options.update(_load_config_file(cli_options["config"]))
-    options.update(cli_options)
-    options.pop("config", None)
     try:
+        if "config" in cli_options:
+            options.update(_load_config_file(cli_options["config"]))
+        options.update(cli_options)
+        options.pop("config", None)
         run = Run(options)
         return _HANDLERS[ns.command](run)
     except ConfigError as exc:
-        sys.stderr.write(f"config-error: {exc}\n")
-        return EXIT_CONFIG
-    except ValueError as exc:
         sys.stderr.write(f"config-error: {exc}\n")
         return EXIT_CONFIG
     except NumericError as exc:

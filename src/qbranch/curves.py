@@ -215,17 +215,24 @@ class QFunction:
         never changes which matching is optimal."""
         if self.q == 1:
             return 0.0
-        v = self.values - np.mean(self.values, axis=0, keepdims=True)
-        nxt = np.empty_like(v)
-        nxt[:, :, :-1] = v[:, :, 1:]
-        nxt[:, :, -1] = v[self.monodromy][:, :, 0]
-        step_th = np.linalg.norm(nxt - v, axis=3).max(axis=0)
+        v, sep, ratio_th = _angular_step_ratio(self)
         step_r = np.linalg.norm(v[:, 1:] - v[:, :-1], axis=3).max(axis=0)
-        sep = _min_separation_field(v)
-        worst = float((step_th / (0.5 * sep)).max())
         sep_r = np.minimum(sep[1:], sep[:-1])
-        worst = max(worst, float((step_r / (0.5 * sep_r)).max()))
-        return worst
+        return max(float(ratio_th.max()),
+                   float((step_r / (0.5 * sep_r)).max()))
+
+
+def _angular_step_ratio(f: QFunction):
+    """(v, sep, ratio): average-free samples, their minimal sheet separation
+    and, per node, the largest move to the next angle in units of sep / 2.
+    Common sheet drift never changes the optimal matching."""
+    v = f.values - np.mean(f.values, axis=0, keepdims=True)
+    nxt = np.empty_like(v)
+    nxt[:, :, :-1] = v[:, :, 1:]
+    nxt[:, :, -1] = v[f.monodromy][:, :, 0]
+    step = np.linalg.norm(nxt - v, axis=3).max(axis=0)
+    sep = _min_separation_field(v)
+    return v, sep, step / (0.5 * sep)
 
 
 def _min_separation_field(v: np.ndarray) -> np.ndarray:
@@ -271,19 +278,11 @@ def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction
 def _verify_angular_tracking(f: QFunction):
     if f.q == 1:
         return
-    # common sheet drift never changes the optimal matching, so measure the
-    # angular step on the average-free configuration
-    v = f.values - np.mean(f.values, axis=0, keepdims=True)
-    nxt = np.empty_like(v)
-    nxt[:, :, :-1] = v[:, :, 1:]
-    nxt[:, :, -1] = v[f.monodromy][:, :, 0]
-    step = np.linalg.norm(nxt - v, axis=3).max(axis=0)
-    sep = _min_separation_field(v)
-    ratio = step / (0.5 * sep)
-    if float(ratio.max()) >= 1.0:
+    worst = float(_angular_step_ratio(f)[2].max())
+    if worst >= 1.0:
         raise RefinementError(
             "angular step exceeds half the sheet separation "
-            f"(worst ratio {ratio.max():.3g}); increase n_theta")
+            f"(worst ratio {worst:.3g}); increase n_theta")
 
 
 def spiral_profile(alpha: float, max_sheets: int = 12):
@@ -376,26 +375,52 @@ def save_qfunction(f: QFunction, path):
 
 
 def load_qfunction(path) -> QFunction:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "qbranch-qfunction-1":
-            raise ConfigError(f"{path}: not a qbranch QFunction file")
-        fh.readline()  # column header
-        data = np.loadtxt(fh, delimiter=",")
-    q, R, T = header["q"], header["n_rings"], header["n_theta"]
+    """Read a file written by save_qfunction.
+
+    Raises ConfigError unless the file is readable, its header describes a
+    grid, and its rows hold exactly one finite sample for every (sheet,
+    ring, angle) of that grid."""
+    try:
+        with open(path) as fh:
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict) or \
+                    header.get("format") != "qbranch-qfunction-1":
+                raise ConfigError(f"{path}: not a qbranch QFunction file")
+            fh.readline()  # column header
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        q, R, T = (int(header[k]) for k in ("q", "n_rings", "n_theta"))
+        r_min, r_max = float(header["r_min"]), float(header["r_max"])
+        center = tuple(float(c) for c in header.get("center", (0.0, 0.0)))
+        monodromy = np.asarray(header["monodromy"], dtype=int)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read QFunction file {path}: {exc!r}") \
+            from None
+    if q < 1 or not 0 < r_min < r_max:
+        raise ConfigError(f"{path}: header describes no grid")
+    if data.shape != (q * R * T, 5):
+        raise ConfigError(
+            f"{path}: expected {q * R * T} rows of 5 columns, found "
+            f"{data.shape[0]} rows of {data.shape[1]}")
+    idx = data[:, :3].astype(int)
+    if not np.array_equal(idx, data[:, :3]) or np.any(idx < 0) \
+            or np.any(idx >= (R, T, q)):
+        raise ConfigError(f"{path}: sample index out of range")
+    ring, angle, sheet = idx.T
+    if np.unique((sheet * R + ring) * T + angle).size != idx.shape[0]:
+        raise ConfigError(f"{path}: duplicated sample index")
+    if not np.all(np.isfinite(data[:, 3:])):
+        raise ConfigError(f"{path}: samples must be finite")
     values = np.empty((q, R, T, 2))
-    idx = (data[:, 2].astype(int), data[:, 0].astype(int),
-           data[:, 1].astype(int))
-    values[idx[0], idx[1], idx[2], 0] = data[:, 3]
-    values[idx[0], idx[1], idx[2], 1] = data[:, 4]
-    n_oct = np.log2(header["r_max"] / header["r_min"])
-    rpo = (R - 1) / n_oct
-    grid = default_grid(r_min=header["r_min"], r_max=header["r_max"],
+    values[sheet, ring, angle] = data[:, 3:]
+    rpo = (R - 1) / np.log2(r_max / r_min)
+    grid = default_grid(r_min=r_min, r_max=r_max,
                         rings_per_octave=int(round(rpo)), n_theta=T,
-                        center=tuple(header.get("center", (0.0, 0.0))))
-    return QFunction(grid=grid, values=values,
-                     monodromy=np.asarray(header["monodromy"]),
-                     metadata=header.get("metadata", {}))
+                        center=center)
+    try:
+        return QFunction(grid=grid, values=values, monodromy=monodromy,
+                         metadata=header.get("metadata", {}))
+    except DimensionError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _json_safe(obj):

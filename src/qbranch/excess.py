@@ -178,13 +178,8 @@ def _moments_up_to(f: QFunction, r: float, definition: str):
 
 def graph_mass(f: QFunction, r: float) -> float:
     """Mass of the graph over B_r by the Q-valued area formula."""
-    grid = f.grid
-    grid.require_radius(r)
-    rule = f.rule()
     s0, _ = _moment_profiles(f)
-    total = s0.sum(axis=0)
-    w = rule.weights(grid.t[0], math.log(r), 2.0)
-    return float(w @ total) + rule.inner_core(total, 2.0)
+    return f.rule()._disk_integral(s0.sum(axis=0), r)
 
 
 def excess_value(f: QFunction, r: float, plane: Plane,
@@ -311,15 +306,12 @@ def mass_expansion_residual(f: QFunction, r: float) -> dict:
     lhs = |mass - Q pi r^2 - (1/2) int sum |Df|^2|, quartic = int sum |Df|^4;
     their ratio is the measured constant of the expansion bound."""
     from .frequency import dirichlet_energy
-    grid = f.grid
-    rule = f.rule()
     mass = graph_mass(f, r)
     dir2 = dirichlet_energy(f, r)
     Jc = f.cartesian_gradients()
     g2 = np.einsum("krtnc,krtnc->krt", Jc, Jc)
     prof4 = TWO_PI * np.mean(np.sum(g2 ** 2, axis=0), axis=-1)
-    w = rule.weights(grid.t[0], math.log(r), 2.0)
-    quartic = float(w @ prof4) + rule.inner_core(prof4, 2.0)
+    quartic = f.rule()._disk_integral(prof4, r)
     area = f.q * OMEGA_M * r ** 2
     lhs = abs(mass - area - 0.5 * dir2)
     return {"lhs": lhs, "quartic": quartic,

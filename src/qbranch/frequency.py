@@ -35,20 +35,18 @@ the cutoff, so the kinks never meet the quadrature cells.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateHeightError, RangeError)
-from .grids import TWO_PI, PolarGrid, default_grid
+from .grids import (M_DIM, TWO_PI, PolarGrid, _cubic_window, _ring_profile,
+                    default_grid)
 from .curves import QFunction
 from .qvalue import QPoint, track_selection
 
 #: H below this multiple of Sigma declares the annulus trivial
 DEGENERATE_HEIGHT = 1e-14
-
-M_DIM = 2  # base dimension of every graph in this laboratory
 
 
 @dataclass(frozen=True)
@@ -83,26 +81,10 @@ def _ring_data(f: QFunction):
     du_dr, _ = f.gradients()
     v = f.values
     A = TWO_PI * np.mean(f.grad_sq(), axis=-1)
-    B = TWO_PI * np.mean(np.einsum("krtn,krtn->rt", v, v), axis=-1)
-    C = TWO_PI * np.mean(np.einsum("krtn,krtn->rt", v, du_dr), axis=-1)
-    P = TWO_PI * np.mean(np.einsum("krtn,krtn->rt", du_dr, du_dr), axis=-1)
-    cached = (A, B, C, P)
+    cached = (A, _ring_profile(v), _ring_profile(v, du_dr),
+              _ring_profile(du_dr))
     f._cache["ring_data"] = cached
     return cached
-
-
-def _interp_ring(grid: PolarGrid, values: np.ndarray, s: float) -> float:
-    """Cubic-in-log-r interpolation of a ring profile at radius s."""
-    t = grid.t
-    ts = math.log(s)
-    i = int(np.clip(np.searchsorted(t, ts) - 1, 0, t.size - 2))
-    j0 = min(max(i - 1, 0), t.size - 4)
-    offs = t[j0:j0 + 4] - ts
-    V = np.vander(offs, 4, increasing=True).T
-    e = np.zeros(4)
-    e[0] = 1.0
-    w = np.linalg.solve(V, e)
-    return float(w @ values[j0:j0 + 4])
 
 
 # ----------------------------------------------------------------------------
@@ -133,24 +115,17 @@ def _quantities(f: QFunction, s: float, cutoff: Cutoff = RAMP) -> dict:
         G = (2.0 / s ** 2) * float(w3 @ P)
         dD = (2.0 / s ** 2) * float(w3 @ A)
     else:
-        w_in = rule.weights(t_min, t_s, 2.0)
-        D = float(w_in @ A) + rule.inner_core(A, 2.0)
-        Sigma = float(w_in @ B) + rule.inner_core(B, 2.0)
-        H = s * _interp_ring(grid, B, s)
-        E = s * _interp_ring(grid, C, s)
-        G = s * _interp_ring(grid, P, s)
-        dD = s * _interp_ring(grid, A, s)
+        D = rule._disk_integral(A, s)
+        Sigma = rule._disk_integral(B, s)
+        # boundary values of the ring profiles at s
+        j0, wc = _cubic_window(grid.t, t_s)
+        H, E, G, dD = (s * float(wc @ F[j0:j0 + 4]) for F in (B, C, P, A))
     return {"D": D, "H": H, "E": E, "G": G, "Sigma": Sigma, "dD": dD}
 
 
 def dirichlet_energy(f: QFunction, r: float) -> float:
     """Total gradient energy int_{B_r} sum_i |Df_i|^2."""
-    grid = f.grid
-    grid.require_radius(r)
-    rule = f.rule()
-    A = _ring_data(f)[0]
-    w = rule.weights(grid.t[0], math.log(r), 2.0)
-    return float(w @ A) + rule.inner_core(A, 2.0)
+    return f.rule()._disk_integral(_ring_data(f)[0], r)
 
 
 def smoothed_D(f: QFunction, x=None, r: float = 1.0,
@@ -266,13 +241,10 @@ def _record_at(f: QFunction, s: float, cutoff: Cutoff) -> FrequencyRecord:
 
 
 def frequency_profile(f: QFunction, x=None, radii=None,
-                      cutoff: Cutoff = RAMP,
-                      threads: int = 1) -> FrequencyProfile:
-    """Evaluate all per-radius quantities on an increasing list of radii.
-
-    Per-radius work is independent; with threads > 1 it runs on a worker
-    pool and the records are still assembled in radius order, so the output
-    is identical for any thread count."""
+                      cutoff: Cutoff = RAMP) -> FrequencyProfile:
+    """Evaluate all per-radius quantities on an increasing list of radii,
+    one radius after another in a single thread; the ring profiles and
+    quadrature weights they share are cached on f."""
     f = _at_center(f, x)
     if radii is None:
         radii = default_profile_radii(f.grid)
@@ -281,12 +253,7 @@ def frequency_profile(f: QFunction, x=None, radii=None,
         raise ValueError("radii list is empty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted strictly increasing")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(
-                lambda s: _record_at(f, s, cutoff), radii))
-    else:
-        records = [_record_at(f, s, cutoff) for s in radii]
+    records = [_record_at(f, s, cutoff) for s in radii]
     center = tuple(np.asarray(x, dtype=float)) if x is not None else (0.0, 0.0)
     return FrequencyProfile(center=center, radii=radii, records=records,
                             cutoff=cutoff,

@@ -1,6 +1,10 @@
 """Polar grids and the numerical kernels tied to them.
 
 A grid is geometric in radius (uniform in t = log r) and uniform in angle.
+Interpolation, differentiation and quadrature weights all come from one
+generator, _stencil_weights, which solves the moment conditions of a stencil
+(B. Fornberg, Math. Comp. 51 (1988) 699-706).
+
 All radial quadrature goes through moment-matched weights: on each cell the
 integrand is interpolated by the quintic through the six surrounding rings
 and integrated against the exact measure r^{beta-1} dr = e^{beta t} dt.
@@ -18,6 +22,7 @@ spectral on the monodromy covering circle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,8 @@ import numpy as np
 from .errors import ConfigError, RangeError
 
 TWO_PI = 2.0 * np.pi
+
+M_DIM = 2  # base dimension of every graph in this laboratory
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,38 @@ def default_grid(r_min: float = 2.0 ** -16, r_max: float = 1.0,
 
 
 # ----------------------------------------------------------------------------
+# stencil weights and ring tables
+
+
+def _stencil_weights(offsets: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Weights w with sum_j w_j offsets_j^a = rhs_a for a = 0..k-1, k the
+    stencil size (Fornberg's moment condition).  Every interpolation,
+    differentiation and quadrature weight of the library comes from here:
+    rhs = e_0 interpolates at 0, rhs = e_1 differentiates at 0, and rhs =
+    exact moments of the measure integrates against it; each is exact for
+    polynomials of degree below k in the offset variable."""
+    k = offsets.size
+    V = np.vander(offsets, k, increasing=True).T  # V[a, j] = offs_j^a
+    return np.linalg.solve(V, rhs)
+
+
+def _cubic_window(t: np.ndarray, ts: float) -> tuple[int, np.ndarray]:
+    """Cubic interpolation in t at ts: (j0, w) such that w @ F[j0:j0 + 4]
+    is the value at ts of the cubic through four consecutive samples of F,
+    the window centered on the cell holding ts and clamped at the ends."""
+    i = int(np.clip(np.searchsorted(t, ts) - 1, 0, t.size - 2))
+    j0 = min(max(i - 1, 0), t.size - 4)
+    return j0, _stencil_weights(t[j0:j0 + 4] - ts, np.eye(4)[0])
+
+
+def _ring_profile(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Angularly integrated ring profile 2 pi mean_theta sum_{k,n} a . b of
+    sheet samples (Q, R, T, n), shape (R,); b defaults to a."""
+    b = a if b is None else b
+    return TWO_PI * np.mean(np.einsum("krtn,krtn->rt", a, b), axis=-1)
+
+
+# ----------------------------------------------------------------------------
 # radial quadrature
 
 
@@ -170,12 +209,17 @@ class RadialRule:
                 continue
             # k-ring window centered on cell i, clamped at the ends
             j0 = min(max(i - (k // 2 - 1), 0), R - k)
-            offs = t[j0:j0 + k] - t[i]
             m = _moments(lo - t[i], hi - t[i], beta, k - 1)
-            V = np.vander(offs, k, increasing=True).T  # V[a, j] = offs_j^a
-            cw = np.linalg.solve(V, m) * np.exp(beta * t[i])
-            w[j0:j0 + k] += cw
+            w[j0:j0 + k] += _stencil_weights(t[j0:j0 + k] - t[i], m) \
+                * np.exp(beta * t[i])
         return w
+
+    def _disk_integral(self, F: np.ndarray, r: float) -> float:
+        """int_{B_r} of a ring profile F carrying its angular weight, i.e.
+        int_0^r F(s) s ds, with the power-law core below r_min included."""
+        self.grid.require_radius(r)
+        w = self.weights(self.grid.t[0], math.log(r), 2.0)
+        return float(w @ F) + self.inner_core(F, 2.0)
 
     def inner_core(self, F: np.ndarray, beta: float) -> float:
         """Contribution of the missing disk r < r_min, assuming F behaves
@@ -198,16 +242,6 @@ class RadialRule:
 # derivative stencils (sixth order radial, fourth order angular)
 
 
-def _fd_weights(offsets: np.ndarray) -> np.ndarray:
-    """First-derivative weights at 0 from samples at the given offsets:
-    solve sum_j w_j offs_j^a = a! [a == 1]."""
-    k = offsets.size
-    V = np.vander(offsets, k, increasing=True).T
-    rhs = np.zeros(k)
-    rhs[1] = 1.0
-    return np.linalg.solve(V, rhs)
-
-
 _RADIAL_WIDTH = 7
 
 
@@ -225,21 +259,22 @@ def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
     if n < k:
         raise ConfigError(f"need at least {k} samples for the stencil")
     half = k // 2
+    pos = np.arange(k, dtype=float)
+    e1 = np.eye(k)[1]  # first derivative at offset 0
     g = float(radii[1] / radii[0])
     inv_r = 1.0 / radii
     shape_tail = (1,) * (v.ndim - 1)
     out = np.empty_like(v)
     # interior rows: nodes at relative positions g^(j - half) around the row
-    w_int = _fd_weights(g ** (np.arange(k, dtype=float) - half) - 1.0)
+    w_int = _stencil_weights(g ** (pos - half) - 1.0, e1)
     acc = w_int[0] * v[0:n - k + 1]
     for j in range(1, k):
         acc = acc + w_int[j] * v[j:n - k + 1 + j]
     out[half:n - half] = acc * inv_r[half:n - half].reshape(-1, *shape_tail)
     for row in range(half):
-        w_lo = _fd_weights(g ** (np.arange(k, dtype=float) - row) - 1.0)
+        w_lo = _stencil_weights(g ** (pos - row) - 1.0, e1)
         out[row] = np.tensordot(w_lo, v[:k], axes=(0, 0)) * inv_r[row]
-        off_hi = g ** (np.arange(k, dtype=float) - (k - 1 - row)) - 1.0
-        w_hi = _fd_weights(off_hi)
+        w_hi = _stencil_weights(g ** (pos - (k - 1 - row)) - 1.0, e1)
         out[n - 1 - row] = np.tensordot(w_hi, v[n - k:], axes=(0, 0)) \
             * inv_r[n - 1 - row]
     return np.moveaxis(out, 0, axis)

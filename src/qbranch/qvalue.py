@@ -7,8 +7,9 @@ order-free.  The distance is the optimal-matching one,
     g(a, b) = min over permutations sigma of sqrt(sum_i |a_i - b_sigma(i)|^2),
 
 computed through an exact assignment solve on the squared-distance matrix.
-Exhaustive enumeration over all Q! pairings lives in the test suite as the
-independent oracle, not here.
+Exhaustive enumeration over all Q! pairings, brute_force_metric, is kept
+here as the independent oracle that the tests and `qbranch selfcheck`
+compare the assignment route against.
 
 Everything here is a pure function of immutable inputs, safe to call from
 any number of threads; values transfer freely between them.
@@ -59,7 +60,7 @@ class QPoint:
         return self.vectors.shape[1]
 
     @staticmethod
-    def from_complex(values, q=None) -> "QPoint":
+    def from_complex(values) -> "QPoint":
         """Build a point of A_Q(R^2) from complex sheet values."""
         z = np.atleast_1d(np.asarray(values, dtype=complex))
         return QPoint(np.column_stack([z.real, z.imag]))
@@ -129,8 +130,8 @@ def average_free(a: QPoint) -> QPoint:
 def brute_force_metric(a: QPoint, b: QPoint, return_perm: bool = False):
     """Exhaustive Q!-permutation minimum of the matching distance.
 
-    Exponential in Q; this is the reference implementation used to certify
-    the assignment route, and the fallback for ambiguity measurements."""
+    Exponential in Q; this is the reference implementation that the tests
+    and `qbranch selfcheck` use to certify the assignment route."""
     _check_compatible(a, b)
     av, bv = a.vectors, b.vectors
     best = np.inf
@@ -266,13 +267,10 @@ def track_selection(samples, closed: bool = False,
     N = len(pts)
     sheets = np.empty((q, N, n))
     sheets[:, 0, :] = pts[0].vectors
-    # perm maps current labels to rows of the raw sample
-    perm = np.arange(q)
     for i in range(1, N):
         _check_compatible(pts[i - 1], pts[i])
         prev = QPoint(sheets[:, i - 1, :])
         sigma = match_step(prev, pts[i], tau_factor, sample_index=i)
-        perm = sigma
         sheets[:, i, :] = pts[i].vectors[sigma]
     monodromy = np.arange(q)
     if closed:

@@ -55,3 +55,26 @@ def random_smooth_qfunction(grid, q, rng, radial_degree=2, angular_modes=3):
     return qb.QFunction(grid=grid, values=values,
                         monodromy=np.arange(q),
                         metadata={"kind": "random-smooth"})
+
+
+def write_corrupt_qfunction(path, grid, kind):
+    """Save the (2,3) curve on grid to path with its sample rows damaged:
+    'truncated' drops the last 10 rows, 'duplicated' replaces the last row
+    by the first, 'index_out_of_range' sets the last row's ring index to
+    n_rings and 'nan_sample' makes its real part NaN."""
+    qb.save_qfunction(qb.make_multigraph(qb.CurveSpec(2, 3), grid), path)
+    lines = path.read_text().splitlines()
+    head, rows = lines[:2], lines[2:]
+    last = rows[-1].split(",")  # ring,angle,sheet,re,im
+    if kind == "truncated":
+        rows = rows[:-10]
+    elif kind == "duplicated":
+        rows[-1] = rows[0]
+    elif kind == "index_out_of_range":
+        rows[-1] = ",".join([str(grid.n_rings)] + last[1:])
+    elif kind == "nan_sample":
+        rows[-1] = ",".join(last[:3] + ["nan"] + last[4:])
+    else:
+        raise ValueError(f"unknown corruption {kind!r}")
+    path.write_text("\n".join(head + rows) + "\n")
+    return path

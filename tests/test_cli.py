@@ -188,3 +188,111 @@ class TestConfigHandling:
         code, _ = run(["frequency", "--curve", "2,3",
                        "--radii", "1..0.5"] + FAST, tmp_path)
         assert code == 2
+
+
+def _config_file(text):
+    def make(tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text)
+        return str(path)
+    return make
+
+
+def _damaged_file(kind):
+    def make(tmp_path):
+        from conftest import write_corrupt_qfunction
+        grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64)
+        return str(write_corrupt_qfunction(tmp_path / f"{kind}.qfn", grid,
+                                           kind))
+    return make
+
+
+def _zero_file(tmp_path):
+    grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64)
+    f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+    path = tmp_path / "zero.qfn"
+    qb.save_qfunction(f.replace_values(0.0 * f.values), path)
+    return str(path)
+
+
+#: (arguments, expected exit code); a callable argument is replaced by the
+#: path it creates under tmp_path
+EXIT_CASES = {
+    "ok": (["frequency", "--curve", "2,3"] + FAST, 0),
+    "threads_accepted": (["frequency", "--curve", "2,3", "--threads", "3"]
+                         + FAST, 0),
+    "threads_validated": (["frequency", "--curve", "2,3", "--threads", "0"]
+                          + FAST, 2),
+    "no_input": (["frequency"] + FAST, 2),
+    "conflicting_inputs": (["frequency", "--curve", "2,3",
+                            "--homogeneous", "1.5"] + FAST, 2),
+    "non_coprime_curve": (["frequency", "--curve", "2,4"] + FAST, 2),
+    "malformed_curve": (["frequency", "--curve", "nope"] + FAST, 2),
+    "unknown_flag": (["frequency", "--wibble", "7"], 2),
+    "unknown_config_key": (["degree", "--config",
+                            _config_file(b"curve 2,3\nwibble 7\n")], 2),
+    "binary_config": (["degree", "--config", _config_file(b"\xff\xfe\x00")],
+                      2),
+    "missing_config": (["degree", "--config", "/nonexistent/run.cfg"], 2),
+    "out_of_range_value": (["frequency", "--curve", "2,3",
+                            "--n-theta", "8"], 2),
+    "malformed_number": (["frequency", "--curve", "2,3", "--r-min", "2^x"],
+                         2),
+    "overflowing_number": (["frequency", "--curve", "2,3", "--rho",
+                            "10^400"], 2),
+    "complex_number": (["hardt-simon", "--curve", "2,3", "--rho=-8^0.5"],
+                       2),
+    "reversed_radii": (["frequency", "--curve", "2,3", "--radii", "1..0.5"]
+                       + FAST, 2),
+    "malformed_radii": (["frequency", "--curve", "2,3", "--radii",
+                         "2^x..1"] + FAST, 2),
+    "non_numeric_radii": (["frequency", "--curve", "2,3", "--radii",
+                           "abc..1"] + FAST, 2),
+    "malformed_perturb_power": (["degree", "--curve", "2,5", "--perturb",
+                                 "z^x"] + FAST, 2),
+    "malformed_perturb_coef": (["degree", "--curve", "2,5", "--perturb",
+                                "cz^2"] + FAST, 2),
+    "malformed_perturb_list": (["degree", "--curve", "2,5", "--perturb",
+                                "0,0,abc"] + FAST, 2),
+    "empty_perturb_sum": (["degree", "--curve", "2,5", "--perturb", "+"]
+                          + FAST, 2),
+    "missing_input_file": (["frequency", "--input", "/nonexistent/in.qfn"],
+                           2),
+    "truncated_input": (["frequency", "--input", _damaged_file("truncated")],
+                        2),
+    "duplicated_row": (["frequency", "--input", _damaged_file("duplicated")],
+                       2),
+    "index_out_of_range": (["frequency", "--input",
+                            _damaged_file("index_out_of_range")], 2),
+    "nan_sample": (["frequency", "--input", _damaged_file("nan_sample")], 2),
+    "zero_input": (["degree", "--input", _zero_file], 3),
+    "rho_below_grid": (["hardt-simon", "--homogeneous", "0.8", "--rho",
+                        "2^-30"] + FAST, 3),
+}
+
+_PREFIX = {2: "config-error", 3: "numeric-error", 4: "internal-error"}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_code_table(case, tmp_path, capsys):
+    args, expected = EXIT_CASES[case]
+    args = [a(tmp_path) if callable(a) else a for a in args]
+    code = main(args + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    if expected in _PREFIX and case != "unknown_flag":
+        assert err.startswith(_PREFIX[expected])
+
+
+def test_value_error_from_numerics_is_internal(tmp_path, monkeypatch, capsys):
+    """Only the exception class picks the exit code: a ValueError raised by
+    the numerics is a defect, not a configuration error."""
+    import qbranch.cli as cli
+
+    def broken(profile):
+        raise ValueError("numerics went wrong")
+
+    monkeypatch.setattr(cli, "frequency_limit", broken)
+    code, _ = run(["frequency", "--curve", "2,3"] + FAST, tmp_path)
+    assert code == 4
+    assert capsys.readouterr().err.startswith("internal-error")

@@ -152,10 +152,24 @@ class TestFileFormat:
         path = tmp_path / "curve.qfn"
         qb.save_qfunction(f, path)
         g = qb.load_qfunction(path)
-        assert np.allclose(g.values, f.values, atol=1e-15)
+        assert np.array_equal(g.values, f.values)  # bit-exact
         assert np.array_equal(g.monodromy, f.monodromy)
         assert g.grid.n_theta == f.grid.n_theta
         assert g.metadata["kind"] == "curve"
+
+    @pytest.mark.parametrize("kind", ["truncated", "duplicated",
+                                      "index_out_of_range", "nan_sample"])
+    def test_rejects_damaged_samples(self, tmp_path, small_grid, kind):
+        from conftest import write_corrupt_qfunction
+        path = write_corrupt_qfunction(tmp_path / "bad.qfn", small_grid, kind)
+        with pytest.raises(qb.ConfigError):
+            qb.load_qfunction(path)
+
+    def test_rejects_unreadable_file(self, tmp_path):
+        with pytest.raises(qb.ConfigError):
+            qb.load_qfunction(tmp_path / "missing.qfn")
+        with pytest.raises(qb.ConfigError):
+            qb.load_qfunction(tmp_path)  # a directory
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.qfn"

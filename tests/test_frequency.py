@@ -180,13 +180,6 @@ class TestProfiles:
         first = rows[0].split(",")
         assert float(first[3]) == prof.records[0].I  # 17 digits roundtrip
 
-    def test_thread_count_does_not_change_bytes(self, curve_cache, full_grid):
-        f = curve_cache(3, 4)
-        radii = qb.default_profile_radii(full_grid, octaves=2.0)
-        a = qb.frequency_profile(f, radii=radii, threads=1).to_csv()
-        b = qb.frequency_profile(f, radii=radii, threads=4).to_csv()
-        assert a == b
-
 
 class TestFrequencyLimit:
     def test_curve_estimates(self, curve_cache, full_grid):

@@ -1,0 +1,88 @@
+"""The stencil-weight generator behind every interpolation, derivative and
+quadrature weight: each use is exact where its docstring says so."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+import qbranch as qb
+from qbranch.grids import (RadialRule, _cubic_window, _stencil_weights,
+                           d_dr_geometric)
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return qb.default_grid(r_min=2.0 ** -6, n_theta=64)
+
+
+def test_stencil_weights_solve_the_moment_conditions(rng):
+    offsets = rng.normal(size=6)
+    rhs = rng.normal(size=6)
+    w = _stencil_weights(offsets, rhs)
+    moments = [w @ offsets ** a for a in range(6)]
+    assert np.allclose(moments, rhs, rtol=1e-10, atol=1e-10)
+
+
+def test_cubic_window_reproduces_cubics_in_t(grid, rng):
+    t = grid.t
+    c = rng.normal(size=4)
+
+    def cubic(x):
+        return c[0] + c[1] * x + c[2] * x ** 2 + c[3] * x ** 3
+
+    scale = np.abs(cubic(t)).max()
+    # off-ring targets across the whole grid, both ends included
+    targets = np.concatenate([np.linspace(t[0], t[-1], 97), t])
+    for ts in targets:
+        j0, w = _cubic_window(t, ts)
+        assert 0 <= j0 <= t.size - 4
+        assert abs(w @ cubic(t[j0:j0 + 4]) - cubic(ts)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_d_dr_geometric_exact_through_degree_six(grid, degree):
+    r = grid.radii
+    values = np.broadcast_to(r[None, :, None, None] ** degree,
+                             (2, r.size, 3, 2))
+    exact = degree * r ** (degree - 1) if degree else np.zeros_like(r)
+    got = d_dr_geometric(values, r, axis=1)
+    # every row, the three one-sided rows at each end included
+    err = np.abs(got - exact[None, :, None, None])
+    assert err.max() <= 1e-12 * max(1.0, np.abs(exact).max())
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+def test_radial_weights_exact_on_polynomials_times_exponential(grid, beta):
+    t = grid.t
+    rule = RadialRule(grid)
+    windows = [(t[0] + 0.37 * grid.dt, t[-1] - 0.61 * grid.dt),
+               (t[10] + 0.2 * grid.dt, t[10] + 0.7 * grid.dt)]
+    for t_a, t_b in windows:
+        w = rule.weights(t_a, t_b, beta)
+        for k in range(6):
+            exact, _ = quad(lambda x: x ** k * math.exp(beta * x), t_a, t_b,
+                            epsabs=0.0, epsrel=1e-13)
+            assert w @ t ** k == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("power,rel", [(0.0, 1e-13), (0.5, 1e-9),
+                                       (1.0, 1e-8)])
+def test_disk_integral_matches_power_law_closed_form(grid, power, rel):
+    """int_0^r s^p s ds = r^(p+2) / (p+2), including the core below r_min.
+    Constants are integrated exactly; other powers carry the quintic rule's
+    (p dt)^6 error, far below the core's share (r_min/r)^(p+2)."""
+    rule = RadialRule(grid)
+    F = grid.radii ** power
+    for r in (grid.r_max, 0.3, float(grid.radii[20])):
+        exact = r ** (power + 2) / (power + 2)
+        core = rule.inner_core(F, 2.0)
+        assert core > 100 * rel * exact
+        assert rule._disk_integral(F, r) == pytest.approx(exact, rel=rel)
+
+
+def test_disk_integral_refuses_radii_off_the_grid(grid):
+    rule = RadialRule(grid)
+    with pytest.raises(qb.RangeError):
+        rule._disk_integral(np.ones(grid.n_rings), 2.0 * grid.r_max)
