@@ -20,7 +20,13 @@ choosing one of the two numbers.
 
 Blow-up steps at different scales are independent once the average-free
 input is built; the estimator aggregates them in step order, so results do
-not depend on evaluation order.
+not depend on evaluation order, and it lists the steps that failed, with
+the reason, under notes["step_failures"].  An exact ring-shift blow-up
+u = c f(r .) reads its ring table off f's (scale invariance of the ring
+profiles): every row but the top three is f's row rescaled, and only those
+three, where u's radial stencil turns one-sided, are differentiated anew.
+So a degree estimate differentiates the average-free part once, not once
+per step; off-lattice ratios build their own table.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from .errors import (ConfigError, DataError, DegenerateBlowupError, RangeError)
 from .grids import (M_DIM, PolarGrid, _cubic_window, _ring_profile,
                     d_dr_geometric)
 from .curves import QFunction, analytic_degree, CurveSpec
-from .frequency import (frequency_profile, frequency_limit, recenter,
-                        default_profile_radii)
+from .frequency import (_seed_blowup_ring_data, frequency_profile,
+                        frequency_limit, recenter, default_profile_radii)
 
 #: normalizers below this relative size abort the blow-up as trivial
 DEGENERACY_FLOOR = 1e-14
@@ -100,12 +106,10 @@ def rescale(f: QFunction, q=None, r: float = 1.0) -> QFunction:
     if abs(r - 1.0) < 1e-15:
         return f.replace_values(f.values.copy(), note="rescale r=1")
 
-    dt = grid.dt
-    shift_f = -math.log(r) / dt
-    shift = int(round(shift_f))
+    shift = _ring_shift(grid, r)
     meta = dict(f.metadata)
     meta["rescaled_by"] = float(r)
-    if abs(shift_f - shift) < 1e-9 and shift >= 1:
+    if shift is not None:
         radii_out = grid.radii[shift:]
         if radii_out.size < 12:
             raise RangeError("dilation leaves too few rings")
@@ -125,6 +129,14 @@ def rescale(f: QFunction, q=None, r: float = 1.0) -> QFunction:
                          center=grid.center)
     return QFunction(grid=new_grid, values=values,
                      monodromy=f.monodromy.copy(), metadata=meta)
+
+
+def _ring_shift(grid: PolarGrid, r: float) -> int | None:
+    """The number of rings a dilation by r shifts the grid down when r is
+    a positive whole power of the ring ratio, else None."""
+    shift_f = -math.log(r) / grid.dt
+    shift = int(round(shift_f))
+    return shift if abs(shift_f - shift) < 1e-9 and shift >= 1 else None
 
 
 def _sample_rings(values: np.ndarray, grid: PolarGrid,
@@ -198,6 +210,8 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
             "the blow-up would be trivial")
     g = rescale(f, None, r)
     out = g.replace_values(g.values / normalizer)
+    if _ring_shift(grid, r) is not None:
+        _seed_blowup_ring_data(out, f, r, 1.0 / (r * normalizer))
     out.metadata["blowup"] = {"r": float(r), "mode": mode,
                               "normalizer": float(normalizer)}
     return out
@@ -260,6 +274,8 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
     est = DegreeEstimate(value=float(np.median(tail)),
                          spread=float(tail.max() - tail.min()),
                          per_step_I=steps, converged=converged)
+    if failures:
+        est.notes["step_failures"] = [[k, reason] for k, reason in failures]
     _flag_average_discrepancy(f, est)
     return est
 

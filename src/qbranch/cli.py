@@ -213,11 +213,20 @@ class Run:
 
     def flush(self) -> list:
         out_dir = self.get("out", ".")
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {out_dir}: {exc}") from None
         written = []
         for name, content in sorted(self._outputs.items()):
             final = os.path.join(out_dir, name)
-            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot write to output directory {out_dir}: {exc}") \
+                    from None
             try:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(content)

@@ -173,10 +173,8 @@ class QFunction:
         derivative is spectral on the monodromy covering circle."""
         g = self._cache.get("grad")
         if g is None:
-            inv_r = 1.0 / self.grid.radii[None, :, None, None]
-            du_dr = d_dr_geometric(self.values, self.grid.radii, axis=1)
-            du_dth = d_dtheta_periodic(self.values, self.monodromy) * inv_r
-            g = (du_dr, du_dth)
+            g = _polar_gradients(self.values, self.grid.radii,
+                                 self.monodromy)
             self._cache["grad"] = g
         return g
 
@@ -184,9 +182,7 @@ class QFunction:
         """|Du|^2 summed over sheets, shape (R, T)."""
         gs = self._cache.get("grad_sq")
         if gs is None:
-            du_dr, du_dth = self.gradients()
-            gs = np.einsum("krtn,krtn->rt", du_dr, du_dr) \
-                + np.einsum("krtn,krtn->rt", du_dth, du_dth)
+            gs = _grad_sq(*self.gradients())
             self._cache["grad_sq"] = gs
         return gs
 
@@ -220,6 +216,22 @@ class QFunction:
         sep_r = np.minimum(sep[1:], sep[:-1])
         return max(float(ratio_th.max()),
                    float((step_r / (0.5 * sep_r)).max()))
+
+
+def _polar_gradients(values: np.ndarray, radii: np.ndarray,
+                     monodromy: np.ndarray):
+    """(du_dr, du_dtheta_over_r) of sheet samples (Q, R, T, n) on rings of
+    the given radii: QFunction.gradients for any run of consecutive rings."""
+    du_dr = d_dr_geometric(values, radii, axis=1)
+    inv_r = 1.0 / radii[None, :, None, None]
+    du_dth = d_dtheta_periodic(values, monodromy) * inv_r
+    return du_dr, du_dth
+
+
+def _grad_sq(du_dr: np.ndarray, du_dth: np.ndarray) -> np.ndarray:
+    """|Du|^2 summed over sheets, shape (R, T)."""
+    return np.einsum("krtn,krtn->rt", du_dr, du_dr) \
+        + np.einsum("krtn,krtn->rt", du_dth, du_dth)
 
 
 def _angular_step_ratio(f: QFunction):
@@ -357,6 +369,7 @@ def save_qfunction(f: QFunction, path):
         "n_theta": f.grid.n_theta,
         "r_min": f.grid.r_min,
         "r_max": f.grid.r_max,
+        "radii": f.grid.radii.tolist(),
         "center": list(f.grid.center),
         "monodromy": f.monodromy.tolist(),
         "metadata": _json_safe(f.metadata),
@@ -392,11 +405,15 @@ def load_qfunction(path) -> QFunction:
         r_min, r_max = float(header["r_min"]), float(header["r_max"])
         center = tuple(float(c) for c in header.get("center", (0.0, 0.0)))
         monodromy = np.asarray(header["monodromy"], dtype=int)
+        radii = header.get("radii")
+        if radii is not None:
+            radii = np.asarray(radii, dtype=float)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read QFunction file {path}: {exc!r}") \
             from None
     if q < 1 or not 0 < r_min < r_max:
         raise ConfigError(f"{path}: header describes no grid")
+    grid = _header_grid(path, radii, R, T, r_min, r_max, center)
     if data.shape != (q * R * T, 5):
         raise ConfigError(
             f"{path}: expected {q * R * T} rows of 5 columns, found "
@@ -412,14 +429,29 @@ def load_qfunction(path) -> QFunction:
         raise ConfigError(f"{path}: samples must be finite")
     values = np.empty((q, R, T, 2))
     values[sheet, ring, angle] = data[:, 3:]
-    rpo = (R - 1) / np.log2(r_max / r_min)
-    grid = default_grid(r_min=r_min, r_max=r_max,
-                        rings_per_octave=int(round(rpo)), n_theta=T,
-                        center=center)
     try:
         return QFunction(grid=grid, values=values, monodromy=monodromy,
                          metadata=header.get("metadata", {}))
     except DimensionError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _header_grid(path, radii, R, T, r_min, r_max, center) -> PolarGrid:
+    """The grid a file header describes: its radii when it lists them,
+    else the default grid from r_min to r_max with R rings."""
+    if radii is None:
+        rpo = (R - 1) / np.log2(r_max / r_min)
+        return default_grid(r_min=r_min, r_max=r_max,
+                            rings_per_octave=int(round(rpo)), n_theta=T,
+                            center=center)
+    if radii.shape != (R,) or R == 0 or \
+            not np.allclose(radii[[0, -1]], (r_min, r_max), rtol=1e-12,
+                            atol=0.0):
+        raise ConfigError(
+            f"{path}: radii disagree with n_rings, r_min or r_max")
+    try:
+        return PolarGrid(radii=radii, n_theta=T, center=center)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 

@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateHeightError, RangeError)
-from .grids import (M_DIM, TWO_PI, PolarGrid, _cubic_window, _ring_profile,
-                    default_grid)
-from .curves import QFunction
+from .grids import (M_DIM, TWO_PI, PolarGrid, _RADIAL_WIDTH, _cubic_window,
+                    _ring_profile, default_grid)
+from .curves import QFunction, _grad_sq, _polar_gradients
 from .qvalue import QPoint, track_selection
 
 #: H below this multiple of Sigma declares the annulus trivial
@@ -76,15 +76,40 @@ def _ring_data(f: QFunction):
     """Angularly integrated ring profiles (each length R, already carrying
     the 2 pi angular weight): |Du|^2, |u|^2, u . du/dr, |du/dr|^2."""
     cached = f._cache.get("ring_data")
-    if cached is not None:
-        return cached
-    du_dr, _ = f.gradients()
-    v = f.values
-    A = TWO_PI * np.mean(f.grad_sq(), axis=-1)
-    cached = (A, _ring_profile(v), _ring_profile(v, du_dr),
-              _ring_profile(du_dr))
-    f._cache["ring_data"] = cached
+    if cached is None:
+        cached = _ring_table(f.values, f.gradients()[0], f.grad_sq())
+        f._cache["ring_data"] = cached
     return cached
+
+
+def _ring_table(v: np.ndarray, du_dr: np.ndarray, grad_sq: np.ndarray):
+    """The four ring profiles of _ring_data from samples, their radial
+    derivative and |Du|^2, on any run of rings."""
+    return (TWO_PI * np.mean(grad_sq, axis=-1), _ring_profile(v),
+            _ring_profile(v, du_dr), _ring_profile(du_dr))
+
+
+def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
+    """Cache on u = c f(r .) a ring table read off f's, for an exact
+    ring-shift blow-up: u's grid is f's grid without its bottom rings, and
+    u's samples on ring i are c times f's samples on ring i.
+
+    By the chain rule row i of u's table is row i of f's scaled, |Du|^2 and
+    |du/dr|^2 by (r c)^2, |u|^2 by c^2 and u . du/dr by r c^2, wherever the
+    two radial stencils agree: on every row but u's top three, where u's
+    stencil is one-sided and f's is not.  Those three rows are computed
+    from u's own top rings."""
+    width = _RADIAL_WIDTH
+    half = width // 2
+    keep = u.grid.n_rings - half
+    du_dr, du_dth = _polar_gradients(u.values[:, -width:],
+                                     u.grid.radii[-width:], u.monodromy)
+    du_dr, du_dth = du_dr[:, -half:], du_dth[:, -half:]
+    top = _ring_table(u.values[:, -half:], du_dr, _grad_sq(du_dr, du_dth))
+    scales = ((r * c) ** 2, c ** 2, r * c ** 2, (r * c) ** 2)
+    u._cache["ring_data"] = tuple(
+        np.concatenate([s * F[:keep], F_top])
+        for s, F, F_top in zip(scales, _ring_data(f), top))
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,16 @@ integrand is interpolated by the quintic through the six surrounding rings
 and integrated against the exact measure r^{beta-1} dr = e^{beta t} dt.
 The rule is exact for ring profiles polynomial in t (constants above all)
 and accepts arbitrary off-ring integration endpoints, which is how the
-kinks of piecewise cutoffs are kept out of the quadrature cells.
+kinks of piecewise cutoffs are kept out of the quadrature cells.  In units
+of dt every cell's stencil sits at whole-number offsets from its lower
+ring, so five inverse Vandermonde patterns, solved once per process, serve
+every cell of every grid: a cell's weights are its pattern applied to the
+moments of e^{beta dt u} over the covered part of the cell, times
+dt e^{beta t_i}, and a build forms all cells in one array expression.
+
+Because the grid is uniform in t, an exact ring-shift blow-up of a map has
+the map's ring table shifted and scaled; frequency._seed_blowup_ring_data
+uses that so blow-up steps skip their own derivative pass.
 
 Radial derivatives use 7-point weights built in the radius variable, exact
 for polynomials in r through degree 6; low-order stencils in log r bias
@@ -157,14 +166,42 @@ def _ring_profile(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 # radial quadrature
 
 
-def _moments(a: float, b: float, beta: float, kmax: int) -> np.ndarray:
-    """m_k = int_a^b tau^k e^{beta tau} d tau for k = 0..kmax, exact."""
-    out = np.empty(kmax + 1)
-    eb, ea = np.exp(beta * b), np.exp(beta * a)
-    out[0] = (eb - ea) / beta
-    for k in range(1, kmax + 1):
-        out[k] = (b ** k * eb - a ** k * ea - k * out[k - 1]) / beta
+#: Gauss-Legendre rule of the cell moments: the integrand is entire, so 16
+#: nodes reach rounding on cells of unit length for |beta dt| up to 20
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _moments(a: np.ndarray, b: np.ndarray, beta: float,
+             kmax: int) -> np.ndarray:
+    """m_k = int_a^b u^k e^{beta u} du for k = 0..kmax and every pair of
+    endpoints 0 <= a <= b <= 1, shape (kmax + 1,) + a.shape.  Quadrature, not
+    the integration-by-parts recursion, which loses a factor k / (beta b)
+    per order and so most digits on short cells or for small beta."""
+    half = (b - a) / 2.0
+    u = (a + b) / 2.0 + np.multiply.outer(_GAUSS_NODES, half)
+    f = _GAUSS_WEIGHTS[:, None] * np.exp(beta * u) * half
+    out = np.empty((kmax + 1,) + np.shape(a))
+    for k in range(kmax + 1):
+        out[k] = f.sum(axis=0)
+        f = f * u
     return out
+
+
+#: inverse Vandermonde matrices of the cell stencils in units of dt, per
+#: stencil size k: entry s serves the stencil at the integer offsets
+#: -s .. k - 1 - s from the cell's lower ring (s = 2 inside, clamped at
+#: the ends)
+_CELL_INVERSES: dict = {}
+
+
+def _cell_inverses(k: int) -> np.ndarray:
+    inv = _CELL_INVERSES.get(k)
+    if inv is None:
+        inv = np.stack([_stencil_weights(np.arange(k, dtype=float) - s,
+                                         np.eye(k)) for s in range(k - 1)])
+        inv.flags.writeable = False  # shared by every rule in the process
+        _CELL_INVERSES[k] = inv
+    return inv
 
 
 class RadialRule:
@@ -188,6 +225,11 @@ class RadialRule:
     STENCIL = 6
 
     def _build(self, t_a: float, t_b: float, beta: float) -> np.ndarray:
+        """All cells at once, in units of dt: cell i covers u in [0, 1]
+        from ring i, its stencil sits at the integer offsets j0 - i ..
+        j0 - i + k - 1, and its weights are dt e^{beta t_i} times the
+        inverse Vandermonde matrix of those offsets applied to the moments
+        of e^{beta dt u} over the covered part of [0, 1]."""
         t = self.grid.t
         R = t.size
         k = min(self.STENCIL, R)
@@ -198,21 +240,23 @@ class RadialRule:
         t_a = max(t_a, t[0])
         t_b = min(t_b, t[-1])
         dt = self.grid.dt
-        w = np.zeros(R)
         i0 = int(np.floor((t_a - t[0]) / dt + 1e-12))
         i1 = int(np.ceil((t_b - t[0]) / dt - 1e-12))
         i1 = max(min(i1, R - 1), i0 + 1)
-        for i in range(i0, i1):
-            lo = max(t_a, t[i])
-            hi = min(t_b, t[i + 1])
-            if hi <= lo + 1e-15:
-                continue
-            # k-ring window centered on cell i, clamped at the ends
-            j0 = min(max(i - (k // 2 - 1), 0), R - k)
-            m = _moments(lo - t[i], hi - t[i], beta, k - 1)
-            w[j0:j0 + k] += _stencil_weights(t[j0:j0 + k] - t[i], m) \
-                * np.exp(beta * t[i])
-        return w
+        i = np.arange(i0, i1)
+        lo = np.maximum(t_a, t[i])
+        hi = np.minimum(t_b, t[i + 1])
+        keep = hi > lo + 1e-15
+        i, lo, hi = i[keep], lo[keep], hi[keep]
+        if i.size == 0:
+            return np.zeros(R)
+        # k-ring window centered on cell i, clamped at the ends
+        j0 = np.clip(i - (k // 2 - 1), 0, R - k)
+        m = _moments((lo - t[i]) / dt, (hi - t[i]) / dt, beta * dt, k - 1)
+        cell = np.einsum("ijq,qi->ij", _cell_inverses(k)[i - j0], m) \
+            * (dt * np.exp(beta * t[i]))[:, None]
+        return np.bincount((j0[:, None] + np.arange(k)).ravel(),
+                           weights=cell.ravel(), minlength=R)
 
     def _disk_integral(self, F: np.ndarray, r: float) -> float:
         """int_{B_r} of a ring profile F carrying its angular weight, i.e.

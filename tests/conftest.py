@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -77,4 +79,34 @@ def write_corrupt_qfunction(path, grid, kind):
     else:
         raise ValueError(f"unknown corruption {kind!r}")
     path.write_text("\n".join(head + rows) + "\n")
+    return path
+
+
+def write_qfunction_bad_radii(path, grid, kind):
+    """Save the (2,3) curve on grid to path with the header's radii
+    damaged: 'short' drops the last radius, 'moved' doubles all of them
+    (so they disagree with r_min and r_max), 'not_geometric' moves one
+    inner radius by 1% and 'not_numbers' replaces them by strings."""
+    qb.save_qfunction(qb.make_multigraph(qb.CurveSpec(2, 3), grid), path)
+
+    def damage(radii):
+        if kind == "short":
+            return radii[:-1]
+        if kind == "moved":
+            return [2.0 * r for r in radii]
+        if kind == "not_geometric":
+            return radii[:3] + [1.01 * radii[3]] + radii[4:]
+        if kind == "not_numbers":
+            return [str(r) + "m" for r in radii]
+        raise ValueError(f"unknown radii damage {kind!r}")
+
+    return edit_qfunction_header(path, lambda h: {
+        **h, "radii": damage(h["radii"])})
+
+
+def edit_qfunction_header(path, edit):
+    """Replace the JSON header line of a QFunction file by edit(header)."""
+    head, rest = path.read_text().split("\n", 1)
+    path.write_text(json.dumps(edit(json.loads(head)), sort_keys=True)
+                    + "\n" + rest)
     return path

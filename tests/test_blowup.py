@@ -1,6 +1,7 @@
 """Dilations, normalized blow-ups, the degree estimator, and the
 Hardt-Simon functional."""
 
+import json
 import math
 
 import numpy as np
@@ -47,6 +48,58 @@ class TestRescale:
     def test_domain_overflow(self, curve_cache):
         with pytest.raises(qb.RangeError):
             qb.rescale(curve_cache(2, 3), None, 4.0)
+
+
+@pytest.fixture(scope="module")
+def average_free_inputs():
+    """Average-free parts of the five acceptance curves, a perturbed curve
+    and the 5/3-homogeneous spiral map."""
+    grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
+    maps = {f"curve{q}{p}": qb.make_multigraph(qb.CurveSpec(q, p), grid)
+            for q, p in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]}
+    maps["curve25+0.3z^3"] = qb.make_multigraph(
+        qb.CurveSpec(2, 5, (0, 0, 0, 0.3 + 0.2j)), grid)
+    maps["homogeneous5/3"] = qb.homogeneous_map(5 / 3, grid=grid)
+    return {name: qb.average_free_part(f) for name, f in maps.items()}
+
+
+class TestRingShiftTables:
+    """An exact ring-shift blow-up reads its ring table off its parent's;
+    every frequency record must match the table computed from its own
+    samples."""
+
+    @pytest.mark.parametrize("mode", ["l2_norm", "excess_sqrt"])
+    @pytest.mark.parametrize("name", ["curve23", "curve25", "curve34",
+                                      "curve35", "curve45", "curve25+0.3z^3",
+                                      "homogeneous5/3"])
+    def test_seeded_table_matches_a_fresh_copy(self, average_free_inputs,
+                                               name, mode):
+        v = average_free_inputs[name]
+        for shift in (1, 2, 3, 8):
+            u = qb.coarse_blowup_normalize(v, v.grid.rho ** shift, mode,
+                                           reference=1.0)
+            assert "ring_data" in u._cache
+            copy = u.replace_values(u.values)  # empty cache
+            radii = [float(s) for s in u.grid.radii
+                     if s >= 2.0 * u.grid.r_min]
+            seeded = qb.frequency_profile(u, radii=radii)
+            own = qb.frequency_profile(copy, radii=radii)
+            assert "grad" not in u._cache
+            for a, b in zip(seeded.records, own.records):
+                assert a.valid == b.valid, (shift, a.r)
+                for key in ("D", "H", "I", "E", "G", "Sigma"):
+                    x, y = getattr(a, key), getattr(b, key)
+                    if not math.isnan(y):
+                        assert abs(x - y) <= 1e-12 * abs(y), (shift, a.r, key)
+
+    def test_off_lattice_ratio_builds_its_own_table(self,
+                                                    average_free_inputs):
+        u = qb.coarse_blowup_normalize(average_free_inputs["curve23"], 0.6)
+        assert "ring_data" not in u._cache
+        radii = qb.default_profile_radii(u.grid, octaves=1.0)
+        lim = qb.frequency_limit(qb.frequency_profile(u, radii=radii))
+        assert "grad" in u._cache
+        assert lim["estimate"] == pytest.approx(1.5, abs=1e-3)
 
 
 class TestNormalize:
@@ -160,11 +213,28 @@ class TestSingularityDegree:
             qb.singularity_degree(shallow)
 
     def test_json_export_shape(self, curve_cache):
-        import json
         est = qb.singularity_degree(curve_cache(2, 3))
         payload = json.loads(est.to_json())
         assert set(payload) >= {"value", "spread", "converged", "per_step"}
         assert all(set(step) == {"k", "r", "I"} for step in payload["per_step"])
+        assert "step_failures" not in payload  # no step failed
+
+    def test_failed_steps_are_kept(self):
+        # the map vanishes on B_{2^-5}: steps whose top octave or reference
+        # ball lies inside it fail, the outer steps survive
+        grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+        values = f.values.copy()
+        values[:, grid.radii < 2.0 ** -5] = 0.0
+        est = qb.singularity_degree(f.replace_values(values))
+        failures = est.notes["step_failures"]
+        failed = [k for k, _ in failures]
+        survived = [k for k, _, _ in est.per_step_I]
+        assert len(survived) >= 3
+        assert {6, 7} <= set(failed)  # reference balls inside the zero disk
+        assert sorted(failed + survived) == list(range(1, 8))
+        assert all(isinstance(why, str) and why for _, why in failures)
+        assert json.loads(est.to_json())["step_failures"] == failures
 
 
 class TestHomogeneityCheck:

@@ -207,6 +207,20 @@ def _damaged_file(kind):
     return make
 
 
+def _bad_radii_file(kind):
+    def make(tmp_path):
+        from conftest import write_qfunction_bad_radii
+        grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64)
+        return str(write_qfunction_bad_radii(tmp_path / f"{kind}.qfn", grid,
+                                             kind))
+    return make
+
+
+def _below_regular_file(tmp_path):
+    (tmp_path / "plain").write_text("not a directory\n")
+    return str(tmp_path / "plain" / "out")
+
+
 def _zero_file(tmp_path):
     grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64)
     f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
@@ -216,7 +230,7 @@ def _zero_file(tmp_path):
 
 
 #: (arguments, expected exit code); a callable argument is replaced by the
-#: path it creates under tmp_path
+#: path it creates under tmp_path, and --out defaults to tmp_path / "out"
 EXIT_CASES = {
     "ok": (["frequency", "--curve", "2,3"] + FAST, 0),
     "threads_accepted": (["frequency", "--curve", "2,3", "--threads", "3"]
@@ -265,6 +279,10 @@ EXIT_CASES = {
     "index_out_of_range": (["frequency", "--input",
                             _damaged_file("index_out_of_range")], 2),
     "nan_sample": (["frequency", "--input", _damaged_file("nan_sample")], 2),
+    "mismatched_radii": (["frequency", "--input",
+                          _bad_radii_file("not_geometric")], 2),
+    "out_below_regular_file": (["frequency", "--curve", "2,3", "--out",
+                                _below_regular_file] + FAST, 2),
     "zero_input": (["degree", "--input", _zero_file], 3),
     "rho_below_grid": (["hardt-simon", "--homogeneous", "0.8", "--rho",
                         "2^-30"] + FAST, 3),
@@ -277,7 +295,9 @@ _PREFIX = {2: "config-error", 3: "numeric-error", 4: "internal-error"}
 def test_exit_code_table(case, tmp_path, capsys):
     args, expected = EXIT_CASES[case]
     args = [a(tmp_path) if callable(a) else a for a in args]
-    code = main(args + ["--out", str(tmp_path / "out")])
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "out")]
+    code = main(args)
     err = capsys.readouterr().err
     assert code == expected, err
     if expected in _PREFIX and case != "unknown_flag":

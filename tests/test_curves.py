@@ -157,6 +157,39 @@ class TestFileFormat:
         assert g.grid.n_theta == f.grid.n_theta
         assert g.metadata["kind"] == "curve"
 
+    def test_roundtrip_of_a_grid_with_ratio_one_and_a_half(self, tmp_path):
+        # 1.5 is no ratio 2^(1/k): only the stored radii can describe it
+        grid = qb.PolarGrid(radii=1.5 ** np.arange(-11.0, 1.0), n_theta=64)
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+        path = tmp_path / "ratio15.qfn"
+        qb.save_qfunction(f, path)
+        g = qb.load_qfunction(path)
+        assert np.array_equal(g.grid.radii, grid.radii)  # bit-exact
+        assert np.array_equal(g.values, f.values)
+        assert np.array_equal(g.monodromy, f.monodromy)
+
+    def test_header_without_radii_loads(self, tmp_path, small_grid):
+        from conftest import edit_qfunction_header
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
+        path = tmp_path / "old.qfn"
+        qb.save_qfunction(f, path)
+        edit_qfunction_header(path, lambda h: {
+            k: v for k, v in h.items() if k != "radii"})
+        g = qb.load_qfunction(path)
+        assert np.allclose(g.grid.radii, small_grid.radii, rtol=1e-14,
+                           atol=0.0)
+        assert np.array_equal(g.values, f.values)
+
+    @pytest.mark.parametrize("kind", ["short", "moved", "not_geometric",
+                                      "not_numbers"])
+    def test_rejects_radii_that_describe_no_grid(self, tmp_path, small_grid,
+                                                 kind):
+        from conftest import write_qfunction_bad_radii
+        path = write_qfunction_bad_radii(tmp_path / "bad.qfn", small_grid,
+                                         kind)
+        with pytest.raises(qb.ConfigError):
+            qb.load_qfunction(path)
+
     @pytest.mark.parametrize("kind", ["truncated", "duplicated",
                                       "index_out_of_range", "nan_sample"])
     def test_rejects_damaged_samples(self, tmp_path, small_grid, kind):

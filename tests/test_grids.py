@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 import qbranch as qb
-from qbranch.grids import (RadialRule, _cubic_window, _stencil_weights,
-                           d_dr_geometric)
+from qbranch.grids import (RadialRule, _cubic_window, _moments,
+                           _stencil_weights, d_dr_geometric)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,54 @@ def test_radial_weights_exact_on_polynomials_times_exponential(grid, beta):
             exact, _ = quad(lambda x: x ** k * math.exp(beta * x), t_a, t_b,
                             epsabs=0.0, epsrel=1e-13)
             assert w @ t ** k == pytest.approx(exact, rel=1e-13)
+
+
+def _per_cell_weights(grid, t_a, t_b, beta):
+    """The radial rule cell by cell: one solve per cell at the stencil's
+    offsets from the cell's lower ring, with adaptive-quadrature moments."""
+    t = grid.t
+    R, k = t.size, RadialRule.STENCIL
+    w = np.zeros(R)
+    for i in range(R - 1):
+        lo, hi = max(t_a, t[i]), min(t_b, t[i + 1])
+        if hi <= lo:
+            continue
+        j0 = min(max(i - 2, 0), R - k)
+        m = [quad(lambda x: x ** a * math.exp(beta * x), lo - t[i],
+                  hi - t[i], epsabs=0.0, epsrel=1e-13)[0] for a in range(k)]
+        w[j0:j0 + k] += _stencil_weights(t[j0:j0 + k] - t[i], np.array(m)) \
+            * math.exp(beta * t[i])
+    return w
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+def test_radial_weights_match_the_per_cell_rule(grid, rng, beta):
+    ratio15 = qb.PolarGrid(radii=1.5 ** np.arange(-11.0, 1.0), n_theta=64)
+    for g in (grid, ratio15):
+        t, dt = g.t, g.dt
+        rule = RadialRule(g)
+        # both clamped ends, a window inside one cell, and random windows
+        windows = [(t[0] + 0.3 * dt, t[-1] - 0.8 * dt),
+                   (t[1] + 0.6 * dt, t[-2] + 0.1 * dt),
+                   (t[5] + 0.2 * dt, t[5] + 0.9 * dt)]
+        windows += [tuple(np.sort(rng.uniform(t[0], t[-1], 2)))
+                    for _ in range(4)]
+        for t_a, t_b in windows:
+            ref = _per_cell_weights(g, t_a, t_b, beta)
+            got = rule.weights(t_a, t_b, beta)
+            assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("beta", [0.05, 1.0, 10.0])
+def test_cell_moments_hold_their_digits_on_short_cells(beta):
+    a = np.array([0.0, 0.0, 0.5, 0.999, 0.0])
+    b = np.array([1.0, 1e-3, 0.5 + 1e-6, 1.0, 0.3])
+    got = _moments(a, b, beta, 5)
+    for q in range(6):
+        for j in range(a.size):
+            exact, _ = quad(lambda x: x ** q * math.exp(beta * x), a[j], b[j],
+                            epsabs=0.0, epsrel=1e-13)
+            assert got[q, j] == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("power,rel", [(0.0, 1e-13), (0.5, 1e-9),
