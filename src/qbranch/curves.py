@@ -18,7 +18,6 @@ frames) are cached on first use.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -374,17 +373,18 @@ def save_qfunction(f: QFunction, path):
         "monodromy": f.monodromy.tolist(),
         "metadata": _json_safe(f.metadata),
     }
-    buf = io.StringIO()
-    buf.write(json.dumps(header, sort_keys=True) + "\n")
-    buf.write("ring,angle,sheet,re,im\n")
+    # rows in (ring, angle, sheet) order, formatted a ring at a time: one
+    # operation for the whole file would hold every sample as a Python float
     Q, R, T, _ = f.values.shape
-    for i in range(R):
-        for j in range(T):
-            for k in range(Q):
-                re, im = f.values[k, i, j]
-                buf.write(f"{i},{j},{k},{re:.17g},{im:.17g}\n")
+    angle_sheet = np.indices((T, Q)).reshape(2, -1).T
+    ring_rows = "%d,%d,%d,%.17g,%.17g\n" * (T * Q)
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write("ring,angle,sheet,re,im\n")
+        for i in range(R):
+            samples = f.values[:, i].transpose(1, 0, 2).reshape(-1, 2)
+            ring = np.hstack([np.full((T * Q, 1), i), angle_sheet, samples])
+            fh.write(ring_rows % tuple(ring.ravel().tolist()))
 
 
 def load_qfunction(path) -> QFunction:

@@ -18,12 +18,21 @@ the mass-ratio form (mass(C_r) - Q pi r^2) / (pi r^2).  Because |P_i| = 1,
 the dependence on A collapses to first moments,
 
     E(r, A) = (S0 - <P_A, S1>) / (pi r^2),
-    S0 = int |p| dx,   S1 = int P |p| dx,
+    S0 = int |p| dx,   S1 = int P |p| dx = int p dx,
 
 so the optimal plane is the point of the plane manifold closest to S1/|S1|;
-a small Gauss-Newton iteration on the four tilt entries finds it.  The ball
-variant replaces the cylinder B_r x R^2 by the ambient ball, masking nodes
-sheetwise, and is kept as the documented secondary definition.
+a small Gauss-Newton iteration on the four tilt entries finds it.
+
+Every quantity here reads one table per map, built on first use from the
+unnormalized p (P is never formed): the per-sheet ring profiles
+s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta.  A radius integrates them
+with its disk weights and core closure; the graph mass is S0 summed over
+the sheets, and the mean tilt reads the Jacobian entries (b1, b2, -a1, -a2)
+off the sheet mean of s1.
+
+The ball variant replaces the cylinder B_r x R^2 by the ambient ball,
+capping each sheet at its exit radius, and is kept as the documented
+secondary definition.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .curves import QFunction
 
 OMEGA_M = math.pi        # volume of the unit ball in the base dimension m = 2
 TILT_MAX = 0.5
+DEFINITIONS = ("cylindrical", "spherical_ball")
 
 
 @dataclass(frozen=True)
@@ -72,12 +82,20 @@ class ExcessRecord:
     definition: str = "cylindrical"
 
 
+def _plucker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pluecker coordinates (1, b1, b2, -a1, -a2, a1 b2 - a2 b1) of the graph
+    2-vector of a Jacobian with columns a = Df e1 and b = Df e2, stacked on
+    a new last axis; a and b carry the codomain on their last axis."""
+    return np.stack([np.ones_like(a[..., 0]), b[..., 0], b[..., 1],
+                     -a[..., 0], -a[..., 1],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
 def _plucker_of_tilt(A: np.ndarray):
     """Unit 2-vector of the plane {(x, A x)} and its derivative in A."""
     a = A[:, 0]
     b = A[:, 1]
-    p = np.array([1.0, b[0], b[1], -a[0], -a[1],
-                  a[0] * b[1] - a[1] * b[0]])
+    p = _plucker(a, b)
     # columns: d/d a0, d/d a1, d/d b0, d/d b1
     dp = np.array([
         [0.0, 0.0, 0.0, 0.0],
@@ -93,37 +111,21 @@ def _plucker_of_tilt(A: np.ndarray):
     return P, dP
 
 
-def _sheet_plucker(f: QFunction):
-    """Unit tangent 2-vectors and area elements of every sheet node.
-
-    Returns (P, area): P has shape (Q, R, T, 6), area (Q, R, T)."""
-    cached = f._cache.get("plucker")
-    if cached is not None:
-        return cached
-    Jc = f.cartesian_gradients()           # (Q, R, T, n, 2)
-    a = Jc[..., 0]
-    b = Jc[..., 1]
-    Q, R, T, _ = a.shape
-    p = np.empty((Q, R, T, 6))
-    p[..., 0] = 1.0
-    p[..., 1] = b[..., 0]
-    p[..., 2] = b[..., 1]
-    p[..., 3] = -a[..., 0]
-    p[..., 4] = -a[..., 1]
-    p[..., 5] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    area = np.sqrt(np.einsum("krtc,krtc->krt", p, p))
-    P = p / area[..., None]
-    cached = (P, area)
-    f._cache["plucker"] = cached
-    return cached
-
-
-def _moment_profiles(f: QFunction):
-    """Per-sheet ring profiles (with the 2 pi weight) of |p| and P |p|."""
-    P, area = _sheet_plucker(f)
-    s0 = TWO_PI * np.mean(area, axis=-1)                      # (Q, R)
-    s1 = TWO_PI * np.mean(P * area[..., None], axis=2)        # (Q, R, 6)
-    return s0, s1
+def _area_moments(f: QFunction) -> np.ndarray:
+    """Per-sheet ring profiles of the area moments, shape (Q, R, 7): column
+    0 is s0 = 2 pi <|p|>_theta, columns 1..6 are s1 = 2 pi <p>_theta.
+    Built once per map from the Cartesian Jacobians and cached."""
+    table = f._cache.get("area_moments")
+    if table is None:
+        Jc = f.cartesian_gradients()           # (Q, R, T, n, 2)
+        p = _plucker(Jc[..., 0], Jc[..., 1])   # (Q, R, T, 6)
+        area = np.sqrt(np.einsum("krtc,krtc->krt", p, p))
+        table = np.empty(p.shape[:2] + (7,))
+        table[..., 0] = TWO_PI * np.mean(area, axis=-1)
+        table[..., 1:] = TWO_PI * np.mean(p, axis=2)
+        table.flags.writeable = False  # every caller reads the same table
+        f._cache["area_moments"] = table
+    return table
 
 
 def _ball_caps(f: QFunction, r: float) -> np.ndarray:
@@ -151,35 +153,26 @@ def _ball_caps(f: QFunction, r: float) -> np.ndarray:
 
 
 def _moments_up_to(f: QFunction, r: float, definition: str):
-    """Area moments S0 = int |p|, S1 = int P |p| over the region up to r,
-    with the puncture core r < r_min restored componentwise so that the
+    """Area moments S0 = int |p|, S1 = int p over the region up to r, with
+    the puncture core r < r_min restored componentwise so that the
     mass-ratio identity and the flat-plane cancellations survive it.
 
     cylindrical integrates every sheet up to r; spherical_ball caps each
     sheet at its exit radius from the ambient ball."""
-    grid = f.grid
-    grid.require_radius(r)
+    if definition not in DEFINITIONS:
+        raise ConfigError(f"unknown excess definition {definition!r}")
+    f.grid.require_radius(r)
+    table = _area_moments(f)
+    caps = _ball_caps(f, r) if definition == "spherical_ball" \
+        else np.full(f.q, r)
     rule = f.rule()
-    s0, s1 = _moment_profiles(f)
-    if definition == "spherical_ball":
-        caps = _ball_caps(f, r)
-    else:
-        caps = np.full(f.q, r)
-    S0 = 0.0
-    S1 = np.zeros(6)
-    for k in range(f.q):
-        w = rule.weights(grid.t[0], math.log(caps[k]), 2.0)
-        S0 += float(w @ s0[k]) + rule.inner_core(s0[k], 2.0)
-        S1 += w @ s1[k]
-        for c in range(6):
-            S1[c] += rule.inner_core(s1[k, :, c], 2.0)
-    return S0, S1
+    S = sum(rule._disk_integral(table[k], cap) for k, cap in enumerate(caps))
+    return float(S[0]), S[1:]
 
 
 def graph_mass(f: QFunction, r: float) -> float:
     """Mass of the graph over B_r by the Q-valued area formula."""
-    s0, _ = _moment_profiles(f)
-    return f.rule()._disk_integral(s0.sum(axis=0), r)
+    return f.rule()._disk_integral(_area_moments(f)[..., 0].sum(axis=0), r)
 
 
 def excess_value(f: QFunction, r: float, plane: Plane,
@@ -195,8 +188,6 @@ def spherical_excess(f: QFunction, r: float, plane: Plane | None = None,
 
     cylindrical integrates over the cylinder above B_r (the primary
     definition); spherical_ball masks each sheet to the ambient ball."""
-    if definition not in ("cylindrical", "spherical_ball"):
-        raise ConfigError(f"unknown excess definition {definition!r}")
     plane = HORIZONTAL if plane is None else plane
     value = excess_value(f, r, plane, definition)
     return ExcessRecord(r=float(r), mass=graph_mass(f, r), excess=value,
@@ -204,14 +195,11 @@ def spherical_excess(f: QFunction, r: float, plane: Plane | None = None,
 
 
 def mean_tilt(f: QFunction, r: float) -> np.ndarray:
-    """Area-averaged Jacobian of the sheet average over B_r."""
-    grid = f.grid
-    rule = f.rule()
-    Jc = f.cartesian_gradients()
-    prof = TWO_PI * np.mean(np.mean(Jc, axis=0), axis=1)  # (R, n, 2)
-    w = rule.weights(grid.t[0], math.log(r), 2.0)
-    area = OMEGA_M * r ** 2
-    return np.einsum("r,rnc->nc", w, prof) / area
+    """Area-averaged Jacobian of the sheet average over B_r, read off the
+    sheet mean of s1, whose entries 1..4 are (b1, b2, -a1, -a2)."""
+    w = f.rule().weights(f.grid.t[0], math.log(r), 2.0)
+    m = w @ np.mean(_area_moments(f)[..., 2:6], axis=0) / (OMEGA_M * r ** 2)
+    return np.array([[-m[2], m[0]], [-m[3], m[1]]])
 
 
 def optimal_plane(f: QFunction, r: float, definition: str = "cylindrical",
@@ -220,7 +208,7 @@ def optimal_plane(f: QFunction, r: float, definition: str = "cylindrical",
 
     Gauss-Newton on the tilt entries, started from the mean sheet tilt;
     returns {"plane", "excess", "iterations"}."""
-    S0, S1 = _moments_up_to(f, r, definition)
+    _, S1 = _moments_up_to(f, r, definition)
     norm_S1 = float(np.linalg.norm(S1))
     if norm_S1 <= 0:
         raise DataError("degenerate tangent moments")
@@ -228,9 +216,9 @@ def optimal_plane(f: QFunction, r: float, definition: str = "cylindrical",
     A = mean_tilt(f, r)
     if np.linalg.norm(A) > TILT_MAX:
         raise TiltError("mean tilt exceeds the graphical regime")
-    theta = np.array([A[0, 0], A[1, 0], A[0, 1], A[1, 1]])
+    theta = A.ravel(order="F")  # (a1, a2, b1, b2), the columns of dP
     for it in range(max_iter):
-        P_A, dP = _plucker_of_tilt(_theta_to_tilt(theta))
+        P_A, dP = _plucker_of_tilt(theta.reshape(2, 2, order="F"))
         resid = target - P_A
         delta, *_ = np.linalg.lstsq(dP, resid, rcond=None)
         theta = theta + delta
@@ -239,16 +227,10 @@ def optimal_plane(f: QFunction, r: float, definition: str = "cylindrical",
     else:
         raise OptimizationError(
             f"plane optimization did not converge in {max_iter} iterations")
-    plane = Plane(_theta_to_tilt(theta), note=f"optimal at r={r:.6g}")
-    P_A, _ = _plucker_of_tilt(plane.tilt)
-    value = float((S0 - P_A @ S1) / (OMEGA_M * r ** 2))
-    return {"plane": plane, "excess": value, "iterations": it + 1}
-
-
-def _theta_to_tilt(theta: np.ndarray) -> np.ndarray:
-    A = np.empty((2, 2))
-    A[0, 0], A[1, 0], A[0, 1], A[1, 1] = theta
-    return A
+    plane = Plane(theta.reshape(2, 2, order="F"),
+                  note=f"optimal at r={r:.6g}")
+    return {"plane": plane, "excess": excess_value(f, r, plane, definition),
+            "iterations": it + 1}
 
 
 def excess_decay_fit(f: QFunction, radii, definition: str = "cylindrical") -> dict:

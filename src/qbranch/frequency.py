@@ -134,8 +134,7 @@ def _quantities(f: QFunction, s: float, cutoff: Cutoff = RAMP) -> dict:
         Sigma = float(w_in @ B + w_out @ (B * ramp)) + rule.inner_core(B, 2.0)
         w1 = rule.weights(t_half, t_s, 1.0)
         H = 2.0 * float(w1 @ B)
-        w2 = rule.weights(t_half, t_s, 2.0)
-        E = (2.0 / s) * float(w2 @ C)
+        E = (2.0 / s) * float(w_out @ C)
         w3 = rule.weights(t_half, t_s, 3.0)
         G = (2.0 / s ** 2) * float(w3 @ P)
         dD = (2.0 / s ** 2) * float(w3 @ A)

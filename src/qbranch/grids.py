@@ -258,28 +258,33 @@ class RadialRule:
         return np.bincount((j0[:, None] + np.arange(k)).ravel(),
                            weights=cell.ravel(), minlength=R)
 
-    def _disk_integral(self, F: np.ndarray, r: float) -> float:
+    def _disk_integral(self, F: np.ndarray, r: float):
         """int_{B_r} of a ring profile F carrying its angular weight, i.e.
-        int_0^r F(s) s ds, with the power-law core below r_min included."""
+        int_0^r F(s) s ds, with the power-law core below r_min included.
+        F may stack profiles as (R, ...); the result then has shape
+        F.shape[1:], and each entry is summed by the same dot product as a
+        lone profile, so stacking never changes a digit."""
         self.grid.require_radius(r)
         w = self.weights(self.grid.t[0], math.log(r), 2.0)
-        return float(w @ F) + self.inner_core(F, 2.0)
+        F = np.asarray(F, dtype=float)
+        columns = np.ascontiguousarray(F.reshape(F.shape[0], -1).T)
+        body = np.array([w @ c for c in columns]).reshape(F.shape[1:])
+        total = body + self.inner_core(F, 2.0)
+        return float(total) if total.ndim == 0 else total
 
-    def inner_core(self, F: np.ndarray, beta: float) -> float:
+    def inner_core(self, F: np.ndarray, beta: float):
         """Contribution of the missing disk r < r_min, assuming F behaves
         like a power of r near the puncture (exponent fitted from the two
-        inner rings; constant extension when the signs disagree)."""
-        f0, f1 = float(F[0]), float(F[1])
-        r0 = self.grid.r_min
-        if f0 == 0.0:
-            return 0.0
-        if f0 * f1 > 0.0:
-            p = np.log(abs(f1) / abs(f0)) / self.grid.dt
-        else:
-            p = 0.0
-        if p + beta <= 0.1:
-            return 0.0
-        return f0 * r0 ** beta / (p + beta)
+        inner rings; constant extension when the signs disagree).  F may
+        stack profiles as (R, ...); each gets its own exponent."""
+        F = np.asarray(F, dtype=float)
+        f0, f1 = F[0], F[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.where(f0 * f1 > 0.0,
+                         np.log(np.abs(f1) / np.abs(f0)) / self.grid.dt, 0.0)
+            core = f0 * self.grid.r_min ** beta / (p + beta)
+        core = np.where((f0 == 0.0) | (p + beta <= 0.1), 0.0, core)
+        return float(core) if core.ndim == 0 else core
 
 
 # ----------------------------------------------------------------------------

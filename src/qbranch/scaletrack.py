@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .curves import QFunction
 from .blowup import average_free_part, rescale
-from .excess import Plane, optimal_plane
+from .excess import DEFINITIONS, Plane, optimal_plane
 from .frequency import Cutoff, RAMP, _record_at
 
 #: the linearized (affine-subtraction) reparametrization is trusted only
@@ -71,6 +71,8 @@ class ScaleTrackConfig:
             raise ConfigError("c_e must be at least 1")
         if not (0 < self.r_floor < self.r_top):
             raise ConfigError("need 0 < r_floor < r_top")
+        if self.definition not in DEFINITIONS:
+            raise ConfigError(f"unknown excess definition {self.definition!r}")
 
 
 @dataclass

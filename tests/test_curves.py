@@ -157,6 +157,31 @@ class TestFileFormat:
         assert g.grid.n_theta == f.grid.n_theta
         assert g.metadata["kind"] == "curve"
 
+    def test_rows_match_the_per_row_format(self, tmp_path, small_grid):
+        """The one-shot row formatting writes the bytes of the plain
+        per-row f-string loop, signed zeros and subnormals included."""
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
+        special = np.array([-0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300, -1e300])
+        values = f.values.copy()
+        values.flat[:special.size] = special
+        values.flat[-special.size:] = special[::-1]
+        f = f.replace_values(values)
+        path = tmp_path / "special.qfn"
+        qb.save_qfunction(f, path)
+        text = path.read_text()
+        header, columns, body = text.split("\n", 2)
+        assert columns == "ring,angle,sheet,re,im"
+        Q, R, T, _ = f.values.shape
+        rows = []
+        for i in range(R):
+            for j in range(T):
+                for k in range(Q):
+                    re, im = f.values[k, i, j]
+                    rows.append(f"{i},{j},{k},{re:.17g},{im:.17g}\n")
+        assert body == "".join(rows)
+        assert "-0," in body and "4.9406564584124654e-324" in body
+        assert np.array_equal(qb.load_qfunction(path).values, f.values)
+
     def test_roundtrip_of_a_grid_with_ratio_one_and_a_half(self, tmp_path):
         # 1.5 is no ratio 2^(1/k): only the stored radii can describe it
         grid = qb.PolarGrid(radii=1.5 ** np.arange(-11.0, 1.0), n_theta=64)

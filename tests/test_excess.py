@@ -171,6 +171,62 @@ class TestOptimalPlane:
         assert e1 == pytest.approx(e0, rel=1e-10)
 
 
+class TestAreaMoments:
+    """All excess entry points read one cached table of ring profiles."""
+
+    @staticmethod
+    def direct_mean_tilt(f, r):
+        Jc = f.cartesian_gradients()
+        prof = 2 * np.pi * np.mean(np.mean(Jc, axis=0), axis=1)  # (R, n, 2)
+        w = f.rule().weights(f.grid.t[0], np.log(r), 2.0)
+        return np.einsum("r,rnc->nc", w, prof) / (np.pi * r ** 2)
+
+    def test_mean_tilt_is_the_area_average_of_the_jacobians(
+            self, small_grid, curve_cache):
+        A = np.array([[0.3, 0.1], [-0.2, 0.25]])
+        tilted = flat_sheets(small_grid, 2, tilt=A, offsets=[(0, 0), (1, 0)])
+        perturbed = curve_cache(3, 5, (0, 0, 0, 0.3 + 0.2j))
+        for f in (tilted, perturbed):
+            for r in (1.0, 0.25, 2.0 ** -5):
+                got = qb.mean_tilt(f, r)
+                assert np.abs(got - self.direct_mean_tilt(f, r)).max() < 1e-14
+        assert np.abs(qb.mean_tilt(tilted, 1.0) - A).max() < 1e-3
+        # a holomorphic perturbation has zero mean Jacobian on centered disks
+        assert np.abs(qb.mean_tilt(perturbed, 0.25)).max() < 1e-6
+
+    def test_one_gradient_pass_serves_every_entry_point(self, small_grid,
+                                                       monkeypatch):
+        calls = []
+        original = qb.QFunction.cartesian_gradients
+        monkeypatch.setattr(qb.QFunction, "cartesian_gradients",
+                            lambda f: calls.append(1) or original(f))
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
+        radii = [2.0 ** -k for k in range(5, 0, -1)]
+        for _ in range(2):
+            for r in radii:
+                qb.optimal_plane(f, r)
+                qb.optimal_plane(f, r, "spherical_ball")
+                qb.graph_mass(f, r)
+                qb.mean_tilt(f, r)
+                qb.spherical_excess(f, r)
+            qb.excess_decay_fit(f, radii)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda f: qb.optimal_plane(f, 0.25, "spherical-ball"),
+        lambda f: qb.spherical_excess(f, 0.25, definition="ball"),
+        lambda f: qb.excess_decay_fit(f, [2.0 ** -k for k in range(5, 0, -1)],
+                                      definition="bogus"),
+        lambda f: qb.intervals_of_flattening(
+            f, cfg=qb.ScaleTrackConfig(definition="bogus")),
+    ], ids=["optimal_plane", "spherical_excess", "excess_decay_fit",
+            "scale_track_config"])
+    def test_unknown_definition_is_refused(self, small_grid, call):
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
+        with pytest.raises(qb.ConfigError, match="definition"):
+            call(f)
+
+
 class TestDecayFit:
     def test_curve23_exponent(self, curve_cache):
         radii = [2.0 ** -k for k in range(8, 2, -1)]

@@ -115,19 +115,44 @@ def test_cell_moments_hold_their_digits_on_short_cells(beta):
             assert got[q, j] == pytest.approx(exact, rel=1e-12)
 
 
+STACKED_POWERS = np.array([0.0, 0.5, 1.0])
+
+
 @pytest.mark.parametrize("power,rel", [(0.0, 1e-13), (0.5, 1e-9),
-                                       (1.0, 1e-8)])
+                                       (1.0, 1e-8), (STACKED_POWERS, 1e-8)])
 def test_disk_integral_matches_power_law_closed_form(grid, power, rel):
     """int_0^r s^p s ds = r^(p+2) / (p+2), including the core below r_min.
     Constants are integrated exactly; other powers carry the quintic rule's
-    (p dt)^6 error, far below the core's share (r_min/r)^(p+2)."""
+    (p dt)^6 error, far below the core's share (r_min/r)^(p+2).  A stacked
+    (R, 3) profile gives each column bit for bit what a lone call gives."""
     rule = RadialRule(grid)
-    F = grid.radii ** power
+    F = np.power.outer(grid.radii, power)
     for r in (grid.r_max, 0.3, float(grid.radii[20])):
         exact = r ** (power + 2) / (power + 2)
         core = rule.inner_core(F, 2.0)
-        assert core > 100 * rel * exact
-        assert rule._disk_integral(F, r) == pytest.approx(exact, rel=rel)
+        assert np.all(core > 100 * rel * exact)
+        got = rule._disk_integral(F, r)
+        assert got == pytest.approx(exact, rel=rel)
+        if F.ndim == 2:
+            assert np.array_equal(got, [rule._disk_integral(F[:, j], r)
+                                        for j in range(F.shape[1])])
+
+
+def test_stacked_inner_core_takes_every_branch_per_column(grid):
+    """Columns with a fitted power, opposite signs at the two inner rings,
+    a zero first ring and a power too steep for a finite core each get the
+    scalar answer, bit for bit."""
+    r = grid.radii
+    F = np.stack([3.0 * r ** 0.7, -2.0 * r, np.where(r > r[0], 1.0, -1.0),
+                  np.where(r > r[0], 1.0, 0.0), r ** -2.5, np.zeros_like(r)],
+                 axis=1)
+    stacked = RadialRule(grid).inner_core(F, 2.0)
+    lone = [RadialRule(grid).inner_core(F[:, j], 2.0)
+            for j in range(F.shape[1])]
+    assert np.array_equal(stacked, lone)
+    assert stacked[1] < 0 < stacked[0]
+    assert stacked[2] == -r[0] ** 2 / 2.0  # constant extension
+    assert stacked[3] == stacked[4] == stacked[5] == 0.0
 
 
 def test_disk_integral_refuses_radii_off_the_grid(grid):
