@@ -99,36 +99,42 @@ def rescale(f: QFunction, q=None, r: float = 1.0) -> QFunction:
     if q is not None and not np.allclose(q, f.grid.center, atol=1e-15):
         f = recenter(f, q)
     grid = f.grid
+    shift, radii_out = _blowup_radii(grid, r)
+    if shift == 0:
+        return f.replace_values(f.values.copy(), note="rescale r=1")
+    meta = dict(f.metadata)
+    meta["rescaled_by"] = float(r)
+    if shift is not None:
+        values = f.values[:, :grid.n_rings - shift] / r
+    else:
+        # off-lattice ratio: sample f at r * x for output radii x
+        values = _sample_rings(f.values, grid, np.log(radii_out * r)) / r
+    new_grid = PolarGrid(radii=radii_out, n_theta=grid.n_theta,
+                         center=grid.center)
+    return QFunction(grid=new_grid, values=values,
+                     monodromy=f.monodromy.copy(), metadata=meta)
+
+
+def _blowup_radii(grid: PolarGrid, r: float):
+    """The rings x of grid that a dilation by r keeps, those with r x still
+    sampled, as (shift, radii).  shift is 0 for the identity, the number of
+    rings an exact ring-shift blow-up moves the grid down, or None for an
+    off-lattice ratio.  Refuses ratios outside ]0, r_max] and blow-ups left
+    with fewer than 12 rings."""
     if r <= 0:
         raise RangeError("dilation ratio must be positive")
     if r > grid.r_max * (1 + 1e-12):
         raise RangeError("dilation ratio exceeds the sampled disk")
     if abs(r - 1.0) < 1e-15:
-        return f.replace_values(f.values.copy(), note="rescale r=1")
-
+        return 0, grid.radii
     shift = _ring_shift(grid, r)
-    meta = dict(f.metadata)
-    meta["rescaled_by"] = float(r)
     if shift is not None:
-        radii_out = grid.radii[shift:]
-        if radii_out.size < 12:
-            raise RangeError("dilation leaves too few rings")
-        new_grid = PolarGrid(radii=radii_out, n_theta=grid.n_theta,
-                             center=grid.center)
-        values = f.values[:, :grid.n_rings - shift] / r
-        return QFunction(grid=new_grid, values=values,
-                         monodromy=f.monodromy.copy(), metadata=meta)
-    # off-lattice ratio: sample f at r * x for output radii x
-    keep = grid.radii * r >= grid.r_min * (1 - 1e-12)
-    radii_out = grid.radii[keep]
-    if radii_out.size < 12:
+        radii = grid.radii[shift:]
+    else:
+        radii = grid.radii[grid.radii * r >= grid.r_min * (1 - 1e-12)]
+    if radii.size < 12:
         raise RangeError("dilation leaves too few rings")
-    t_targets = np.log(radii_out * r)
-    values = _sample_rings(f.values, grid, t_targets) / r
-    new_grid = PolarGrid(radii=radii_out, n_theta=grid.n_theta,
-                         center=grid.center)
-    return QFunction(grid=new_grid, values=values,
-                     monodromy=f.monodromy.copy(), metadata=meta)
+    return shift, radii
 
 
 def _ring_shift(grid: PolarGrid, r: float) -> int | None:
@@ -174,9 +180,11 @@ def average_free_part(f: QFunction) -> QFunction:
 
 
 def l2_norm_on_ball(f: QFunction, radius: float) -> float:
-    """sqrt of int_{B_radius} |f|^2."""
-    return float(np.sqrt(f.rule()._disk_integral(_ring_profile(f.values),
-                                                 radius)))
+    """sqrt of int_{B_radius} |f|^2, read off f's cached ring table when
+    it has one (without differentiating f when it has none)."""
+    table = f._cache.get("ring_data")
+    B = table[1] if table is not None else _ring_profile(f.values)
+    return float(np.sqrt(f.rule()._disk_integral(B, radius)))
 
 
 def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
@@ -208,8 +216,9 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
         raise DegenerateBlowupError(
             f"normalizer {normalizer!r} at scale {r} is degenerate, "
             "the blow-up would be trivial")
-    g = rescale(f, None, r)
-    out = g.replace_values(g.values / normalizer)
+    # rescale returns fresh samples on every path, so divide them in place
+    out = rescale(f, None, r)
+    out.values /= normalizer
     if _ring_shift(grid, r) is not None:
         _seed_blowup_ring_data(out, f, r, 1.0 / (r * normalizer))
     out.metadata["blowup"] = {"r": float(r), "mode": mode,

@@ -28,7 +28,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, TrackingError
 
@@ -89,6 +88,13 @@ def _check_compatible(a: QPoint, b: QPoint):
         raise DimensionError(f"multiplicity mismatch: {a.q} vs {b.q}")
     if a.n != b.n:
         raise DimensionError(f"ambient dimension mismatch: {a.n} vs {b.n}")
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy's exact assignment solve, imported on first use: importing
+    scipy.optimize costs more than most commands spend computing."""
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(cost)
 
 
 def _cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -24,12 +24,16 @@ plane fixed at every scale (the mean of a derivative over a centered disk
 is its value at the center), so the drift rule alone would never split
 anything.
 
-The stitched frequency recomputes, per interval, the optimal plane at t_j,
-removes it as an affine map from every sheet (the small-tilt
-reparametrization), subtracts the pointwise sheet average, and records the
-smoothed frequency on ]s_j, t_j].  Jumps are recorded at interior seams and
-the negative variation of log(I + 1) is split into its within-interval part
-and its jump part; the two tile the stitched profile exactly.
+The stitched frequency records the smoothed frequency on ]s_j, t_j] of
+the blow-up at t_j with the reference plane removed from every sheet as an
+affine map (the small-tilt reparametrization) and the sheet average
+subtracted.  The plane, removed from every sheet alike, drops out with the
+average, and I is scale invariant, so every record is I of f's
+average-free part at the global radius: one ring table serves all
+intervals.  The plane only truncates intervals tilted beyond the regime
+where that linearization is trusted.  Both sides of a seam read the table
+at t_j, so seam jumps are zero in this linearized stand-in.  The negative
+variation of log(I + 1) splits into a within-interval and a jump part.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .curves import QFunction
-from .blowup import average_free_part, rescale
+from .blowup import _blowup_radii, average_free_part
 from .excess import DEFINITIONS, Plane, optimal_plane
 from .frequency import Cutoff, RAMP, _record_at
 
@@ -256,85 +260,51 @@ class UniversalProfile:
         return "\n".join(lines) + "\n"
 
 
-def _interval_map(f: QFunction, rec: IntervalRecord) -> QFunction | None:
-    """Rescale to the interval's top scale, remove the reference plane as an
-    affine map, and subtract the sheet average.  None when the tilt leaves
-    the graphical regime (the interval is then truncated with a note)."""
-    base = rescale(f, None, rec.t)
-    values = base.values
-    if rec.plane is not None:
-        if rec.plane.tilt_norm > REPARAM_TILT_MAX:
-            return None
-        x, y = base.grid.nodes_xy()
-        A = rec.plane.tilt
-        affine = np.empty(values.shape[1:])
-        affine[..., 0] = A[0, 0] * x + A[0, 1] * y
-        affine[..., 1] = A[1, 0] * x + A[1, 1] * y
-        values = values - affine[None]
-    g = base.replace_values(values, note="interval reparametrization")
-    return average_free_part(g)
-
-
-def _interval_rho_values(grid, rho_lo: float, points_per_octave: int):
-    """Scales in ]rho_lo, 1] * r_max available on the rescaled grid."""
-    rpo = int(round(math.log(2.0) / grid.dt))
-    stride = max(rpo // max(points_per_octave, 1), 1)
-    radii = grid.radii[::-1]  # descending
-    out = []
-    for i in range(0, radii.size, stride):
-        rho = radii[i] / grid.r_max
-        if rho <= rho_lo * (1 + 1e-12):
-            break
-        if radii[i] / 2 < grid.r_min * (1 - 1e-12):
-            continue
-        out.append(float(radii[i]))
-    return sorted(out)
-
-
 def universal_frequency(f: QFunction, intervals: ScaleIntervals,
                         points_per_octave: int = 1,
                         cutoff: Cutoff = RAMP) -> UniversalProfile:
     """Stitch per-interval frequency profiles across the flattening scales.
 
-    Every interval gets its own reference plane and average subtraction,
-    fixed at its top scale; jumps are recorded at interior seams where two
-    consecutive intervals meet."""
+    Interval j is recorded on ]s_j, t_j] at the rings of its blow-up at t_j,
+    each record being I of the average-free part v of f at that radius (the
+    blow-up is a view of v, and its plane drops out with the average; the
+    plane only truncates).  Jumps are recorded at interior seams; both
+    sides read v at t_j, so they are zero in this linearized stand-in."""
     if intervals.empty:
         raise DataError("no flattening intervals below the threshold")
+    v = average_free_part(f)
+    rpo = int(round(math.log(2.0) / f.grid.dt))
+    stride = max(rpo // max(points_per_octave, 1), 1)
     records = []
     jumps = []
     truncated = []
-    maps = {}
     for rec in intervals.intervals:
-        g = _interval_map(f, rec)
-        if g is None:
+        # refuses tops above r_max and blow-ups left with too few rings
+        _, radii = _blowup_radii(f.grid, rec.t)
+        if rec.plane is not None and rec.plane.tilt_norm > REPARAM_TILT_MAX:
             truncated.append(rec.j)
             continue
-        maps[rec.j] = g
-        rho_lo = rec.s / rec.t
-        for s_abs in _interval_rho_values(g.grid, rho_lo, points_per_octave):
-            fr = _record_at(g, s_abs, cutoff)
-            if not fr.valid:
-                continue
-            r_global = s_abs / g.grid.r_max * rec.t
-            records.append(ProfileRecord(
-                r=r_global, j=rec.j, I=fr.I,
-                jump_flag=False))
-    # seams: interval j meets interval j-1 at t_j
+        # every stride-th blow-up ring x down from the top, at r = rho t_j
+        # in ]s_j, t_j], while the cutoff kink x / 2 stays on the blow-up
+        x = radii[::-stride]
+        rho = x / radii[-1]
+        keep = (rho > rec.s / rec.t * (1 + 1e-12)) \
+            & (x / 2 >= radii[0] * (1 - 1e-12))
+        for r in (rho[keep] * rec.t)[::-1].tolist():
+            fr = _record_at(v, r, cutoff)
+            if fr.valid:
+                records.append(ProfileRecord(r=r, j=rec.j, I=fr.I))
+    # seams: interval j meets interval j-1 at t_j; both sides read v there
     for j in range(1, len(intervals.intervals)):
         if not intervals.coinciding(j):
             continue
         if j in truncated or (j - 1) in truncated:
             continue
         rec = intervals.intervals[j]
-        upper = intervals.intervals[j - 1]
-        g_low, g_up = maps[rec.j], maps[upper.j]
-        low = _record_at(g_low, g_low.grid.r_max, cutoff)
-        rho = rec.t / upper.t
-        up = _record_at(g_up, rho * g_up.grid.r_max, cutoff)
-        if not (low.valid and up.valid):
+        seam = _record_at(v, rec.t, cutoff)
+        if not seam.valid:
             continue
-        jumps.append(JumpRecord(t=rec.t, I_left=low.I, I_right=up.I,
+        jumps.append(JumpRecord(t=rec.t, I_left=seam.I, I_right=seam.I,
                                 m0=rec.m0))
         for pr in records:
             if pr.j == rec.j and abs(pr.r - rec.t) <= 1e-12 * rec.t:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qbranch as qb
+from qbranch.frequency import _ring_data
 
 
 class TestRescale:
@@ -114,6 +115,22 @@ class TestNormalize:
         # consistency of the rescaled samples with the stored normalizer
         direct = qb.rescale(f, None, 0.25)
         assert np.abs(u.values * h - direct.values).max() < 1e-12
+
+    def test_l2_norm_reads_the_cached_ring_table(self, curve_cache):
+        f = curve_cache(3, 4)
+        fresh = qb.QFunction(grid=f.grid, values=f.values,
+                             monodromy=f.monodromy)
+        cold = qb.l2_norm_on_ball(fresh, 0.5)
+        assert fresh._cache.keys() <= {"rule"}  # nothing differentiated
+        _ring_data(fresh)
+        assert qb.l2_norm_on_ball(fresh, 0.5) == cold
+
+    def test_parent_samples_stay_untouched(self, curve_cache):
+        f = curve_cache(2, 3)
+        before = f.values.copy()
+        for r in (0.25, 0.3):  # ring shift, off-lattice ratio
+            qb.coarse_blowup_normalize(f, r, "l2_norm")
+        assert np.array_equal(f.values, before)
 
     def test_self_similarity_across_scales(self, curve_cache):
         # normalized blow-ups of an exactly homogeneous branch agree

@@ -5,6 +5,10 @@ helper (and in qbranch.brute_force_metric, kept intentionally naive) is the
 oracle for the assignment-based metric."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,3 +176,15 @@ class TestTracking:
     def test_min_separation(self):
         a = qb.QPoint([[0.0, 0.0], [3.0, 4.0]])
         assert min_separation(a) == pytest.approx(5.0)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the assignment solver is imported on first use, so commands that never
+    # track do not pay for scipy.optimize
+    src = pathlib.Path(qb.__file__).resolve().parents[1]
+    code = ("import sys, qbranch, qbranch.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

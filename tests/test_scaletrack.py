@@ -7,6 +7,7 @@ E(r) <= c_e m0 (r/t)^(2 - 2 delta2), with c_e = 2, first fails at r = t/4
 because (t/r)^(1 - 2 delta2) = 4^(0.9375) > 2 while 2^(0.9375) < 2.  So the
 intervals are exactly two octaves long."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,55 @@ class TestUniversalFrequency:
         jump_lines = prof.jumps_csv().strip().split("\n")
         assert jump_lines[0] == "t_j,I_left,I_right,m0_j"
         assert len(jump_lines) == len(prof.jumps) + 1
+
+
+class TestSingleTable:
+    """The stitched profile reads every record off one average-free part of
+    the input: seams see one value from both sides, and a common affine map
+    drops out with the sheet average."""
+
+    @pytest.mark.parametrize("q,p,eps3_sq", [(2, 3, 0.1), (3, 4, 0.2)])
+    def test_seams_read_one_value(self, curve_cache, q, p, eps3_sq):
+        f = curve_cache(q, p)
+        prof = qb.universal_frequency(
+            f, qb.intervals_of_flattening(f, eps3_sq=eps3_sq))
+        assert prof.jumps
+        for jp in prof.jumps:
+            assert jp.I_left == jp.I_right
+        assert qb.bv_negative_variation(prof)["jump_part"] == 0.0
+
+    def test_common_affine_map_drops_out(self, curve_cache):
+        f = curve_cache(2, 3)
+        iv = qb.intervals_of_flattening(f, eps3_sq=0.1)
+        A = np.array([[0.08, -0.05], [0.03, 0.06]])  # tilt norm 0.12
+        x, y = f.grid.nodes_xy()
+        affine = np.stack([A[0, 0] * x + A[0, 1] * y,
+                           A[1, 0] * x + A[1, 1] * y], axis=-1)
+        tilted = f.replace_values(f.values + affine[None])
+        # the reference planes of the tilted map carry the same tilt
+        iv_tilted = dataclasses.replace(iv, intervals=[
+            dataclasses.replace(rec, plane=qb.Plane(rec.plane.tilt + A))
+            for rec in iv.intervals])
+        base = qb.universal_frequency(f, iv)
+        moved = qb.universal_frequency(tilted, iv_tilted)
+        assert moved.notes["truncated_intervals"] == []
+        assert [(rec.r, rec.j) for rec in moved.records] == \
+            [(rec.r, rec.j) for rec in base.records]
+        for a, b in zip(base.records, moved.records):
+            assert abs(a.I - b.I) <= 1e-12
+
+    @pytest.mark.parametrize("t", [2.0 ** -9, 2.0])
+    def test_refuses_interval_tops_off_the_grid(self, t):
+        # on a 2^-10 grid a top of 2^-9 keeps the 9 rings of [1/2, 1] above
+        # r_min / t, fewer than 12; a top of 2 is above r_max
+        grid = qb.default_grid(r_min=2.0 ** -10, n_theta=64)
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+        iv = qb.ScaleIntervals(
+            intervals=[IntervalRecord(j=0, s=t / 4, t=t, m0=0.1, plane=None,
+                                      end_reason="floor")],
+            gaps=[], radii=[t], excess_by_r={}, config=qb.ScaleTrackConfig())
+        with pytest.raises(qb.RangeError):
+            qb.universal_frequency(f, iv)
 
 
 def synthetic_profile(I_by_r, jumps=()):
