@@ -22,7 +22,7 @@ for r in (0.5, 0.25, 0.125, 0.0625):
 print("\noptimal planes:")
 res = qb.optimal_plane(f, 0.25)
 print(f"  (2,3) at r = 1/4: tilt norm {res['plane'].tilt_norm:.2e} "
-      f"(horizontal by symmetry), {res['iterations']} iterations")
+      f"(horizontal by symmetry), excess {res['excess']:.8f}")
 
 pert = qb.make_multigraph(qb.CurveSpec(2, 5, (0, 0, 0.5)), grid)
 for r in (0.5, 0.125):

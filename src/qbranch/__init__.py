@@ -29,8 +29,9 @@ from .blowup import (BlowupConfig, DegreeEstimate, HardtSimonResult,
                      hardt_simon_check, homogeneity_check, l2_norm_on_ball,
                      rescale, singularity_degree)
 from .excess import (ExcessRecord, Plane, HORIZONTAL, excess_decay_fit,
-                     excess_table_csv, graph_mass, mass_expansion_residual,
-                     mean_tilt, optimal_plane, spherical_excess)
+                     excess_table_csv, graph_mass, least_excess,
+                     mass_expansion_residual, mean_tilt, optimal_plane,
+                     spherical_excess)
 from .scaletrack import (IntervalRecord, JumpRecord, ProfileRecord,
                          ScaleIntervals, ScaleTrackConfig, UniversalProfile,
                          bv_budget, bv_negative_variation,

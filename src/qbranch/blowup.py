@@ -194,7 +194,7 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
     l2_norm divides by the L2 norm of the blow-up on the reference ball
     B_reference (measured on the original grid over B_{reference * r}), so
     the result has unit norm there.  excess_sqrt divides by the square root
-    of the optimal-plane excess at scale r."""
+    of the least excess at scale r over all planes, graph planes or not."""
     grid = f.grid
     grid.require_radius(r)
     amplitude = float(np.abs(f.values).max())
@@ -207,8 +207,8 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
         # norm of the blow-up on B_reference, by scaling the original integral
         normalizer = raw * r ** (-(M_DIM + 2) / 2.0)
     elif mode == "excess_sqrt":
-        from .excess import optimal_plane
-        ex = optimal_plane(f, r)["excess"]
+        from .excess import least_excess
+        ex = least_excess(f, r)
         normalizer = math.sqrt(max(ex, 0.0))
     else:
         raise ConfigError(f"unknown normalization {mode!r}")

@@ -151,18 +151,24 @@ class QFunction:
     def replace_values(self, values, note=None) -> "QFunction":
         meta = dict(self.metadata)
         if note:
-            meta.setdefault("notes", []).append(note)
+            meta["notes"] = meta.get("notes", []) + [note]
         return QFunction(grid=self.grid, values=values,
                          monodromy=self.monodromy.copy(), metadata=meta)
 
     # ---- cached differential data ------------------------------------
 
+    def cached(self, key: str, build):
+        """The value cached under key, built by build() on first use.  A
+        cached array is read-only: every caller shares it."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return value
+
     def rule(self) -> RadialRule:
-        rule = self._cache.get("rule")
-        if rule is None:
-            rule = RadialRule(self.grid)
-            self._cache["rule"] = rule
-        return rule
+        return self.cached("rule", lambda: RadialRule(self.grid))
 
     def gradients(self):
         """(du_dr, du_dtheta_over_r), each of shape (Q, R, T, n).
@@ -170,35 +176,22 @@ class QFunction:
         The radial stencil is polynomial-exact in r (constant offsets and
         tilted planes are differentiated without error) and the angular
         derivative is spectral on the monodromy covering circle."""
-        g = self._cache.get("grad")
-        if g is None:
-            g = _polar_gradients(self.values, self.grid.radii,
-                                 self.monodromy)
-            self._cache["grad"] = g
-        return g
+        return self.cached("grad", lambda: _polar_gradients(
+            self.values, self.grid.radii, self.monodromy))
 
     def grad_sq(self) -> np.ndarray:
         """|Du|^2 summed over sheets, shape (R, T)."""
-        gs = self._cache.get("grad_sq")
-        if gs is None:
-            gs = _grad_sq(*self.gradients())
-            self._cache["grad_sq"] = gs
-        return gs
+        return self.cached("grad_sq", lambda: _grad_sq(*self.gradients()))
 
     def cartesian_gradients(self) -> np.ndarray:
         """Per-sheet Jacobians in the fixed frame, shape (Q, R, T, n, 2)."""
-        J = self._cache.get("cart_grad")
-        if J is None:
+        def build():
             du_dr, du_dth = self.gradients()
-            th = self.grid.angles
-            c, s = np.cos(th), np.sin(th)
-            J = np.empty(self.values.shape + (2,))
-            J[..., 0] = du_dr * c[None, None, :, None] \
-                - du_dth * s[None, None, :, None]
-            J[..., 1] = du_dr * s[None, None, :, None] \
-                + du_dth * c[None, None, :, None]
-            self._cache["cart_grad"] = J
-        return J
+            c = np.cos(self.grid.angles)[None, None, :, None]
+            s = np.sin(self.grid.angles)[None, None, :, None]
+            return np.stack([du_dr * c - du_dth * s,
+                             du_dr * s + du_dth * c], axis=-1)
+        return self.cached("cart_grad", build)
 
     # ---- consistency --------------------------------------------------
 

@@ -51,7 +51,7 @@ class TiltError(NumericError):
 
 
 class OptimizationError(NumericError):
-    """Iterative plane optimization failed to converge."""
+    """An iterative optimization failed; no qbranch routine raises it now."""
 
 
 class DataError(NumericError):

@@ -20,8 +20,11 @@ the dependence on A collapses to first moments,
     E(r, A) = (S0 - <P_A, S1>) / (pi r^2),
     S0 = int |p| dx,   S1 = int P |p| dx = int p dx,
 
-so the optimal plane is the point of the plane manifold closest to S1/|S1|;
-a small Gauss-Newton iteration on the four tilt entries finds it.
+so the optimal plane maximizes <P_A, S1>, in closed form: the unit simple
+2-vectors of R^4 are the sums of a self-dual and an anti-self-dual half of
+length 1/sqrt 2 each (Harvey-Lawson, Calibrated geometries, Acta Math. 148
+(1982)), so the maximum (|S1+| + |S1-|)/sqrt 2 is attained at the unit
+tau = (S1+/|S1+| + S1-/|S1-|)/sqrt 2, and the tilt is read off tau/tau_12.
 
 Every quantity here reads one table per map, built on first use from the
 unnormalized p (P is never formed): the per-sheet ring profiles
@@ -42,12 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, OptimizationError, TiltError
+from .errors import ConfigError, DataError, TiltError
 from .grids import TWO_PI
 from .curves import QFunction
 
 OMEGA_M = math.pi        # volume of the unit ball in the base dimension m = 2
 TILT_MAX = 0.5
+HALF_FLOOR = 1e-12  # a half S1+- this small against the other: no unique tau
 DEFINITIONS = ("cylindrical", "spherical_ball")
 
 
@@ -91,41 +95,32 @@ def _plucker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
 
 
-def _plucker_of_tilt(A: np.ndarray):
-    """Unit 2-vector of the plane {(x, A x)} and its derivative in A."""
-    a = A[:, 0]
-    b = A[:, 1]
-    p = _plucker(a, b)
-    # columns: d/d a0, d/d a1, d/d b0, d/d b1
-    dp = np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-        [b[1], -b[0], -a[1], a[0]],
-    ])
-    norm = float(np.linalg.norm(p))
-    P = p / norm
-    dP = (dp - np.outer(P, P @ dp)) / norm
-    return P, dP
+def _plucker_of_tilt(A: np.ndarray) -> np.ndarray:
+    """Unit 2-vector of the plane {(x, A x)}."""
+    p = _plucker(A[:, 0], A[:, 1])
+    return p / np.linalg.norm(p)
 
 
 def _area_moments(f: QFunction) -> np.ndarray:
     """Per-sheet ring profiles of the area moments, shape (Q, R, 7): column
     0 is s0 = 2 pi <|p|>_theta, columns 1..6 are s1 = 2 pi <p>_theta.
     Built once per map from the Cartesian Jacobians and cached."""
-    table = f._cache.get("area_moments")
-    if table is None:
+    def build():
         Jc = f.cartesian_gradients()           # (Q, R, T, n, 2)
         p = _plucker(Jc[..., 0], Jc[..., 1])   # (Q, R, T, 6)
         area = np.sqrt(np.einsum("krtc,krtc->krt", p, p))
         table = np.empty(p.shape[:2] + (7,))
         table[..., 0] = TWO_PI * np.mean(area, axis=-1)
         table[..., 1:] = TWO_PI * np.mean(p, axis=2)
-        table.flags.writeable = False  # every caller reads the same table
-        f._cache["area_moments"] = table
-    return table
+        return table
+    return f.cached("area_moments", build)
+
+
+def _sheet_heights(f: QFunction) -> np.ndarray:
+    """Per-sheet ring profile mean_theta |f_k|^2, shape (Q, R), cached like
+    the area moments."""
+    return f.cached("sheet_heights", lambda: np.mean(
+        np.einsum("krtn,krtn->krt", f.values, f.values), axis=-1))
 
 
 def _ball_caps(f: QFunction, r: float) -> np.ndarray:
@@ -134,8 +129,7 @@ def _ball_caps(f: QFunction, r: float) -> np.ndarray:
     The angular mean stands in for the exact theta-dependent rim, which is
     what makes the ball definition second class here."""
     s = f.grid.radii
-    height = np.mean(np.einsum("krtn,krtn->krt", f.values, f.values), axis=-1)
-    rho_sq = s[None, :] ** 2 + height                          # (Q, R)
+    rho_sq = s[None, :] ** 2 + _sheet_heights(f)               # (Q, R)
     caps = np.empty(f.q)
     for k in range(f.q):
         prof = rho_sq[k]
@@ -175,11 +169,14 @@ def graph_mass(f: QFunction, r: float) -> float:
     return f.rule()._disk_integral(_area_moments(f)[..., 0].sum(axis=0), r)
 
 
+def _excess(S0: float, pairing: float, r: float) -> float:
+    return float((S0 - pairing) / (OMEGA_M * r ** 2))
+
+
 def excess_value(f: QFunction, r: float, plane: Plane,
                  definition: str = "cylindrical") -> float:
     S0, S1 = _moments_up_to(f, r, definition)
-    P_A, _ = _plucker_of_tilt(plane.tilt)
-    return float((S0 - P_A @ S1) / (OMEGA_M * r ** 2))
+    return _excess(S0, _plucker_of_tilt(plane.tilt) @ S1, r)
 
 
 def spherical_excess(f: QFunction, r: float, plane: Plane | None = None,
@@ -202,35 +199,41 @@ def mean_tilt(f: QFunction, r: float) -> np.ndarray:
     return np.array([[-m[2], m[0]], [-m[3], m[1]]])
 
 
-def optimal_plane(f: QFunction, r: float, definition: str = "cylindrical",
-                  max_iter: int = 50, tol: float = 1e-13) -> dict:
-    """Minimize the excess at radius r over graph planes.
+def _halves(S1: np.ndarray):
+    """S1 +- *S1 (twice the halves S1+-) and their norms, for the Hodge star
+    (x12, x13, x14, x23, x24, x34) -> (x34, -x24, x23, x14, -x13, x12)."""
+    star = S1[::-1] * np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    halves = (S1 + star, S1 - star)
+    return halves, [float(np.linalg.norm(h)) for h in halves]
 
-    Gauss-Newton on the tilt entries, started from the mean sheet tilt;
-    returns {"plane", "excess", "iterations"}."""
-    _, S1 = _moments_up_to(f, r, definition)
-    norm_S1 = float(np.linalg.norm(S1))
-    if norm_S1 <= 0:
-        raise DataError("degenerate tangent moments")
-    target = S1 / norm_S1
-    A = mean_tilt(f, r)
-    if np.linalg.norm(A) > TILT_MAX:
-        raise TiltError("mean tilt exceeds the graphical regime")
-    theta = A.ravel(order="F")  # (a1, a2, b1, b2), the columns of dP
-    for it in range(max_iter):
-        P_A, dP = _plucker_of_tilt(theta.reshape(2, 2, order="F"))
-        resid = target - P_A
-        delta, *_ = np.linalg.lstsq(dP, resid, rcond=None)
-        theta = theta + delta
-        if float(np.linalg.norm(delta)) < tol:
-            break
-    else:
-        raise OptimizationError(
-            f"plane optimization did not converge in {max_iter} iterations")
-    plane = Plane(theta.reshape(2, 2, order="F"),
+
+def least_excess(f: QFunction, r: float,
+                 definition: str = "cylindrical") -> float:
+    """Excess at radius r over the best oriented plane, graph or not; equal
+    to optimal_plane's to rounding wherever that one answers."""
+    S0, S1 = _moments_up_to(f, r, definition)
+    return _excess(S0, sum(_halves(S1)[1]) / (2.0 * math.sqrt(2.0)), r)
+
+
+def optimal_plane(f: QFunction, r: float,
+                  definition: str = "cylindrical") -> dict:
+    """Minimize the excess at radius r over graph planes, in closed form:
+    the tilt is read off tau/tau_12 = (1, b1, b2, -a1, -a2, .).  TiltError
+    when tau is no graph or its tilt exceeds TILT_MAX; DataError when S1+ or
+    S1- vanishes.  Returns {"plane", "excess", "iterations": 1}."""
+    S0, S1 = _moments_up_to(f, r, definition)
+    halves, norms = _halves(S1)
+    if min(norms) <= HALF_FLOOR * max(norms):
+        raise DataError("degenerate tangent moments: S1+ or S1- vanishes, "
+                        "so the optimal plane is not unique")
+    tau = (halves[0] / norms[0] + halves[1] / norms[1]) / math.sqrt(2.0)
+    if tau[0] <= 0:
+        raise TiltError("the optimal plane is not a graph over the base")
+    t = tau / tau[0]
+    plane = Plane(np.array([[-t[3], t[1]], [-t[4], t[2]]]),
                   note=f"optimal at r={r:.6g}")
-    return {"plane": plane, "excess": excess_value(f, r, plane, definition),
-            "iterations": it + 1}
+    return {"plane": plane, "iterations": 1,
+            "excess": _excess(S0, _plucker_of_tilt(plane.tilt) @ S1, r)}
 
 
 def excess_decay_fit(f: QFunction, radii, definition: str = "cylindrical") -> dict:

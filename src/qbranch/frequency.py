@@ -75,11 +75,8 @@ SHARP = Cutoff("sharp")
 def _ring_data(f: QFunction):
     """Angularly integrated ring profiles (each length R, already carrying
     the 2 pi angular weight): |Du|^2, |u|^2, u . du/dr, |du/dr|^2."""
-    cached = f._cache.get("ring_data")
-    if cached is None:
-        cached = _ring_table(f.values, f.gradients()[0], f.grad_sq())
-        f._cache["ring_data"] = cached
-    return cached
+    return f.cached("ring_data", lambda: _ring_table(
+        f.values, f.gradients()[0], f.grad_sq()))
 
 
 def _ring_table(v: np.ndarray, du_dr: np.ndarray, grad_sq: np.ndarray):

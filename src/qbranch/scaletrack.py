@@ -46,7 +46,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .curves import QFunction
 from .blowup import _blowup_radii, average_free_part
-from .excess import DEFINITIONS, Plane, optimal_plane
+from .excess import DEFINITIONS, Plane, least_excess, optimal_plane
 from .frequency import Cutoff, RAMP, _record_at
 
 #: the linearized (affine-subtraction) reparametrization is trusted only
@@ -133,6 +133,11 @@ def _excess_provider(source, cfg: ScaleTrackConfig):
     """Normalize the three accepted input kinds to r -> (excess, plane)."""
     if isinstance(source, QFunction):
         def provider(r):
+            # a scale above the threshold needs no plane, and on steep
+            # scales its best plane is no graph
+            E = least_excess(source, r, cfg.definition)
+            if E > cfg.eps3_sq:
+                return E, None
             res = optimal_plane(source, r, cfg.definition)
             return res["excess"], res["plane"]
         return provider
@@ -153,8 +158,8 @@ def intervals_of_flattening(source, eps3_sq: float | None = None,
                             cfg: ScaleTrackConfig | None = None) -> ScaleIntervals:
     """Segment the dyadic scales into flattening intervals and gaps.
 
-    source is a QFunction (excess and reference plane are computed per
-    radius) or a synthetic excess table (callable or dict; planes omitted,
+    source is a QFunction (the least excess per radius, and the optimal
+    plane below the threshold) or a synthetic excess table (callable or dict; planes omitted,
     the drift rule is then inactive).  No radius below the threshold yields
     an empty, flagged result rather than an error."""
     if cfg is None:

@@ -2,8 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import qbranch as qb
+
+# every property test runs the same few examples on every run and host, and
+# leaves no example database behind
+settings.register_profile("qbranch", derandomize=True, deadline=None,
+                          max_examples=25, database=None)
+settings.load_profile("qbranch")
 
 
 @pytest.fixture(scope="session")

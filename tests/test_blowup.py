@@ -149,6 +149,13 @@ class TestNormalize:
         assert u.metadata["blowup"]["normalizer"] == pytest.approx(
             math.sqrt(0.75), rel=1e-3)
 
+    def test_excess_mode_on_steep_scales(self, curve_cache):
+        # past 3r = 2 no graph plane is optimal for (2,3); the least excess
+        # over all planes is then Q = 2 (see test_excess)
+        u = qb.coarse_blowup_normalize(curve_cache(2, 3), 0.8, "excess_sqrt")
+        assert u.metadata["blowup"]["normalizer"] == pytest.approx(
+            math.sqrt(2.0), rel=1e-6)
+
     def test_zero_map_degenerates(self, curve_cache):
         f = curve_cache(2, 3)
         zero = f.replace_values(0.0 * f.values)

@@ -116,6 +116,21 @@ class TestMultigraph:
         assert np.abs(f1.values - f2.values[:, :, ::2]).max() < 1e-14
 
 
+class TestMetadata:
+    def test_derived_maps_leave_the_parent_notes_alone(self, small_grid):
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
+        first = f.replace_values(f.values, note="first")
+        second = first.replace_values(f.values, note="second")
+        assert "notes" not in f.metadata
+        assert first.metadata["notes"] == ["first"]
+        assert second.metadata["notes"] == ["first", "second"]
+        same = qb.rescale(first, None, 1.0)
+        free = qb.average_free_part(first)
+        assert first.metadata["notes"] == ["first"]
+        assert same.metadata["notes"] == ["first", "rescale r=1"]
+        assert free.metadata["notes"] == ["first", "average-free"]
+
+
 class TestHomogeneousMap:
     def test_antipodal_boundary_gives_linear_pair(self, small_grid):
         # boundary {+e, -e} extends to the two-valued pair {r e, -r e}

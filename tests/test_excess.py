@@ -13,11 +13,15 @@ hence E(r) = 3 r for (2, 3) and E(r) = 4 r^(2/3) for (3, 4).  The tests
 evaluate the first line with an independent one-dimensional quadrature and
 freeze the closed form as a sanity cross-check."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import qbranch as qb
+from qbranch.excess import _plucker, _plucker_of_tilt
 
 
 def oracle_curve_excess(q, p, r):
@@ -26,6 +30,28 @@ def oracle_curve_excess(q, p, r):
     alpha = p / q
     integrand = lambda s: q * alpha ** 2 * s ** (2 * alpha - 2) * 2 * np.pi * s
     return quad(integrand, 0, r)[0] / (np.pi * r ** 2)
+
+
+def tilt_of(direction, norm):
+    """2x2 tilt of Frobenius norm `norm` along `direction` (zero if the
+    direction is too short to normalize)."""
+    d = np.reshape(direction, (2, 2))
+    size = np.linalg.norm(d)
+    return d * (norm / size) if size > 1e-3 else np.zeros((2, 2))
+
+
+def tilts(max_norm):
+    return st.builds(tilt_of, st.lists(st.floats(-1, 1), min_size=4,
+                                       max_size=4), st.floats(0, max_norm))
+
+
+def hodge_halves(S):
+    """Self-dual and anti-self-dual halves of a 2-vector of R^4 given in the
+    order (x12, x13, x14, x23, x24, x34), with *e12 = e34, *e13 = -e24,
+    *e14 = e23."""
+    x12, x13, x14, x23, x24, x34 = S
+    star = np.array([x34, -x24, x23, x14, -x13, x12])
+    return (S + star) / 2, (S - star) / 2
 
 
 def flat_sheets(grid, q, tilt=None, offsets=None):
@@ -170,6 +196,90 @@ class TestOptimalPlane:
         e1 = qb.optimal_plane(rotated, 0.25)["excess"]
         assert e1 == pytest.approx(e0, rel=1e-10)
 
+    def test_tilted_curve_answers_at_every_scale(self, curve_cache,
+                                                 full_grid):
+        # the (2,3) curve plus a common tilt 0.1 x_1: at r = 1/2 the excess
+        # is about 1.5 and an iterative fit converged only linearly there
+        f = curve_cache(2, 3)
+        x, _ = full_grid.nodes_xy()
+        values = f.values.copy()
+        values[..., 0] += 0.1 * x[None]
+        g = f.replace_values(values)
+        res = qb.optimal_plane(g, 0.5)
+        assert res["excess"] == pytest.approx(1.48375, abs=1e-5)
+        assert np.abs(res["plane"].tilt
+                      - np.diag([0.22235, 0.16314])).max() < 1e-4
+        assert res["iterations"] == 1
+        assert not qb.intervals_of_flattening(g).empty
+
+    def test_steep_scales_have_no_graph_optimal_plane(self, curve_cache):
+        # on the (Q, p) curve S1 is a self-dual half S0 (e12 + e34)/2 plus an
+        # anti-self-dual half (Q pi r^2 - D)(e12 - e34)/2, D = int sum |w'|^2,
+        # so the least excess over all planes is min(Q, p r^(2(p/Q - 1))):
+        # past 3r = 2 the best plane for (2, 3) is the vertical e34
+        f = curve_cache(2, 3)
+        for r in (0.25, 0.5, 0.8, 2.0 ** -0.125):
+            assert qb.least_excess(f, r) == pytest.approx(min(2.0, 3 * r),
+                                                          rel=1e-6)
+        with pytest.raises(qb.TiltError):
+            qb.optimal_plane(f, 0.8)
+        # the horizontal plane is a saddle there, not a minimum
+        tilted = qb.spherical_excess(f, 0.8, qb.Plane(0.3 * np.eye(2)))
+        assert tilted.excess < qb.spherical_excess(f, 0.8).excess
+        # where a graph plane is best, both entry points give its excess
+        assert qb.least_excess(f, 0.25) == pytest.approx(
+            qb.optimal_plane(f, 0.25)["excess"], rel=1e-12)
+
+    @pytest.mark.parametrize("S1,error", [
+        ([0, 0, 0, 0, 0, 0], qb.DataError),
+        ([1, 0, 0, 0, 0, 1], qb.DataError),    # anti-self-dual half is 0
+        ([1, 0, 0, 0, 0, -1], qb.DataError),   # self-dual half is 0
+        ([0, 1, 0, 0, 0, 0], qb.TiltError),    # tau_12 = 0: no graph
+        ([-1, 0, 0, 0, 0, 0], qb.TiltError),   # tau_12 < 0
+        ([1, 0.6, 0, 0, 0, 0], qb.TiltError),  # tilt 0.6 > TILT_MAX
+    ], ids=["zero", "self_dual", "anti_self_dual", "vertical", "reversed",
+            "steep"])
+    def test_refusals(self, small_grid, monkeypatch, S1, error):
+        f = flat_sheets(small_grid, 1)
+        monkeypatch.setattr(qb.excess, "_moments_up_to",
+                            lambda f, r, d: (1.0, np.array(S1, float)))
+        with pytest.raises(error):
+            qb.optimal_plane(f, 1.0)
+
+    @given(tilt=tilts(0.49), q=st.integers(1, 3), r=st.sampled_from(
+        [1.0, 0.5, 0.125]), offsets=st.lists(st.tuples(
+            st.floats(-2, 2), st.floats(-2, 2)), min_size=3, max_size=3))
+    def test_flat_sheets_recover_their_tilt(self, small_grid, tilt, q, r,
+                                            offsets):
+        f = flat_sheets(small_grid, q, tilt=tilt, offsets=offsets[:q])
+        res = qb.optimal_plane(f, r)
+        assert np.abs(res["plane"].tilt - tilt).max() < 1e-10
+        assert abs(res["excess"]) < 1e-12
+
+    @given(S1=st.lists(st.floats(-10, 10), min_size=6, max_size=6),
+           tilt=tilts(qb.excess.TILT_MAX))
+    def test_closed_form_pairing_bounds_every_graph_plane(self, S1, tilt):
+        S1 = np.array(S1)
+        plus, minus = hodge_halves(S1)
+        bound = (np.linalg.norm(plus) + np.linalg.norm(minus)) / np.sqrt(2)
+        assert _plucker_of_tilt(tilt) @ S1 <= bound + 1e-12 * max(bound, 1)
+
+    @given(planes=st.lists(tilts(0.3), min_size=1, max_size=4),
+           weights=st.lists(st.floats(0.1, 1), min_size=4, max_size=4))
+    def test_optimal_plane_attains_the_closed_form_maximum(
+            self, small_grid, planes, weights):
+        # S1 as the moments of a few weighted graph planes
+        S1 = sum(w * _plucker(A[:, 0], A[:, 1])
+                 for w, A in zip(weights, planes))
+        plus, minus = hodge_halves(S1)
+        bound = (np.linalg.norm(plus) + np.linalg.norm(minus)) / np.sqrt(2)
+        with mock.patch.object(qb.excess, "_moments_up_to",
+                               lambda f, r, d: (bound, S1)):
+            res = qb.optimal_plane(flat_sheets(small_grid, 1), 1.0)
+        attained = _plucker_of_tilt(res["plane"].tilt) @ S1
+        assert attained == pytest.approx(bound, rel=1e-12)
+        assert abs(res["excess"]) < 1e-12 * bound
+
 
 class TestAreaMoments:
     """All excess entry points read one cached table of ring profiles."""
@@ -202,15 +312,21 @@ class TestAreaMoments:
                             lambda f: calls.append(1) or original(f))
         f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
         radii = [2.0 ** -k for k in range(5, 0, -1)]
+        heights = []
         for _ in range(2):
             for r in radii:
                 qb.optimal_plane(f, r)
                 qb.optimal_plane(f, r, "spherical_ball")
+                heights.append(f._cache["sheet_heights"])
                 qb.graph_mass(f, r)
                 qb.mean_tilt(f, r)
                 qb.spherical_excess(f, r)
             qb.excess_decay_fit(f, radii)
+            qb.excess_decay_fit(f, radii, "spherical_ball")
         assert len(calls) == 1
+        # one read-only height profile serves every ball excess
+        assert all(h is heights[0] for h in heights)
+        assert not heights[0].flags.writeable
 
     @pytest.mark.parametrize("call", [
         lambda f: qb.optimal_plane(f, 0.25, "spherical-ball"),

@@ -12,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qbranch as qb
 from qbranch.qvalue import match_step, min_separation
@@ -83,6 +85,31 @@ class TestMetric:
         c = qb.QPoint([[0.0, 0.0, 0.0]])
         with pytest.raises(qb.DimensionError):
             qb.metric_g(a, c)
+
+
+@st.composite
+def qpoint_triples(draw):
+    """Three points of A_Q(R^n), Q <= 5, and a relabelling of the sheets."""
+    q, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    points = [qb.QPoint(draw(arrays(np.float64, (q, n),
+                                    elements=st.floats(-10, 10))))
+              for _ in range(3)]
+    return points, list(draw(st.permutations(range(q))))
+
+
+class TestMetricProperties:
+    @given(qpoint_triples())
+    def test_axioms_against_the_exhaustive_metric(self, triple):
+        (a, b, c), perm = triple
+        ab = qb.metric_g(a, b)
+        assert ab == qb.brute_force_metric(a, b)
+        assert qb.metric_g(a, a) == 0.0
+        assert ab == pytest.approx(qb.metric_g(b, a), rel=1e-12)
+        assert ab <= qb.metric_g(a, c) + qb.metric_g(c, b) \
+            + 1e-12 * max(ab, 1.0)
+        relabelled = qb.QPoint(a.vectors[perm])
+        assert qb.metric_g(relabelled, b) == pytest.approx(ab, rel=1e-12)
+        assert qb.metric_g(relabelled, a) == 0.0
 
 
 class TestAverage:

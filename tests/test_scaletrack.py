@@ -59,6 +59,17 @@ class TestIntervals:
         for rec in iv.intervals:
             assert rec.m0 == pytest.approx(3 * rec.t, rel=1e-3)
 
+    def test_steep_scales_are_gaps(self, curve_cache):
+        # at r = 1 the best plane of the (2,3) curve is the vertical e34
+        # (no graph plane is optimal) and the least excess is Q = 2
+        f = curve_cache(2, 3)
+        res = qb.intervals_of_flattening(f, cfg=qb.ScaleTrackConfig(r_top=1.0))
+        assert res.gaps[0] == 1.0
+        assert res.excess_by_r[1.0] == pytest.approx(2.0, rel=1e-6)
+        below = qb.intervals_of_flattening(f)
+        assert [(i.s, i.t, i.m0, i.end_reason) for i in res.intervals] == \
+            [(i.s, i.t, i.m0, i.end_reason) for i in below.intervals]
+
     def test_flat_sheets_one_interval(self, small_grid):
         from test_excess import flat_sheets
         f = flat_sheets(small_grid, 2, offsets=[(0, 0), (1, 0)])
