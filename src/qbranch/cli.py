@@ -279,7 +279,8 @@ def cmd_excess_decay(run: Run) -> int:
     fit = excess_decay_fit(f, radii)
     run.stage("excess_decay.csv", excess_table_csv(fit["records"]))
     run.stage("excess_decay.json", json.dumps(
-        {k: fit[k] for k in ("exponent", "constant", "r2")},
+        {k: fit[k] for k in ("exponent", "constant", "r2", "dropped")
+         if k in fit},
         sort_keys=True, indent=1) + "\n")
     run.flush()
     return EXIT_OK

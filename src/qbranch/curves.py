@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, RefinementError, SpecError
 from .grids import (PolarGrid, RadialRule, d_dr_geometric,
                     d_dtheta_periodic, default_grid)
-from .qvalue import QPoint, track_selection
+from .qvalue import QPoint, _separation, track_selection
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,6 @@ class QFunction:
     def n(self) -> int:
         return self.values.shape[3]
 
-    def qpoint(self, ring: int, angle: int) -> QPoint:
-        return QPoint(self.values[:, ring, angle, :])
-
     def replace_values(self, values, note=None) -> "QFunction":
         meta = dict(self.metadata)
         if note:
@@ -159,12 +156,14 @@ class QFunction:
 
     def cached(self, key: str, build):
         """The value cached under key, built by build() on first use.  A
-        cached array is read-only: every caller shares it."""
+        cached array, and every array of a cached tuple, is read-only: every
+        caller shares it."""
         value = self._cache.get(key)
         if value is None:
             value = self._cache[key] = build()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
         return value
 
     def rule(self) -> RadialRule:
@@ -201,8 +200,6 @@ class QFunction:
         labels to be a faithful selection).  The displacement is measured on
         the average-free configuration: moving all sheets by a common vector
         never changes which matching is optimal."""
-        if self.q == 1:
-            return 0.0
         v, sep, ratio_th = _angular_step_ratio(self)
         step_r = np.linalg.norm(v[:, 1:] - v[:, :-1], axis=3).max(axis=0)
         sep_r = np.minimum(sep[1:], sep[:-1])
@@ -235,21 +232,8 @@ def _angular_step_ratio(f: QFunction):
     nxt[:, :, :-1] = v[:, :, 1:]
     nxt[:, :, -1] = v[f.monodromy][:, :, 0]
     step = np.linalg.norm(nxt - v, axis=3).max(axis=0)
-    sep = _min_separation_field(v)
+    sep = _separation(v)
     return v, sep, step / (0.5 * sep)
-
-
-def _min_separation_field(v: np.ndarray) -> np.ndarray:
-    """Minimal pairwise sheet distance at every node, shape (R, T)."""
-    Q = v.shape[0]
-    if Q == 1:
-        return np.full(v.shape[1:3], np.inf)
-    sep = np.full(v.shape[1:3], np.inf)
-    for a in range(Q):
-        for b in range(a + 1, Q):
-            d = np.linalg.norm(v[a] - v[b], axis=-1)
-            sep = np.minimum(sep, d)
-    return sep
 
 
 def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction:
@@ -280,8 +264,6 @@ def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction
 
 
 def _verify_angular_tracking(f: QFunction):
-    if f.q == 1:
-        return
     worst = float(_angular_step_ratio(f)[2].max())
     if worst >= 1.0:
         raise RefinementError(

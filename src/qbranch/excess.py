@@ -239,31 +239,43 @@ def optimal_plane(f: QFunction, r: float,
 def excess_decay_fit(f: QFunction, radii, definition: str = "cylindrical") -> dict:
     """Least-squares fit of log E(r) against log r over optimal planes.
 
-    Requires at least 5 radii spanning two octaves and positive excesses."""
-    radii = sorted(float(r) for r in radii)
-    if len(radii) < 5:
-        raise DataError("need at least 5 radii")
-    if radii[-1] / radii[0] < 4.0 * (1 - 1e-12):
-        raise DataError("radii must span at least two octaves")
-    records = []
-    for r in radii:
-        res = optimal_plane(f, r, definition)
+    A radius whose optimal plane is no graph (a steep scale, where
+    optimal_plane raises TiltError) is dropped and listed with the reason
+    under "dropped", a key present only when some radius was dropped.
+    Requires at least 5 radii left, spanning two octaves, and positive
+    excesses."""
+    records, dropped = [], []
+    for r in sorted(float(r) for r in radii):
+        try:
+            res = optimal_plane(f, r, definition)
+        except TiltError as exc:
+            dropped.append([r, str(exc)])
+            continue
         records.append(ExcessRecord(r=r, mass=graph_mass(f, r),
                                     excess=res["excess"],
                                     plane=res["plane"],
                                     definition=definition))
+    kept = [rec.r for rec in records]
+    why = f" once steep radii are dropped ({dropped})" if dropped else ""
+    if len(kept) < 5:
+        raise DataError("need at least 5 radii" + why)
+    if kept[-1] / kept[0] < 4.0 * (1 - 1e-12):
+        raise DataError("radii must span at least two octaves" + why)
     if any(rec.excess <= 0 for rec in records):
         raise DataError("nonpositive excess in the fit window "
                         "(flat input or below quadrature floor)")
-    lr = np.log([rec.r for rec in records])
+    lr = np.log(kept)
     le = np.log([rec.excess for rec in records])
     coef = np.polyfit(lr, le, 1)
     fit = np.polyval(coef, lr)
     ss_res = float(np.sum((le - fit) ** 2))
     ss_tot = float(np.sum((le - le.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return {"exponent": float(coef[0]), "constant": float(np.exp(coef[1])),
-            "r2": r2, "records": records}
+    out = {"exponent": float(coef[0]), "constant": float(np.exp(coef[1])),
+           "r2": r2, "records": records}
+    if dropped:
+        out["dropped"] = dropped
+    return out
 
 
 def excess_table_csv(records) -> str:

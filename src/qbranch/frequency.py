@@ -43,7 +43,7 @@ from .errors import (ConfigError, DataError, DegenerateHeightError, RangeError)
 from .grids import (M_DIM, TWO_PI, PolarGrid, _RADIAL_WIDTH, _cubic_window,
                     _ring_profile, default_grid)
 from .curves import QFunction, _grad_sq, _polar_gradients
-from .qvalue import QPoint, track_selection
+from .qvalue import _chain_labels, _match_pairs
 
 #: H below this multiple of Sigma declares the annulus trivial
 DEGENERATE_HEIGHT = 1e-14
@@ -104,9 +104,9 @@ def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
     du_dr, du_dth = du_dr[:, -half:], du_dth[:, -half:]
     top = _ring_table(u.values[:, -half:], du_dr, _grad_sq(du_dr, du_dth))
     scales = ((r * c) ** 2, c ** 2, r * c ** 2, (r * c) ** 2)
-    u._cache["ring_data"] = tuple(
+    u.cached("ring_data", lambda: tuple(
         np.concatenate([s * F[:keep], F_top])
-        for s, F, F_top in zip(scales, _ring_data(f), top))
+        for s, F, F_top in zip(scales, _ring_data(f), top)))
 
 
 # ----------------------------------------------------------------------------
@@ -342,10 +342,11 @@ def recenter(f: QFunction, x, rings_per_octave: int = 8,
              octaves: int = 6) -> QFunction:
     """Resample f onto a polar grid centered at x (inside the disk).
 
-    Bilinear in (log r, theta) per sheet, then re-tracked ring by ring, so
-    the result is a valid selection around the new center.  Accuracy is a
-    full order below the native grid; intended for exploratory off-center
-    frequency runs only."""
+    Bilinear in (log r, theta) per sheet, then re-tracked: the angle-0
+    spoke outward across the rings first, then each ring around the circle
+    from its spoke-labelled first sample, so the result is a valid
+    selection around the new center.  Accuracy is a full order below the
+    native grid; intended for exploratory off-center frequency runs only."""
     x = np.asarray(x, dtype=float)
     d = float(np.hypot(*x))
     grid = f.grid
@@ -398,33 +399,25 @@ def _bilinear_sheets(f: QFunction, rr, th):
 def _track_node_sets(grid: PolarGrid, raw: np.ndarray, metadata: dict) -> QFunction:
     """Turn per-node unordered sheet sets into a consistent selection.
 
-    Each ring is tracked around the circle, then relabelled to match the
-    ring below at the first angle, so labels are continuous both ways."""
-    from .qvalue import match_step
-
+    The angle-0 spoke is tracked outward across the rings first, then each
+    ring around the circle, as a closed chain, from its spoke-labelled
+    first sample: labels are continuous both ways."""
     Q, R, T, n = raw.shape
-    values = np.empty_like(raw)
-    prev_first = None
-    mono = np.arange(Q)
-    for i in range(R):
-        ring_pts = [QPoint(raw[:, i, j]) for j in range(T)]
-        sel = track_selection(ring_pts, closed=True)
-        sheets = sel.sheets  # (Q, T, n)
-        ring_mono = sel.monodromy
-        if prev_first is not None:
-            s = match_step(QPoint(prev_first), QPoint(sheets[:, 0]))
-            sheets = sheets[s]
-            inv = np.empty(Q, dtype=int)
-            inv[s] = np.arange(Q)
-            ring_mono = inv[sel.monodromy[s]]
-        if not np.array_equal(np.sort(ring_mono), np.arange(Q)):
-            raise RangeError("inconsistent ring monodromy after resampling")
-        if i == 0:
-            mono = ring_mono
-        elif not np.array_equal(mono, ring_mono):
-            raise RangeError("monodromy changed between rings; the new disk "
-                             "must not cross the branch point")
-        values[:, i] = sheets
-        prev_first = sheets[:, 0]
-    return QFunction(grid=grid, values=values, monodromy=mono,
-                     metadata=metadata)
+    nodes = raw.transpose(1, 2, 0, 3)  # (R, T, Q, n)
+    spoke = nodes[:, 0]
+    labels = _chain_labels(_match_pairs(spoke[:-1], spoke[1:], range(1, R)))
+    first = np.take_along_axis(spoke, labels[:, :, None], axis=1)[:, None]
+    rings = np.concatenate([first, nodes[:, 1:], first], axis=1)
+    sigma = _match_pairs(rings[:, :-1].reshape(-1, Q, n),
+                         rings[:, 1:].reshape(-1, Q, n),
+                         list(range(1, T + 1)) * R)
+    labels = _chain_labels(sigma.reshape(R, T, Q))  # (R, T + 1, Q)
+    mono = labels[:, T]
+    if np.any(np.sort(mono, axis=1) != np.arange(Q)):
+        raise RangeError("inconsistent ring monodromy after resampling")
+    if np.any(mono != mono[0]):
+        raise RangeError("monodromy changed between rings; the new disk "
+                         "must not cross the branch point")
+    sheets = np.take_along_axis(rings[:, :T], labels[:, :T, :, None], axis=2)
+    return QFunction(grid=grid, values=np.ascontiguousarray(
+        sheets.transpose(2, 0, 1, 3)), monodromy=mono[0], metadata=metadata)

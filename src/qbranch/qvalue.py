@@ -14,10 +14,13 @@ compare the assignment route against.
 Everything here is a pure function of immutable inputs, safe to call from
 any number of threads; values transfer freely between them.
 
-Tracking turns a chain of QPoints into labelled sheets: consecutive samples
-are matched optimally, labels are propagated, and for closed chains the
-composite relabelling around the loop is the monodromy permutation.  Near a
-sheet collision the optimal matching stops being well separated from the
+Tracking turns a chain of QPoints into labelled sheets.  One batched
+routine matches stacks of consecutive sample pairs: where every sheet moves
+less than a quarter of the sheet separation, the nearest-neighbour matching
+is the provably unique optimum, and only the other pairs get an exact
+assignment solve.  Labels compose the matchings, and for closed chains the
+relabelling around the loop is the monodromy permutation.  Near a sheet
+collision the optimal matching stops being well separated from the
 runner-up; tracking then refuses with the sample index instead of guessing.
 """
 
@@ -98,18 +101,15 @@ def linear_sum_assignment(cost: np.ndarray):
 
 
 def _cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """|a_i - b_j|^2 for (..., Q, n) stacks, shape (..., Q, Q)."""
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 def optimal_matching(a: QPoint, b: QPoint) -> np.ndarray:
     """Permutation sigma minimizing sum_i |a_i - b_sigma(i)|^2."""
     _check_compatible(a, b)
-    cost = _cost_matrix(a.vectors, b.vectors)
-    rows, cols = linear_sum_assignment(cost)
-    sigma = np.empty(a.q, dtype=int)
-    sigma[rows] = cols
-    return sigma
+    return linear_sum_assignment(_cost_matrix(a.vectors, b.vectors))[1]
 
 
 def metric_g(a: QPoint, b: QPoint) -> float:
@@ -153,21 +153,26 @@ def brute_force_metric(a: QPoint, b: QPoint, return_perm: bool = False):
     return best
 
 
+def _separation(v: np.ndarray) -> np.ndarray:
+    """Smallest distance between two distinct sheets of a (Q, ..., n) stack,
+    shape (...); inf where Q = 1."""
+    sq = np.full(v.shape[1:-1], np.inf)
+    for a, b in itertools.combinations(range(len(v)), 2):
+        d = v[a] - v[b]
+        sq = np.minimum(sq, np.einsum("...k,...k->...", d, d))
+    return np.sqrt(sq)
+
+
 def min_separation(a: QPoint) -> float:
     """Smallest distance between two distinct sheets (inf for Q = 1)."""
-    if a.q == 1:
-        return np.inf
-    cost = _cost_matrix(a.vectors, a.vectors)
-    cost[np.diag_indices(a.q)] = np.inf
-    return float(np.sqrt(cost.min()))
+    return float(_separation(a.vectors))
 
 
 def _second_best_cost(cost: np.ndarray, sigma: np.ndarray) -> float:
     """Cost of the best matching that differs from sigma, found by forbidding
     one matched edge at a time."""
-    q = cost.shape[0]
     best = np.inf
-    for i in range(q):
+    for i in range(len(cost)):
         c = cost.copy()
         c[i, sigma[i]] = np.inf
         try:
@@ -180,41 +185,46 @@ def _second_best_cost(cost: np.ndarray, sigma: np.ndarray) -> float:
     return best
 
 
+def _match_pairs(a: np.ndarray, b: np.ndarray, index,
+                 tau_factor: float = TAU_TRACK) -> np.ndarray:
+    """Optimal matchings sigma[i] from a[i] to b[i], (N, Q, n) stacks.
+
+    Where every sheet moves less than sep / 4, sep the smaller separation of
+    the two samples, the nearest-neighbour matching is the provably unique
+    optimum.  The other pairs get an exact assignment solve and refuse with
+    TrackingError(sample_index=index[i]) on an exact collision, or when the
+    runner-up is within tau_factor * max(sep, step) of the optimum: margins
+    shrink with the separation near a branch point, so measuring them
+    against the separation alone would never fire there."""
+    cost = _cost_matrix(a, b)
+    sigma = np.argmin(cost, axis=2)
+    step = np.sqrt(cost.min(axis=2).max(axis=1))
+    sep = np.minimum(_separation(a.transpose(1, 0, 2)),
+                     _separation(b.transpose(1, 0, 2)))
+    for i in np.flatnonzero(~(step < 0.25 * sep)):
+        if sep[i] == 0.0:
+            raise TrackingError(
+                "sheets collide exactly, no selection convention is defined",
+                sample_index=index[i])
+        rows, sigma[i] = linear_sum_assignment(cost[i])
+        moved = cost[i, rows, sigma[i]]
+        s = np.sqrt(moved.max())
+        scale = max(sep[i], s) if np.isfinite(sep[i]) else max(1.0, s)
+        if np.sqrt(_second_best_cost(cost[i], sigma[i])) \
+                - np.sqrt(moved.sum()) < tau_factor * scale:
+            raise TrackingError(
+                f"ambiguous sheet matching (margin below tau_track) "
+                f"at sample {index[i]}", sample_index=index[i])
+    return sigma
+
+
 def match_step(a: QPoint, b: QPoint, tau_factor: float = TAU_TRACK,
                sample_index=None) -> np.ndarray:
-    """Optimal matching from a to b with an ambiguity guard.
-
-    Raises TrackingError when the runner-up matching is within
-    tau_factor * (local scale) of the optimum, where the local scale is the
-    larger of the sheet separation and the step length: margins shrink with
-    the separation near a branch point, so measuring them against the
-    separation alone would never fire there."""
+    """Optimal matching from a to b with the ambiguity guard of
+    _match_pairs."""
     _check_compatible(a, b)
-    sep = min(min_separation(a), min_separation(b))
-    if sep == 0.0:
-        raise TrackingError(
-            "sheets collide exactly, no selection convention is defined",
-            sample_index=sample_index)
-    cost = _cost_matrix(a.vectors, b.vectors)
-    rows, cols = linear_sum_assignment(cost)
-    sigma = np.empty(a.q, dtype=int)
-    sigma[rows] = cols
-    if a.q == 1:
-        return sigma
-    best = float(cost[rows, cols].sum())
-    # fast accept: every sheet moved much less than half the separation,
-    # which makes the nearest-neighbour matching provably unique
-    step = float(np.sqrt(np.max(cost[rows, cols])))
-    if np.isfinite(sep) and step < 0.25 * sep:
-        return sigma
-    second = _second_best_cost(cost, sigma)
-    scale = max(sep, step) if np.isfinite(sep) else max(1.0, step)
-    tau = tau_factor * scale
-    if np.sqrt(max(second, 0.0)) - np.sqrt(max(best, 0.0)) < tau:
-        raise TrackingError(
-            f"ambiguous sheet matching (margin below tau_track) "
-            f"at sample {sample_index}", sample_index=sample_index)
-    return sigma
+    return _match_pairs(a.vectors[None], b.vectors[None], [sample_index],
+                        tau_factor)[0]
 
 
 @dataclass
@@ -235,13 +245,6 @@ class SheetSelection:
     def q(self) -> int:
         return self.sheets.shape[0]
 
-    @property
-    def n_samples(self) -> int:
-        return self.sheets.shape[1]
-
-    def qpoint(self, i: int) -> QPoint:
-        return QPoint(self.sheets[:, i, :])
-
     def monodromy_cycle_lengths(self) -> list[int]:
         seen = np.zeros(self.q, dtype=bool)
         out = []
@@ -257,31 +260,38 @@ class SheetSelection:
         return sorted(out)
 
 
+def _chain_labels(sigma: np.ndarray) -> np.ndarray:
+    """Labels along chains of matchings: sigma[..., i, :] maps the rows of
+    sample i to those of sample i + 1, and labels[..., i, k] is the row of
+    sample i that carries label k, starting from the identity."""
+    labels = [np.broadcast_to(np.arange(sigma.shape[-1]),
+                              sigma.shape[:-2] + sigma.shape[-1:])]
+    for i in range(sigma.shape[-2]):
+        labels.append(np.take_along_axis(sigma[..., i, :], labels[-1], -1))
+    return np.stack(labels, axis=-2)
+
+
 def track_selection(samples, closed: bool = False,
                     tau_factor: float = TAU_TRACK) -> SheetSelection:
     """Track sheet labels along a chain of QPoints.
 
-    The first sample fixes the labels.  Each subsequent sample is relabelled
-    by the optimal matching with its predecessor, so the returned sheet
-    arrays are continuous in the sample index.  With closed=True the chain
-    is implicitly closed from the last sample back to the first and the
-    accumulated relabelling is returned as the monodromy."""
+    The first sample fixes the labels.  All consecutive samples are matched
+    in one batch, and each sample is relabelled by the composed matchings,
+    so the returned sheet arrays are continuous in the sample index.  With
+    closed=True the chain is implicitly closed from the last sample back to
+    the first and the accumulated relabelling is returned as the
+    monodromy."""
     pts = [p if isinstance(p, QPoint) else QPoint(p) for p in samples]
     if not pts:
         raise TrackingError("empty sample chain", sample_index=0)
-    q, n = pts[0].q, pts[0].n
-    N = len(pts)
-    sheets = np.empty((q, N, n))
-    sheets[:, 0, :] = pts[0].vectors
-    for i in range(1, N):
-        _check_compatible(pts[i - 1], pts[i])
-        prev = QPoint(sheets[:, i - 1, :])
-        sigma = match_step(prev, pts[i], tau_factor, sample_index=i)
-        sheets[:, i, :] = pts[i].vectors[sigma]
-    monodromy = np.arange(q)
-    if closed:
-        last = QPoint(sheets[:, N - 1, :])
-        sigma = match_step(last, pts[0], tau_factor, sample_index=N)
-        # label k continues into the start label whose raw row is sigma[k]
-        monodromy = sigma
-    return SheetSelection(sheets=sheets, monodromy=monodromy, closed=closed)
+    for p in pts[1:]:
+        _check_compatible(pts[0], p)
+    raw = np.stack([p.vectors for p in pts])  # (N, Q, n)
+    nxt = np.concatenate([raw[1:], raw[:1]]) if closed else raw[1:]
+    labels = _chain_labels(_match_pairs(
+        raw[:len(nxt)], nxt, range(1, len(nxt) + 1), tau_factor))
+    sheets = np.take_along_axis(raw, labels[:len(raw), :, None], axis=1)
+    # label k continues into the start label whose raw row is labels[-1][k]
+    return SheetSelection(
+        sheets=np.ascontiguousarray(sheets.transpose(1, 0, 2)),
+        monodromy=labels[-1] if closed else labels[0], closed=closed)

@@ -93,6 +93,14 @@ class TestRingShiftTables:
                     if not math.isnan(y):
                         assert abs(x - y) <= 1e-12 * abs(y), (shift, a.r, key)
 
+    def test_cached_tables_are_read_only(self, average_free_inputs):
+        v = average_free_inputs["curve23"]
+        u = qb.coarse_blowup_normalize(v, v.grid.rho, reference=1.0)
+        for table in (v.gradients(), _ring_data(v), u._cache["ring_data"]):
+            for a in table:
+                with pytest.raises(ValueError):
+                    a[0] = a[0]
+
     def test_off_lattice_ratio_builds_its_own_table(self,
                                                     average_free_inputs):
         u = qb.coarse_blowup_normalize(average_free_inputs["curve23"], 0.6)

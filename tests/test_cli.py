@@ -115,9 +115,21 @@ class TestOtherCommands:
         assert code == 0
         fit = json.loads((out / "excess_decay.json").read_text())
         assert fit["exponent"] == pytest.approx(1.0, abs=0.1)
+        assert "dropped" not in fit
         header, _ = read_csv(out / "excess_decay.csv")
         assert header == ["r", "excess", "exponent_window", "mass",
                           "tilt_norm", "definition"]
+
+    def test_excess_decay_drops_steep_radii(self, tmp_path):
+        code, out = run(["excess-decay", "--curve", "2,3",
+                         "--radii", "2^-8..1"] + FAST, tmp_path)
+        assert code == 0
+        fit = json.loads((out / "excess_decay.json").read_text())
+        assert fit["exponent"] == pytest.approx(1.0, abs=0.1)
+        dropped = [r for r, _ in fit["dropped"]]
+        assert 1.0 in dropped and min(dropped) > 2.0 / 3.0
+        _, rows = read_csv(out / "excess_decay.csv")
+        assert max(float(row[0]) for row in rows) < 2.0 / 3.0
 
     def test_bv_track(self, tmp_path):
         code, out = run(["bv-track", "--curve", "2,3", "--eps3", "0.1"]

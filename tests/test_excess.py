@@ -365,6 +365,22 @@ class TestDecayFit:
             qb.excess_decay_fit(curve_cache(2, 3),
                                 [0.3, 0.35, 0.4, 0.45, 0.5])
 
+    def test_steep_radii_are_dropped(self, curve_cache):
+        # on (2, 3) the optimal plane turns vertical beyond r = 2/3
+        f = curve_cache(2, 3)
+        radii = [2.0 ** -k for k in range(8, -1, -1)]
+        fit = qb.excess_decay_fit(f, radii)
+        assert fit["dropped"] == [
+            [1.0, "the optimal plane is not a graph over the base"]]
+        assert [rec.r for rec in fit["records"]] == radii[:-1]
+        assert fit["exponent"] == pytest.approx(1.0, abs=0.1)
+        assert "dropped" not in qb.excess_decay_fit(f, radii[:-1])
+
+    def test_window_rule_applies_to_the_radii_left(self, curve_cache):
+        with pytest.raises(qb.DataError, match="dropped"):
+            qb.excess_decay_fit(curve_cache(2, 3),
+                                [0.125, 0.25, 0.5, 0.7, 0.8, 1.0])
+
     def test_two_sided_decay_bound(self, curve_cache):
         # E(r) >= (r/s)^gamma E(s) for r < s < 1/4, gamma = 2(p/q - 1) + 0.1
         for (q, p) in [(2, 3), (3, 4)]:

@@ -12,11 +12,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 import qbranch as qb
-from qbranch.qvalue import match_step, min_separation
+from qbranch import qvalue
+from qbranch.qvalue import TAU_TRACK, match_step, min_separation
 
 
 def exhaustive_min(a, b):
@@ -203,6 +205,168 @@ class TestTracking:
     def test_min_separation(self):
         a = qb.QPoint([[0.0, 0.0], [3.0, 4.0]])
         assert min_separation(a) == pytest.approx(5.0)
+
+
+# ----------------------------------------------------------------------------
+# the per-sample tracker, kept as the oracle of the batched one: one exact
+# assignment solve per pair, each sample matched against its relabelled
+# predecessor
+
+
+def _reference_separation(a):
+    if len(a) == 1:
+        return np.inf
+    diff = a[:, None, :] - a[None, :, :]
+    cost = np.einsum("ijk,ijk->ij", diff, diff)
+    cost[np.diag_indices(len(a))] = np.inf
+    return float(np.sqrt(cost.min()))
+
+
+def _reference_second_best(cost, sigma):
+    best = np.inf
+    for i in range(len(cost)):
+        c = cost.copy()
+        c[i, sigma[i]] = np.inf
+        try:
+            rows, cols = linear_sum_assignment(c)
+        except ValueError:
+            continue
+        val = c[rows, cols].sum()
+        if np.isfinite(val):
+            best = min(best, float(val))
+    return best
+
+
+def reference_match_step(a, b, sample_index):
+    sep = min(_reference_separation(a), _reference_separation(b))
+    if sep == 0.0:
+        raise qb.TrackingError("collision", sample_index=sample_index)
+    diff = a[:, None, :] - b[None, :, :]
+    cost = np.einsum("ijk,ijk->ij", diff, diff)
+    rows, cols = linear_sum_assignment(cost)
+    sigma = np.empty(len(a), dtype=int)
+    sigma[rows] = cols
+    if len(a) == 1:
+        return sigma
+    best = float(cost[rows, cols].sum())
+    step = float(np.sqrt(np.max(cost[rows, cols])))
+    if np.isfinite(sep) and step < 0.25 * sep:
+        return sigma
+    second = _reference_second_best(cost, sigma)
+    scale = max(sep, step) if np.isfinite(sep) else max(1.0, step)
+    if np.sqrt(max(second, 0.0)) - np.sqrt(max(best, 0.0)) \
+            < TAU_TRACK * scale:
+        raise qb.TrackingError("ambiguous", sample_index=sample_index)
+    return sigma
+
+
+def reference_track(samples, closed):
+    q, n = samples[0].shape
+    N = len(samples)
+    sheets = np.empty((q, N, n))
+    sheets[:, 0] = samples[0]
+    for i in range(1, N):
+        sigma = reference_match_step(sheets[:, i - 1], samples[i], i)
+        sheets[:, i] = samples[i][sigma]
+    monodromy = np.arange(q)
+    if closed:
+        monodromy = reference_match_step(sheets[:, N - 1], samples[0], N)
+    return sheets, monodromy
+
+
+def make_chain(rng, q, n, N, kind, collide):
+    """A chain of N shuffled samples of Q sheets in R^n: "separated" sheets
+    drifting slowly, "noisy" ones jumping by about their separation, or a
+    "near_swap" in which sheets 0 and 1 pass within 1e-12..1e-3 of each
+    other while turning; collide copies one sheet onto another at one
+    sample."""
+    base = 3.0 * rng.normal(size=(q, n))
+    step = {"separated": 0.01, "noisy": 1.0, "near_swap": 0.01}[kind]
+    chain = base + step * np.cumsum(rng.normal(size=(N, q, n)), axis=0)
+    if kind == "near_swap" and q >= 2:
+        t = np.linspace(-1.0, 1.0, N)
+        d = np.abs(t) + 10.0 ** -rng.uniform(3, 12)
+        u = np.zeros((N, n))
+        if n == 1:
+            u[:, 0] = 1.0
+        else:
+            phi = rng.uniform(0.0, np.pi) * (t + 1) / 2
+            u[:, 0], u[:, 1] = np.cos(phi), np.sin(phi)
+        mid = chain[:, :2].mean(axis=1)
+        chain[:, 0] = mid + d[:, None] * u
+        chain[:, 1] = mid - d[:, None] * u
+    if collide and q >= 2:
+        k = rng.integers(N)
+        chain[k, 1] = chain[k, 0]
+    return [c[rng.permutation(q)] for c in chain]
+
+
+def assert_tracks_like_the_reference(samples, closed):
+    try:
+        ref = reference_track(samples, closed)
+    except qb.TrackingError as exc:
+        with pytest.raises(qb.TrackingError) as err:
+            qb.track_selection(samples, closed=closed)
+        assert err.value.sample_index == exc.sample_index
+        return str(exc)
+    sel = qb.track_selection(samples, closed=closed)
+    assert np.array_equal(sel.sheets, ref[0])
+    assert sel.sheets.flags.c_contiguous
+    assert np.array_equal(sel.monodromy, ref[1])
+    return "tracked"
+
+
+KINDS = ("separated", "noisy", "near_swap")
+
+
+class TestBatchedTrackingOracle:
+    @settings(max_examples=100)
+    @given(q=st.integers(1, 5), n=st.integers(1, 3), N=st.integers(1, 40),
+           closed=st.booleans(), kind=st.sampled_from(KINDS),
+           collide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_per_sample_tracker(self, q, n, N, closed, kind,
+                                            collide, seed):
+        chain = make_chain(np.random.default_rng(seed), q, n, N, kind,
+                           collide)
+        assert_tracks_like_the_reference(chain, closed)
+
+    def test_seeded_sweep_covers_every_outcome(self, monkeypatch):
+        solves = []
+        solve = qvalue.linear_sum_assignment
+        monkeypatch.setattr(qvalue, "linear_sum_assignment",
+                            lambda cost: solves.append(1) or solve(cost))
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for trial in range(300):
+            before = len(solves)
+            chain = make_chain(rng, int(rng.integers(2, 6)),
+                               int(rng.integers(1, 4)),
+                               int(rng.integers(2, 41)), KINDS[trial % 3],
+                               collide=trial % 7 == 0)
+            outcome = assert_tracks_like_the_reference(
+                chain, closed=bool(trial % 2))
+            if outcome == "tracked" and len(solves) > before:
+                outcome = "tracked through an assignment solve"
+            outcomes.add(outcome)
+        assert outcomes == {"tracked", "tracked through an assignment solve",
+                            "collision", "ambiguous"}
+
+
+def test_tracking_that_fast_accepts_leaves_scipy_optimize_unloaded():
+    # every pair of these chains moves each sheet by less than a quarter of
+    # the sheet separation, so no assignment solve is needed
+    src = pathlib.Path(qb.__file__).resolve().parents[1]
+    code = ("import sys, qbranch as qb; "
+            "qb.homogeneous_map(1.5); "
+            "g = qb.default_grid(r_min=2.0 ** -6, n_theta=64); "
+            "qb.recenter(qb.homogeneous_map(1.5, grid=g), (0.4, 0.1)); "
+            "qb.recenter(qb.make_multigraph(qb.CurveSpec(3, 4), g), "
+            "(-0.3, 0.35)); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_import_leaves_scipy_optimize_unloaded():
