@@ -31,16 +31,15 @@ per step; off-lattice ratios build their own table.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateBlowupError, RangeError)
 from .grids import (M_DIM, PolarGrid, _cubic_window, _ring_profile,
                     d_dr_geometric)
-from .curves import QFunction, analytic_degree, CurveSpec
+from .curves import QFunction, analytic_degree, CurveSpec, _json
 from .frequency import (_seed_blowup_ring_data, frequency_profile,
                         frequency_limit, recenter, default_profile_radii)
 
@@ -58,11 +57,11 @@ class BlowupConfig:
     def __post_init__(self):
         if not (0.0 < self.scale_factor < 1.0):
             raise ConfigError("scale_factor must be in (0, 1)")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ConfigError("max_steps must be at least 1")
         if self.normalization not in ("l2_norm", "excess_sqrt"):
             raise ConfigError(f"unknown normalization {self.normalization!r}")
-        if self.convergence_tol <= 0:
+        if not self.convergence_tol > 0:
             raise ConfigError("convergence_tol must be positive")
 
 
@@ -75,15 +74,11 @@ class DegreeEstimate:
     notes: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "value": self.value,
-            "spread": self.spread,
-            "converged": self.converged,
-            "per_step": [{"k": k, "r": r, "I": I}
-                         for (k, r, I) in self.per_step_I],
-        }
-        payload.update(self.notes)
-        return json.dumps(payload, sort_keys=True, indent=1)
+        return _json({"value": self.value, "spread": self.spread,
+                      "converged": self.converged,
+                      "per_step": [{"k": k, "r": r, "I": I}
+                                   for (k, r, I) in self.per_step_I],
+                      **self.notes})
 
 
 # ----------------------------------------------------------------------------
@@ -340,14 +335,7 @@ class HardtSimonResult:
     boundary_l2: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "integral": self.integral,
-            "polar_identity_residual": self.polar_identity_residual,
-            "alpha_used": self.alpha_used,
-            "growth_exponent": self.growth_exponent,
-            "divergent": self.divergent,
-            "boundary_l2": self.boundary_l2,
-        }, sort_keys=True, indent=1)
+        return _json(asdict(self))
 
 
 def _radial_derivative_profile(f: QFunction) -> np.ndarray:
@@ -364,10 +352,14 @@ def hardt_simon_check(f: QFunction, rho_inner: float,
 
     The integral stays bounded as rho decreases exactly when alpha >= 1;
     for alpha < 1 it grows like rho^{2 alpha - 2}, and the fitted growth
-    exponent doubles as a divergence detector."""
+    exponent doubles as a divergence detector.  RangeError when rho_inner
+    is below two grid floors, or not below 1/2, where the annulus is empty."""
     grid = f.grid
-    if rho_inner < grid.r_min * 2 * (1 - 1e-12):
+    if not rho_inner >= grid.r_min * 2 * (1 - 1e-12):
         raise RangeError("rho_inner must be at least two grid floors")
+    if not rho_inner < 0.5:
+        raise RangeError("rho_inner must be below 1/2, where the annulus "
+                         "ends")
     if grid.r_max < 0.5:
         raise RangeError("grid must reach radius 1/2")
     rule = f.rule()

@@ -2,12 +2,16 @@
 
 Subcommands: frequency, degree, excess-decay, bv-track, hardt-simon,
 intervals, selfcheck.  Exit codes: 0 ok, 2 configuration error, 3 numeric
-degeneracy, 4 internal error.  Every run validates its configuration before
-any computation, computes everything in memory, and only then writes its
-output files through a temporary name and an atomic rename, so a failing
-run leaves no partial files.  Computation is single-threaded, so identical
-configuration and seed produce byte-identical outputs; --threads is still
-accepted and validated for compatibility, and has no effect.
+degeneracy, 4 internal error.  Every run checks its whole configuration
+before any computation: each option is checked once, by the library type
+that owns it (Cutoff, BlowupConfig, ScaleTrackConfig), or here when no type
+owns it, and all three types are built for every subcommand.  A subcommand
+computes everything in memory and returns its files, {name: text}; only
+then are they written, each through a temporary name and an atomic rename,
+so a failing run leaves no partial files.  Computation is single-threaded,
+so identical configuration and seed produce byte-identical outputs;
+--threads is still accepted and validated for compatibility, and has no
+effect.
 
 Options may come from a flat key-value config file (one `key value` pair
 per line, '#' comments) with command-line `--key value` overrides.
@@ -16,7 +20,6 @@ per line, '#' comments) with command-line `--key value` overrides.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -27,7 +30,7 @@ from . import __version__
 from .errors import ConfigError, NumericError, QBranchError
 from .grids import default_grid
 from .qvalue import QPoint, brute_force_metric, metric_g
-from .curves import (CurveSpec, homogeneous_map, load_qfunction,
+from .curves import (CurveSpec, _json, homogeneous_map, load_qfunction,
                      make_multigraph)
 from .frequency import (Cutoff, frequency_limit, frequency_profile,
                         default_profile_radii)
@@ -45,33 +48,42 @@ EXIT_INTERNAL = 4
 _COMMANDS = ("frequency", "degree", "excess-decay", "bv-track",
              "hardt-simon", "intervals", "selfcheck")
 
-#: every recognized config key with (type, validator, help)
+#: every recognized config key with (type, validator, help); a key that a
+#: config type reads is checked by that type, see _FIELDS
 _KEYS = {
     "curve": (str, None, "curve spec 'Q,p'"),
     "perturb": (str, None, "perturbation, e.g. 'z^2' or '0.5z^3'"),
-    "homogeneous": (float, lambda v: v > 0, "homogeneity degree"),
+    "homogeneous": (float, None, "homogeneity degree"),
     "input": (str, None, "QFunction file"),
     "radii": (str, None, "radius window 'A..B' (supports 2^-k)"),
-    "cutoff": (str, lambda v: v in ("ramp", "paper_phi", "sharp"),
-               "cutoff kind"),
+    "cutoff": (str, None, "cutoff kind"),
     "out": (str, None, "output directory"),
     "threads": (int, lambda v: v >= 1,
                 "accepted for compatibility; has no effect"),
     "seed": (int, lambda v: v >= 0, "seed for randomized suites"),
-    "eps3": (float, lambda v: 0 < v <= 1, "excess threshold eps3^2"),
-    "eps-bar": (float, lambda v: 0 < v <= 1, "floor amplitude"),
-    "delta2": (float, lambda v: 0 < v < 0.5, "floor exponent parameter"),
-    "ce": (float, lambda v: v >= 1, "concentration budget constant"),
-    "tilt-jump": (float, lambda v: v > 0, "plane drift allowance"),
+    "eps3": (float, None, "excess threshold eps3^2"),
+    "eps-bar": (float, None, "floor amplitude"),
+    "delta2": (float, None, "floor exponent parameter"),
+    "ce": (float, None, "concentration budget constant"),
+    "tilt-jump": (float, None, "plane drift allowance"),
     "rho": (float, lambda v: v > 0, "inner radius for hardt-simon"),
-    "scale-factor": (float, lambda v: 0 < v < 1, "blow-up step ratio"),
-    "max-steps": (int, lambda v: v >= 1, "blow-up step count"),
-    "norm-mode": (str, lambda v: v in ("l2_norm", "excess_sqrt"),
-                  "blow-up normalization"),
+    "scale-factor": (float, None, "blow-up step ratio"),
+    "max-steps": (int, None, "blow-up step count"),
+    "norm-mode": (str, None, "blow-up normalization"),
     "n-theta": (int, lambda v: v >= 64, "angular samples"),
     "r-min": (float, lambda v: 0 < v < 1, "grid floor radius"),
     "points-per-octave": (int, lambda v: 1 <= v <= 8, "profile density"),
     "config": (str, None, "config file path"),
+}
+
+#: the config types a run builds, each with the keys it reads: key -> field
+_FIELDS = {
+    Cutoff: {"cutoff": "kind"},
+    BlowupConfig: {"scale-factor": "scale_factor", "max-steps": "max_steps",
+                   "norm-mode": "normalization"},
+    ScaleTrackConfig: {"eps3": "eps3_sq", "eps-bar": "eps_bar",
+                       "delta2": "delta2", "ce": "c_e",
+                       "tilt-jump": "tilt_jump"},
 }
 
 
@@ -171,19 +183,19 @@ def _coerce(options: dict) -> dict:
 
 
 class Run:
-    """Validated options plus deferred, atomic output writing."""
+    """Validated options and the config types built from them."""
 
     def __init__(self, options: dict):
         self.opt = _coerce(options)
-        self._outputs: dict[str, str] = {}
-
-    def get(self, key, default=None):
-        return self.opt.get(key, default)
+        self.cutoff, self.blowup, self.track = (
+            cls(**{name: self.opt[key] for key, name in fields.items()
+                   if key in self.opt})
+            for cls, fields in _FIELDS.items())
 
     def grid(self):
-        r_min = self.get("r-min", 2.0 ** -16)
-        n_theta = self.get("n-theta", 512)
-        n_oct = np.log2(1.0 / r_min)
+        r_min = self.opt.get("r-min", 2.0 ** -16)
+        n_theta = self.opt.get("n-theta", 512)
+        n_oct = -np.log2(r_min)
         if abs(n_oct - round(n_oct)) > 1e-9:
             raise ConfigError("r-min must be a power of 1/2")
         return default_grid(r_min=r_min, n_theta=n_theta)
@@ -203,23 +215,21 @@ class Run:
                 q, p = int(q_s), int(p_s)
             except ValueError:
                 raise ConfigError("curve must look like 'Q,p'")
-            coeffs = _parse_perturbation(self.get("perturb", ""))
+            coeffs = _parse_perturbation(self.opt.get("perturb", ""))
             return make_multigraph(CurveSpec(q=q, p=p, h_coeffs=coeffs), grid)
         alpha = self.opt["homogeneous"]
         return homogeneous_map(alpha, grid=grid)
 
-    def stage(self, filename: str, content: str):
-        self._outputs[filename] = content
-
-    def flush(self) -> list:
-        out_dir = self.get("out", ".")
+    def flush(self, files: dict):
+        """Write files, {name: text}, into the output directory, each
+        through a temporary name and an atomic rename."""
+        out_dir = self.opt.get("out", ".")
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(
                 f"cannot create output directory {out_dir}: {exc}") from None
-        written = []
-        for name, content in sorted(self._outputs.items()):
+        for name, content in sorted(files.items()):
             final = os.path.join(out_dir, name)
             try:
                 fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
@@ -235,116 +245,77 @@ class Run:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
                 raise
-            written.append(final)
-        return written
 
 
 # ----------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_frequency(run: Run) -> int:
+def cmd_frequency(run: Run) -> dict:
     f = run.build_input()
-    cutoff = Cutoff(run.get("cutoff", "ramp"))
     if "radii" in run.opt:
         radii = _parse_radii(run.opt["radii"], f.grid)
     else:
         radii = default_profile_radii(f.grid)
-    prof = frequency_profile(f, radii=radii, cutoff=cutoff)
-    lim = frequency_limit(prof)
-    run.stage("frequency_profile.csv", prof.to_csv())
-    run.stage("frequency_limit.json", json.dumps(lim, sort_keys=True,
-                                                 indent=1) + "\n")
-    run.flush()
-    return EXIT_OK
+    prof = frequency_profile(f, radii=radii, cutoff=run.cutoff)
+    return {"frequency_profile.csv": prof.to_csv(),
+            "frequency_limit.json": _json(frequency_limit(prof)) + "\n"}
 
 
-def cmd_degree(run: Run) -> int:
-    f = run.build_input()
-    cfg = BlowupConfig(scale_factor=run.get("scale-factor", 0.5),
-                       max_steps=run.get("max-steps", 14),
-                       normalization=run.get("norm-mode", "l2_norm"))
-    est = singularity_degree(f, cfg)
-    run.stage("degree.json", est.to_json() + "\n")
-    run.flush()
-    return EXIT_OK
+def cmd_degree(run: Run) -> dict:
+    est = singularity_degree(run.build_input(), run.blowup)
+    return {"degree.json": est.to_json() + "\n"}
 
 
-def cmd_excess_decay(run: Run) -> int:
+def cmd_excess_decay(run: Run) -> dict:
     f = run.build_input()
     if "radii" in run.opt:
         radii = _parse_radii(run.opt["radii"], f.grid)
     else:
         radii = [2.0 ** -k for k in range(9, 2, -1)]
     fit = excess_decay_fit(f, radii)
-    run.stage("excess_decay.csv", excess_table_csv(fit["records"]))
-    run.stage("excess_decay.json", json.dumps(
-        {k: fit[k] for k in ("exponent", "constant", "r2", "dropped")
-         if k in fit},
-        sort_keys=True, indent=1) + "\n")
-    run.flush()
-    return EXIT_OK
+    return {"excess_decay.csv": excess_table_csv(fit["records"]),
+            "excess_decay.json": _json(
+                {k: fit[k] for k in ("exponent", "constant", "r2", "dropped")
+                 if k in fit}) + "\n"}
 
 
-def _scaletrack_config(run: Run) -> ScaleTrackConfig:
-    kw = {}
-    if "eps3" in run.opt:
-        kw["eps3_sq"] = run.opt["eps3"]
-    if "eps-bar" in run.opt:
-        kw["eps_bar"] = run.opt["eps-bar"]
-    if "delta2" in run.opt:
-        kw["delta2"] = run.opt["delta2"]
-    if "ce" in run.opt:
-        kw["c_e"] = run.opt["ce"]
-    if "tilt-jump" in run.opt:
-        kw["tilt_jump"] = run.opt["tilt-jump"]
-    return ScaleTrackConfig(**kw)
-
-
-def cmd_bv_track(run: Run) -> int:
+def cmd_bv_track(run: Run) -> dict:
     f = run.build_input()
-    cfg = _scaletrack_config(run)
-    intervals = intervals_of_flattening(f, cfg=cfg)
+    intervals = intervals_of_flattening(f, cfg=run.track)
     prof = universal_frequency(
-        f, intervals, points_per_octave=run.get("points-per-octave", 1))
-    report = bv_budget(prof)
-    run.stage("universal_profile.csv", prof.records_csv())
-    run.stage("jumps.csv", prof.jumps_csv())
-    run.stage("bv.json", json.dumps(report, sort_keys=True, indent=1) + "\n")
-    run.flush()
-    return EXIT_OK
+        f, intervals, points_per_octave=run.opt.get("points-per-octave", 1))
+    return {"universal_profile.csv": prof.records_csv(),
+            "jumps.csv": prof.jumps_csv(),
+            "bv.json": _json(bv_budget(prof)) + "\n"}
 
 
-def cmd_hardt_simon(run: Run) -> int:
+def cmd_hardt_simon(run: Run) -> dict:
     f = run.build_input()
     if f.q > 1:
         f = average_free_part(f)
-    rho = run.get("rho", 64 * f.grid.r_min)
-    res = hardt_simon_check(f, rho)
-    run.stage("hardt_simon.json", res.to_json() + "\n")
-    run.flush()
-    return EXIT_OK
+    res = hardt_simon_check(f, run.opt.get("rho", 64 * f.grid.r_min))
+    return {"hardt_simon.json": res.to_json() + "\n"}
 
 
-def cmd_intervals(run: Run) -> int:
-    f = run.build_input()
-    cfg = _scaletrack_config(run)
-    intervals = intervals_of_flattening(f, cfg=cfg)
-    run.stage("intervals.csv", intervals.to_csv())
-    run.stage("intervals.json", json.dumps({
-        "empty": intervals.empty,
-        "gaps": intervals.gaps,
-        "min_ratio": None if intervals.empty else intervals.min_ratio(),
-        "reaches_floor": any(r.reaches_floor for r in intervals.intervals),
-    }, sort_keys=True, indent=1) + "\n")
-    run.flush()
-    return EXIT_OK
+def cmd_intervals(run: Run) -> dict:
+    intervals = intervals_of_flattening(run.build_input(), cfg=run.track)
+    return {"intervals.csv": intervals.to_csv(),
+            "intervals.json": _json({
+                "empty": intervals.empty,
+                "gaps": intervals.gaps,
+                "min_ratio": None if intervals.empty
+                else intervals.min_ratio(),
+                "reaches_floor": any(r.reaches_floor
+                                     for r in intervals.intervals),
+            }) + "\n"}
 
 
-def cmd_selfcheck(run: Run) -> int:
-    """Run the built-in oracle suites on a reduced grid and write a
-    canonical report; byte-identical for any --threads value."""
-    seed = run.get("seed", 0)
+def cmd_selfcheck(run: Run) -> dict:
+    """Run the built-in oracle suites on a reduced grid and return a
+    canonical report, ending in ALL PASS or ALL FAIL; byte-identical for
+    any --threads value."""
+    seed = run.opt.get("seed", 0)
     lines = [f"qbranch selfcheck v{__version__} seed={seed}"]
     ok = True
 
@@ -383,13 +354,9 @@ def cmd_selfcheck(run: Run) -> int:
     check("curve23_bv_total", bv["total"], bv["total"] < 0.01)
 
     lines.append("ALL " + ("PASS" if ok else "FAIL"))
-    report = "\n".join(lines) + "\n"
-    run.stage("selfcheck_report.txt", report)
-    run.stage("selfcheck_profile.csv", prof.to_csv())
-    run.stage("selfcheck_degree.json", est.to_json() + "\n")
-    run.flush()
-    sys.stdout.write(report)
-    return EXIT_OK if ok else EXIT_NUMERIC
+    return {"selfcheck_report.txt": "\n".join(lines) + "\n",
+            "selfcheck_profile.csv": prof.to_csv(),
+            "selfcheck_degree.json": est.to_json() + "\n"}
 
 
 _HANDLERS = {
@@ -430,7 +397,8 @@ def main(argv=None) -> int:
         options.update(cli_options)
         options.pop("config", None)
         run = Run(options)
-        return _HANDLERS[ns.command](run)
+        files = _HANDLERS[ns.command](run)
+        run.flush(files)
     except ConfigError as exc:
         sys.stderr.write(f"config-error: {exc}\n")
         return EXIT_CONFIG
@@ -443,6 +411,11 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover
         sys.stderr.write(f"internal-error: {exc!r}\n")
         return EXIT_INTERNAL
+    report = files.get("selfcheck_report.txt")
+    if report is None:
+        return EXIT_OK
+    sys.stdout.write(report)
+    return EXIT_OK if report.endswith("ALL PASS\n") else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ frames) are cached on first use.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, RefinementError, SpecError
-from .grids import (PolarGrid, RadialRule, d_dr_geometric,
+from .grids import (TWO_PI, PolarGrid, RadialRule, d_dr_geometric,
                     d_dtheta_periodic, default_grid)
 from .qvalue import QPoint, _separation, track_selection
 
@@ -49,6 +50,8 @@ class CurveSpec:
         if math.gcd(self.p, self.q) != 1:
             raise SpecError(f"p = {self.p} and Q = {self.q} must be coprime")
         coeffs = tuple(complex(c) for c in self.h_coeffs)
+        if not all(map(cmath.isfinite, coeffs)):
+            raise SpecError("perturbation coefficients must be finite")
         if len(coeffs) >= 1 and coeffs[0] != 0:
             raise SpecError("h(0) must vanish")
         if len(coeffs) >= 2 and coeffs[1] != 0:
@@ -278,7 +281,10 @@ def spiral_profile(alpha: float, max_sheets: int = 12):
     |z|=1, exp(i alpha theta) zeta^j, which is a consistent q-valued map on
     the circle when alpha * q is an integer.  These profiles satisfy
     |g'| = alpha |g|, the angular balance of a harmonic branch, so their
-    homogeneous extensions have frequency exactly alpha."""
+    homogeneous extensions have frequency exactly alpha.  alpha * 2 pi must
+    be finite: it is the phase the profile turns through."""
+    if not math.isfinite(alpha * TWO_PI):
+        raise ConfigError(f"alpha * 2 pi must be finite, got alpha = {alpha}")
     q = None
     for cand in range(1, max_sheets + 1):
         if abs(alpha * cand - round(alpha * cand)) < 1e-12:
@@ -312,9 +318,11 @@ def homogeneous_map(alpha: float, boundary=None,
     boundary is a callable theta -> QPoint sampled on the grid angles and
     tracked around the circle (a closed chain), which fixes the sheet labels
     and the monodromy; None selects the spiral profile for alpha.  The
-    extension is homogeneous by construction at every node."""
-    if alpha <= 0:
-        raise ConfigError("homogeneity degree must be positive")
+    extension is homogeneous by construction at every node.  alpha must be
+    positive, with alpha * 2 pi finite."""
+    if not 0 < alpha * TWO_PI < math.inf:
+        raise ConfigError("homogeneity degree must be positive, with "
+                          f"alpha * 2 pi finite, got {alpha}")
     if grid is None:
         grid = default_grid()
     if boundary is None:
@@ -327,6 +335,26 @@ def homogeneous_map(alpha: float, boundary=None,
     return QFunction(grid=grid, values=values, monodromy=sel.monodromy,
                      metadata={"kind": "homogeneous", "alpha": float(alpha),
                                "label": f"homogeneous alpha={alpha}"})
+
+
+# ----------------------------------------------------------------------------
+# output formats
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text of every table the library writes: the header line, then
+    one line per row.  Strings are written as they are and every other
+    value with 17 significant digits, so floats read back bit for bit and
+    ints and bools print as integers."""
+    lines = [header] + [",".join(v if isinstance(v, str) else f"{v:.17g}"
+                                 for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(obj) -> str:
+    """JSON text of every report the library writes: sorted keys, one-space
+    indent, no trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=1)
 
 
 # ----------------------------------------------------------------------------

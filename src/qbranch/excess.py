@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, TiltError
 from .grids import TWO_PI
-from .curves import QFunction
+from .curves import QFunction, _csv
 
 OMEGA_M = math.pi        # volume of the unit ball in the base dimension m = 2
 TILT_MAX = 0.5
@@ -280,9 +280,9 @@ def excess_decay_fit(f: QFunction, radii, definition: str = "cylindrical") -> di
 
 def excess_table_csv(records) -> str:
     """CSV export: r, excess, local exponent, mass, tilt norm, definition."""
-    lines = ["r,excess,exponent_window,mass,tilt_norm,definition"]
     lr = np.log([rec.r for rec in records])
     le = np.log([max(rec.excess, 1e-300) for rec in records])
+    rows = []
     for i, rec in enumerate(records):
         if len(records) >= 2:
             j0 = max(i - 1, 0)
@@ -290,11 +290,9 @@ def excess_table_csv(records) -> str:
             slope = (le[j1] - le[j0]) / (lr[j1] - lr[j0])
         else:
             slope = float("nan")
-        lines.append(",".join([
-            f"{rec.r:.17g}", f"{rec.excess:.17g}", f"{slope:.17g}",
-            f"{rec.mass:.17g}", f"{rec.plane.tilt_norm:.17g}",
-            rec.definition]))
-    return "\n".join(lines) + "\n"
+        rows.append((rec.r, rec.excess, slope, rec.mass,
+                     rec.plane.tilt_norm, rec.definition))
+    return _csv("r,excess,exponent_window,mass,tilt_norm,definition", rows)
 
 
 def mass_expansion_residual(f: QFunction, r: float) -> dict:

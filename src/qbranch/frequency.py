@@ -42,7 +42,7 @@ import numpy as np
 from .errors import (ConfigError, DataError, DegenerateHeightError, RangeError)
 from .grids import (M_DIM, TWO_PI, PolarGrid, _RADIAL_WIDTH, _cubic_window,
                     _ring_profile, default_grid)
-from .curves import QFunction, _grad_sq, _polar_gradients
+from .curves import QFunction, _csv, _grad_sq, _polar_gradients
 from .qvalue import _chain_labels, _match_pairs
 
 #: H below this multiple of Sigma declares the annulus trivial
@@ -165,10 +165,16 @@ def smoothed_I(f: QFunction, x=None, r: float = 1.0,
                cutoff: Cutoff = RAMP) -> float:
     f = _at_center(f, x)
     q = _quantities(f, r, cutoff)
-    if q["H"] <= DEGENERATE_HEIGHT * max(q["Sigma"], 1e-300):
+    if _degenerate_height(q):
         raise DegenerateHeightError(
             f"height vanishes on the annulus at scale {r}")
     return r * q["D"] / q["H"]
+
+
+def _degenerate_height(q: dict) -> bool:
+    """True when H vanishes against Sigma: the annulus is trivial and I is
+    undefined.  The floor is at least 1e-314, so H <= 0 is degenerate."""
+    return q["H"] <= DEGENERATE_HEIGHT * max(q["Sigma"], 1e-300)
 
 
 def auxiliary_quantities(f: QFunction, x=None, r: float = 1.0,
@@ -232,13 +238,10 @@ class FrequencyProfile:
         return [rec for rec in self.records if rec.valid]
 
     def to_csv(self) -> str:
-        lines = ["r,D,H,I,E,G,Sigma,res_outer,res_inner,valid"]
-        for rec in self.records:
-            vals = [rec.r, rec.D, rec.H, rec.I, rec.E, rec.G, rec.Sigma,
-                    rec.res_outer, rec.res_inner]
-            lines.append(",".join(f"{v:.17g}" for v in vals)
-                         + f",{int(rec.valid)}")
-        return "\n".join(lines) + "\n"
+        return _csv("r,D,H,I,E,G,Sigma,res_outer,res_inner,valid", [
+            (rec.r, rec.D, rec.H, rec.I, rec.E, rec.G, rec.Sigma,
+             rec.res_outer, rec.res_inner, rec.valid)
+            for rec in self.records])
 
 
 def _record_at(f: QFunction, s: float, cutoff: Cutoff) -> FrequencyRecord:
@@ -248,7 +251,7 @@ def _record_at(f: QFunction, s: float, cutoff: Cutoff) -> FrequencyRecord:
         return FrequencyRecord(r=s, valid=False, reason=str(exc))
     rec = FrequencyRecord(r=s, D=q["D"], H=q["H"], E=q["E"], G=q["G"],
                           Sigma=q["Sigma"])
-    if q["H"] <= DEGENERATE_HEIGHT * max(q["Sigma"], 1e-300) or q["H"] <= 0:
+    if _degenerate_height(q):
         rec.valid = False
         rec.reason = "degenerate-height"
         return rec

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RangeError
+from .qvalue import _cycles
 
 TWO_PI = 2.0 * np.pi
 
@@ -122,7 +123,7 @@ def default_grid(r_min: float = 2.0 ** -16, r_max: float = 1.0,
     """Standard lab grid: 2^{-1/rpo} radius ratio, r_min..r_max inclusive."""
     if not (0 < r_min < r_max):
         raise ConfigError("need 0 < r_min < r_max")
-    n_oct = np.log2(r_max / r_min)
+    n_oct = np.log2(r_max) - np.log2(r_min)  # r_max / r_min may overflow
     n = int(round(n_oct * rings_per_octave))
     if abs(n - n_oct * rings_per_octave) > 1e-9:
         raise ConfigError("r_max/r_min must be a whole number of octaves")
@@ -339,20 +340,9 @@ def d_dtheta_periodic(values: np.ndarray,
     L-fold covering circle, so it is differentiated spectrally there; for
     band-limited sheets (branched roots, tilted planes, trigonometric
     profiles) the derivative is exact to rounding."""
-    Q, R, T = values.shape[:3]
-    mono = np.asarray(monodromy)
+    T = values.shape[2]
     out = np.empty_like(values)
-    seen = np.zeros(Q, dtype=bool)
-    for start in range(Q):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        k = int(mono[start])
-        while k != start:
-            cycle.append(k)
-            seen[k] = True
-            k = int(mono[k])
+    for cycle in _cycles(monodromy):
         L = len(cycle)
         sig = np.concatenate([values[c] for c in cycle], axis=1)
         M = L * T

@@ -246,18 +246,23 @@ class SheetSelection:
         return self.sheets.shape[0]
 
     def monodromy_cycle_lengths(self) -> list[int]:
-        seen = np.zeros(self.q, dtype=bool)
-        out = []
-        for start in range(self.q):
-            if seen[start]:
-                continue
-            length, k = 0, start
-            while not seen[k]:
-                seen[k] = True
-                k = int(self.monodromy[k])
-                length += 1
-            out.append(length)
-        return sorted(out)
+        return sorted(len(cycle) for cycle in _cycles(self.monodromy))
+
+
+def _cycles(perm) -> list:
+    """The cycles of a sheet permutation, each a list of sheets in the order
+    perm visits them from its smallest sheet, ordered by that sheet."""
+    seen = np.zeros(len(perm), dtype=bool)
+    out = []
+    for start in range(len(perm)):
+        cycle, k = [], start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = int(perm[k])
+        if cycle:
+            out.append(cycle)
+    return out
 
 
 def _chain_labels(sigma: np.ndarray) -> np.ndarray:

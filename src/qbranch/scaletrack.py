@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .curves import QFunction
+from .curves import QFunction, _csv
 from .blowup import _blowup_radii, average_free_part
 from .excess import DEFINITIONS, Plane, least_excess, optimal_plane
 from .frequency import Cutoff, RAMP, _record_at
@@ -69,10 +69,14 @@ class ScaleTrackConfig:
     def __post_init__(self):
         if not (0 < self.eps3_sq <= 1):
             raise ConfigError("eps3_sq must be in (0, 1]")
+        if not (0 < self.eps_bar <= 1):
+            raise ConfigError("eps_bar must be in (0, 1]")
         if not (0 < self.delta2 < 0.5):
             raise ConfigError("delta2 must be in (0, 1/2)")
-        if self.c_e < 1.0:
+        if not self.c_e >= 1.0:
             raise ConfigError("c_e must be at least 1")
+        if not self.tilt_jump > 0:
+            raise ConfigError("tilt_jump must be positive")
         if not (0 < self.r_floor < self.r_top):
             raise ConfigError("need 0 < r_floor < r_top")
         if self.definition not in DEFINITIONS:
@@ -111,13 +115,10 @@ class ScaleIntervals:
             if self.intervals else float("nan")
 
     def to_csv(self) -> str:
-        lines = ["j,s_j,t_j,m0_j,tilt_norm,end_reason,reaches_floor"]
-        for rec in self.intervals:
-            tn = rec.plane.tilt_norm if rec.plane is not None else float("nan")
-            lines.append(
-                f"{rec.j},{rec.s:.17g},{rec.t:.17g},{rec.m0:.17g},"
-                f"{tn:.17g},{rec.end_reason},{int(rec.reaches_floor)}")
-        return "\n".join(lines) + "\n"
+        return _csv("j,s_j,t_j,m0_j,tilt_norm,end_reason,reaches_floor", [
+            (rec.j, rec.s, rec.t, rec.m0,
+             float("nan") if rec.plane is None else rec.plane.tilt_norm,
+             rec.end_reason, rec.reaches_floor) for rec in self.intervals])
 
 
 def _dyadic_radii(cfg: ScaleTrackConfig):
@@ -251,18 +252,14 @@ class UniversalProfile:
     notes: dict = field(default_factory=dict)
 
     def records_csv(self) -> str:
-        lines = ["r,j,I,jump_flag"]
-        for rec in sorted(self.records, key=lambda rec: rec.r):
-            lines.append(f"{rec.r:.17g},{rec.j},{rec.I:.17g},"
-                         f"{int(rec.jump_flag)}")
-        return "\n".join(lines) + "\n"
+        return _csv("r,j,I,jump_flag", [
+            (rec.r, rec.j, rec.I, rec.jump_flag)
+            for rec in sorted(self.records, key=lambda rec: rec.r)])
 
     def jumps_csv(self) -> str:
-        lines = ["t_j,I_left,I_right,m0_j"]
-        for jp in sorted(self.jumps, key=lambda jp: jp.t):
-            lines.append(f"{jp.t:.17g},{jp.I_left:.17g},"
-                         f"{jp.I_right:.17g},{jp.m0:.17g}")
-        return "\n".join(lines) + "\n"
+        return _csv("t_j,I_left,I_right,m0_j", [
+            (jp.t, jp.I_left, jp.I_right, jp.m0)
+            for jp in sorted(self.jumps, key=lambda jp: jp.t)])
 
 
 def universal_frequency(f: QFunction, intervals: ScaleIntervals,

@@ -327,3 +327,10 @@ class TestHardtSimon:
     def test_rho_below_grid(self, curve_cache):
         with pytest.raises(qb.RangeError):
             qb.hardt_simon_check(curve_cache(2, 3), 2.0 ** -17)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.7, math.inf, math.nan])
+    def test_rho_without_annulus(self, small_grid, rho):
+        # B_1/2 minus B_rho is empty: no integral to report
+        f = qb.homogeneous_map(0.8, grid=small_grid)
+        with pytest.raises(qb.RangeError):
+            qb.hardt_simon_check(f, rho)

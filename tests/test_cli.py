@@ -1,11 +1,14 @@
 """Command-line front end: flags, config files, outputs, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qbranch as qb
-from qbranch.cli import main
+from qbranch.cli import _HANDLERS, main
 
 FAST = ["--r-min", "2^-10", "--n-theta", "256"]
 
@@ -262,6 +265,8 @@ EXIT_CASES = {
     "missing_config": (["degree", "--config", "/nonexistent/run.cfg"], 2),
     "out_of_range_value": (["frequency", "--curve", "2,3",
                             "--n-theta", "8"], 2),
+    "subnormal_r_min": (["frequency", "--curve", "2,3", "--r-min", "1e-320"],
+                        2),
     "malformed_number": (["frequency", "--curve", "2,3", "--r-min", "2^x"],
                          2),
     "overflowing_number": (["frequency", "--curve", "2,3", "--rho",
@@ -298,6 +303,38 @@ EXIT_CASES = {
     "zero_input": (["degree", "--input", _zero_file], 3),
     "rho_below_grid": (["hardt-simon", "--homogeneous", "0.8", "--rho",
                         "2^-30"] + FAST, 3),
+    "rho_above_half": (["hardt-simon", "--homogeneous", "0.8", "--rho",
+                        "0.7"] + FAST, 3),
+    "rho_infinite": (["hardt-simon", "--homogeneous", "0.8", "--rho", "inf"]
+                     + FAST, 3),
+    "homogeneous_infinite": (["hardt-simon", "--homogeneous", "inf"] + FAST,
+                             2),
+    "homogeneous_phase_overflows": (["frequency", "--homogeneous", "1e308"]
+                                    + FAST, 2),
+    "perturb_infinite_coef": (["degree", "--curve", "2,5", "--perturb",
+                               "infz^2"] + FAST, 2),
+    "perturb_overflowing_coef": (["degree", "--curve", "2,5", "--perturb",
+                                  "1e400z^2"] + FAST, 2),
+    "perturb_nan_list": (["frequency", "--curve", "2,5", "--perturb",
+                          "0,0,nan"] + FAST, 2),
+    # each config type checks its keys for every subcommand, used or not
+    "eps3_out_of_range": (["frequency", "--curve", "2,3", "--eps3", "5"]
+                          + FAST, 2),
+    "eps_bar_zero": (["intervals", "--curve", "2,3", "--eps-bar", "0"]
+                     + FAST, 2),
+    "delta2_out_of_range": (["intervals", "--curve", "2,3", "--delta2",
+                             "0.5"] + FAST, 2),
+    "ce_below_one": (["bv-track", "--curve", "2,3", "--ce", "0.5"] + FAST, 2),
+    "ce_nan": (["intervals", "--curve", "2,3", "--ce", "nan"] + FAST, 2),
+    "tilt_jump_zero": (["intervals", "--curve", "2,3", "--tilt-jump", "0"]
+                       + FAST, 2),
+    "scale_factor_out_of_range": (["degree", "--curve", "2,3",
+                                   "--scale-factor", "1.5"] + FAST, 2),
+    "max_steps_zero": (["degree", "--curve", "2,3", "--max-steps", "0"]
+                       + FAST, 2),
+    "unknown_norm_mode": (["degree", "--curve", "2,3", "--norm-mode", "foo"]
+                          + FAST, 2),
+    "unknown_cutoff": (["selfcheck", "--cutoff", "foo"], 2),
 }
 
 _PREFIX = {2: "config-error", 3: "numeric-error", 4: "internal-error"}
@@ -314,6 +351,9 @@ def test_exit_code_table(case, tmp_path, capsys):
     assert code == expected, err
     if expected in _PREFIX and case != "unknown_flag":
         assert err.startswith(_PREFIX[expected])
+    out = tmp_path / "out"
+    if expected != 0 and out.is_dir():
+        assert not any(out.iterdir())
 
 
 def test_value_error_from_numerics_is_internal(tmp_path, monkeypatch, capsys):
@@ -328,3 +368,73 @@ def test_value_error_from_numerics_is_internal(tmp_path, monkeypatch, capsys):
     code, _ = run(["frequency", "--curve", "2,3"] + FAST, tmp_path)
     assert code == 4
     assert capsys.readouterr().err.startswith("internal-error")
+
+
+#: values the fuzz offers every key: non-finite, overflowing, complex,
+#: zero, negative, tiny, malformed, empty and huge
+HOSTILE = ["nan", "inf", "-inf", "1e400", "10^400", "-8^0.5", "0", "-1",
+           "2^-30", "abc", "", "1e308"]
+
+#: values in range, per key the fuzz draws; the input is one of "curve"
+#: and "homogeneous"
+IN_RANGE = {
+    "curve": ["2,3", "3,4"], "homogeneous": ["1.5", "0.8"],
+    "perturb": ["0.5z^2"], "radii": ["2^-8..1"],
+    "cutoff": ["sharp", "paper_phi"], "threads": ["2"], "seed": ["3"],
+    "eps3": ["0.1"], "eps-bar": ["0.1"], "delta2": ["0.1"], "ce": ["4"],
+    "tilt-jump": ["0.5"], "rho": ["2^-7", "0.3"], "scale-factor": ["0.6"],
+    "max-steps": ["4"], "norm-mode": ["excess_sqrt"],
+    "points-per-octave": ["2"],
+}
+_INPUTS = ("curve", "homogeneous")
+
+
+def _option(keys, values):
+    """(key, value, given in a config file rather than on the command
+    line), the value drawn from values(key)."""
+    return st.one_of(*[st.tuples(st.just(key), st.sampled_from(values(key)),
+                                 st.booleans()) for key in keys])
+
+
+@settings(max_examples=200)
+@given(command=st.sampled_from(sorted(set(_HANDLERS) - {"selfcheck"})),
+       source=_option(_INPUTS, IN_RANGE.get),
+       good=st.lists(_option([k for k in IN_RANGE if k not in _INPUTS],
+                             IN_RANGE.get),
+                     max_size=4, unique_by=lambda o: o[0]),
+       bad=st.lists(_option(sorted(IN_RANGE), lambda k: HOSTILE),
+                    max_size=1))
+def test_fuzzed_options_exit_classified(tmp_path_factory, command, source,
+                                        good, bad):
+    """One input and in-range options plus at most one hostile value: bad
+    user input is refused with exit 2 or 3, never 4, with the prefix of
+    its exit code, and a refused run writes no file."""
+    options = {key: (value, in_file) for key, value, in_file in
+               [source] + good}
+    for key, value, in_file in bad:
+        if key in _INPUTS:  # a hostile input replaces the drawn one
+            options.pop(source[0])
+        options[key] = (value, in_file)
+    work = tmp_path_factory.mktemp("fuzz")
+    args = [command, "--r-min=2^-10", "--n-theta=64", f"--out={work / 'out'}"]
+    lines = []
+    for key, (value, in_file) in options.items():
+        if in_file:
+            lines.append(f"{key} {value}\n")
+        else:
+            args.append(f"--{key}={value}")
+    if lines:
+        (work / "run.cfg").write_text("".join(lines))
+        args.append(f"--config={work / 'run.cfg'}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith(_PREFIX[code]), err.getvalue()
+    if code != 0:
+        assert not (work / "out").exists() \
+            or not any((work / "out").iterdir())

@@ -1,5 +1,7 @@
 """Ground-truth multigraphs and synthetic homogeneous maps."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,12 @@ class TestCurveSpec:
             qb.CurveSpec(2, 3, (1.0,))
         with pytest.raises(qb.SpecError):
             qb.CurveSpec(2, 3, (0.0, 1.0))
+
+    @pytest.mark.parametrize("coef", [complex("inf"), complex("nan"),
+                                      complex(0, float("inf"))])
+    def test_rejects_non_finite_perturbation(self, coef):
+        with pytest.raises(qb.SpecError):
+            qb.CurveSpec(2, 5, (0, 0, coef))
 
     def test_analytic_degree(self):
         assert qb.analytic_degree(qb.CurveSpec(2, 3))["value"] == 1.5
@@ -160,6 +168,19 @@ class TestHomogeneousMap:
         with pytest.raises(qb.ConfigError):
             qb.spiral_profile(np.pi)
 
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan, 1e308])
+    def test_rejects_alpha_without_a_finite_phase(self, alpha, small_grid):
+        # alpha * 2 pi overflows or is undefined: there is no profile
+        with pytest.raises(qb.ConfigError):
+            qb.spiral_profile(alpha)
+        with pytest.raises(qb.ConfigError):
+            qb.homogeneous_map(alpha, grid=small_grid)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.5])
+    def test_rejects_nonpositive_alpha(self, alpha, small_grid):
+        with pytest.raises(qb.ConfigError):
+            qb.homogeneous_map(alpha, grid=small_grid)
+
 
 class TestFileFormat:
     def test_roundtrip(self, tmp_path, small_grid):
@@ -249,3 +270,137 @@ class TestFileFormat:
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(qb.ConfigError):
             qb.load_qfunction(path)
+
+
+# the writers as they were before every table went through curves._csv and
+# every report through curves._json, kept as the reference for both
+
+
+def profile_csv_by_rows(records):
+    lines = ["r,D,H,I,E,G,Sigma,res_outer,res_inner,valid"]
+    for rec in records:
+        vals = [rec.r, rec.D, rec.H, rec.I, rec.E, rec.G, rec.Sigma,
+                rec.res_outer, rec.res_inner]
+        lines.append(",".join(f"{v:.17g}" for v in vals)
+                     + f",{int(rec.valid)}")
+    return "\n".join(lines) + "\n"
+
+
+def intervals_csv_by_rows(intervals):
+    lines = ["j,s_j,t_j,m0_j,tilt_norm,end_reason,reaches_floor"]
+    for rec in intervals:
+        tn = rec.plane.tilt_norm if rec.plane is not None else float("nan")
+        lines.append(
+            f"{rec.j},{rec.s:.17g},{rec.t:.17g},{rec.m0:.17g},"
+            f"{tn:.17g},{rec.end_reason},{int(rec.reaches_floor)}")
+    return "\n".join(lines) + "\n"
+
+
+def records_csv_by_rows(records):
+    lines = ["r,j,I,jump_flag"]
+    for rec in sorted(records, key=lambda rec: rec.r):
+        lines.append(f"{rec.r:.17g},{rec.j},{rec.I:.17g},"
+                     f"{int(rec.jump_flag)}")
+    return "\n".join(lines) + "\n"
+
+
+def jumps_csv_by_rows(jumps):
+    lines = ["t_j,I_left,I_right,m0_j"]
+    for jp in sorted(jumps, key=lambda jp: jp.t):
+        lines.append(f"{jp.t:.17g},{jp.I_left:.17g},"
+                     f"{jp.I_right:.17g},{jp.m0:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def excess_csv_by_rows(records):
+    lines = ["r,excess,exponent_window,mass,tilt_norm,definition"]
+    lr = np.log([rec.r for rec in records])
+    le = np.log([max(rec.excess, 1e-300) for rec in records])
+    for i, rec in enumerate(records):
+        if len(records) >= 2:
+            j0 = max(i - 1, 0)
+            j1 = min(i + 1, len(records) - 1)
+            slope = (le[j1] - le[j0]) / (lr[j1] - lr[j0])
+        else:
+            slope = float("nan")
+        lines.append(",".join([
+            f"{rec.r:.17g}", f"{rec.excess:.17g}", f"{slope:.17g}",
+            f"{rec.mass:.17g}", f"{rec.plane.tilt_norm:.17g}",
+            rec.definition]))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriters:
+    """Every CSV table and JSON report matches the bytes of the per-row
+    f-string writers it replaced, special floats included."""
+
+    SPECIAL = [float("nan"), -0.0, 5e-324, 1.0 / 3.0, 1e300, -1e300]
+
+    def column(self, k):
+        """The special values, rotated by k, so each column sees each."""
+        return self.SPECIAL[k:] + self.SPECIAL[:k]
+
+    def test_frequency_profile(self):
+        cols = [self.column(k) for k in range(9)]
+        records = [qb.FrequencyRecord(*(c[i] for c in cols), valid=i % 2 == 0)
+                   for i in range(len(self.SPECIAL))]
+        prof = qb.FrequencyProfile(center=(0.0, 0.0), radii=[],
+                                   records=records, cutoff=qb.RAMP)
+        assert prof.to_csv() == profile_csv_by_rows(records)
+        assert ",nan," in prof.to_csv() and "-0," in prof.to_csv()
+        assert "4.9406564584124654e-324" in prof.to_csv()
+
+    def test_intervals(self):
+        planes = [None, qb.Plane(np.array([[1.0 / 3.0, -0.0], [5e-324, 0.1]])),
+                  qb.HORIZONTAL]
+        s, t, m0 = self.column(0), self.column(1), self.column(2)
+        records = [qb.IntervalRecord(j=i, s=s[i], t=t[i], m0=m0[i],
+                                     plane=planes[i % 3],
+                                     end_reason=("excess", "floor")[i % 2],
+                                     reaches_floor=i % 2 == 1)
+                   for i in range(len(self.SPECIAL))]
+        iv = qb.ScaleIntervals(intervals=records, gaps=[], radii=[],
+                               excess_by_r={}, config=qb.ScaleTrackConfig())
+        assert iv.to_csv() == intervals_csv_by_rows(records)
+
+    def test_stitched_profile(self):
+        r = [0.25, 0.5, 1.0 / 3.0, 1e300, 5e-324, 0.125]
+        records = [qb.ProfileRecord(r=r[i], j=10 ** i, I=self.column(3)[i],
+                                    jump_flag=i % 2 == 0)
+                   for i in range(len(self.SPECIAL))]
+        jumps = [qb.JumpRecord(r[i], *(self.column(k)[i] for k in (1, 2, 4)))
+                 for i in range(len(self.SPECIAL))]
+        prof = qb.UniversalProfile(records=records, jumps=jumps,
+                                   interval_m0=[])
+        assert prof.records_csv() == records_csv_by_rows(records)
+        assert prof.jumps_csv() == jumps_csv_by_rows(jumps)
+
+    def test_excess_table(self):
+        r = [5e-324, 1.0 / 3.0, 0.5, 1e300]
+        records = [qb.ExcessRecord(r=r[i], mass=self.column(1)[i],
+                                   excess=self.column(2)[i],
+                                   plane=qb.Plane(np.diag([0.1, -0.0])),
+                                   definition=("cylindrical",
+                                               "spherical_ball")[i % 2])
+                   for i in range(len(r))]
+        for recs in (records, records[:1], []):
+            assert qb.excess_table_csv(recs) == excess_csv_by_rows(recs)
+
+    def test_reports(self):
+        nan, _, tiny, third, big, _ = self.SPECIAL
+        est = qb.DegreeEstimate(value=third, spread=tiny,
+                                per_step_I=[(1, 0.5, nan), (2, 0.25, big)],
+                                converged=False,
+                                notes={"step_failures": [[3, "x"]]})
+        assert est.to_json() == json.dumps({
+            "value": third, "spread": tiny, "converged": False,
+            "per_step": [{"k": 1, "r": 0.5, "I": nan},
+                         {"k": 2, "r": 0.25, "I": big}],
+            "step_failures": [[3, "x"]]}, sort_keys=True, indent=1)
+        res = qb.HardtSimonResult(integral=big, polar_identity_residual=nan,
+                                  alpha_used=-0.0, growth_exponent=third,
+                                  divergent=True, boundary_l2=tiny)
+        assert res.to_json() == json.dumps({
+            "integral": big, "polar_identity_residual": nan,
+            "alpha_used": -0.0, "growth_exponent": third, "divergent": True,
+            "boundary_l2": tiny}, sort_keys=True, indent=1)

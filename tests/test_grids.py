@@ -159,3 +159,9 @@ def test_disk_integral_refuses_radii_off_the_grid(grid):
     rule = RadialRule(grid)
     with pytest.raises(qb.RangeError):
         rule._disk_integral(np.ones(grid.n_rings), 2.0 * grid.r_max)
+
+
+def test_default_grid_counts_octaves_past_the_float_range():
+    # r_max / r_min overflows here; the octave count does not
+    grid = qb.default_grid(r_min=2.0 ** -1074, rings_per_octave=1)
+    assert grid.n_rings == 1075 and grid.r_min == 2.0 ** -1074

@@ -44,6 +44,16 @@ def hand_segmentation(excess_by_r, radii, cfg):
     return intervals, gaps
 
 
+@pytest.mark.parametrize("field, value", [
+    ("eps3_sq", 0.0), ("eps3_sq", math.nan), ("eps_bar", 0.0),
+    ("eps_bar", -1.0), ("eps_bar", 1.5), ("eps_bar", math.nan),
+    ("delta2", 0.5), ("delta2", math.nan), ("c_e", 0.5), ("c_e", math.nan),
+    ("tilt_jump", 0.0), ("tilt_jump", -1.0), ("tilt_jump", math.nan)])
+def test_config_refuses_out_of_range_values(field, value):
+    with pytest.raises(qb.ConfigError):
+        qb.ScaleTrackConfig(**{field: value})
+
+
 class TestIntervals:
     def test_curve23_segmentation(self, curve_cache):
         iv = qb.intervals_of_flattening(curve_cache(2, 3), eps3_sq=0.1)
