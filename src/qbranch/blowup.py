@@ -1,9 +1,9 @@
 """Rescaling machinery and the singularity-degree estimator.
 
-rescale realizes the graph dilation f_{q,r}(x) = f(q + r x) / r.  When r is
-a grid radius ratio the operation is an exact ring shift on the geometric
-grid; otherwise sheets are interpolated cubically in log r.  Blow-ups are
-normalized either by the square root of the optimal-plane excess at the
+rescale realizes the graph dilation f_{q,r}(x) = f(q + r x) / r.  It is
+known exactly at x_i = r_i / r for f's own rings r_i, so every blow-up lives
+on f's rings relabelled, for any ratio r, with no interpolation.  Blow-ups
+are normalized either by the square root of the optimal-plane excess at the
 scale, or by the L2 norm on a reference ball (giving a unit-norm rescaling).
 
 The degree estimator runs the pipeline
@@ -21,12 +21,11 @@ choosing one of the two numbers.
 Blow-up steps at different scales are independent once the average-free
 input is built; the estimator aggregates them in step order, so results do
 not depend on evaluation order, and it lists the steps that failed, with
-the reason, under notes["step_failures"].  An exact ring-shift blow-up
-u = c f(r .) reads its ring table off f's (scale invariance of the ring
-profiles): every row but the top three is f's row rescaled, and only those
-three, where u's radial stencil turns one-sided, are differentiated anew.
-So a degree estimate differentiates the average-free part once, not once
-per step; off-lattice ratios build their own table.
+the reason, under notes["step_failures"].  A blow-up u = c f(r .) reads
+its ring table off f's (scale invariance of the ring profiles): every row
+but the top three is f's row rescaled, and only those three, where u's
+radial stencil turns one-sided, are differentiated anew.  So a degree
+estimate differentiates the average-free part once, not once per step.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateBlowupError, RangeError)
-from .grids import (M_DIM, PolarGrid, _cubic_window, _ring_profile,
-                    d_dr_geometric)
+from .grids import M_DIM, PolarGrid, _ring_profile, d_dr_geometric
 from .curves import QFunction, analytic_degree, CurveSpec, _json
 from .frequency import (_seed_blowup_ring_data, frequency_profile,
                         frequency_limit, recenter, default_profile_radii)
@@ -86,69 +84,38 @@ class DegreeEstimate:
 
 
 def rescale(f: QFunction, q=None, r: float = 1.0) -> QFunction:
-    """Graph dilation f_{q,r}(x) = f(q + r x) / r on the standard grid.
+    """Graph dilation f_{q,r}(x) = f(q + r x) / r, sampled exactly.
 
-    q defaults to the grid center.  Requires q + r B_1 inside the sampled
-    disk.  Grid-aligned ratios r shift rings exactly; other ratios use cubic
-    interpolation in log r, sheetwise (labels are already consistent)."""
+    q defaults to the grid center.  The blow-up lives on f's rings
+    relabelled, x_i = r_i / r, where it is f's samples divided by r; it
+    keeps the rings with x_i inside f's disk."""
     if q is not None and not np.allclose(q, f.grid.center, atol=1e-15):
         f = recenter(f, q)
     grid = f.grid
-    shift, radii_out = _blowup_radii(grid, r)
-    if shift == 0:
+    m, radii = _blowup_radii(grid, r)
+    if abs(r - 1.0) < 1e-15:
         return f.replace_values(f.values.copy(), note="rescale r=1")
     meta = dict(f.metadata)
     meta["rescaled_by"] = float(r)
-    if shift is not None:
-        values = f.values[:, :grid.n_rings - shift] / r
-    else:
-        # off-lattice ratio: sample f at r * x for output radii x
-        values = _sample_rings(f.values, grid, np.log(radii_out * r)) / r
-    new_grid = PolarGrid(radii=radii_out, n_theta=grid.n_theta,
+    new_grid = PolarGrid(radii=radii, n_theta=grid.n_theta,
                          center=grid.center)
-    return QFunction(grid=new_grid, values=values,
+    return QFunction(grid=new_grid, values=f.values[:, :m] / r,
                      monodromy=f.monodromy.copy(), metadata=meta)
 
 
 def _blowup_radii(grid: PolarGrid, r: float):
-    """The rings x of grid that a dilation by r keeps, those with r x still
-    sampled, as (shift, radii).  shift is 0 for the identity, the number of
-    rings an exact ring-shift blow-up moves the grid down, or None for an
-    off-lattice ratio.  Refuses ratios outside ]0, r_max] and blow-ups left
-    with fewer than 12 rings."""
+    """The grid of a dilation by r, as (m, radii): f's first m rings
+    relabelled, radii r_i / r, where m counts the rings with r_i <= r r_max.
+    Refuses ratios outside ]0, r_max] and blow-ups left with fewer than 12
+    rings (keeping every ring is never refused)."""
     if r <= 0:
         raise RangeError("dilation ratio must be positive")
     if r > grid.r_max * (1 + 1e-12):
         raise RangeError("dilation ratio exceeds the sampled disk")
-    if abs(r - 1.0) < 1e-15:
-        return 0, grid.radii
-    shift = _ring_shift(grid, r)
-    if shift is not None:
-        radii = grid.radii[shift:]
-    else:
-        radii = grid.radii[grid.radii * r >= grid.r_min * (1 - 1e-12)]
-    if radii.size < 12:
+    m = int(np.count_nonzero(grid.radii <= r * grid.r_max * (1 + 1e-12)))
+    if m < min(12, grid.n_rings):
         raise RangeError("dilation leaves too few rings")
-    return shift, radii
-
-
-def _ring_shift(grid: PolarGrid, r: float) -> int | None:
-    """The number of rings a dilation by r shifts the grid down when r is
-    a positive whole power of the ring ratio, else None."""
-    shift_f = -math.log(r) / grid.dt
-    shift = int(round(shift_f))
-    return shift if abs(shift_f - shift) < 1e-9 and shift >= 1 else None
-
-
-def _sample_rings(values: np.ndarray, grid: PolarGrid,
-                  t_targets: np.ndarray) -> np.ndarray:
-    """Cubic interpolation of sheet samples at new log-radii."""
-    t = grid.t
-    out = np.empty(values.shape[:1] + (t_targets.size,) + values.shape[2:])
-    for m, ts in enumerate(t_targets):
-        j0, w = _cubic_window(t, ts)
-        out[:, m] = np.einsum("c,kctn->ktn", w, values[:, j0:j0 + 4])
-    return out
+    return m, grid.radii[:m] / r
 
 
 # ----------------------------------------------------------------------------
@@ -211,11 +178,10 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
         raise DegenerateBlowupError(
             f"normalizer {normalizer!r} at scale {r} is degenerate, "
             "the blow-up would be trivial")
-    # rescale returns fresh samples on every path, so divide them in place
+    # rescale returns fresh samples, so divide them in place
     out = rescale(f, None, r)
     out.values /= normalizer
-    if _ring_shift(grid, r) is not None:
-        _seed_blowup_ring_data(out, f, r, 1.0 / (r * normalizer))
+    _seed_blowup_ring_data(out, f, r, 1.0 / (r * normalizer))
     out.metadata["blowup"] = {"r": float(r), "mode": mode,
                               "normalizer": float(normalizer)}
     return out
@@ -351,24 +317,27 @@ def hardt_simon_check(f: QFunction, rho_inner: float,
     (alpha-1)^2 * int_{dB_1} |f|^2 * int_rho^{1/2} s^{2 alpha - 3} ds.
 
     The integral stays bounded as rho decreases exactly when alpha >= 1;
-    for alpha < 1 it grows like rho^{2 alpha - 2}, and the fitted growth
-    exponent doubles as a divergence detector.  RangeError when rho_inner
-    is below two grid floors, or not below 1/2, where the annulus is empty."""
+    for alpha < 1 it grows like rho^{2 alpha - 2}.  The growth exponent is
+    the log-log slope of the annulus integrals int_{B_2s \\ B_s} over
+    s in {rho, 2 rho, 4 rho} with 2s <= 1/2, exact powers s^{2 alpha - 2} on
+    an alpha-homogeneous map, and doubles as a divergence detector.
+    RangeError when rho_inner is below two grid floors, or above 1/8, where
+    fewer than two annuli fit below 1/2."""
     grid = f.grid
     if not rho_inner >= grid.r_min * 2 * (1 - 1e-12):
         raise RangeError("rho_inner must be at least two grid floors")
-    if not rho_inner < 0.5:
-        raise RangeError("rho_inner must be below 1/2, where the annulus "
-                         "ends")
+    if not rho_inner <= 0.125:
+        raise RangeError("rho_inner must be at most 1/8, so that two "
+                         "annuli [s, 2s] fit below 1/2 for the growth fit")
     if grid.r_max < 0.5:
         raise RangeError("grid must reach radius 1/2")
     rule = f.rule()
     W = _radial_derivative_profile(f)
 
-    def integral_from(rho):
-        return float(rule.weights(math.log(rho), math.log(0.5), 2.0) @ W)
+    def integral_over(a, b):
+        return float(rule.weights(math.log(a), math.log(b), 2.0) @ W)
 
-    integral = integral_from(rho_inner)
+    integral = integral_over(rho_inner, 0.5)
 
     # boundary data and homogeneity estimate
     B = _ring_profile(f.values)
@@ -394,13 +363,11 @@ def hardt_simon_check(f: QFunction, rho_inner: float,
     else:
         residual = abs(integral - closed)
 
-    rhos = [rho_inner, 2 * rho_inner, 4 * rho_inner]
-    vals = [integral_from(rho) for rho in rhos if rho < 0.25]
-    floor = 1e-18 * max(boundary_l2, 1.0)
-    if len(vals) >= 2 and min(vals) > floor:
-        lr = np.log(rhos[:len(vals)])
-        lv = np.log(vals)
-        slope = float(np.polyfit(lr, lv, 1)[0])
+    scales = [s for s in (rho_inner, 2 * rho_inner, 4 * rho_inner)
+              if 2 * s <= 0.5]
+    vals = [integral_over(s, 2 * s) for s in scales]
+    if min(vals) > 1e-18 * max(boundary_l2, 1.0):
+        slope = float(np.polyfit(np.log(scales), np.log(vals), 1)[0])
     else:
         slope = 0.0
     return HardtSimonResult(integral=integral,

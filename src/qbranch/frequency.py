@@ -48,6 +48,10 @@ from .qvalue import _chain_labels, _match_pairs
 #: H below this multiple of Sigma declares the annulus trivial
 DEGENERATE_HEIGHT = 1e-14
 
+#: a recentered grid spans this many octaves at this many rings per octave
+RECENTER_OCTAVES = 6
+RECENTER_RINGS_PER_OCTAVE = 8
+
 
 @dataclass(frozen=True)
 class Cutoff:
@@ -87,9 +91,9 @@ def _ring_table(v: np.ndarray, du_dr: np.ndarray, grad_sq: np.ndarray):
 
 
 def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
-    """Cache on u = c f(r .) a ring table read off f's, for an exact
-    ring-shift blow-up: u's grid is f's grid without its bottom rings, and
-    u's samples on ring i are c times f's samples on ring i.
+    """Cache on the blow-up u = c f(r .) a ring table read off f's: u's
+    grid is f's first rings relabelled, radius r_i / r for f's r_i, and u's
+    samples on ring i are c times f's samples on ring i.
 
     By the chain rule row i of u's table is row i of f's scaled, |Du|^2 and
     |du/dr|^2 by (r c)^2, |u|^2 by c^2 and u . du/dr by r c^2, wherever the
@@ -341,8 +345,7 @@ def _at_center(f: QFunction, x) -> QFunction:
     return recenter(f, x)
 
 
-def recenter(f: QFunction, x, rings_per_octave: int = 8,
-             octaves: int = 6) -> QFunction:
+def recenter(f: QFunction, x) -> QFunction:
     """Resample f onto a polar grid centered at x (inside the disk).
 
     Bilinear in (log r, theta) per sheet, then re-tracked: the angle-0
@@ -364,8 +367,8 @@ def recenter(f: QFunction, x, rings_per_octave: int = 8,
     if r_out <= grid.r_min * 4:
         raise RangeError("center too close to the grid boundary "
                          "or to the branch point")
-    new = default_grid(r_min=r_out * 2.0 ** (-octaves), r_max=r_out,
-                       rings_per_octave=rings_per_octave,
+    new = default_grid(r_min=r_out * 2.0 ** (-RECENTER_OCTAVES), r_max=r_out,
+                       rings_per_octave=RECENTER_RINGS_PER_OCTAVE,
                        n_theta=grid.n_theta, center=(float(x[0]), float(x[1])))
     xs, ys = new.nodes_xy()
     px, py = xs + x[0], ys + x[1]

@@ -17,9 +17,10 @@ every cell of every grid: a cell's weights are its pattern applied to the
 moments of e^{beta dt u} over the covered part of the cell, times
 dt e^{beta t_i}, and a build forms all cells in one array expression.
 
-Because the grid is uniform in t, an exact ring-shift blow-up of a map has
-the map's ring table shifted and scaled; frequency._seed_blowup_ring_data
-uses that so blow-up steps skip their own derivative pass.
+A blow-up of a map lives on the map's rings relabelled (radii divided by
+the dilation ratio), a grid with the same dt, so its ring table is the
+map's scaled; frequency._seed_blowup_ring_data uses that so blow-up steps
+skip their own derivative pass.
 
 Radial derivatives use 7-point weights built in the radius variable, exact
 for polynomials in r through degree 6; low-order stencils in log r bias

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import qbranch as qb
 from qbranch.frequency import _ring_data
@@ -65,7 +66,7 @@ def average_free_inputs():
 
 
 class TestRingShiftTables:
-    """An exact ring-shift blow-up reads its ring table off its parent's;
+    """A blow-up, at any ratio, reads its ring table off its parent's;
     every frequency record must match the table computed from its own
     samples."""
 
@@ -76,9 +77,9 @@ class TestRingShiftTables:
     def test_seeded_table_matches_a_fresh_copy(self, average_free_inputs,
                                                name, mode):
         v = average_free_inputs[name]
-        for shift in (1, 2, 3, 8):
-            u = qb.coarse_blowup_normalize(v, v.grid.rho ** shift, mode,
-                                           reference=1.0)
+        # ring shifts, then off-lattice ratios
+        for ratio in [v.grid.rho ** k for k in (1, 2, 3, 8)] + [0.6, 0.3]:
+            u = qb.coarse_blowup_normalize(v, ratio, mode, reference=1.0)
             assert "ring_data" in u._cache
             copy = u.replace_values(u.values)  # empty cache
             radii = [float(s) for s in u.grid.radii
@@ -87,11 +88,11 @@ class TestRingShiftTables:
             own = qb.frequency_profile(copy, radii=radii)
             assert "grad" not in u._cache
             for a, b in zip(seeded.records, own.records):
-                assert a.valid == b.valid, (shift, a.r)
+                assert a.valid == b.valid, (ratio, a.r)
                 for key in ("D", "H", "I", "E", "G", "Sigma"):
                     x, y = getattr(a, key), getattr(b, key)
                     if not math.isnan(y):
-                        assert abs(x - y) <= 1e-12 * abs(y), (shift, a.r, key)
+                        assert abs(x - y) <= 1e-12 * abs(y), (ratio, a.r, key)
 
     def test_cached_tables_are_read_only(self, average_free_inputs):
         v = average_free_inputs["curve23"]
@@ -101,14 +102,38 @@ class TestRingShiftTables:
                 with pytest.raises(ValueError):
                     a[0] = a[0]
 
-    def test_off_lattice_ratio_builds_its_own_table(self,
-                                                    average_free_inputs):
+    def test_off_lattice_ratio_reads_its_parents_table(self,
+                                                       average_free_inputs):
         u = qb.coarse_blowup_normalize(average_free_inputs["curve23"], 0.6)
-        assert "ring_data" not in u._cache
+        assert "ring_data" in u._cache
         radii = qb.default_profile_radii(u.grid, octaves=1.0)
         lim = qb.frequency_limit(qb.frequency_profile(u, radii=radii))
-        assert "grad" in u._cache
+        assert "grad" not in u._cache
         assert lim["estimate"] == pytest.approx(1.5, abs=1e-3)
+
+
+@pytest.fixture(scope="module")
+def perturbed_curve():
+    grid = qb.default_grid(r_min=2.0 ** -10, n_theta=64)
+    return qb.make_multigraph(qb.CurveSpec(2, 5, (0, 0, 0.3 + 0.2j)), grid)
+
+
+class TestScaleInvariance:
+    @given(r=st.floats(2.0 ** -5, 1.0, exclude_max=True),
+           c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
+    def test_frequency_of_a_blowup_reads_the_parent(self, perturbed_curve,
+                                                    r, c):
+        """I_{c f(r .)}(s) = I_f(r s) at every ring s of the blow-up whose
+        quadrature and radial stencils stay clear of its top rings, and
+        whose cutoff kink s / 2 lies above its bottom ring (r s / 2 may
+        round below f's)."""
+        f = perturbed_curve
+        u = qb.rescale(f, None, r)
+        u = u.replace_values(c * u.values)
+        for s in u.grid.radii[:-7]:
+            if s / 2 > u.grid.r_min * (1 + 1e-9):
+                assert qb.smoothed_I(u, r=s) == pytest.approx(
+                    qb.smoothed_I(f, r=r * s), rel=1e-12, abs=0.0), s
 
 
 class TestNormalize:
@@ -324,13 +349,22 @@ class TestHardtSimon:
         assert i2 / i1 == pytest.approx(closed(2.0 ** -10) / closed(2.0 ** -6),
                                         rel=1e-3)
 
+    @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.5])
+    @pytest.mark.parametrize("rho", [2.0 ** -10, 2.0 ** -4, 0.1, 0.125])
+    def test_growth_exponent_is_exact(self, alpha, rho):
+        # the annulus integrals over [s, 2s] are exact powers s^(2 alpha - 2)
+        grid = qb.default_grid(r_min=2.0 ** -12, n_theta=128)
+        res = qb.hardt_simon_check(qb.homogeneous_map(alpha, grid=grid), rho)
+        assert res.growth_exponent == pytest.approx(2 * alpha - 2, abs=1e-6)
+        assert res.divergent is (alpha < 1)
+
     def test_rho_below_grid(self, curve_cache):
         with pytest.raises(qb.RangeError):
             qb.hardt_simon_check(curve_cache(2, 3), 2.0 ** -17)
 
-    @pytest.mark.parametrize("rho", [0.5, 0.7, math.inf, math.nan])
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.7, math.inf, math.nan])
     def test_rho_without_annulus(self, small_grid, rho):
-        # B_1/2 minus B_rho is empty: no integral to report
+        # fewer than two annuli [s, 2s] fit below 1/2: no growth to fit
         f = qb.homogeneous_map(0.8, grid=small_grid)
         with pytest.raises(qb.RangeError):
             qb.hardt_simon_check(f, rho)

@@ -158,6 +158,14 @@ class TestOtherCommands:
         res = json.loads((out / "hardt_simon.json").read_text())
         assert res["divergent"] is True
 
+    def test_hardt_simon_bounded_at_a_coarse_rho(self, tmp_path):
+        code, out = run(["hardt-simon", "--homogeneous", "1.5",
+                         "--rho", "2^-4"] + FAST, tmp_path)
+        assert code == 0
+        res = json.loads((out / "hardt_simon.json").read_text())
+        assert res["divergent"] is False
+        assert res["growth_exponent"] == pytest.approx(1.0, abs=1e-6)
+
     def test_intervals(self, tmp_path):
         code, out = run(["intervals", "--curve", "2,3", "--eps3", "0.1"]
                         + FAST, tmp_path)
@@ -305,6 +313,10 @@ EXIT_CASES = {
                         "2^-30"] + FAST, 3),
     "rho_above_half": (["hardt-simon", "--homogeneous", "0.8", "--rho",
                         "0.7"] + FAST, 3),
+    "rho_leaves_one_annulus": (["hardt-simon", "--homogeneous", "0.8",
+                                "--rho", "0.2"] + FAST, 3),
+    "rho_coarse_bounded": (["hardt-simon", "--homogeneous", "1.5", "--rho",
+                            "2^-4"] + FAST, 0),
     "rho_infinite": (["hardt-simon", "--homogeneous", "0.8", "--rho", "inf"]
                      + FAST, 3),
     "homogeneous_infinite": (["hardt-simon", "--homogeneous", "inf"] + FAST,

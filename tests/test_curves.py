@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import qbranch as qb
 
@@ -228,6 +229,33 @@ class TestFileFormat:
         assert np.array_equal(g.grid.radii, grid.radii)  # bit-exact
         assert np.array_equal(g.values, f.values)
         assert np.array_equal(g.monodromy, f.monodromy)
+
+    @given(data=st.data())
+    def test_roundtrip_is_bit_exact(self, tmp_path_factory, data):
+        """Random geometric grids and samples, signed zeros and subnormals
+        included, come back bit for bit."""
+        ratio = data.draw(st.floats(1.01, 4.0))
+        n_rings = data.draw(st.integers(8, 12))
+        top = data.draw(st.floats(1e-3, 1e3))
+        center = data.draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
+        grid = qb.PolarGrid(radii=top * ratio ** np.arange(1.0 - n_rings, 1.0),
+                            n_theta=data.draw(st.integers(64, 72)),
+                            center=center)
+        q = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        values = rng.normal(size=(q, n_rings, grid.n_theta, 2)) \
+            * 10.0 ** rng.integers(-300, 300, size=(q, n_rings, 1, 1))
+        special = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1.5e-310]
+        spots = rng.choice(values.size, size=len(special), replace=False)
+        values.flat[spots] = special
+        f = qb.QFunction(grid=grid, values=values,
+                         monodromy=data.draw(st.permutations(range(q))))
+        path = tmp_path_factory.mktemp("roundtrip") / "f.qfn"
+        qb.save_qfunction(f, path)
+        g = qb.load_qfunction(path)
+        assert g.values.tobytes() == f.values.tobytes()
+        assert np.array_equal(g.monodromy, f.monodromy)
+        assert g.grid.radii.tobytes() == grid.radii.tobytes()
 
     def test_header_without_radii_loads(self, tmp_path, small_grid):
         from conftest import edit_qfunction_header
