@@ -23,9 +23,14 @@ input is built; the estimator aggregates them in step order, so results do
 not depend on evaluation order, and it lists the steps that failed, with
 the reason, under notes["step_failures"].  A blow-up u = c f(r .) reads
 its ring table off f's (scale invariance of the ring profiles): every row
-but the top three is f's row rescaled, and only those three, where u's
-radial stencil turns one-sided, are differentiated anew.  So a degree
-estimate differentiates the average-free part once, not once per step.
+but the top three is f's row rescaled, and on those three, where u's
+radial stencil turns one-sided, only the radial derivative is taken anew,
+from u's top seven rings; the angular energy there is f's row rescaled
+too.  So a degree estimate differentiates the average-free part once and
+runs no angular FFT per step.  Its steps share their quadrature windows
+through the window cache of grids, read their bottom-anchored integrals
+off cumulative tables, and the degeneracy guard's amplitude of the
+average-free part is taken once per map.
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ import numpy as np
 from .errors import (ConfigError, DataError, DegenerateBlowupError, RangeError)
 from .grids import M_DIM, PolarGrid, _ring_profile, d_dr_geometric
 from .curves import QFunction, analytic_degree, CurveSpec, _json
-from .frequency import (_seed_blowup_ring_data, frequency_profile,
-                        frequency_limit, recenter, default_profile_radii)
+from .frequency import (_ball_integrals, _seed_blowup_ring_data,
+                        frequency_profile, frequency_limit, recenter,
+                        default_profile_radii)
 
 #: normalizers below this relative size abort the blow-up as trivial
 DEGENERACY_FLOOR = 1e-14
@@ -130,10 +136,17 @@ def eta_map(f: QFunction) -> QFunction:
 
 
 def average_free_part(f: QFunction) -> QFunction:
-    """Subtract the sheet average from every sheet, node by node."""
+    """Subtract the sheet average from every sheet, node by node.  When f
+    has its gradients cached, the result's are f's minus their sheet mean:
+    both derivative stencils are linear, so this is the fresh
+    differentiation up to rounding."""
     mean = np.mean(f.values, axis=0, keepdims=True)
     out = f.replace_values(f.values - mean, note="average-free")
     out.metadata["average_free"] = True
+    grad = f._cache.get("grad")
+    if grad is not None:
+        out.cached("grad", lambda: tuple(
+            g - np.mean(g, axis=0, keepdims=True) for g in grad))
     return out
 
 
@@ -142,11 +155,12 @@ def average_free_part(f: QFunction) -> QFunction:
 
 
 def l2_norm_on_ball(f: QFunction, radius: float) -> float:
-    """sqrt of int_{B_radius} |f|^2, read off f's cached ring table when
-    it has one (without differentiating f when it has none)."""
-    table = f._cache.get("ring_data")
-    B = table[1] if table is not None else _ring_profile(f.values)
-    return float(np.sqrt(f.rule()._disk_integral(B, radius)))
+    """sqrt of int_{B_radius} |f|^2, read off f's cumulative ring table when
+    f has a ring table (without differentiating f when it has none)."""
+    if "ring_data" in f._cache:
+        return float(np.sqrt(_ball_integrals(f, radius)[1]))
+    return float(np.sqrt(f.rule()._disk_integral(_ring_profile(f.values),
+                                                 radius)))
 
 
 def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
@@ -159,7 +173,7 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
     of the least excess at scale r over all planes, graph planes or not."""
     grid = f.grid
     grid.require_radius(r)
-    amplitude = float(np.abs(f.values).max())
+    amplitude = f.cached("amplitude", lambda: float(np.abs(f.values).max()))
     if mode == "l2_norm":
         r_ref = reference * r
         if r_ref > grid.r_max * (1 + 1e-12):

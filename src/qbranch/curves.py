@@ -178,12 +178,20 @@ class QFunction:
         The radial stencil is polynomial-exact in r (constant offsets and
         tilted planes are differentiated without error) and the angular
         derivative is spectral on the monodromy covering circle."""
-        return self.cached("grad", lambda: _polar_gradients(
-            self.values, self.grid.radii, self.monodromy))
+        def build():
+            radii = self.grid.radii
+            inv_r = 1.0 / radii[None, :, None, None]
+            return (d_dr_geometric(self.values, radii, axis=1),
+                    d_dtheta_periodic(self.values, self.monodromy) * inv_r)
+        return self.cached("grad", build)
 
     def grad_sq(self) -> np.ndarray:
         """|Du|^2 summed over sheets, shape (R, T)."""
-        return self.cached("grad_sq", lambda: _grad_sq(*self.gradients()))
+        def build():
+            du_dr, du_dth = self.gradients()
+            return np.einsum("krtn,krtn->rt", du_dr, du_dr) \
+                + np.einsum("krtn,krtn->rt", du_dth, du_dth)
+        return self.cached("grad_sq", build)
 
     def cartesian_gradients(self) -> np.ndarray:
         """Per-sheet Jacobians in the fixed frame, shape (Q, R, T, n, 2)."""
@@ -208,22 +216,6 @@ class QFunction:
         sep_r = np.minimum(sep[1:], sep[:-1])
         return max(float(ratio_th.max()),
                    float((step_r / (0.5 * sep_r)).max()))
-
-
-def _polar_gradients(values: np.ndarray, radii: np.ndarray,
-                     monodromy: np.ndarray):
-    """(du_dr, du_dtheta_over_r) of sheet samples (Q, R, T, n) on rings of
-    the given radii: QFunction.gradients for any run of consecutive rings."""
-    du_dr = d_dr_geometric(values, radii, axis=1)
-    inv_r = 1.0 / radii[None, :, None, None]
-    du_dth = d_dtheta_periodic(values, monodromy) * inv_r
-    return du_dr, du_dth
-
-
-def _grad_sq(du_dr: np.ndarray, du_dth: np.ndarray) -> np.ndarray:
-    """|Du|^2 summed over sheets, shape (R, T)."""
-    return np.einsum("krtn,krtn->rt", du_dr, du_dr) \
-        + np.einsum("krtn,krtn->rt", du_dth, du_dth)
 
 
 def _angular_step_ratio(f: QFunction):

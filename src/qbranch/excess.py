@@ -227,7 +227,9 @@ def optimal_plane(f: QFunction, r: float,
         raise DataError("degenerate tangent moments: S1+ or S1- vanishes, "
                         "so the optimal plane is not unique")
     tau = (halves[0] / norms[0] + halves[1] / norms[1]) / math.sqrt(2.0)
-    if tau[0] <= 0:
+    # tau is a unit vector, so a tau_12 at rounding level is a vertical
+    # plane; its sign is noise
+    if tau[0] <= 1e-12:
         raise TiltError("the optimal plane is not a graph over the base")
     t = tau / tau[0]
     plane = Plane(np.array([[-t[3], t[1]], [-t[4], t[2]]]),

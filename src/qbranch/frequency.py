@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateHeightError, RangeError)
 from .grids import (M_DIM, TWO_PI, PolarGrid, _RADIAL_WIDTH, _cubic_window,
-                    _ring_profile, default_grid)
-from .curves import QFunction, _csv, _grad_sq, _polar_gradients
+                    _ring_profile, d_dr_geometric, default_grid)
+from .curves import QFunction, _csv
 from .qvalue import _chain_labels, _match_pairs
 
 #: H below this multiple of Sigma declares the annulus trivial
@@ -79,15 +79,23 @@ SHARP = Cutoff("sharp")
 def _ring_data(f: QFunction):
     """Angularly integrated ring profiles (each length R, already carrying
     the 2 pi angular weight): |Du|^2, |u|^2, u . du/dr, |du/dr|^2."""
-    return f.cached("ring_data", lambda: _ring_table(
-        f.values, f.gradients()[0], f.grad_sq()))
+    def build():
+        du_dr = f.gradients()[0]
+        return (TWO_PI * np.mean(f.grad_sq(), axis=-1),
+                _ring_profile(f.values), _ring_profile(f.values, du_dr),
+                _ring_profile(du_dr))
+    return f.cached("ring_data", build)
 
 
-def _ring_table(v: np.ndarray, du_dr: np.ndarray, grad_sq: np.ndarray):
-    """The four ring profiles of _ring_data from samples, their radial
-    derivative and |Du|^2, on any run of rings."""
-    return (TWO_PI * np.mean(grad_sq, axis=-1), _ring_profile(v),
-            _ring_profile(v, du_dr), _ring_profile(du_dr))
+def _ball_integrals(f: QFunction, r: float) -> np.ndarray:
+    """int_{B_r} of each of the four ring profiles of _ring_data, the
+    power-law core below r_min included, read off their cumulative table
+    at beta = 2, which f keeps with the stacked profiles."""
+    def build():
+        F = np.stack(_ring_data(f), axis=1)
+        return F, f.rule().cumulative(F, 2.0)
+    F, cum = f.cached("ring_integrals", build)
+    return f.rule()._disk_integral(F, r, cum)
 
 
 def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
@@ -98,19 +106,25 @@ def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
     By the chain rule row i of u's table is row i of f's scaled, |Du|^2 and
     |du/dr|^2 by (r c)^2, |u|^2 by c^2 and u . du/dr by r c^2, wherever the
     two radial stencils agree: on every row but u's top three, where u's
-    stencil is one-sided and f's is not.  Those three rows are computed
-    from u's own top rings."""
+    stencil is one-sided and f's is not.  On those three rows only the
+    radial terms are computed anew, from u's own top rings; |u|^2 and the
+    angular energy |Du|^2 - |du/dr|^2 need no radial stencil, so they are
+    f's rows scaled there too."""
     width = _RADIAL_WIDTH
     half = width // 2
-    keep = u.grid.n_rings - half
-    du_dr, du_dth = _polar_gradients(u.values[:, -width:],
-                                     u.grid.radii[-width:], u.monodromy)
-    du_dr, du_dth = du_dr[:, -half:], du_dth[:, -half:]
-    top = _ring_table(u.values[:, -half:], du_dr, _grad_sq(du_dr, du_dth))
-    scales = ((r * c) ** 2, c ** 2, r * c ** 2, (r * c) ** 2)
-    u.cached("ring_data", lambda: tuple(
-        np.concatenate([s * F[:keep], F_top])
-        for s, F, F_top in zip(scales, _ring_data(f), top)))
+    m = u.grid.n_rings
+    keep = m - half
+    du_dr = d_dr_geometric(u.values[:, -width:], u.grid.radii[-width:],
+                           axis=1)[:, -half:]
+    C_top = _ring_profile(u.values[:, -half:], du_dr)
+    P_top = _ring_profile(du_dr)
+    A, B, C, P = _ring_data(f)
+    s2 = (r * c) ** 2
+    u.cached("ring_data", lambda: (
+        np.concatenate([s2 * A[:keep], P_top + s2 * (A - P)[keep:m]]),
+        c ** 2 * B[:m],
+        np.concatenate([r * c ** 2 * C[:keep], C_top]),
+        np.concatenate([s2 * P[:keep], P_top])))
 
 
 # ----------------------------------------------------------------------------
@@ -120,19 +134,22 @@ def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
 def _quantities(f: QFunction, s: float, cutoff: Cutoff = RAMP) -> dict:
     grid = f.grid
     grid.require_radius(s)
-    if s / 2 < grid.r_min:
+    if s / 2 < grid.r_min * (1.0 - 1e-12):
         raise RangeError(f"scale {s} puts the cutoff kink below the grid")
     rule = f.rule()
     A, B, C, P = _ring_data(f)
     r = grid.radii
-    t_min, t_half, t_s = grid.t[0], math.log(s / 2), math.log(s)
+    t_s = math.log(s)
 
     if cutoff.kind == "ramp":
+        # the kink s / 2, clamped to the bottom ring when it rounds below
+        r_half = max(s / 2, grid.r_min)
+        t_half = math.log(r_half)
         ramp = 2.0 - 2.0 * r / s
-        w_in = rule.weights(t_min, t_half, 2.0)
+        D_in, Sigma_in = _ball_integrals(f, r_half)[:2]
         w_out = rule.weights(t_half, t_s, 2.0)
-        D = float(w_in @ A + w_out @ (A * ramp)) + rule.inner_core(A, 2.0)
-        Sigma = float(w_in @ B + w_out @ (B * ramp)) + rule.inner_core(B, 2.0)
+        D = D_in + float(w_out @ (A * ramp))
+        Sigma = Sigma_in + float(w_out @ (B * ramp))
         w1 = rule.weights(t_half, t_s, 1.0)
         H = 2.0 * float(w1 @ B)
         E = (2.0 / s) * float(w_out @ C)
@@ -140,17 +157,17 @@ def _quantities(f: QFunction, s: float, cutoff: Cutoff = RAMP) -> dict:
         G = (2.0 / s ** 2) * float(w3 @ P)
         dD = (2.0 / s ** 2) * float(w3 @ A)
     else:
-        D = rule._disk_integral(A, s)
-        Sigma = rule._disk_integral(B, s)
+        D, Sigma = _ball_integrals(f, s)[:2]
         # boundary values of the ring profiles at s
         j0, wc = _cubic_window(grid.t, t_s)
         H, E, G, dD = (s * float(wc @ F[j0:j0 + 4]) for F in (B, C, P, A))
-    return {"D": D, "H": H, "E": E, "G": G, "Sigma": Sigma, "dD": dD}
+    return {"D": float(D), "H": H, "E": E, "G": G, "Sigma": float(Sigma),
+            "dD": dD}
 
 
 def dirichlet_energy(f: QFunction, r: float) -> float:
     """Total gradient energy int_{B_r} sum_i |Df_i|^2."""
-    return f.rule()._disk_integral(_ring_data(f)[0], r)
+    return float(_ball_integrals(f, r)[0])
 
 
 def smoothed_D(f: QFunction, x=None, r: float = 1.0,

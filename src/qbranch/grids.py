@@ -15,12 +15,23 @@ of dt every cell's stencil sits at whole-number offsets from its lower
 ring, so five inverse Vandermonde patterns, solved once per process, serve
 every cell of every grid: a cell's weights are its pattern applied to the
 moments of e^{beta dt u} over the covered part of the cell, times
-dt e^{beta t_i}, and a build forms all cells in one array expression.
+dt e^{beta t_i}.
+
+So a window of cells is fixed, up to the factor e^{beta t_i0} of its first
+ring, by dt, beta, its cell count, where its stencils clamp at the grid's
+ends and its fractional end offsets.  One process-wide cache, _window,
+holds windows under exactly that key, each computed from its key alone and
+scaled by e^{beta t_i0} when read: every grid of the same dt shares them,
+and no result depends on what ran before.  Integrals from the bottom ring
+read a cumulative table of cell integrals instead (RadialRule.cumulative),
+plus one partial-cell window when the end is off-ring.
 
 A blow-up of a map lives on the map's rings relabelled (radii divided by
 the dilation ratio), a grid with the same dt, so its ring table is the
-map's scaled; frequency._seed_blowup_ring_data uses that so blow-up steps
-skip their own derivative pass.
+map's scaled (frequency._seed_blowup_ring_data), and a window at the same
+place below the top ring is one cached window for the map and all its
+blow-ups (bitwise so when the ratio is a power of two, which divides the
+radii exactly).
 
 Radial derivatives use 7-point weights built in the radius variable, exact
 for polynomials in r through degree 6; low-order stencils in log r bias
@@ -32,6 +43,7 @@ spectral on the monodromy covering circle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,6 +201,18 @@ def _moments(a: np.ndarray, b: np.ndarray, beta: float,
     return out
 
 
+#: rings per interpolation window; quintic local interpolation keeps the
+#: composite error at (c dt)^6 for integrands growing like e^{c t}
+_STENCIL = 6
+#: rings an unclamped cell stencil reaches below the cell's lower ring and
+#: above its upper ring
+_BELOW = _STENCIL // 2 - 1
+_ABOVE = _STENCIL - _BELOW - 2
+
+#: integration endpoints closer than this to a ring, in units of dt, are
+#: taken on the ring
+_ON_RING = 1e-12
+
 #: inverse Vandermonde matrices of the cell stencils in units of dt, per
 #: stencil size k: entry s serves the stencil at the integer offsets
 #: -s .. k - 1 - s from the cell's lower ring (s = 2 inside, clamped at
@@ -206,73 +230,135 @@ def _cell_inverses(k: int) -> np.ndarray:
     return inv
 
 
+def _snap(u: float) -> float:
+    """A cell offset u in units of dt, taken to the cell's ends within
+    _ON_RING of them."""
+    return 0.0 if u < _ON_RING else 1.0 if u > 1.0 - _ON_RING else u
+
+
+@functools.lru_cache(maxsize=4096)  # bounded: off-ring ends make new keys
+def _window(dt: float, beta: float, n: int, bottom: int, top: int,
+            a: float, b: float) -> tuple[int, np.ndarray]:
+    """Weights of int F(t) e^{beta t} dt over n consecutive cells from a
+    ring i0, the first cell covered from offset a and the last up to offset
+    b, in units of dt, divided by e^{beta t_i0}: (lo, w) with w weighting
+    the rings i0 + lo, i0 + lo + 1, ...
+
+    bottom = min(i0, _BELOW) and top = min(R - 1 - (i0 + n), _ABOVE) say
+    where the stencils clamp at the grid's ends.  With dt, beta and the
+    offsets they fix every cell: cell c covers u in [0, 1] from ring
+    i0 + c, its stencil sits at whole-number offsets from that ring, and
+    its weights are dt e^{beta dt c} times the inverse Vandermonde matrix
+    of those offsets applied to the moments of e^{beta dt u} over the
+    covered part of [0, 1].  So every grid of this dt shares the window,
+    and a window depends only on its key, never on what ran before."""
+    k = _STENCIL
+    c = np.arange(n)
+    rel = c - _BELOW  # stencil start - i0, clamped where the grid ends
+    if bottom < _BELOW:
+        rel = np.maximum(rel, -bottom)
+    if top < _ABOVE:
+        rel = np.minimum(rel, top + n + 1 - k)
+    lo, hi = np.zeros(n), np.ones(n)
+    lo[0], hi[-1] = a, b
+    m = _moments(lo, hi, beta * dt, k - 1)
+    cell = np.einsum("ijq,qi->ij", _cell_inverses(k)[c - rel], m) \
+        * (dt * np.exp(beta * dt * c))[:, None]
+    w = np.bincount(((rel - rel[0])[:, None] + np.arange(k)).ravel(),
+                    weights=cell.ravel())
+    w.flags.writeable = False  # shared by every rule in the process
+    return int(rel[0]), w
+
+
 class RadialRule:
     """Weight factory for integrals  int_{t_a}^{t_b} F(t) e^{beta t} dt
-    with F known at the grid rings."""
+    with F known at the grid rings.  Its weights come from the process-wide
+    window cache, _window."""
+
+    STENCIL = _STENCIL
 
     def __init__(self, grid: PolarGrid):
         self.grid = grid
-        self._cache: dict = {}
 
     def weights(self, t_a: float, t_b: float, beta: float) -> np.ndarray:
-        key = (round(t_a, 12), round(t_b, 12), round(beta, 12))
-        w = self._cache.get(key)
-        if w is None:
-            w = self._build(t_a, t_b, beta)
-            self._cache[key] = w
-        return w
-
-    #: rings per interpolation window; quintic local interpolation keeps the
-    #: composite error at (c dt)^6 for integrands growing like e^{c t}
-    STENCIL = 6
-
-    def _build(self, t_a: float, t_b: float, beta: float) -> np.ndarray:
-        """All cells at once, in units of dt: cell i covers u in [0, 1]
-        from ring i, its stencil sits at the integer offsets j0 - i ..
-        j0 - i + k - 1, and its weights are dt e^{beta t_i} times the
-        inverse Vandermonde matrix of those offsets applied to the moments
-        of e^{beta dt u} over the covered part of [0, 1]."""
         t = self.grid.t
-        R = t.size
-        k = min(self.STENCIL, R)
+        w = np.zeros(t.size)
         if t_b <= t_a + 1e-15:
-            return np.zeros(R)
+            return w
         if t_a < t[0] - 1e-9 or t_b > t[-1] + 1e-9:
             raise RangeError("integration range outside grid")
-        t_a = max(t_a, t[0])
-        t_b = min(t_b, t[-1])
-        dt = self.grid.dt
-        i0 = int(np.floor((t_a - t[0]) / dt + 1e-12))
-        i1 = int(np.ceil((t_b - t[0]) / dt - 1e-12))
-        i1 = max(min(i1, R - 1), i0 + 1)
-        i = np.arange(i0, i1)
-        lo = np.maximum(t_a, t[i])
-        hi = np.minimum(t_b, t[i + 1])
-        keep = hi > lo + 1e-15
-        i, lo, hi = i[keep], lo[keep], hi[keep]
-        if i.size == 0:
-            return np.zeros(R)
-        # k-ring window centered on cell i, clamped at the ends
-        j0 = np.clip(i - (k // 2 - 1), 0, R - k)
-        m = _moments((lo - t[i]) / dt, (hi - t[i]) / dt, beta * dt, k - 1)
-        cell = np.einsum("ijq,qi->ij", _cell_inverses(k)[i - j0], m) \
-            * (dt * np.exp(beta * t[i]))[:, None]
-        return np.bincount((j0[:, None] + np.arange(k)).ravel(),
-                           weights=cell.ravel(), minlength=R)
+        j, seg = self._segment(t_a, t_b, beta)
+        w[j:j + seg.size] = seg
+        return w
 
-    def _disk_integral(self, F: np.ndarray, r: float):
+    def _segment(self, t_a: float, t_b: float, beta: float):
+        """(j, w): the weights of int_{t_a}^{t_b} on the rings j, j + 1, ...
+        read off the window cache, for t_a < t_b inside the grid."""
+        t = self.grid.t
+        R = t.size
+        dt = self.grid.dt
+        t_a, t_b = max(t_a, t[0]), min(t_b, t[-1])
+        i0 = min(int(np.floor((t_a - t[0]) / dt + _ON_RING)), R - 2)
+        i1 = int(np.ceil((t_b - t[0]) / dt - _ON_RING))
+        i1 = max(min(i1, R - 1), i0 + 1)
+        lo, w = _window(dt, float(beta), i1 - i0, min(i0, _BELOW),
+                        min(R - 1 - i1, _ABOVE), _snap((t_a - t[i0]) / dt),
+                        _snap((t_b - t[i1 - 1]) / dt))
+        return i0 + lo, w * math.exp(beta * t[i0])
+
+    def cumulative(self, F: np.ndarray, beta: float) -> np.ndarray:
+        """int_{t_0}^{t_j} F(t) e^{beta t} dt at every ring j, shape F.shape
+        (F may stack profiles as (R, ...)): the running sum of the cell
+        integrals, each cell weighted by its one-cell window."""
+        t = self.grid.t
+        R = t.size
+        F = np.asarray(F, dtype=float)
+        i = np.arange(R - 1)
+        bottom, top = np.minimum(i, _BELOW), np.minimum(R - 2 - i, _ABOVE)
+        start = np.empty(R - 1, dtype=int)
+        W = np.empty((R - 1, _STENCIL))
+        for clamp in set(zip(bottom.tolist(), top.tolist())):
+            cells = (bottom == clamp[0]) & (top == clamp[1])
+            lo, w = _window(self.grid.dt, float(beta), 1, *clamp, 0.0, 1.0)
+            start[cells], W[cells] = i[cells] + lo, w
+        W *= np.exp(beta * t[:-1])[:, None]
+        tail = (1,) * (F.ndim - 1)
+        cell = sum(W[:, q].reshape(-1, *tail) * F[start + q]
+                   for q in range(_STENCIL))
+        out = np.zeros_like(F)
+        np.cumsum(cell, axis=0, out=out[1:])
+        return out
+
+    def _disk_integral(self, F: np.ndarray, r: float,
+                       cum: np.ndarray | None = None):
         """int_{B_r} of a ring profile F carrying its angular weight, i.e.
         int_0^r F(s) s ds, with the power-law core below r_min included.
-        F may stack profiles as (R, ...); the result then has shape
-        F.shape[1:], and each entry is summed by the same dot product as a
-        lone profile, so stacking never changes a digit."""
+        cum is F's cumulative table at beta = 2, for callers that keep one;
+        it is built here otherwise.  F may stack profiles as (R, ...); the
+        result then has shape F.shape[1:], and each entry is summed by the
+        same elementwise operations as a lone profile, so stacking never
+        changes a digit."""
         self.grid.require_radius(r)
-        w = self.weights(self.grid.t[0], math.log(r), 2.0)
         F = np.asarray(F, dtype=float)
-        columns = np.ascontiguousarray(F.reshape(F.shape[0], -1).T)
-        body = np.array([w @ c for c in columns]).reshape(F.shape[1:])
-        total = body + self.inner_core(F, 2.0)
+        if cum is None:
+            cum = self.cumulative(F, 2.0)
+        total = self._from_bottom(cum, F, math.log(r), 2.0) \
+            + self.inner_core(F, 2.0)
         return float(total) if total.ndim == 0 else total
+
+    def _from_bottom(self, cum: np.ndarray, F: np.ndarray, t_b: float,
+                     beta: float):
+        """int_{t_0}^{t_b} F(t) e^{beta t} dt read off F's cumulative table
+        cum: its row at the ring j below t_b, plus the window [t_j, t_b]
+        when t_b is off-ring."""
+        t = self.grid.t
+        dt = self.grid.dt
+        t_b = min(max(t_b, t[0]), t[-1])
+        j = min(int(np.floor((t_b - t[0]) / dt + _ON_RING)), t.size - 1)
+        if _snap((t_b - t[j]) / dt) == 0.0:
+            return cum[j]
+        i, w = self._segment(t[j], t_b, beta)
+        return cum[j] + sum(w[q] * F[i + q] for q in range(w.size))
 
     def inner_core(self, F: np.ndarray, beta: float):
         """Contribution of the missing disk r < r_min, assuming F behaves
@@ -347,13 +433,13 @@ def d_dtheta_periodic(values: np.ndarray,
         L = len(cycle)
         sig = np.concatenate([values[c] for c in cycle], axis=1)
         M = L * T
-        wav = np.fft.fftfreq(M, d=1.0 / M)
-        fac = 1j * wav / L
+        # real samples: the half spectrum of rfft, Nyquist bin zeroed
+        fac = 1j * np.arange(M // 2 + 1) / L
         if M % 2 == 0:
-            fac[M // 2] = 0.0
-        shape = (1, M) + (1,) * (sig.ndim - 2)
-        spec = np.fft.fft(sig, axis=1) * fac.reshape(shape)
-        dsig = np.fft.ifft(spec, axis=1).real
+            fac[-1] = 0.0
+        shape = (1, fac.size) + (1,) * (sig.ndim - 2)
+        spec = np.fft.rfft(sig, axis=1) * fac.reshape(shape)
+        dsig = np.fft.irfft(spec, n=M, axis=1)
         for m, c in enumerate(cycle):
             out[c] = dsig[:, m * T:(m + 1) * T]
     return out

@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import qbranch as qb
 from qbranch.frequency import _ring_data
+from qbranch.grids import _window
 
 
 class TestRescale:
@@ -121,17 +122,17 @@ def perturbed_curve():
 class TestScaleInvariance:
     @given(r=st.floats(2.0 ** -5, 1.0, exclude_max=True),
            c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
+    @example(r=0.21446587082434623, c=1.0)  # r s / 2 rounds below r_min
     def test_frequency_of_a_blowup_reads_the_parent(self, perturbed_curve,
                                                     r, c):
         """I_{c f(r .)}(s) = I_f(r s) at every ring s of the blow-up whose
         quadrature and radial stencils stay clear of its top rings, and
-        whose cutoff kink s / 2 lies above its bottom ring (r s / 2 may
-        round below f's)."""
+        whose cutoff kink s / 2 lies on or above its bottom ring."""
         f = perturbed_curve
         u = qb.rescale(f, None, r)
         u = u.replace_values(c * u.values)
         for s in u.grid.radii[:-7]:
-            if s / 2 > u.grid.r_min * (1 + 1e-9):
+            if s / 2 >= u.grid.r_min * (1 - 1e-9):
                 assert qb.smoothed_I(u, r=s) == pytest.approx(
                     qb.smoothed_I(f, r=r * s), rel=1e-12, abs=0.0), s
 
@@ -213,6 +214,15 @@ class TestAverageFree:
         # the average of the input is h(z) = z^2, nonzero away from 0
         assert np.abs(np.mean(f.values, axis=0)).max() > 0.5
 
+    def test_gradients_are_seeded_from_the_input(self, perturbed_curve):
+        f = perturbed_curve
+        f.gradients()
+        v = qb.average_free_part(f)
+        assert "grad" in v._cache
+        fresh = v.replace_values(v.values).gradients()
+        for seeded, own in zip(v.gradients(), fresh):
+            assert np.abs(seeded - own).max() <= 1e-12 * np.abs(own).max()
+
     def test_repeated_harmonic_sheet_collapses(self, small_grid):
         x, y = small_grid.nodes_xy()
         harm = np.stack([x, -y], axis=-1)
@@ -262,6 +272,14 @@ class TestSingularityDegree:
             assert est.value == pytest.approx(p / q, rel=0.02), (q, p)
             assert est.spread < 0.02 * p / q
             assert est.value >= 1.0 - 0.01  # lower bound for minimizers
+
+    def test_cold_estimate_shares_its_windows(self, curve_cache):
+        """The average-free part and all its blow-ups read one process-wide
+        window cache: their top-octave windows coincide, and bottom-anchored
+        integrals read cumulative tables built from one-cell windows."""
+        _window.cache_clear()
+        qb.singularity_degree(curve_cache(3, 4))
+        assert _window.cache_info().misses <= 40
 
     def test_too_few_steps(self, curve_cache):
         f = curve_cache(2, 3)

@@ -5,6 +5,11 @@ oracle evaluated inside the tests: the curve has sum_i |Df_i|^2 = 9 |z| and
 sum_i |f_i|^2 = 2 |z|^3, so every smoothed quantity reduces to an explicit
 one-dimensional radial integral handled by scipy."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -263,3 +268,37 @@ class TestOffCenter:
         # too close to the branch point for a multivalued selection
         with pytest.raises(qb.RangeError):
             qb.recenter(curve_cache(2, 3), (1e-4, 0.0))
+
+
+PROFILE_RADII = [0.2, 0.2 * 2 ** 0.3, 0.31, 0.5, 0.7071, 0.9]
+PROFILE_SCRIPT = f"""
+import qbranch as qb
+f = qb.make_multigraph(qb.CurveSpec(3, 5, (0, 0, 0.3 + 0.2j)),
+                       qb.default_grid(r_min=2.0 ** -8, n_theta=128))
+csv = (qb.frequency_profile(f, radii={PROFILE_RADII!r}).to_csv()
+       + qb.frequency_profile(f, radii={PROFILE_RADII!r},
+                              cutoff=qb.SHARP).to_csv())
+"""
+
+
+def test_profiles_do_not_depend_on_earlier_work():
+    """Quadrature windows are shared by every grid in the process, keyed by
+    what fixes a window: a profile is byte for byte the one a fresh process
+    writes, after profiles of other maps, grids and blow-ups, including
+    windows a hair away from this profile's."""
+    src = pathlib.Path(qb.__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-c", PROFILE_SCRIPT + "print(csv, end='')"],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    near = [r * (1 + 1e-11) for r in PROFILE_RADII]
+    for grid in (qb.default_grid(r_min=2.0 ** -8, n_theta=64),
+                 qb.default_grid(r_min=2.0 ** -9, rings_per_octave=6,
+                                 n_theta=64)):
+        g = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+        for cutoff in (qb.RAMP, qb.SHARP):
+            qb.frequency_profile(g, radii=near, cutoff=cutoff)
+        qb.singularity_degree(g, qb.BlowupConfig(scale_factor=0.6))
+    scope = {}
+    exec(PROFILE_SCRIPT, scope)
+    assert scope["csv"] == fresh

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import qbranch as qb
+from qbranch.frequency import _ring_data
 from qbranch.grids import (RadialRule, _cubic_window, _moments,
                            _stencil_weights, d_dr_geometric)
 
@@ -113,6 +114,22 @@ def test_cell_moments_hold_their_digits_on_short_cells(beta):
             exact, _ = quad(lambda x: x ** q * math.exp(beta * x), a[j], b[j],
                             epsabs=0.0, epsrel=1e-13)
             assert got[q, j] == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+def test_cumulative_reads_match_the_bottom_windows(grid, beta):
+    """int_{t_min}^{t} of a map's ring profiles read off their cumulative
+    table, at every ring and between rings, is the bottom-anchored window's
+    integral."""
+    f = qb.make_multigraph(qb.CurveSpec(3, 4), grid)
+    F = np.stack(_ring_data(f), axis=1)
+    rule = f.rule()
+    cum = rule.cumulative(F, beta)
+    t = grid.t
+    for t_b in np.concatenate([t[1:], t[:-1] + 0.37 * grid.dt]):
+        ref = rule.weights(t[0], t_b, beta) @ F
+        got = rule._from_bottom(cum, F, t_b, beta)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), t_b
 
 
 STACKED_POWERS = np.array([0.0, 0.5, 1.0])
