@@ -30,7 +30,8 @@ too.  So a degree estimate differentiates the average-free part once and
 runs no angular FFT per step.  Its steps share their quadrature windows
 through the window cache of grids, read their bottom-anchored integrals
 off cumulative tables, and the degeneracy guard's amplitude of the
-average-free part is taken once per map.
+average-free part is taken once per map.  The Hardt-Simon check reads the
+map's ring table as well, so it differentiates nothing that is cached.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateBlowupError, RangeError)
-from .grids import M_DIM, PolarGrid, _ring_profile, d_dr_geometric
+from .grids import M_DIM, PolarGrid, _ring_profile
 from .curves import QFunction, analytic_degree, CurveSpec, _json
-from .frequency import (_ball_integrals, _seed_blowup_ring_data,
+from .frequency import (_ball_integrals, _ring_data, _seed_blowup_ring_data,
                         frequency_profile, frequency_limit, recenter,
                         default_profile_radii)
 
@@ -318,12 +319,6 @@ class HardtSimonResult:
         return _json(asdict(self))
 
 
-def _radial_derivative_profile(f: QFunction) -> np.ndarray:
-    """Ring profile of sum_i |d/dr (f_i / |x|)|^2, with the 2 pi weight."""
-    w = f.values / f.grid.radii[None, :, None, None]
-    return _ring_profile(d_dr_geometric(w, f.grid.radii, axis=1))
-
-
 def hardt_simon_check(f: QFunction, rho_inner: float,
                       alpha: float | None = None) -> HardtSimonResult:
     """Quadrature of int_{B_1/2 \\ B_rho} sum_i |d/dr (f_i/|x|)|^2 dx and its
@@ -336,7 +331,9 @@ def hardt_simon_check(f: QFunction, rho_inner: float,
     s in {rho, 2 rho, 4 rho} with 2s <= 1/2, exact powers s^{2 alpha - 2} on
     an alpha-homogeneous map, and doubles as a divergence detector.
     RangeError when rho_inner is below two grid floors, or above 1/8, where
-    fewer than two annuli fit below 1/2."""
+    fewer than two annuli fit below 1/2.  All is read off f's ring table:
+    with B = |f|^2, C = f . f_r and P = |f_r|^2 the integrand is
+    (P - 2 C / r + B / r^2) / r^2, and B gives the boundary data."""
     grid = f.grid
     if not rho_inner >= grid.r_min * 2 * (1 - 1e-12):
         raise RangeError("rho_inner must be at least two grid floors")
@@ -346,15 +343,16 @@ def hardt_simon_check(f: QFunction, rho_inner: float,
     if grid.r_max < 0.5:
         raise RangeError("grid must reach radius 1/2")
     rule = f.rule()
-    W = _radial_derivative_profile(f)
+    _, B, C, P = _ring_data(f)
+    r = grid.radii
+    W = (P - 2.0 * C / r + B / r ** 2) / r ** 2
 
-    def integral_over(a, b):
-        return float(rule.weights(math.log(a), math.log(b), 2.0) @ W)
+    def integral_over(a, b, F=W):
+        return float(rule.weights(math.log(a), math.log(b), 2.0) @ F)
 
     integral = integral_over(rho_inner, 0.5)
 
     # boundary data and homogeneity estimate
-    B = _ring_profile(f.values)
     i_top = grid.n_rings - 1
     i_mid = max(i_top - 16, 0)
     if alpha is None:
@@ -372,18 +370,18 @@ def hardt_simon_check(f: QFunction, rho_inner: float,
         ex = 2.0 * alpha - 2.0
         closed = (alpha - 1.0) ** 2 * boundary_l2 \
             * (0.5 ** ex - rho_inner ** ex) / ex
+    residual = abs(integral - closed)
     if closed > 1e-12 * max(1.0, boundary_l2):
-        residual = abs(integral - closed) / closed
-    else:
-        residual = abs(integral - closed)
+        residual /= closed
 
     scales = [s for s in (rho_inner, 2 * rho_inner, 4 * rho_inner)
               if 2 * s <= 0.5]
     vals = [integral_over(s, 2 * s) for s in scales]
-    if min(vals) > 1e-18 * max(boundary_l2, 1.0):
-        slope = float(np.polyfit(np.log(scales), np.log(vals), 1)[0])
-    else:
-        slope = 0.0
+    # W's terms cancel on a 1-homogeneous map: below 1e-12 of theirs is noise
+    size = [integral_over(s, 2 * s, (P + B / r ** 2) / r ** 2)
+            for s in scales]
+    slope = float(np.polyfit(np.log(scales), np.log(vals), 1)[0]) \
+        if all(v > 1e-12 * z for v, z in zip(vals, size)) else 0.0
     return HardtSimonResult(integral=integral,
                             polar_identity_residual=residual,
                             alpha_used=float(alpha),

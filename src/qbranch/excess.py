@@ -28,10 +28,10 @@ tau = (S1+/|S1+| + S1-/|S1-|)/sqrt 2, and the tilt is read off tau/tau_12.
 
 Every quantity here reads one table per map, built on first use from the
 unnormalized p (P is never formed): the per-sheet ring profiles
-s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta.  A radius integrates them
-with its disk weights and core closure; the graph mass is S0 summed over
-the sheets, and the mean tilt reads the Jacobian entries (b1, b2, -a1, -a2)
-off the sheet mean of s1.
+s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta and their sheet sum, kept
+with their cumulative table, so an integral over B_r (core included) is an
+O(1) read.  The excess sums the per-sheet integrals, the graph mass is the
+sheet sum's S0, and the mean tilt is the sheet sum's S1 entries 1..4.
 
 The ball variant replaces the cylinder B_r x R^2 by the ambient ball,
 capping each sheet at its exit radius, and is kept as the documented
@@ -101,19 +101,26 @@ def _plucker_of_tilt(A: np.ndarray) -> np.ndarray:
     return p / np.linalg.norm(p)
 
 
-def _area_moments(f: QFunction) -> np.ndarray:
-    """Per-sheet ring profiles of the area moments, shape (Q, R, 7): column
-    0 is s0 = 2 pi <|p|>_theta, columns 1..6 are s1 = 2 pi <p>_theta.
-    Built once per map from the Cartesian Jacobians and cached."""
+def _area_moments(f: QFunction):
+    """(F, cum), each (R, Q + 1, 7), cached per map: F[:, k] holds sheet
+    k's s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta, F[:, Q] their sheet
+    sum, and cum is F's cumulative table at beta = 2."""
     def build():
         Jc = f.cartesian_gradients()           # (Q, R, T, n, 2)
         p = _plucker(Jc[..., 0], Jc[..., 1])   # (Q, R, T, 6)
         area = np.sqrt(np.einsum("krtc,krtc->krt", p, p))
-        table = np.empty(p.shape[:2] + (7,))
-        table[..., 0] = TWO_PI * np.mean(area, axis=-1)
-        table[..., 1:] = TWO_PI * np.mean(p, axis=2)
-        return table
+        table = TWO_PI * np.concatenate(
+            [np.mean(area, axis=-1)[..., None], np.mean(p, axis=2)], axis=-1)
+        F = np.concatenate([table, table.sum(axis=0)[None]]).transpose(1, 0, 2)
+        return F, f.rule().cumulative(F, 2.0)
     return f.cached("area_moments", build)
+
+
+def _area_integrals(f: QFunction, r: float) -> np.ndarray:
+    """int_{B_r} of every area moment, the power-law core below r_min
+    included, read off the cumulative table: shape (Q + 1, 7)."""
+    F, cum = _area_moments(f)
+    return f.rule()._disk_integral(F, r, cum)
 
 
 def _sheet_heights(f: QFunction) -> np.ndarray:
@@ -156,27 +163,21 @@ def _moments_up_to(f: QFunction, r: float, definition: str):
     if definition not in DEFINITIONS:
         raise ConfigError(f"unknown excess definition {definition!r}")
     f.grid.require_radius(r)
-    table = _area_moments(f)
-    caps = _ball_caps(f, r) if definition == "spherical_ball" \
-        else np.full(f.q, r)
-    rule = f.rule()
-    S = sum(rule._disk_integral(table[k], cap) for k, cap in enumerate(caps))
+    if definition == "spherical_ball":
+        S = sum(_area_integrals(f, cap)[k]
+                for k, cap in enumerate(_ball_caps(f, r)))
+    else:
+        S = sum(_area_integrals(f, r)[:f.q])
     return float(S[0]), S[1:]
 
 
 def graph_mass(f: QFunction, r: float) -> float:
     """Mass of the graph over B_r by the Q-valued area formula."""
-    return f.rule()._disk_integral(_area_moments(f)[..., 0].sum(axis=0), r)
+    return float(_area_integrals(f, r)[f.q, 0])
 
 
 def _excess(S0: float, pairing: float, r: float) -> float:
     return float((S0 - pairing) / (OMEGA_M * r ** 2))
-
-
-def excess_value(f: QFunction, r: float, plane: Plane,
-                 definition: str = "cylindrical") -> float:
-    S0, S1 = _moments_up_to(f, r, definition)
-    return _excess(S0, _plucker_of_tilt(plane.tilt) @ S1, r)
 
 
 def spherical_excess(f: QFunction, r: float, plane: Plane | None = None,
@@ -186,16 +187,17 @@ def spherical_excess(f: QFunction, r: float, plane: Plane | None = None,
     cylindrical integrates over the cylinder above B_r (the primary
     definition); spherical_ball masks each sheet to the ambient ball."""
     plane = HORIZONTAL if plane is None else plane
-    value = excess_value(f, r, plane, definition)
+    S0, S1 = _moments_up_to(f, r, definition)
+    value = _excess(S0, _plucker_of_tilt(plane.tilt) @ S1, r)
     return ExcessRecord(r=float(r), mass=graph_mass(f, r), excess=value,
                         plane=plane, definition=definition)
 
 
 def mean_tilt(f: QFunction, r: float) -> np.ndarray:
-    """Area-averaged Jacobian of the sheet average over B_r, read off the
-    sheet mean of s1, whose entries 1..4 are (b1, b2, -a1, -a2)."""
-    w = f.rule().weights(f.grid.t[0], math.log(r), 2.0)
-    m = w @ np.mean(_area_moments(f)[..., 2:6], axis=0) / (OMEGA_M * r ** 2)
+    """Area-averaged Jacobian of the sheet average over B_r, the core below
+    r_min included, read off the sheet sum of S1, whose entries 1..4 are
+    (b1, b2, -a1, -a2)."""
+    m = _area_integrals(f, r)[f.q, 2:6] / (f.q * OMEGA_M * r ** 2)
     return np.array([[-m[2], m[0]], [-m[3], m[1]]])
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import qbranch as qb
+from qbranch import blowup, curves, frequency, grids
 from qbranch.frequency import _ring_data
 from qbranch.grids import _window
 
@@ -375,6 +376,31 @@ class TestHardtSimon:
         res = qb.hardt_simon_check(qb.homogeneous_map(alpha, grid=grid), rho)
         assert res.growth_exponent == pytest.approx(2 * alpha - 2, abs=1e-6)
         assert res.divergent is (alpha < 1)
+
+    @pytest.mark.parametrize("alpha", [1 / 2, 4 / 5, 7 / 8, 11 / 12, 13 / 12,
+                                       9 / 8, 3 / 2, 7 / 2])
+    def test_homogeneous_closed_form(self, alpha, monkeypatch):
+        # the integrand is read off the ring table: with f's gradients
+        # cached, nothing differentiates f again
+        grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
+        f = qb.homogeneous_map(alpha, grid=grid)
+        f.gradients()
+        for module in (grids, curves, frequency, blowup):
+            monkeypatch.setattr(module, "d_dr_geometric", None, raising=False)
+        res = qb.hardt_simon_check(f, 2.0 ** -6)
+        assert res.polar_identity_residual <= 2e-6
+        assert res.growth_exponent == pytest.approx(2 * alpha - 2, abs=1e-12)
+        assert res.divergent is (alpha < 1)
+
+    def test_degree_one_integral_is_rounding(self):
+        # the integrand's three terms cancel on a 1-homogeneous map, to
+        # rounding, and no growth is fitted to that rounding
+        grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
+        res = qb.hardt_simon_check(qb.homogeneous_map(1.0, grid=grid),
+                                   2.0 ** -6)
+        assert abs(res.integral) <= 1e-12
+        assert res.growth_exponent == 0.0
+        assert not res.divergent
 
     def test_rho_below_grid(self, curve_cache):
         with pytest.raises(qb.RangeError):

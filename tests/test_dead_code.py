@@ -50,3 +50,31 @@ def test_no_unreferenced_private_helpers():
     dead = sorted(f"{module}:{name}" for module, tree in trees.items()
                   for name in _private_definitions(tree) - referenced)
     assert dead == []
+
+
+def _callers(tree: ast.Module, name: str) -> set[str]:
+    """Module-level functions and methods (Class.method) whose bodies,
+    nested functions included, call name."""
+    found = set()
+    for top in tree.body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in defs:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            qual = f"{top.name}.{node.name}" if node is not top else node.name
+            if any(isinstance(call, ast.Call)
+                   and name in (getattr(call.func, "id", None),
+                                getattr(call.func, "attr", None))
+                   for call in ast.walk(node)):
+                found.add(qual)
+    return found
+
+
+def test_radial_differentiation_has_two_callers():
+    # a map is differentiated once, by its gradients; a blow-up only adds
+    # its top rings' one-sided stencil.  Everything else reads the ring table
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    callers = sorted(f"{module}:{qual}" for module, tree in trees.items()
+                     for qual in _callers(tree, "d_dr_geometric"))
+    assert callers == ["curves.py:QFunction.gradients",
+                       "frequency.py:_seed_blowup_ring_data"]

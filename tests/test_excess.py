@@ -22,6 +22,7 @@ from scipy.integrate import quad
 
 import qbranch as qb
 from qbranch.excess import _plucker, _plucker_of_tilt
+from qbranch.grids import RadialRule
 
 
 def oracle_curve_excess(q, p, r):
@@ -286,10 +287,13 @@ class TestAreaMoments:
 
     @staticmethod
     def direct_mean_tilt(f, r):
+        """Window weights over [r_min, r] plus the power-law core below."""
         Jc = f.cartesian_gradients()
         prof = 2 * np.pi * np.mean(np.mean(Jc, axis=0), axis=1)  # (R, n, 2)
-        w = f.rule().weights(f.grid.t[0], np.log(r), 2.0)
-        return np.einsum("r,rnc->nc", w, prof) / (np.pi * r ** 2)
+        rule = f.rule()
+        w = rule.weights(f.grid.t[0], np.log(r), 2.0)
+        total = np.einsum("r,rnc->nc", w, prof) + rule.inner_core(prof, 2.0)
+        return total / (np.pi * r ** 2)
 
     def test_mean_tilt_is_the_area_average_of_the_jacobians(
             self, small_grid, curve_cache):
@@ -300,16 +304,22 @@ class TestAreaMoments:
             for r in (1.0, 0.25, 2.0 ** -5):
                 got = qb.mean_tilt(f, r)
                 assert np.abs(got - self.direct_mean_tilt(f, r)).max() < 1e-14
-        assert np.abs(qb.mean_tilt(tilted, 1.0) - A).max() < 1e-3
+        # with the core below r_min the tilt of affine sheets is exact; the
+        # disk r < 2^-6 alone is a share (2^-6 / r)^2 of B_r
+        for r in (1.0, 0.25, 2.0 ** -5):
+            assert np.abs(qb.mean_tilt(tilted, r) - A).max() < 1e-12
         # a holomorphic perturbation has zero mean Jacobian on centered disks
         assert np.abs(qb.mean_tilt(perturbed, 0.25)).max() < 1e-6
 
     def test_one_gradient_pass_serves_every_entry_point(self, small_grid,
                                                        monkeypatch):
-        calls = []
+        calls, tables = [], []
         original = qb.QFunction.cartesian_gradients
         monkeypatch.setattr(qb.QFunction, "cartesian_gradients",
                             lambda f: calls.append(1) or original(f))
+        cumulative = RadialRule.cumulative
+        monkeypatch.setattr(RadialRule, "cumulative", lambda rule, F, beta:
+                            tables.append(1) or cumulative(rule, F, beta))
         f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
         radii = [2.0 ** -k for k in range(5, 0, -1)]
         heights = []
@@ -324,6 +334,8 @@ class TestAreaMoments:
             qb.excess_decay_fit(f, radii)
             qb.excess_decay_fit(f, radii, "spherical_ball")
         assert len(calls) == 1
+        # every disk integral reads one cumulative table of the area moments
+        assert len(tables) == 1
         # one read-only height profile serves every ball excess
         assert all(h is heights[0] for h in heights)
         assert not heights[0].flags.writeable
