@@ -12,11 +12,12 @@ The degree estimator runs the pipeline
                       -> frequency limit over the top octave of each step,
 
 and aggregates the per-step values by the median over the trailing steps
-whose values agree within the convergence tolerance.  For the perturbed
-curves whose sheet average dominates the branching at small scale, the
-estimator reports the degree of the average-free (branched) part and flags
-the discrepancy with the full-graph contact order instead of silently
-choosing one of the two numbers.
+whose values agree within the convergence tolerance.  Degree, stitched
+frequency and Hardt-Simon check all measure _branched_part, one object per
+map.  For the perturbed curves whose sheet average dominates the branching
+at small scale, the estimator reports the degree of the average-free
+(branched) part and flags the discrepancy with the full-graph contact order
+instead of silently choosing one of the two numbers.
 
 Blow-up steps at different scales are independent once the average-free
 input is built; the estimator aggregates them in step order, so results do
@@ -137,18 +138,25 @@ def eta_map(f: QFunction) -> QFunction:
 
 
 def average_free_part(f: QFunction) -> QFunction:
-    """Subtract the sheet average from every sheet, node by node.  When f
-    has its gradients cached, the result's are f's minus their sheet mean:
-    both derivative stencils are linear, so this is the fresh
-    differentiation up to rounding."""
-    mean = np.mean(f.values, axis=0, keepdims=True)
-    out = f.replace_values(f.values - mean, note="average-free")
-    out.metadata["average_free"] = True
-    grad = f._cache.get("grad")
-    if grad is not None:
-        out.cached("grad", lambda: tuple(
-            g - np.mean(g, axis=0, keepdims=True) for g in grad))
-    return out
+    """Subtract the sheet average from every sheet, once per map: cached on
+    f, read-only, shared by every caller.  When f has its gradients cached,
+    the result's are f's minus their sheet mean: both derivative stencils
+    are linear, so this is the fresh differentiation up to rounding."""
+    def build():
+        mean = np.mean(f.values, axis=0, keepdims=True)
+        out = f.replace_values(f.values - mean, note="average-free")
+        out.values.flags.writeable = False
+        grad = f._cache.get("grad")
+        if grad is not None:
+            out.cached("grad", lambda: tuple(
+                g - np.mean(g, axis=0, keepdims=True) for g in grad))
+        return out
+    return f.cached("average_free", build)
+
+
+def _branched_part(f: QFunction) -> QFunction:
+    """The measured object: f's average-free part, or f when single-valued."""
+    return average_free_part(f) if f.q > 1 else f
 
 
 # ----------------------------------------------------------------------------
@@ -212,12 +220,11 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
     Pipeline: average-free part, then normalized blow-ups along
     r_k = scale_factor^k, then the frequency limit of each step over its top
     octave.  The estimate is the median over the trailing steps that agree
-    within convergence_tol.  Single-valued maps are measured directly (their
-    average-free part is identically zero, there is no branched part to
-    separate)."""
+    within convergence_tol.  It measures _branched_part(f): the shared
+    average-free part, or a single-valued map itself."""
     if cfg is None:
         cfg = BlowupConfig()
-    v = average_free_part(f) if f.q > 1 else f
+    v = _branched_part(f)
     grid = f.grid
     steps = []
     failures = []

@@ -34,7 +34,7 @@ from .curves import (CurveSpec, _json, homogeneous_map, load_qfunction,
                      make_multigraph)
 from .frequency import (Cutoff, frequency_limit, frequency_profile,
                         default_profile_radii)
-from .blowup import (BlowupConfig, average_free_part, hardt_simon_check,
+from .blowup import (BlowupConfig, _branched_part, hardt_simon_check,
                      singularity_degree)
 from .excess import excess_decay_fit, excess_table_csv
 from .scaletrack import (ScaleTrackConfig, bv_budget, intervals_of_flattening,
@@ -44,9 +44,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
-
-_COMMANDS = ("frequency", "degree", "excess-decay", "bv-track",
-             "hardt-simon", "intervals", "selfcheck")
 
 #: every recognized config key with (type, validator, help); a key that a
 #: config type reads is checked by that type, see _FIELDS
@@ -291,9 +288,7 @@ def cmd_bv_track(run: Run) -> dict:
 
 
 def cmd_hardt_simon(run: Run) -> dict:
-    f = run.build_input()
-    if f.q > 1:
-        f = average_free_part(f)
+    f = _branched_part(run.build_input())
     res = hardt_simon_check(f, run.opt.get("rho", 64 * f.grid.r_min))
     return {"hardt_simon.json": res.to_json() + "\n"}
 
@@ -375,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qbranch",
         description="Q-valued multigraph laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         for key, (_, _, help_text) in _KEYS.items():
             p.add_argument(f"--{key}", help=help_text)

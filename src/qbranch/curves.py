@@ -266,7 +266,10 @@ def _verify_angular_tracking(f: QFunction):
             f"(worst ratio {worst:.3g}); increase n_theta")
 
 
-def spiral_profile(alpha: float, max_sheets: int = 12):
+SPIRAL_MAX_SHEETS = 12  #: the largest sheet count of a spiral profile
+
+
+def spiral_profile(alpha: float):
     """Angular profile of the alpha-homogeneous map z -> z^alpha.
 
     Returns (boundary, q): boundary(theta) is the QPoint of the q sheets
@@ -277,14 +280,11 @@ def spiral_profile(alpha: float, max_sheets: int = 12):
     be finite: it is the phase the profile turns through."""
     if not math.isfinite(alpha * TWO_PI):
         raise ConfigError(f"alpha * 2 pi must be finite, got alpha = {alpha}")
-    q = None
-    for cand in range(1, max_sheets + 1):
-        if abs(alpha * cand - round(alpha * cand)) < 1e-12:
-            q = cand
-            break
+    q = next((k for k in range(1, SPIRAL_MAX_SHEETS + 1)
+              if abs(alpha * k - round(alpha * k)) < 1e-12), None)
     if q is None:
-        raise ConfigError(
-            f"alpha = {alpha} is not rational with denominator <= {max_sheets}")
+        raise ConfigError(f"alpha = {alpha} is not rational with "
+                          f"denominator <= {SPIRAL_MAX_SHEETS}")
 
     def boundary(theta: float) -> QPoint:
         zeta = np.exp(2j * np.pi * np.arange(q) / q)
@@ -418,7 +418,9 @@ def load_qfunction(path) -> QFunction:
             or np.any(idx >= (R, T, q)):
         raise ConfigError(f"{path}: sample index out of range")
     ring, angle, sheet = idx.T
-    if np.unique((sheet * R + ring) * T + angle).size != idx.shape[0]:
+    hit = np.zeros(q * R * T, dtype=bool)
+    hit[(sheet * R + ring) * T + angle] = True
+    if not hit.all():  # q R T indices in range: distinct iff they cover
         raise ConfigError(f"{path}: duplicated sample index")
     if not np.all(np.isfinite(data[:, 3:])):
         raise ConfigError(f"{path}: samples must be finite")

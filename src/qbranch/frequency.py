@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateHeightError, RangeError)
-from .grids import (M_DIM, TWO_PI, PolarGrid, _RADIAL_WIDTH, _cubic_window,
+from .grids import (M_DIM, TWO_PI, PolarGrid, _RADIAL_WIDTH, _cell_interpolant,
                     _ring_profile, d_dr_geometric, default_grid)
 from .curves import QFunction, _csv
 from .qvalue import _chain_labels, _match_pairs
@@ -158,9 +158,9 @@ def _quantities(f: QFunction, s: float, cutoff: Cutoff = RAMP) -> dict:
         dD = (2.0 / s ** 2) * float(w3 @ A)
     else:
         D, Sigma = _ball_integrals(f, s)[:2]
-        # boundary values of the ring profiles at s
-        j0, wc = _cubic_window(grid.t, t_s)
-        H, E, G, dD = (s * float(wc @ F[j0:j0 + 4]) for F in (B, C, P, A))
+        # boundary values of the ring profiles at s, by the cell quintic
+        j0, wc = _cell_interpolant(grid, t_s)
+        H, E, G, dD = (s * float(wc @ F[j0:j0 + 6]) for F in (B, C, P, A))
     return {"D": float(D), "H": H, "E": E, "G": G, "Sigma": float(Sigma),
             "dD": dD}
 

@@ -10,12 +10,12 @@ integrand is interpolated by the quintic through the six surrounding rings
 and integrated against the exact measure r^{beta-1} dr = e^{beta t} dt.
 The rule is exact for ring profiles polynomial in t (constants above all)
 and accepts arbitrary off-ring integration endpoints, which is how the
-kinks of piecewise cutoffs are kept out of the quadrature cells.  In units
-of dt every cell's stencil sits at whole-number offsets from its lower
-ring, so five inverse Vandermonde patterns, solved once per process, serve
-every cell of every grid: a cell's weights are its pattern applied to the
-moments of e^{beta dt u} over the covered part of the cell, times
-dt e^{beta t_i}.
+kinks of piecewise cutoffs are kept out of the quadrature cells; a ring
+profile read between rings is that cell quintic too.  In units of dt every
+cell's stencil sits at whole-number offsets from its lower ring, so five
+inverse Vandermonde patterns, solved once per process, serve every cell of
+every grid: a cell's weights are its pattern applied to the moments of
+e^{beta dt u} over the covered part of the cell, times dt e^{beta t_i}.
 
 So a window of cells is fixed, up to the factor e^{beta t_i0} of its first
 ring, by dt, beta, its cell count, where its stencils clamp at the grid's
@@ -152,21 +152,11 @@ def _stencil_weights(offsets: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Weights w with sum_j w_j offsets_j^a = rhs_a for a = 0..k-1, k the
     stencil size (Fornberg's moment condition).  Every interpolation,
     differentiation and quadrature weight of the library comes from here:
-    rhs = e_0 interpolates at 0, rhs = e_1 differentiates at 0, and rhs =
-    exact moments of the measure integrates against it; each is exact for
-    polynomials of degree below k in the offset variable."""
+    rhs = e_1 differentiates at 0, rhs = the identity gives the cell patterns
+    that interpolate and integrate; each is exact below degree k."""
     k = offsets.size
     V = np.vander(offsets, k, increasing=True).T  # V[a, j] = offs_j^a
     return np.linalg.solve(V, rhs)
-
-
-def _cubic_window(t: np.ndarray, ts: float) -> tuple[int, np.ndarray]:
-    """Cubic interpolation in t at ts: (j0, w) such that w @ F[j0:j0 + 4]
-    is the value at ts of the cubic through four consecutive samples of F,
-    the window centered on the cell holding ts and clamped at the ends."""
-    i = int(np.clip(np.searchsorted(t, ts) - 1, 0, t.size - 2))
-    j0 = min(max(i - 1, 0), t.size - 4)
-    return j0, _stencil_weights(t[j0:j0 + 4] - ts, np.eye(4)[0])
 
 
 def _ring_profile(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -228,6 +218,16 @@ def _cell_inverses(k: int) -> np.ndarray:
         inv.flags.writeable = False  # shared by every rule in the process
         _CELL_INVERSES[k] = inv
     return inv
+
+
+def _cell_interpolant(grid: PolarGrid, ts: float) -> tuple[int, np.ndarray]:
+    """(j0, w): w @ F[j0:j0 + 6] interpolates F at ts by the quadrature's
+    quintic on the cell holding ts (its pattern, clamped as in _window)."""
+    t, R = grid.t, grid.n_rings
+    i = min(max(int(np.floor((ts - t[0]) / grid.dt + _ON_RING)), 0), R - 2)
+    j0 = min(max(i - _BELOW, 0), R - _STENCIL)
+    u = _snap((ts - t[i]) / grid.dt)
+    return j0, _cell_inverses(_STENCIL)[i - j0] @ u ** np.arange(_STENCIL)
 
 
 def _snap(u: float) -> float:

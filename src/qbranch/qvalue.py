@@ -185,15 +185,14 @@ def _second_best_cost(cost: np.ndarray, sigma: np.ndarray) -> float:
     return best
 
 
-def _match_pairs(a: np.ndarray, b: np.ndarray, index,
-                 tau_factor: float = TAU_TRACK) -> np.ndarray:
+def _match_pairs(a: np.ndarray, b: np.ndarray, index) -> np.ndarray:
     """Optimal matchings sigma[i] from a[i] to b[i], (N, Q, n) stacks.
 
     Where every sheet moves less than sep / 4, sep the smaller separation of
     the two samples, the nearest-neighbour matching is the provably unique
     optimum.  The other pairs get an exact assignment solve and refuse with
     TrackingError(sample_index=index[i]) on an exact collision, or when the
-    runner-up is within tau_factor * max(sep, step) of the optimum: margins
+    runner-up is within TAU_TRACK * max(sep, step) of the optimum: margins
     shrink with the separation near a branch point, so measuring them
     against the separation alone would never fire there."""
     cost = _cost_matrix(a, b)
@@ -211,20 +210,17 @@ def _match_pairs(a: np.ndarray, b: np.ndarray, index,
         s = np.sqrt(moved.max())
         scale = max(sep[i], s) if np.isfinite(sep[i]) else max(1.0, s)
         if np.sqrt(_second_best_cost(cost[i], sigma[i])) \
-                - np.sqrt(moved.sum()) < tau_factor * scale:
+                - np.sqrt(moved.sum()) < TAU_TRACK * scale:
             raise TrackingError(
                 f"ambiguous sheet matching (margin below tau_track) "
                 f"at sample {index[i]}", sample_index=index[i])
     return sigma
 
 
-def match_step(a: QPoint, b: QPoint, tau_factor: float = TAU_TRACK,
-               sample_index=None) -> np.ndarray:
-    """Optimal matching from a to b with the ambiguity guard of
-    _match_pairs."""
+def match_step(a: QPoint, b: QPoint, sample_index=None) -> np.ndarray:
+    """Optimal matching from a to b, guarded as in _match_pairs."""
     _check_compatible(a, b)
-    return _match_pairs(a.vectors[None], b.vectors[None], [sample_index],
-                        tau_factor)[0]
+    return _match_pairs(a.vectors[None], b.vectors[None], [sample_index])[0]
 
 
 @dataclass
@@ -276,8 +272,7 @@ def _chain_labels(sigma: np.ndarray) -> np.ndarray:
     return np.stack(labels, axis=-2)
 
 
-def track_selection(samples, closed: bool = False,
-                    tau_factor: float = TAU_TRACK) -> SheetSelection:
+def track_selection(samples, closed: bool = False) -> SheetSelection:
     """Track sheet labels along a chain of QPoints.
 
     The first sample fixes the labels.  All consecutive samples are matched
@@ -294,7 +289,7 @@ def track_selection(samples, closed: bool = False,
     raw = np.stack([p.vectors for p in pts])  # (N, Q, n)
     nxt = np.concatenate([raw[1:], raw[:1]]) if closed else raw[1:]
     labels = _chain_labels(_match_pairs(
-        raw[:len(nxt)], nxt, range(1, len(nxt) + 1), tau_factor))
+        raw[:len(nxt)], nxt, range(1, len(nxt) + 1)))
     sheets = np.take_along_axis(raw, labels[:len(raw), :, None], axis=1)
     # label k continues into the start label whose raw row is labels[-1][k]
     return SheetSelection(

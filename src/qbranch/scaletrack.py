@@ -29,11 +29,12 @@ the blow-up at t_j with the reference plane removed from every sheet as an
 affine map (the small-tilt reparametrization) and the sheet average
 subtracted.  The plane, removed from every sheet alike, drops out with the
 average, and I is scale invariant, so every record is I of f's
-average-free part at the global radius: one ring table serves all
-intervals.  The plane only truncates intervals tilted beyond the regime
-where that linearization is trusted.  Both sides of a seam read the table
-at t_j, so seam jumps are zero in this linearized stand-in.  The negative
-variation of log(I + 1) splits into a within-interval and a jump part.
+average-free part (of f itself when single-valued) at the global radius:
+one ring table serves all intervals.  The plane only truncates intervals
+tilted beyond the regime where that linearization is trusted.  Both sides
+of a seam read the table at t_j, so seam jumps are zero in this
+linearized stand-in.  The negative variation of log(I + 1) splits into a
+within-interval and a jump part.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .curves import QFunction, _csv
-from .blowup import _blowup_radii, average_free_part
+from .blowup import _blowup_radii, _branched_part
 from .excess import DEFINITIONS, Plane, least_excess, optimal_plane
 from .frequency import Cutoff, RAMP, _record_at
 
@@ -268,13 +269,13 @@ def universal_frequency(f: QFunction, intervals: ScaleIntervals,
     """Stitch per-interval frequency profiles across the flattening scales.
 
     Interval j is recorded on ]s_j, t_j] at the rings of its blow-up at t_j,
-    each record being I of the average-free part v of f at that radius (the
-    blow-up is a view of v, and its plane drops out with the average; the
-    plane only truncates).  Jumps are recorded at interior seams; both
-    sides read v at t_j, so they are zero in this linearized stand-in."""
+    each record being I of the measured object v = _branched_part(f) at
+    that radius (the blow-up is a view of v, and its plane drops out with
+    the average; the plane only truncates).  Jumps are recorded at interior
+    seams; both sides read v at t_j, so they are zero here."""
     if intervals.empty:
         raise DataError("no flattening intervals below the threshold")
-    v = average_free_part(f)
+    v = _branched_part(f)
     rpo = int(round(math.log(2.0) / f.grid.dt))
     stride = max(rpo // max(points_per_octave, 1), 1)
     records = []

@@ -224,6 +224,38 @@ class TestAverageFree:
         for seeded, own in zip(v.gradients(), fresh):
             assert np.abs(seeded - own).max() <= 1e-12 * np.abs(own).max()
 
+    def test_one_shared_read_only_part_per_map(self, perturbed_curve):
+        # a fresh map: caching here must not unseed the test above
+        f = perturbed_curve.replace_values(perturbed_curve.values)
+        v = qb.average_free_part(f)
+        assert qb.average_free_part(f) is v
+        assert not v.values.flags.writeable
+        with pytest.raises(ValueError):
+            v.values[0, 0, 0, 0] = 1.0
+
+    def test_flatten_sequence_builds_two_ring_tables(self, monkeypatch):
+        # the map's table and its average-free part's, which the stitched
+        # profile and the Hardt-Simon check share
+        grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
+        f = qb.make_multigraph(qb.CurveSpec(2, 3, (0, 0, 0.3)), grid)
+        built = []
+        cached = qb.QFunction.cached
+
+        def counting(self, key, build):
+            if self._cache.get(key) is None:
+                built.append(key)
+            return cached(self, key, build)
+
+        monkeypatch.setattr(qb.QFunction, "cached", counting)
+        radii = qb.default_profile_radii(grid)
+        for cutoff in (qb.RAMP, qb.SHARP):
+            qb.frequency_profile(f, radii=radii, cutoff=cutoff)
+        qb.universal_frequency(f, qb.intervals_of_flattening(f, eps3_sq=0.2))
+        qb.hardt_simon_check(qb.average_free_part(f), 64 * grid.r_min)
+        assert [built.count(key) for key in
+                ("average_free", "grad", "grad_sq", "ring_data")] \
+            == [1, 2, 2, 2]
+
     def test_repeated_harmonic_sheet_collapses(self, small_grid):
         x, y = small_grid.nodes_xy()
         harm = np.stack([x, -y], axis=-1)

@@ -143,6 +143,16 @@ class TestOtherCommands:
         assert (out / "universal_profile.csv").exists()
         assert (out / "jumps.csv").exists()
 
+    def test_bv_track_single_valued(self, tmp_path):
+        # a one-sheet map is measured itself, as by degree: its average-free
+        # part is zero and left no valid record
+        code, out = run(["bv-track", "--homogeneous", "2"] + FAST, tmp_path)
+        assert code == 0
+        _, rows = read_csv(out / "universal_profile.csv")
+        assert len(rows) >= 2
+        assert all(abs(float(row[2]) - 2.0) < 1e-3 for row in rows)
+        assert json.loads((out / "bv.json").read_text())["total"] <= 0.01
+
     def test_bv_track_small_threshold_on_default_grid(self, tmp_path):
         # the tight threshold needs the deep default grid to admit scales
         code, out = run(["bv-track", "--curve", "2,3", "--eps3", "0.01"],
@@ -337,6 +347,7 @@ EXIT_CASES = {
     "delta2_out_of_range": (["intervals", "--curve", "2,3", "--delta2",
                              "0.5"] + FAST, 2),
     "ce_below_one": (["bv-track", "--curve", "2,3", "--ce", "0.5"] + FAST, 2),
+    "single_valued_bv_track": (["bv-track", "--homogeneous", "2"] + FAST, 0),
     "ce_nan": (["intervals", "--curve", "2,3", "--ce", "nan"] + FAST, 2),
     "tilt_jump_zero": (["intervals", "--curve", "2,3", "--tilt-jump", "0"]
                        + FAST, 2),

@@ -70,11 +70,30 @@ def _callers(tree: ast.Module, name: str) -> set[str]:
     return found
 
 
+def _package_callers(name: str) -> list[str]:
+    """module:function for every function of the package that calls name."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    return sorted(f"{module}:{qual}" for module, tree in trees.items()
+                  for qual in _callers(tree, name))
+
+
 def test_radial_differentiation_has_two_callers():
     # a map is differentiated once, by its gradients; a blow-up only adds
     # its top rings' one-sided stencil.  Everything else reads the ring table
-    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
-    callers = sorted(f"{module}:{qual}" for module, tree in trees.items()
-                     for qual in _callers(tree, "d_dr_geometric"))
-    assert callers == ["curves.py:QFunction.gradients",
-                       "frequency.py:_seed_blowup_ring_data"]
+    assert _package_callers("d_dr_geometric") == [
+        "curves.py:QFunction.gradients",
+        "frequency.py:_seed_blowup_ring_data"]
+
+
+def test_measured_object_is_decided_once():
+    # degree, stitched frequency and Hardt-Simon take _branched_part, so no
+    # caller spells out "average-free part for Q > 1, the map itself else"
+    assert _package_callers("average_free_part") == [
+        "blowup.py:_branched_part"]
+
+
+def test_one_weight_generator_has_two_callers():
+    # the cell patterns serve quadrature and interpolation between rings;
+    # the radial derivative is the only other stencil
+    assert _package_callers("_stencil_weights") == [
+        "grids.py:_cell_inverses", "grids.py:d_dr_geometric"]

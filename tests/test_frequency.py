@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 import qbranch as qb
@@ -166,6 +167,16 @@ class TestProfiles:
             qb.frequency_profile(f, radii=radii, cutoff=qb.SHARP))
         assert lim_sharp["estimate"] == pytest.approx(
             lim_ramp["estimate"], rel=0.01)
+
+    @given(curve=st.sampled_from([(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]),
+           r=st.floats(-14.0, 0.0).map(lambda x: 2.0 ** x))
+    @example(curve=(2, 5), r=0.52214)  # 2.1e-3 off with cubic ring reads
+    def test_sharp_cutoff_between_rings(self, curve_cache, curve, r):
+        # the boundary values at an off-ring radius are read by the cell
+        # quintic of the quadrature, not by a lower-order interpolant
+        q, p = curve
+        I = qb.smoothed_I(curve_cache(q, p), r=r, cutoff=qb.SHARP)
+        assert abs(I - p / q) < 1e-3
 
     def test_reversed_radii_rejected(self, curve_cache):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import qbranch as qb
 from qbranch.frequency import _ring_data
-from qbranch.grids import (RadialRule, _cubic_window, _moments,
+from qbranch.grids import (RadialRule, _cell_interpolant, _moments,
                            _stencil_weights, d_dr_geometric)
 
 
@@ -26,20 +26,20 @@ def test_stencil_weights_solve_the_moment_conditions(rng):
     assert np.allclose(moments, rhs, rtol=1e-10, atol=1e-10)
 
 
-def test_cubic_window_reproduces_cubics_in_t(grid, rng):
+def test_cell_interpolant_reproduces_quintics_in_t(grid, rng):
     t = grid.t
-    c = rng.normal(size=4)
+    c = rng.normal(size=6)
 
-    def cubic(x):
-        return c[0] + c[1] * x + c[2] * x ** 2 + c[3] * x ** 3
+    def quintic(x):
+        return np.polynomial.polynomial.polyval(x, c)
 
-    scale = np.abs(cubic(t)).max()
+    scale = np.abs(quintic(t)).max()
     # off-ring targets across the whole grid, both ends included
     targets = np.concatenate([np.linspace(t[0], t[-1], 97), t])
     for ts in targets:
-        j0, w = _cubic_window(t, ts)
-        assert 0 <= j0 <= t.size - 4
-        assert abs(w @ cubic(t[j0:j0 + 4]) - cubic(ts)) <= 1e-13 * scale
+        j0, w = _cell_interpolant(grid, ts)
+        assert 0 <= j0 <= t.size - 6 and w.size == 6
+        assert abs(w @ quintic(t[j0:j0 + 6]) - quintic(ts)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("degree", range(7))

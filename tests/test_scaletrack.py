@@ -177,6 +177,19 @@ class TestUniversalFrequency:
         for rec in prof.records:
             assert abs(rec.I - 2.5) < 1e-3
 
+    def test_single_valued_map_is_measured_itself(self, full_grid):
+        # its average-free part is zero, so the records read the map, as
+        # singularity_degree does
+        f = qb.homogeneous_map(2.0, grid=full_grid)
+        assert f.q == 1
+        prof = qb.universal_frequency(f, qb.intervals_of_flattening(f))
+        assert len(prof.records) >= 2
+        for rec in prof.records:
+            assert rec.I == qb.smoothed_I(f, r=rec.r)
+            assert abs(rec.I - 2.0) < 1e-3
+        assert "average_free" not in f._cache
+        assert qb.bv_negative_variation(prof)["total"] <= 0.01
+
     def test_points_per_octave(self, curve_cache):
         f = curve_cache(2, 3)
         iv = qb.intervals_of_flattening(f, eps3_sq=0.1)
