@@ -99,16 +99,21 @@ def rescale(f: QFunction, q=None, r: float = 1.0) -> QFunction:
     keeps the rings with x_i inside f's disk."""
     if q is not None and not np.allclose(q, f.grid.center, atol=1e-15):
         f = recenter(f, q)
-    grid = f.grid
-    m, radii = _blowup_radii(grid, r)
     if abs(r - 1.0) < 1e-15:
+        _blowup_radii(f.grid, r)  # the refusals of every other ratio
         return f.replace_values(f.values.copy(), note="rescale r=1")
-    meta = dict(f.metadata)
-    meta["rescaled_by"] = float(r)
-    new_grid = PolarGrid(radii=radii, n_theta=grid.n_theta,
-                         center=grid.center)
-    return QFunction(grid=new_grid, values=f.values[:, :m] / r,
-                     monodromy=f.monodromy.copy(), metadata=meta)
+    return _dilate(f, r, r)
+
+
+def _dilate(f: QFunction, r: float, divisor: float) -> QFunction:
+    """The dilation of f by r with its samples divided by divisor (r for
+    the graph dilation), formed in one pass over f's first m rings."""
+    m, radii = _blowup_radii(f.grid, r)
+    grid = PolarGrid(radii=radii, n_theta=f.grid.n_theta,
+                     center=f.grid.center)
+    return QFunction(grid=grid, values=f.values[:, :m] / divisor,
+                     monodromy=f.monodromy.copy(),
+                     metadata={**f.metadata, "rescaled_by": float(r)})
 
 
 def _blowup_radii(grid: PolarGrid, r: float):
@@ -201,9 +206,8 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
         raise DegenerateBlowupError(
             f"normalizer {normalizer!r} at scale {r} is degenerate, "
             "the blow-up would be trivial")
-    # rescale returns fresh samples, so divide them in place
-    out = rescale(f, None, r)
-    out.values /= normalizer
+    # one pass: at power-of-two r this is (f / r) / normalizer bit for bit
+    out = _dilate(f, r, r * normalizer)
     _seed_blowup_ring_data(out, f, r, 1.0 / (r * normalizer))
     out.metadata["blowup"] = {"r": float(r), "mode": mode,
                               "normalizer": float(normalizer)}

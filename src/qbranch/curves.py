@@ -180,9 +180,9 @@ class QFunction:
         derivative is spectral on the monodromy covering circle."""
         def build():
             radii = self.grid.radii
-            inv_r = 1.0 / radii[None, :, None, None]
-            return (d_dr_geometric(self.values, radii, axis=1),
-                    d_dtheta_periodic(self.values, self.monodromy) * inv_r)
+            du_dth = d_dtheta_periodic(self.values, self.monodromy)
+            du_dth *= 1.0 / radii[None, :, None, None]
+            return d_dr_geometric(self.values, radii, axis=1), du_dth
         return self.cached("grad", build)
 
     def grad_sq(self) -> np.ndarray:
@@ -208,27 +208,38 @@ class QFunction:
     def check_selection(self) -> float:
         """Largest relative sheet displacement between adjacent samples, in
         units of half the local sheet separation (must stay below 1 for the
-        labels to be a faithful selection).  The displacement is measured on
-        the average-free configuration: moving all sheets by a common vector
-        never changes which matching is optimal."""
-        v, sep, ratio_th = _angular_step_ratio(self)
-        step_r = np.linalg.norm(v[:, 1:] - v[:, :-1], axis=3).max(axis=0)
-        sep_r = np.minimum(sep[1:], sep[:-1])
-        return max(float(ratio_th.max()),
-                   float((step_r / (0.5 * sep_r)).max()))
+        labels to be a faithful selection; inf where two sheets coincide and
+        move).  The displacement is measured on the average-free
+        configuration: moving all sheets by a common vector never changes
+        which matching is optimal."""
+        sep, ratio_th = _angular_step_ratio(self)
+        ratio_r = _move_ratio(np.diff(self.values, axis=1),
+                              np.minimum(sep[1:], sep[:-1]))
+        return max(float(ratio_th.max()), float(ratio_r.max()))
 
 
 def _angular_step_ratio(f: QFunction):
-    """(v, sep, ratio): average-free samples, their minimal sheet separation
-    and, per node, the largest move to the next angle in units of sep / 2.
-    Common sheet drift never changes the optimal matching."""
-    v = f.values - np.mean(f.values, axis=0, keepdims=True)
-    nxt = np.empty_like(v)
-    nxt[:, :, :-1] = v[:, :, 1:]
-    nxt[:, :, -1] = v[f.monodromy][:, :, 0]
-    step = np.linalg.norm(nxt - v, axis=3).max(axis=0)
-    sep = _separation(v)
-    return v, sep, step / (0.5 * sep)
+    """(sep, ratio): the minimal sheet separation per node and the largest
+    average-free move to the next angle in units of sep / 2.  Common sheet
+    drift never changes the optimal matching, and pairwise differences do
+    not see it, so sep is taken on the samples themselves."""
+    x = f.values
+    step = np.empty_like(x)
+    np.subtract(x[:, :, 1:], x[:, :, :-1], out=step[:, :, :-1])
+    np.subtract(x[f.monodromy, :, 0], x[:, :, -1], out=step[:, :, -1])
+    sep = _separation(x)
+    return sep, _move_ratio(step, sep)
+
+
+def _move_ratio(step: np.ndarray, sep: np.ndarray) -> np.ndarray:
+    """Per node, the largest sheet move of the steps (Q, ..., n), their
+    sheet mean taken out in place, in units of sep / 2: inf where sheets
+    coincide and move, 0 where nothing moves."""
+    step -= np.mean(step, axis=0, keepdims=True)
+    move = np.sqrt(np.einsum("k...n,k...n->k...", step, step).max(axis=0))
+    with np.errstate(divide="ignore"):
+        return np.divide(move, 0.5 * sep, out=np.zeros_like(move),
+                         where=move > 0)
 
 
 def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction:
@@ -247,23 +258,19 @@ def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction
     root = r ** (spec.p / spec.q) * np.exp(1j * spec.p * th / spec.q)
     zeta = np.exp(2j * np.pi * np.arange(spec.q) / spec.q)
     w = spec.h(z)[None, :, :] + root[None, :, :] * zeta[:, None, None]
-    values = np.stack([w.real, w.imag], axis=-1)
+    values = w[..., None].view(np.float64)  # (re, im) pairs, no copy
     monodromy = (np.arange(spec.q) + spec.p) % spec.q
     f = QFunction(grid=grid, values=values, monodromy=monodromy,
                   metadata={"kind": "curve", "q": spec.q, "p": spec.p,
                             "h_coeffs": [[c.real, c.imag]
                                          for c in spec.h_coeffs],
                             "label": spec.label()})
-    _verify_angular_tracking(f)
-    return f
-
-
-def _verify_angular_tracking(f: QFunction):
-    worst = float(_angular_step_ratio(f)[2].max())
+    worst = float(_angular_step_ratio(f)[1].max())
     if worst >= 1.0:
         raise RefinementError(
             "angular step exceeds half the sheet separation "
             f"(worst ratio {worst:.3g}); increase n_theta")
+    return f
 
 
 SPIRAL_MAX_SHEETS = 12  #: the largest sheet count of a spiral profile

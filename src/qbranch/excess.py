@@ -102,9 +102,10 @@ def _plucker_of_tilt(A: np.ndarray) -> np.ndarray:
 
 
 def _area_moments(f: QFunction):
-    """(F, cum), each (R, Q + 1, 7), cached per map: F[:, k] holds sheet
-    k's s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta, F[:, Q] their sheet
-    sum, and cum is F's cumulative table at beta = 2."""
+    """(F, cum, core), cached per map: F[:, k] holds sheet k's
+    s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta, F[:, Q] their sheet sum,
+    cum is F's cumulative table at beta = 2, each (R, Q + 1, 7), and core
+    F's inner core at beta = 2."""
     def build():
         Jc = f.cartesian_gradients()           # (Q, R, T, n, 2)
         p = _plucker(Jc[..., 0], Jc[..., 1])   # (Q, R, T, 6)
@@ -112,15 +113,15 @@ def _area_moments(f: QFunction):
         table = TWO_PI * np.concatenate(
             [np.mean(area, axis=-1)[..., None], np.mean(p, axis=2)], axis=-1)
         F = np.concatenate([table, table.sum(axis=0)[None]]).transpose(1, 0, 2)
-        return F, f.rule().cumulative(F, 2.0)
+        return F, f.rule().cumulative(F, 2.0), f.rule().inner_core(F, 2.0)
     return f.cached("area_moments", build)
 
 
 def _area_integrals(f: QFunction, r: float) -> np.ndarray:
     """int_{B_r} of every area moment, the power-law core below r_min
-    included, read off the cumulative table: shape (Q + 1, 7)."""
-    F, cum = _area_moments(f)
-    return f.rule()._disk_integral(F, r, cum)
+    included, read off the cached table and core: shape (Q + 1, 7)."""
+    F, cum, core = _area_moments(f)
+    return f.rule()._disk_integral(F, r, cum, core)
 
 
 def _sheet_heights(f: QFunction) -> np.ndarray:

@@ -90,12 +90,12 @@ def _ring_data(f: QFunction):
 def _ball_integrals(f: QFunction, r: float) -> np.ndarray:
     """int_{B_r} of each of the four ring profiles of _ring_data, the
     power-law core below r_min included, read off their cumulative table
-    at beta = 2, which f keeps with the stacked profiles."""
+    and inner core at beta = 2, which f keeps with the stacked profiles."""
     def build():
         F = np.stack(_ring_data(f), axis=1)
-        return F, f.rule().cumulative(F, 2.0)
-    F, cum = f.cached("ring_integrals", build)
-    return f.rule()._disk_integral(F, r, cum)
+        return F, f.rule().cumulative(F, 2.0), f.rule().inner_core(F, 2.0)
+    F, cum, core = f.cached("ring_integrals", build)
+    return f.rule()._disk_integral(F, r, cum, core)
 
 
 def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):

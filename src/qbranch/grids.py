@@ -37,7 +37,9 @@ Radial derivatives use 7-point weights built in the radius variable, exact
 for polynomials in r through degree 6; low-order stencils in log r bias
 the frequency of an alpha-homogeneous map by (alpha*dt)^2/6 at second
 order, well above the accuracy this library promises, and any stencil in
-log r puts a boundary bias on affine sheets.  Angular derivatives are
+log r puts a boundary bias on affine sheets.  Their seven weight patterns
+come from one batched solve per call, uncached so that a traced run's
+solve count still sees every differentiation.  Angular derivatives are
 spectral on the monodromy covering circle.
 """
 
@@ -153,10 +155,13 @@ def _stencil_weights(offsets: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     stencil size (Fornberg's moment condition).  Every interpolation,
     differentiation and quadrature weight of the library comes from here:
     rhs = e_1 differentiates at 0, rhs = the identity gives the cell patterns
-    that interpolate and integrate; each is exact below degree k."""
-    k = offsets.size
-    V = np.vander(offsets, k, increasing=True).T  # V[a, j] = offs_j^a
-    return np.linalg.solve(V, rhs)
+    that interpolate and integrate; each is exact below degree k.  Stacked
+    offsets (..., k) are solved in one call, rhs (k, m) serving each."""
+    k = offsets.shape[-1]
+    V = np.ones(offsets.shape[:-1] + (k, k))  # V[..., a, j] = offs_j^a
+    for a in range(1, k):  # repeated products, the powers of np.vander
+        V[..., a, :] = V[..., a - 1, :] * offsets
+    return np.linalg.solve(V, np.broadcast_to(rhs, V.shape[:-2] + rhs.shape))
 
 
 def _ring_profile(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -330,20 +335,21 @@ class RadialRule:
         return out
 
     def _disk_integral(self, F: np.ndarray, r: float,
-                       cum: np.ndarray | None = None):
+                       cum: np.ndarray | None = None, core=None):
         """int_{B_r} of a ring profile F carrying its angular weight, i.e.
         int_0^r F(s) s ds, with the power-law core below r_min included.
-        cum is F's cumulative table at beta = 2, for callers that keep one;
-        it is built here otherwise.  F may stack profiles as (R, ...); the
-        result then has shape F.shape[1:], and each entry is summed by the
-        same elementwise operations as a lone profile, so stacking never
-        changes a digit."""
+        cum is F's cumulative table at beta = 2 and core its inner_core at
+        beta = 2, for callers that keep them; each is built here otherwise.
+        F may stack profiles as (R, ...); the result then has shape
+        F.shape[1:], and each entry is summed by the same elementwise
+        operations as a lone profile, so stacking never changes a digit."""
         self.grid.require_radius(r)
         F = np.asarray(F, dtype=float)
         if cum is None:
             cum = self.cumulative(F, 2.0)
-        total = self._from_bottom(cum, F, math.log(r), 2.0) \
-            + self.inner_core(F, 2.0)
+        if core is None:
+            core = self.inner_core(F, 2.0)
+        total = self._from_bottom(cum, F, math.log(r), 2.0) + core
         return float(total) if total.ndim == 0 else total
 
     def _from_bottom(self, cum: np.ndarray, F: np.ndarray, t_b: float,
@@ -389,31 +395,32 @@ def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
     degree 6 (constant offsets and tilted planes in particular leave no
     boundary bias).  Because consecutive radii have a fixed ratio, one
     dimensionless weight pattern per row offset serves every ring after a
-    1/r scaling."""
+    1/r scaling; the seven patterns (interior, three rows at each end) come
+    from one batched solve per call, uncached (see the module docstring)."""
     v = np.moveaxis(values, axis, 0)
     n = v.shape[0]
     k = _RADIAL_WIDTH
     if n < k:
         raise ConfigError(f"need at least {k} samples for the stencil")
     half = k // 2
-    pos = np.arange(k, dtype=float)
-    e1 = np.eye(k)[1]  # first derivative at offset 0
+    rows = np.arange(half)
+    # node positions g^(j - c) around the row, c its place in the stencil
+    c = np.concatenate([[half], rows, k - 1 - rows])[:, None]
     g = float(radii[1] / radii[0])
+    w = _stencil_weights(g ** (np.arange(k) - c) - 1.0,
+                         np.eye(k)[:, 1:2])[..., 0]  # d/dx at offset 0
     inv_r = 1.0 / radii
     shape_tail = (1,) * (v.ndim - 1)
     out = np.empty_like(v)
-    # interior rows: nodes at relative positions g^(j - half) around the row
-    w_int = _stencil_weights(g ** (pos - half) - 1.0, e1)
-    acc = w_int[0] * v[0:n - k + 1]
+    acc, term = out[half:n - half], np.empty_like(v[half:n - half])
+    np.multiply(w[0, 0], v[0:n - k + 1], out=acc)
     for j in range(1, k):
-        acc = acc + w_int[j] * v[j:n - k + 1 + j]
-    out[half:n - half] = acc * inv_r[half:n - half].reshape(-1, *shape_tail)
-    for row in range(half):
-        w_lo = _stencil_weights(g ** (pos - row) - 1.0, e1)
-        out[row] = np.tensordot(w_lo, v[:k], axes=(0, 0)) * inv_r[row]
-        w_hi = _stencil_weights(g ** (pos - (k - 1 - row)) - 1.0, e1)
-        out[n - 1 - row] = np.tensordot(w_hi, v[n - k:], axes=(0, 0)) \
-            * inv_r[n - 1 - row]
+        acc += np.multiply(w[0, j], v[j:n - k + 1 + j], out=term)
+    acc *= inv_r[half:n - half].reshape(-1, *shape_tail)
+    for row in rows:
+        out[row] = np.tensordot(w[1 + row], v[:k], axes=(0, 0)) * inv_r[row]
+        out[n - 1 - row] = np.tensordot(w[1 + half + row], v[n - k:],
+                                        axes=(0, 0)) * inv_r[n - 1 - row]
     return np.moveaxis(out, 0, axis)
 
 

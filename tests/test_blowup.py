@@ -160,6 +160,16 @@ class TestNormalize:
         _ring_data(fresh)
         assert qb.l2_norm_on_ball(fresh, 0.5) == cold
 
+    @pytest.mark.parametrize("mode", ["l2_norm", "excess_sqrt"])
+    def test_samples_are_divided_once(self, curve_cache, mode):
+        # x / (r h) is (x / r) / h bit for bit when r is a power of two
+        v = qb.average_free_part(curve_cache(2, 5, (0, 0, 1)))
+        for k in (1, 2, 5, 9):
+            u = qb.coarse_blowup_normalize(v, 2.0 ** -k, mode)
+            h = u.metadata["blowup"]["normalizer"]
+            assert np.array_equal(u.values,
+                                  qb.rescale(v, None, 2.0 ** -k).values / h)
+
     def test_parent_samples_stay_untouched(self, curve_cache):
         f = curve_cache(2, 3)
         before = f.values.copy()

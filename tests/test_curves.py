@@ -1,12 +1,15 @@
 """Ground-truth multigraphs and synthetic homogeneous maps."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import qbranch as qb
+from qbranch.curves import _angular_step_ratio
+from qbranch.qvalue import _separation
 
 
 class TestCurveSpec:
@@ -123,6 +126,54 @@ class TestMultigraph:
         f1 = qb.make_multigraph(qb.CurveSpec(3, 4), g1)
         f2 = qb.make_multigraph(qb.CurveSpec(3, 4), g2)
         assert np.abs(f1.values - f2.values[:, :, ::2]).max() < 1e-14
+
+
+def _explicit_step_ratios(f):
+    """(angular, radial) largest sheet moves between adjacent samples in
+    units of half the sheet separation, on an explicit average-free copy."""
+    v = f.values - np.mean(f.values, axis=0, keepdims=True)
+    nxt = np.concatenate([v[:, :, 1:], v[f.monodromy][:, :, :1]], axis=2)
+    sep = _separation(v)
+    ang = np.linalg.norm(nxt - v, axis=3).max(axis=0) / (0.5 * sep)
+    rad = np.linalg.norm(v[:, 1:] - v[:, :-1], axis=3).max(axis=0) \
+        / (0.5 * np.minimum(sep[1:], sep[:-1]))
+    return ang, rad
+
+
+class TestTrackingCheck:
+    @pytest.mark.parametrize("q,p,h", [(2, 3, ()), (2, 5, ()), (3, 4, ()),
+                                       (3, 5, ()), (4, 5, ()),
+                                       (2, 5, (0, 0, 1, 0.5j))])
+    def test_one_pass_ratio_is_the_average_free_one(self, curve_cache,
+                                                    small_grid, q, p, h):
+        f = qb.make_multigraph(qb.CurveSpec(q, p, h), small_grid) if h \
+            else curve_cache(q, p)
+        ang, rad = _explicit_step_ratios(f)
+        np.testing.assert_allclose(_angular_step_ratio(f)[1], ang,
+                                   rtol=1e-12, atol=0.0)
+        assert f.check_selection() == pytest.approx(
+            max(ang.max(), rad.max()), rel=1e-12, abs=0.0)
+
+    def test_coinciding_sheets_give_no_nan(self, small_grid):
+        x, y = small_grid.nodes_xy()
+        harmonic = np.stack([x, -y], axis=-1)
+        zero = np.zeros_like(harmonic)
+        crossing = np.stack([y, zero[..., 0]], axis=-1)  # meet at theta = 0
+
+        def pair(a, b):
+            return qb.QFunction(grid=small_grid, values=np.stack([a, b]),
+                                monodromy=np.arange(2))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # nothing moves once the common motion is taken out: 0
+            for f in (pair(harmonic, harmonic), pair(zero, zero)):
+                assert _angular_step_ratio(f)[1].max() == 0.0
+                assert f.check_selection() == 0.0
+            # sheets that meet and move apart: inf, which no check passes
+            f = pair(crossing, -crossing)
+            assert _angular_step_ratio(f)[1].max() == np.inf
+            assert f.check_selection() == np.inf
 
 
 class TestMetadata:

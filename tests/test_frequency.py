@@ -178,6 +178,20 @@ class TestProfiles:
         I = qb.smoothed_I(curve_cache(q, p), r=r, cutoff=qb.SHARP)
         assert abs(I - p / q) < 1e-3
 
+    @pytest.mark.parametrize("cutoff", [qb.RAMP, qb.SHARP])
+    def test_profile_reads_one_inner_core(self, small_grid, monkeypatch,
+                                          cutoff):
+        # the core below r_min is cached with the map's cumulative table
+        core, shapes = qb.grids.RadialRule.inner_core, []
+        monkeypatch.setattr(qb.grids.RadialRule, "inner_core",
+                            lambda rule, F, beta: shapes.append(F.shape)
+                            or core(rule, F, beta))
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
+        radii = qb.default_profile_radii(f.grid)
+        assert len(radii) == 17
+        qb.frequency_profile(f, radii=radii, cutoff=cutoff)
+        assert shapes == [(f.grid.n_rings, 4)]
+
     def test_reversed_radii_rejected(self, curve_cache):
         with pytest.raises(ValueError):
             qb.frequency_profile(curve_cache(2, 3), radii=[0.5, 0.25])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import qbranch as qb
@@ -52,6 +53,66 @@ def test_d_dr_geometric_exact_through_degree_six(grid, degree):
     # every row, the three one-sided rows at each end included
     err = np.abs(got - exact[None, :, None, None])
     assert err.max() <= 1e-12 * max(1.0, np.abs(exact).max())
+
+
+def _d_dr_row_by_row(values, radii):
+    """The radial derivative along axis 1 written out pattern by pattern:
+    one np.vander matrix and one solve per weight pattern, interior rows
+    accumulated out of place."""
+    v = np.moveaxis(values, 1, 0)
+    n, k = v.shape[0], 7
+    half = k // 2
+    g = float(radii[1] / radii[0])
+    inv_r = 1.0 / radii
+
+    def weights(centre):
+        offsets = g ** (np.arange(k, dtype=float) - centre) - 1.0
+        return np.linalg.solve(np.vander(offsets, k, increasing=True).T,
+                               np.eye(k)[1])
+
+    out = np.empty_like(v)
+    w = weights(half)
+    acc = w[0] * v[0:n - k + 1]
+    for j in range(1, k):
+        acc = acc + w[j] * v[j:n - k + 1 + j]
+    out[half:n - half] = acc * inv_r[half:n - half, None, None, None]
+    for row in range(half):
+        out[row] = np.tensordot(weights(row), v[:k], axes=(0, 0)) \
+            * inv_r[row]
+        out[n - 1 - row] = np.tensordot(weights(k - 1 - row), v[n - k:],
+                                        axes=(0, 0)) * inv_r[n - 1 - row]
+    return np.moveaxis(out, 0, 1)
+
+
+@pytest.mark.parametrize("rings", [slice(None), slice(-7, None)],
+                         ids=["default_grid", "seven_rings"])
+def test_d_dr_geometric_is_the_row_by_row_stencil(curve_cache, rings):
+    """One batched solve and in-place accumulation change no bit."""
+    f = curve_cache(2, 5, (0, 0, 1))
+    values, radii = f.values[:, rings], f.grid.radii[rings]
+    assert np.array_equal(d_dr_geometric(values, radii, axis=1),
+                          _d_dr_row_by_row(values, radii))
+
+
+@given(g=st.floats(2.0 ** (1 / 32), 2.0 ** 0.5), n=st.integers(7, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_d_dr_geometric_is_the_row_by_row_stencil_at_any_ratio(g, n, seed):
+    radii = 2.0 ** -5 * g ** np.arange(n)
+    values = np.random.default_rng(seed).normal(size=(2, n, 5, 2))
+    assert np.array_equal(d_dr_geometric(values, radii, axis=1),
+                          _d_dr_row_by_row(values, radii))
+
+
+def test_d_dr_geometric_solves_once_per_call(grid, monkeypatch):
+    # the weights are not cached across calls: a traced run counts a solve
+    # for every differentiation
+    solve, shapes = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: shapes.append(a.shape) or solve(a, b))
+    values = np.ones((2, grid.n_rings, 3, 2))
+    for _ in range(2):
+        d_dr_geometric(values, grid.radii, axis=1)
+    assert shapes == [(7, 7, 7)] * 2
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
