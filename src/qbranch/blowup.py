@@ -23,16 +23,16 @@ Blow-up steps at different scales are independent once the average-free
 input is built; the estimator aggregates them in step order, so results do
 not depend on evaluation order, and it lists the steps that failed, with
 the reason, under notes["step_failures"].  A blow-up u = c f(r .) reads
-its ring table off f's (scale invariance of the ring profiles): every row
-but the top three is f's row rescaled, and on those three, where u's
-radial stencil turns one-sided, only the radial derivative is taken anew,
-from u's top seven rings; the angular energy there is f's row rescaled
-too.  So a degree estimate differentiates the average-free part once and
-runs no angular FFT per step.  Its steps share their quadrature windows
-through the window cache of grids, read their bottom-anchored integrals
-off cumulative tables, and the degeneracy guard's amplitude of the
-average-free part is taken once per map.  The Hardt-Simon check reads the
-map's ring table as well, so it differentiates nothing that is cached.
+its ring table off f's whole table (scale invariance of the ring
+profiles): every row is f's row rescaled, and only its cumulative table
+and core are its own.  So a degree estimate differentiates the
+average-free part once, and no step differentiates or reads its own
+samples.  The l2_norm normalizer is read off the same table of f.  Its
+steps share their quadrature windows through the window cache of grids,
+read their bottom-anchored integrals off cumulative tables, and the
+degeneracy guard's amplitude of the average-free part is taken once per
+map.  The Hardt-Simon check reads the map's ring table as well, so it
+differentiates nothing that is cached.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ def rescale(f: QFunction, q=None, r: float = 1.0) -> QFunction:
     keeps the rings with x_i inside f's disk."""
     if q is not None and not np.allclose(q, f.grid.center, atol=1e-15):
         f = recenter(f, q)
-    if abs(r - 1.0) < 1e-15:
-        _blowup_radii(f.grid, r)  # the refusals of every other ratio
-        return f.replace_values(f.values.copy(), note="rescale r=1")
     return _dilate(f, r, r)
 
 
@@ -169,10 +166,8 @@ def _branched_part(f: QFunction) -> QFunction:
 
 
 def l2_norm_on_ball(f: QFunction, radius: float) -> float:
-    """sqrt of int_{B_radius} |f|^2, read off f's cumulative ring table when
-    f has a ring table (without differentiating f when it has none)."""
-    if "ring_data" in f._cache:
-        return float(np.sqrt(_ball_integrals(f, radius)[1]))
+    """sqrt of int_{B_radius} |f|^2, from the |f|^2 ring profile alone:
+    nothing is differentiated."""
     return float(np.sqrt(f.rule()._disk_integral(_ring_profile(f.values),
                                                  radius)))
 
@@ -193,8 +188,9 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
         if r_ref > grid.r_max * (1 + 1e-12):
             raise RangeError(
                 f"reference ball {reference} * {r} exceeds the grid")
-        raw = l2_norm_on_ball(f, r_ref)
-        # norm of the blow-up on B_reference, by scaling the original integral
+        # |f|^2 off f's ring table, which the seed below reads anyway; the
+        # norm of the blow-up on B_reference scales from it
+        raw = float(np.sqrt(_ball_integrals(f, r_ref)[1]))
         normalizer = raw * r ** (-(M_DIM + 2) / 2.0)
     elif mode == "excess_sqrt":
         from .excess import least_excess
@@ -354,7 +350,7 @@ def hardt_simon_check(f: QFunction, rho_inner: float,
     if grid.r_max < 0.5:
         raise RangeError("grid must reach radius 1/2")
     rule = f.rule()
-    _, B, C, P = _ring_data(f)
+    _, B, C, P = _ring_data(f)[0].T
     r = grid.radii
     W = (P - 2.0 * C / r + B / r ** 2) / r ** 2
 

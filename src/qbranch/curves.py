@@ -185,14 +185,6 @@ class QFunction:
             return d_dr_geometric(self.values, radii, axis=1), du_dth
         return self.cached("grad", build)
 
-    def grad_sq(self) -> np.ndarray:
-        """|Du|^2 summed over sheets, shape (R, T)."""
-        def build():
-            du_dr, du_dth = self.gradients()
-            return np.einsum("krtn,krtn->rt", du_dr, du_dr) \
-                + np.einsum("krtn,krtn->rt", du_dth, du_dth)
-        return self.cached("grad_sq", build)
-
     def cartesian_gradients(self) -> np.ndarray:
         """Per-sheet Jacobians in the fixed frame, shape (Q, R, T, n, 2)."""
         def build():

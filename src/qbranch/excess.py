@@ -113,7 +113,7 @@ def _area_moments(f: QFunction):
         table = TWO_PI * np.concatenate(
             [np.mean(area, axis=-1)[..., None], np.mean(p, axis=2)], axis=-1)
         F = np.concatenate([table, table.sum(axis=0)[None]]).transpose(1, 0, 2)
-        return F, f.rule().cumulative(F, 2.0), f.rule().inner_core(F, 2.0)
+        return f.rule().disk_table(F)
     return f.cached("area_moments", build)
 
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateHeightError, RangeError)
-from .grids import (M_DIM, TWO_PI, PolarGrid, _RADIAL_WIDTH, _cell_interpolant,
-                    _ring_profile, d_dr_geometric, default_grid)
+from .grids import (M_DIM, TWO_PI, PolarGrid, _cell_interpolant,
+                    _ring_profile, default_grid)
 from .curves import QFunction, _csv
 from .qvalue import _chain_labels, _match_pairs
 
@@ -77,54 +77,39 @@ SHARP = Cutoff("sharp")
 
 
 def _ring_data(f: QFunction):
-    """Angularly integrated ring profiles (each length R, already carrying
-    the 2 pi angular weight): |Du|^2, |u|^2, u . du/dr, |du/dr|^2."""
+    """f's ring table (F, cum, core), cached: the angularly integrated ring
+    profiles |Du|^2, |u|^2, u . du/dr, |du/dr|^2 (each carrying the 2 pi
+    angular weight) as the columns of F, shape (R, 4), with their
+    cumulative table and inner core at beta = 2.  F is the transpose of
+    the stacked profiles, so each profile is a contiguous row of F.T."""
     def build():
-        du_dr = f.gradients()[0]
-        return (TWO_PI * np.mean(f.grad_sq(), axis=-1),
-                _ring_profile(f.values), _ring_profile(f.values, du_dr),
-                _ring_profile(du_dr))
+        du_dr, du_dth = f.gradients()
+        P = _ring_profile(du_dr)
+        return f.rule().disk_table(np.stack([
+            P + _ring_profile(du_dth), _ring_profile(f.values),
+            _ring_profile(f.values, du_dr), P]).T)
     return f.cached("ring_data", build)
 
 
 def _ball_integrals(f: QFunction, r: float) -> np.ndarray:
     """int_{B_r} of each of the four ring profiles of _ring_data, the
-    power-law core below r_min included, read off their cumulative table
-    and inner core at beta = 2, which f keeps with the stacked profiles."""
-    def build():
-        F = np.stack(_ring_data(f), axis=1)
-        return F, f.rule().cumulative(F, 2.0), f.rule().inner_core(F, 2.0)
-    F, cum, core = f.cached("ring_integrals", build)
+    power-law core below r_min included, read off f's ring table."""
+    F, cum, core = _ring_data(f)
     return f.rule()._disk_integral(F, r, cum, core)
 
 
 def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
-    """Cache on the blow-up u = c f(r .) a ring table read off f's: u's
-    grid is f's first rings relabelled, radius r_i / r for f's r_i, and u's
-    samples on ring i are c times f's samples on ring i.
-
-    By the chain rule row i of u's table is row i of f's scaled, |Du|^2 and
-    |du/dr|^2 by (r c)^2, |u|^2 by c^2 and u . du/dr by r c^2, wherever the
-    two radial stencils agree: on every row but u's top three, where u's
-    stencil is one-sided and f's is not.  On those three rows only the
-    radial terms are computed anew, from u's own top rings; |u|^2 and the
-    angular energy |Du|^2 - |du/dr|^2 need no radial stencil, so they are
-    f's rows scaled there too."""
-    width = _RADIAL_WIDTH
-    half = width // 2
+    """Cache on the blow-up u = c f(r .) a ring table read off f's whole
+    table.  u's grid is f's first m rings relabelled, radius r_i / r for
+    f's r_i, so by the chain rule and scale invariance u's profiles are
+    f's first m rows scaled: |Du|^2 and |du/dr|^2 by (r c)^2, |u|^2 by c^2
+    and u . du/dr by r c^2.  Only the cumulative table and core are u's
+    own; u's samples are never read."""
     m = u.grid.n_rings
-    keep = m - half
-    du_dr = d_dr_geometric(u.values[:, -width:], u.grid.radii[-width:],
-                           axis=1)[:, -half:]
-    C_top = _ring_profile(u.values[:, -half:], du_dr)
-    P_top = _ring_profile(du_dr)
-    A, B, C, P = _ring_data(f)
-    s2 = (r * c) ** 2
-    u.cached("ring_data", lambda: (
-        np.concatenate([s2 * A[:keep], P_top + s2 * (A - P)[keep:m]]),
-        c ** 2 * B[:m],
-        np.concatenate([r * c ** 2 * C[:keep], C_top]),
-        np.concatenate([s2 * P[:keep], P_top])))
+    scale = np.array([(r * c) ** 2, c ** 2, r * c ** 2, (r * c) ** 2])
+    F = _ring_data(f)[0]
+    u.cached("ring_data", lambda: u.rule().disk_table(
+        (F.T[:, :m] * scale[:, None]).T))
 
 
 # ----------------------------------------------------------------------------
@@ -137,7 +122,7 @@ def _quantities(f: QFunction, s: float, cutoff: Cutoff = RAMP) -> dict:
     if s / 2 < grid.r_min * (1.0 - 1e-12):
         raise RangeError(f"scale {s} puts the cutoff kink below the grid")
     rule = f.rule()
-    A, B, C, P = _ring_data(f)
+    A, B, C, P = _ring_data(f)[0].T
     r = grid.radii
     t_s = math.log(s)
 

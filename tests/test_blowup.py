@@ -68,33 +68,36 @@ def average_free_inputs():
 
 
 class TestRingShiftTables:
-    """A blow-up, at any ratio, reads its ring table off its parent's;
-    every frequency record must match the table computed from its own
-    samples."""
+    """A blow-up, at any ratio, reads its ring table off its parent's whole
+    table; its frequency records are the parent's at the relabelled radii."""
 
     @pytest.mark.parametrize("mode", ["l2_norm", "excess_sqrt"])
     @pytest.mark.parametrize("name", ["curve23", "curve25", "curve34",
                                       "curve35", "curve45", "curve25+0.3z^3",
                                       "homogeneous5/3"])
-    def test_seeded_table_matches_a_fresh_copy(self, average_free_inputs,
-                                               name, mode):
+    def test_blowup_reads_its_parents_table(self, average_free_inputs,
+                                            name, mode):
+        """u = c v(r .) has I_u(s) = I_v(r s), and D, H, E, G, Sigma scale
+        by c^2, c^2 / r, c^2, c^2 r and c^2 / r^2, at every ring of u but
+        its top two, where u's quadrature stencils clamp and v's do not."""
         v = average_free_inputs[name]
         # ring shifts, then off-lattice ratios
-        for ratio in [v.grid.rho ** k for k in (1, 2, 3, 8)] + [0.6, 0.3]:
-            u = qb.coarse_blowup_normalize(v, ratio, mode, reference=1.0)
-            assert "ring_data" in u._cache
-            copy = u.replace_values(u.values)  # empty cache
-            radii = [float(s) for s in u.grid.radii
-                     if s >= 2.0 * u.grid.r_min]
-            seeded = qb.frequency_profile(u, radii=radii)
-            own = qb.frequency_profile(copy, radii=radii)
+        for r in [v.grid.rho ** k for k in (1, 2, 3, 8)] + [0.6, 0.3]:
+            u = qb.coarse_blowup_normalize(v, r, mode, reference=1.0)
+            c2 = (r * u.metadata["blowup"]["normalizer"]) ** -2
+            scale = {"I": 1.0, "D": c2, "H": c2 / r, "E": c2, "G": c2 * r,
+                     "Sigma": c2 / r ** 2}
+            keep = [i for i, s in enumerate(u.grid.radii[:-2])
+                    if s >= 2.0 * u.grid.r_min]
+            own = qb.frequency_profile(u, radii=u.grid.radii[keep])
+            parent = qb.frequency_profile(v, radii=v.grid.radii[keep])
             assert "grad" not in u._cache
-            for a, b in zip(seeded.records, own.records):
-                assert a.valid == b.valid, (ratio, a.r)
-                for key in ("D", "H", "I", "E", "G", "Sigma"):
-                    x, y = getattr(a, key), getattr(b, key)
+            for a, b in zip(own.records, parent.records):
+                assert a.valid == b.valid, (r, a.r)
+                for key, k in scale.items():
+                    x, y = getattr(a, key), k * getattr(b, key)
                     if not math.isnan(y):
-                        assert abs(x - y) <= 1e-12 * abs(y), (ratio, a.r, key)
+                        assert abs(x - y) <= 1e-12 * abs(y), (r, a.r, key)
 
     def test_cached_tables_are_read_only(self, average_free_inputs):
         v = average_free_inputs["curve23"]
@@ -263,8 +266,7 @@ class TestAverageFree:
         qb.universal_frequency(f, qb.intervals_of_flattening(f, eps3_sq=0.2))
         qb.hardt_simon_check(qb.average_free_part(f), 64 * grid.r_min)
         assert [built.count(key) for key in
-                ("average_free", "grad", "grad_sq", "ring_data")] \
-            == [1, 2, 2, 2]
+                ("average_free", "grad", "ring_data")] == [1, 2, 2]
 
     def test_repeated_harmonic_sheet_collapses(self, small_grid):
         x, y = small_grid.nodes_xy()
@@ -315,6 +317,20 @@ class TestSingularityDegree:
             assert est.value == pytest.approx(p / q, rel=0.02), (q, p)
             assert est.spread < 0.02 * p / q
             assert est.value >= 1.0 - 0.01  # lower bound for minimizers
+
+    def test_estimate_differentiates_once(self, monkeypatch):
+        # the average-free part's gradients are the estimate's only radial
+        # differentiation: every blow-up reads its parent's whole table
+        calls = []
+        for module in (grids, curves, frequency, blowup):
+            original = getattr(module, "d_dr_geometric", None)
+            if original is not None:
+                monkeypatch.setattr(module, "d_dr_geometric",
+                                    lambda *a, _d=original, **k:
+                                    calls.append(1) or _d(*a, **k))
+        grid = qb.default_grid(r_min=2.0 ** -8, n_theta=64)
+        qb.singularity_degree(qb.make_multigraph(qb.CurveSpec(2, 3), grid))
+        assert len(calls) == 1
 
     def test_cold_estimate_shares_its_windows(self, curve_cache):
         """The average-free part and all its blow-ups read one process-wide

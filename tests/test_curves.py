@@ -187,7 +187,8 @@ class TestMetadata:
         same = qb.rescale(first, None, 1.0)
         free = qb.average_free_part(first)
         assert first.metadata["notes"] == ["first"]
-        assert same.metadata["notes"] == ["first", "rescale r=1"]
+        assert same.metadata["rescaled_by"] == 1.0
+        assert same.metadata["notes"] == ["first"]
         assert free.metadata["notes"] == ["first", "average-free"]
 
 

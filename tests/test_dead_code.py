@@ -77,12 +77,21 @@ def _package_callers(name: str) -> list[str]:
                   for qual in _callers(tree, name))
 
 
-def test_radial_differentiation_has_two_callers():
-    # a map is differentiated once, by its gradients; a blow-up only adds
-    # its top rings' one-sided stencil.  Everything else reads the ring table
+def test_radial_differentiation_has_one_caller():
+    # a map is differentiated once, by its gradients; a blow-up reads its
+    # parent's whole ring table, and everything else reads the ring table
     assert _package_callers("d_dr_geometric") == [
-        "curves.py:QFunction.gradients",
-        "frequency.py:_seed_blowup_ring_data"]
+        "curves.py:QFunction.gradients"]
+
+
+def test_ring_table_key_is_named_in_one_module():
+    # the cache key of a map's ring table is written and read only by the
+    # module that builds the table
+    naming = sorted(path.name for path in SOURCES
+                    if any(isinstance(node, ast.Constant)
+                           and node.value == "ring_data"
+                           for node in ast.walk(ast.parse(path.read_text()))))
+    assert naming == ["frequency.py"]
 
 
 def test_measured_object_is_decided_once():

@@ -183,7 +183,7 @@ def test_cumulative_reads_match_the_bottom_windows(grid, beta):
     table, at every ring and between rings, is the bottom-anchored window's
     integral."""
     f = qb.make_multigraph(qb.CurveSpec(3, 4), grid)
-    F = np.stack(_ring_data(f), axis=1)
+    F = _ring_data(f)[0]
     rule = f.rule()
     cum = rule.cumulative(F, beta)
     t = grid.t
