@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DataError, DegenerateBlowupError,
                      DegenerateHeightError, DimensionError, NumericError,
-                     OptimizationError, QBranchError, RangeError,
-                     RefinementError, SpecError, TiltError, TrackingError)
+                     QBranchError, RangeError, RefinementError, SpecError,
+                     TiltError, TrackingError)
 from .grids import PolarGrid, default_grid
 from .qvalue import (QPoint, SheetSelection, average_free, brute_force_metric,
                      eta, metric_g, optimal_matching, track_selection)

@@ -24,8 +24,8 @@ input is built; the estimator aggregates them in step order, so results do
 not depend on evaluation order, and it lists the steps that failed, with
 the reason, under notes["step_failures"].  A blow-up u = c f(r .) reads
 its ring table off f's whole table (scale invariance of the ring
-profiles): every row is f's row rescaled, and only its cumulative table
-and core are its own.  So a degree estimate differentiates the
+profiles): every row of its profiles, cumulative table and core is f's
+row rescaled.  So a degree estimate differentiates the
 average-free part once, and no step differentiates or reads its own
 samples.  The l2_norm normalizer is read off the same table of f.  Its
 steps share their quadrature windows through the window cache of grids,
@@ -168,8 +168,9 @@ def _branched_part(f: QFunction) -> QFunction:
 def l2_norm_on_ball(f: QFunction, radius: float) -> float:
     """sqrt of int_{B_radius} |f|^2, from the |f|^2 ring profile alone:
     nothing is differentiated."""
-    return float(np.sqrt(f.rule()._disk_integral(_ring_profile(f.values),
-                                                 radius)))
+    rule = f.rule()
+    return float(np.sqrt(rule._disk_integral(
+        rule.disk_table(_ring_profile(f.values)), radius)))
 
 
 def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",

@@ -185,16 +185,6 @@ class QFunction:
             return d_dr_geometric(self.values, radii, axis=1), du_dth
         return self.cached("grad", build)
 
-    def cartesian_gradients(self) -> np.ndarray:
-        """Per-sheet Jacobians in the fixed frame, shape (Q, R, T, n, 2)."""
-        def build():
-            du_dr, du_dth = self.gradients()
-            c = np.cos(self.grid.angles)[None, None, :, None]
-            s = np.sin(self.grid.angles)[None, None, :, None]
-            return np.stack([du_dr * c - du_dth * s,
-                             du_dr * s + du_dth * c], axis=-1)
-        return self.cached("cart_grad", build)
-
     # ---- consistency --------------------------------------------------
 
     def check_selection(self) -> float:

@@ -50,9 +50,5 @@ class TiltError(NumericError):
     """Plane tilt too large for a graphical reparametrization."""
 
 
-class OptimizationError(NumericError):
-    """An iterative optimization failed; no qbranch routine raises it now."""
-
-
 class DataError(NumericError):
     """Not enough valid data to carry out the requested estimate."""

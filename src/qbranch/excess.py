@@ -27,15 +27,12 @@ length 1/sqrt 2 each (Harvey-Lawson, Calibrated geometries, Acta Math. 148
 tau = (S1+/|S1+| + S1-/|S1-|)/sqrt 2, and the tilt is read off tau/tau_12.
 
 Every quantity here reads one table per map, built on first use from the
-unnormalized p (P is never formed): the per-sheet ring profiles
-s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta and their sheet sum, kept
-with their cumulative table, so an integral over B_r (core included) is an
-O(1) read.  The excess sums the per-sheet integrals, the graph mass is the
-sheet sum's S0, and the mean tilt is the sheet sum's S1 entries 1..4.
-
-The ball variant replaces the cylinder B_r x R^2 by the ambient ball,
-capping each sheet at its exit radius, and is kept as the documented
-secondary definition.
+unnormalized p (P is never formed): the sheet sums of the ring profiles
+s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta, kept with their cumulative
+table, so an integral over B_r (core included) is an O(1) read.  The graph
+mass is S0, the excess reads S0 and S1, and the mean tilt is S1's entries
+1..4, all off the same row, which is what makes the mass-ratio identity
+above exact, with Q pi r^2 read as the quadrature's S1_12.
 """
 
 from __future__ import annotations
@@ -45,14 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TiltError
+from .errors import DataError, TiltError
 from .grids import TWO_PI
 from .curves import QFunction, _csv
 
 OMEGA_M = math.pi        # volume of the unit ball in the base dimension m = 2
 TILT_MAX = 0.5
 HALF_FLOOR = 1e-12  # a half S1+- this small against the other: no unique tau
-DEFINITIONS = ("cylindrical", "spherical_ball")
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,6 @@ class ExcessRecord:
     mass: float
     excess: float
     plane: Plane
-    definition: str = "cylindrical"
 
 
 def _plucker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,103 +97,57 @@ def _plucker_of_tilt(A: np.ndarray) -> np.ndarray:
 
 
 def _area_moments(f: QFunction):
-    """(F, cum, core), cached per map: F[:, k] holds sheet k's
-    s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta, F[:, Q] their sheet sum,
-    cum is F's cumulative table at beta = 2, each (R, Q + 1, 7), and core
-    F's inner core at beta = 2."""
+    """(F, cum, core), cached per map: F the (R, 7) sheet sums of the ring
+    profiles s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta, with their
+    cumulative table and inner core at beta = 2.  The Jacobian columns
+    a = Df e1 and b = Df e2 are rotated out of the polar gradients as p is
+    formed; no Cartesian copy is kept."""
     def build():
-        Jc = f.cartesian_gradients()           # (Q, R, T, n, 2)
-        p = _plucker(Jc[..., 0], Jc[..., 1])   # (Q, R, T, 6)
+        du_dr, du_dth = f.gradients()
+        c = np.cos(f.grid.angles)[None, None, :, None]
+        s = np.sin(f.grid.angles)[None, None, :, None]
+        p = _plucker(du_dr * c - du_dth * s, du_dr * s + du_dth * c)
         area = np.sqrt(np.einsum("krtc,krtc->krt", p, p))
-        table = TWO_PI * np.concatenate(
+        table = np.concatenate(
             [np.mean(area, axis=-1)[..., None], np.mean(p, axis=2)], axis=-1)
-        F = np.concatenate([table, table.sum(axis=0)[None]]).transpose(1, 0, 2)
-        return f.rule().disk_table(F)
+        return f.rule().disk_table((TWO_PI * table).sum(axis=0))
     return f.cached("area_moments", build)
 
 
-def _area_integrals(f: QFunction, r: float) -> np.ndarray:
-    """int_{B_r} of every area moment, the power-law core below r_min
-    included, read off the cached table and core: shape (Q + 1, 7)."""
-    F, cum, core = _area_moments(f)
-    return f.rule()._disk_integral(F, r, cum, core)
-
-
-def _sheet_heights(f: QFunction) -> np.ndarray:
-    """Per-sheet ring profile mean_theta |f_k|^2, shape (Q, R), cached like
-    the area moments."""
-    return f.cached("sheet_heights", lambda: np.mean(
-        np.einsum("krtn,krtn->krt", f.values, f.values), axis=-1))
-
-
-def _ball_caps(f: QFunction, r: float) -> np.ndarray:
-    """Per-sheet radius where the graph leaves the ambient ball of radius r:
-    the root of s^2 + mean_theta |f_k(s, .)|^2 = r^2 along the ring table.
-    The angular mean stands in for the exact theta-dependent rim, which is
-    what makes the ball definition second class here."""
-    s = f.grid.radii
-    rho_sq = s[None, :] ** 2 + _sheet_heights(f)               # (Q, R)
-    caps = np.empty(f.q)
-    for k in range(f.q):
-        prof = rho_sq[k]
-        idx = np.searchsorted(prof, r * r)
-        if idx >= s.size:
-            caps[k] = min(r, f.grid.r_max)
-        elif idx == 0:
-            caps[k] = s[0]
-        else:
-            # log-linear root between the bracketing rings
-            a, b = prof[idx - 1], prof[idx]
-            lam = (r * r - a) / (b - a)
-            caps[k] = s[idx - 1] ** (1 - lam) * s[idx] ** lam
-    return caps
-
-
-def _moments_up_to(f: QFunction, r: float, definition: str):
-    """Area moments S0 = int |p|, S1 = int p over the region up to r, with
-    the puncture core r < r_min restored componentwise so that the
-    mass-ratio identity and the flat-plane cancellations survive it.
-
-    cylindrical integrates every sheet up to r; spherical_ball caps each
-    sheet at its exit radius from the ambient ball."""
-    if definition not in DEFINITIONS:
-        raise ConfigError(f"unknown excess definition {definition!r}")
-    f.grid.require_radius(r)
-    if definition == "spherical_ball":
-        S = sum(_area_integrals(f, cap)[k]
-                for k, cap in enumerate(_ball_caps(f, r)))
-    else:
-        S = sum(_area_integrals(f, r)[:f.q])
+def _moments_up_to(f: QFunction, r: float):
+    """Area moments S0 = int |p|, S1 = int p over the cylinder above B_r,
+    every sheet summed, with the puncture core r < r_min restored
+    componentwise so that the mass-ratio identity and the flat-plane
+    cancellations survive it."""
+    S = f.rule()._disk_integral(_area_moments(f), r)
     return float(S[0]), S[1:]
 
 
 def graph_mass(f: QFunction, r: float) -> float:
     """Mass of the graph over B_r by the Q-valued area formula."""
-    return float(_area_integrals(f, r)[f.q, 0])
+    return _moments_up_to(f, r)[0]
 
 
 def _excess(S0: float, pairing: float, r: float) -> float:
     return float((S0 - pairing) / (OMEGA_M * r ** 2))
 
 
-def spherical_excess(f: QFunction, r: float, plane: Plane | None = None,
-                     definition: str = "cylindrical") -> ExcessRecord:
-    """Excess of the graph over a candidate plane at radius r.
-
-    cylindrical integrates over the cylinder above B_r (the primary
-    definition); spherical_ball masks each sheet to the ambient ball."""
+def spherical_excess(f: QFunction, r: float,
+                     plane: Plane | None = None) -> ExcessRecord:
+    """Excess of the graph over a candidate plane at radius r, integrated
+    over the cylinder above B_r: the cylindrical excess, the one excess of
+    this library (the name is kept for its callers)."""
     plane = HORIZONTAL if plane is None else plane
-    S0, S1 = _moments_up_to(f, r, definition)
+    S0, S1 = _moments_up_to(f, r)
     value = _excess(S0, _plucker_of_tilt(plane.tilt) @ S1, r)
-    return ExcessRecord(r=float(r), mass=graph_mass(f, r), excess=value,
-                        plane=plane, definition=definition)
+    return ExcessRecord(r=float(r), mass=S0, excess=value, plane=plane)
 
 
 def mean_tilt(f: QFunction, r: float) -> np.ndarray:
     """Area-averaged Jacobian of the sheet average over B_r, the core below
     r_min included, read off the sheet sum of S1, whose entries 1..4 are
     (b1, b2, -a1, -a2)."""
-    m = _area_integrals(f, r)[f.q, 2:6] / (f.q * OMEGA_M * r ** 2)
+    m = _moments_up_to(f, r)[1][1:5] / (f.q * OMEGA_M * r ** 2)
     return np.array([[-m[2], m[0]], [-m[3], m[1]]])
 
 
@@ -210,21 +159,19 @@ def _halves(S1: np.ndarray):
     return halves, [float(np.linalg.norm(h)) for h in halves]
 
 
-def least_excess(f: QFunction, r: float,
-                 definition: str = "cylindrical") -> float:
+def least_excess(f: QFunction, r: float) -> float:
     """Excess at radius r over the best oriented plane, graph or not; equal
     to optimal_plane's to rounding wherever that one answers."""
-    S0, S1 = _moments_up_to(f, r, definition)
+    S0, S1 = _moments_up_to(f, r)
     return _excess(S0, sum(_halves(S1)[1]) / (2.0 * math.sqrt(2.0)), r)
 
 
-def optimal_plane(f: QFunction, r: float,
-                  definition: str = "cylindrical") -> dict:
+def optimal_plane(f: QFunction, r: float) -> dict:
     """Minimize the excess at radius r over graph planes, in closed form:
     the tilt is read off tau/tau_12 = (1, b1, b2, -a1, -a2, .).  TiltError
     when tau is no graph or its tilt exceeds TILT_MAX; DataError when S1+ or
     S1- vanishes.  Returns {"plane", "excess", "iterations": 1}."""
-    S0, S1 = _moments_up_to(f, r, definition)
+    S0, S1 = _moments_up_to(f, r)
     halves, norms = _halves(S1)
     if min(norms) <= HALF_FLOOR * max(norms):
         raise DataError("degenerate tangent moments: S1+ or S1- vanishes, "
@@ -241,7 +188,7 @@ def optimal_plane(f: QFunction, r: float,
             "excess": _excess(S0, _plucker_of_tilt(plane.tilt) @ S1, r)}
 
 
-def excess_decay_fit(f: QFunction, radii, definition: str = "cylindrical") -> dict:
+def excess_decay_fit(f: QFunction, radii) -> dict:
     """Least-squares fit of log E(r) against log r over optimal planes.
 
     A radius whose optimal plane is no graph (a steep scale, where
@@ -252,14 +199,13 @@ def excess_decay_fit(f: QFunction, radii, definition: str = "cylindrical") -> di
     records, dropped = [], []
     for r in sorted(float(r) for r in radii):
         try:
-            res = optimal_plane(f, r, definition)
+            res = optimal_plane(f, r)
         except TiltError as exc:
             dropped.append([r, str(exc)])
             continue
         records.append(ExcessRecord(r=r, mass=graph_mass(f, r),
                                     excess=res["excess"],
-                                    plane=res["plane"],
-                                    definition=definition))
+                                    plane=res["plane"]))
     kept = [rec.r for rec in records]
     why = f" once steep radii are dropped ({dropped})" if dropped else ""
     if len(kept) < 5:
@@ -284,7 +230,8 @@ def excess_decay_fit(f: QFunction, radii, definition: str = "cylindrical") -> di
 
 
 def excess_table_csv(records) -> str:
-    """CSV export: r, excess, local exponent, mass, tilt norm, definition."""
+    """CSV export: r, excess, local exponent, mass, tilt norm, and the
+    definition column, always cylindrical."""
     lr = np.log([rec.r for rec in records])
     le = np.log([max(rec.excess, 1e-300) for rec in records])
     rows = []
@@ -296,7 +243,7 @@ def excess_table_csv(records) -> str:
         else:
             slope = float("nan")
         rows.append((rec.r, rec.excess, slope, rec.mass,
-                     rec.plane.tilt_norm, rec.definition))
+                     rec.plane.tilt_norm, "cylindrical"))
     return _csv("r,excess,exponent_window,mass,tilt_norm,definition", rows)
 
 
@@ -308,10 +255,13 @@ def mass_expansion_residual(f: QFunction, r: float) -> dict:
     from .frequency import dirichlet_energy
     mass = graph_mass(f, r)
     dir2 = dirichlet_energy(f, r)
-    Jc = f.cartesian_gradients()
-    g2 = np.einsum("krtnc,krtnc->krt", Jc, Jc)
+    # |Df_k|^2 is rotation invariant: the polar gradients give it directly
+    du_dr, du_dth = f.gradients()
+    g2 = (np.einsum("krtn,krtn->krt", du_dr, du_dr)
+          + np.einsum("krtn,krtn->krt", du_dth, du_dth))
     prof4 = TWO_PI * np.mean(np.sum(g2 ** 2, axis=0), axis=-1)
-    quartic = f.rule()._disk_integral(prof4, r)
+    rule = f.rule()
+    quartic = rule._disk_integral(rule.disk_table(prof4), r)
     area = f.q * OMEGA_M * r ** 2
     lhs = abs(mass - area - 0.5 * dir2)
     return {"lhs": lhs, "quartic": quartic,

@@ -94,8 +94,7 @@ def _ring_data(f: QFunction):
 def _ball_integrals(f: QFunction, r: float) -> np.ndarray:
     """int_{B_r} of each of the four ring profiles of _ring_data, the
     power-law core below r_min included, read off f's ring table."""
-    F, cum, core = _ring_data(f)
-    return f.rule()._disk_integral(F, r, cum, core)
+    return f.rule()._disk_integral(_ring_data(f), r)
 
 
 def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
@@ -103,13 +102,16 @@ def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
     table.  u's grid is f's first m rings relabelled, radius r_i / r for
     f's r_i, so by the chain rule and scale invariance u's profiles are
     f's first m rows scaled: |Du|^2 and |du/dr|^2 by (r c)^2, |u|^2 by c^2
-    and u . du/dr by r c^2.  Only the cumulative table and core are u's
-    own; u's samples are never read."""
+    and u . du/dr by r c^2.  Substituting s = r s' in int_0^s' F s ds, the
+    cumulative table and core are f's too, each column scaled likewise and
+    divided by r^2.  u's samples are never read."""
     m = u.grid.n_rings
     scale = np.array([(r * c) ** 2, c ** 2, r * c ** 2, (r * c) ** 2])
-    F = _ring_data(f)[0]
-    u.cached("ring_data", lambda: u.rule().disk_table(
-        (F.T[:, :m] * scale[:, None]).T))
+    shrink = scale / r ** 2
+    F, cum, core = _ring_data(f)
+    u.cached("ring_data", lambda: ((F.T[:, :m] * scale[:, None]).T,
+                                   (cum.T[:, :m] * shrink[:, None]).T,
+                                   core * shrink))
 
 
 # ----------------------------------------------------------------------------

@@ -27,15 +27,14 @@ read a cumulative table of cell integrals instead (RadialRule.cumulative),
 plus one partial-cell window when the end is off-ring.  A map keeps its
 stacked ring profiles with their cumulative table and inner core as one
 table, built by RadialRule.disk_table (the frequency profiles and the area
-moments alike).
+moments alike), and every disk integral reads such a table.
 
 A blow-up of a map lives on the map's rings relabelled (radii divided by
-the dilation ratio), a grid with the same dt, so its ring profiles are the
-map's first rows scaled (frequency._seed_blowup_ring_data), with only the
-cumulative table and core its own, and a window at the same place below
-the top ring is one cached window for the map and all its blow-ups
-(bitwise so when the ratio is a power of two, which divides the radii
-exactly).
+the dilation ratio), a grid with the same dt, so its whole table is the
+map's first rows scaled (frequency._seed_blowup_ring_data), and a window
+at the same place below the top ring is one cached window for the map and
+all its blow-ups (bitwise so when the ratio is a power of two, which
+divides the radii exactly).
 
 Radial derivatives use 7-point weights built in the radius variable, exact
 for polynomials in r through degree 6; low-order stencils in log r bias
@@ -340,25 +339,20 @@ class RadialRule:
 
     def disk_table(self, F: np.ndarray) -> tuple:
         """(F, cum, core): ring profiles F, stacked as (R, ...), with their
-        cumulative table and inner core at beta = 2, the table a map keeps
-        for its disk integrals."""
+        cumulative table and inner core at beta = 2, the table every disk
+        integral reads."""
+        F = np.asarray(F, dtype=float)
         return F, self.cumulative(F, 2.0), self.inner_core(F, 2.0)
 
-    def _disk_integral(self, F: np.ndarray, r: float,
-                       cum: np.ndarray | None = None, core=None):
-        """int_{B_r} of a ring profile F carrying its angular weight, i.e.
-        int_0^r F(s) s ds, with the power-law core below r_min included.
-        cum and core are F's disk_table entries, for callers that keep
-        them; each is built here otherwise.
+    def _disk_integral(self, table: tuple, r: float):
+        """int_{B_r} of ring profiles F carrying their angular weight, i.e.
+        int_0^r F(s) s ds, with the power-law core below r_min included,
+        read off F's disk_table (F, cum, core).
         F may stack profiles as (R, ...); the result then has shape
         F.shape[1:], and each entry is summed by the same elementwise
         operations as a lone profile, so stacking never changes a digit."""
         self.grid.require_radius(r)
-        F = np.asarray(F, dtype=float)
-        if cum is None:
-            cum = self.cumulative(F, 2.0)
-        if core is None:
-            core = self.inner_core(F, 2.0)
+        F, cum, core = table
         total = self._from_bottom(cum, F, math.log(r), 2.0) + core
         return float(total) if total.ndim == 0 else total
 

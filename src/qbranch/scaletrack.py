@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .curves import QFunction, _csv
 from .blowup import _blowup_radii, _branched_part
-from .excess import DEFINITIONS, Plane, least_excess, optimal_plane
+from .excess import Plane, least_excess, optimal_plane
 from .frequency import Cutoff, RAMP, _record_at
 
 #: the linearized (affine-subtraction) reparametrization is trusted only
@@ -65,7 +65,6 @@ class ScaleTrackConfig:
     tilt_jump: float = 0.1            # plane drift allowance, times sqrt(m0)
     r_top: float = 0.5
     r_floor: float = 2.0 ** -12
-    definition: str = "cylindrical"
 
     def __post_init__(self):
         if not (0 < self.eps3_sq <= 1):
@@ -80,8 +79,6 @@ class ScaleTrackConfig:
             raise ConfigError("tilt_jump must be positive")
         if not (0 < self.r_floor < self.r_top):
             raise ConfigError("need 0 < r_floor < r_top")
-        if self.definition not in DEFINITIONS:
-            raise ConfigError(f"unknown excess definition {self.definition!r}")
 
 
 @dataclass
@@ -137,10 +134,10 @@ def _excess_provider(source, cfg: ScaleTrackConfig):
         def provider(r):
             # a scale above the threshold needs no plane, and on steep
             # scales its best plane is no graph
-            E = least_excess(source, r, cfg.definition)
+            E = least_excess(source, r)
             if E > cfg.eps3_sq:
                 return E, None
-            res = optimal_plane(source, r, cfg.definition)
+            res = optimal_plane(source, r)
             return res["excess"], res["plane"]
         return provider
     if callable(source):

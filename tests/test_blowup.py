@@ -267,6 +267,10 @@ class TestAverageFree:
         qb.hardt_simon_check(qb.average_free_part(f), 64 * grid.r_min)
         assert [built.count(key) for key in
                 ("average_free", "grad", "ring_data")] == [1, 2, 2]
+        # the flattening scan's excess reads one area table of f; no
+        # Cartesian Jacobians and no per-sheet profile are kept
+        assert set(built) == {"rule", "average_free", "grad", "ring_data",
+                              "area_moments"}
 
     def test_repeated_harmonic_sheet_collapses(self, small_grid):
         x, y = small_grid.nodes_xy()

@@ -406,7 +406,7 @@ def excess_csv_by_rows(records):
         lines.append(",".join([
             f"{rec.r:.17g}", f"{rec.excess:.17g}", f"{slope:.17g}",
             f"{rec.mass:.17g}", f"{rec.plane.tilt_norm:.17g}",
-            rec.definition]))
+            "cylindrical"]))
     return "\n".join(lines) + "\n"
 
 
@@ -459,9 +459,7 @@ class TestWriters:
         r = [5e-324, 1.0 / 3.0, 0.5, 1e300]
         records = [qb.ExcessRecord(r=r[i], mass=self.column(1)[i],
                                    excess=self.column(2)[i],
-                                   plane=qb.Plane(np.diag([0.1, -0.0])),
-                                   definition=("cylindrical",
-                                               "spherical_ball")[i % 2])
+                                   plane=qb.Plane(np.diag([0.1, -0.0])))
                    for i in range(len(r))]
         for recs in (records, records[:1], []):
             assert qb.excess_table_csv(recs) == excess_csv_by_rows(recs)

@@ -94,6 +94,12 @@ def test_ring_table_key_is_named_in_one_module():
     assert naming == ["frequency.py"]
 
 
+def test_area_table_is_read_in_one_place():
+    # mass, excess, optimal plane and mean tilt all read the moments of
+    # one area table through one function
+    assert _package_callers("_area_moments") == ["excess.py:_moments_up_to"]
+
+
 def test_measured_object_is_decided_once():
     # degree, stitched frequency and Hardt-Simon take _branched_part, so no
     # caller spells out "average-free part for Q > 1, the map itself else"

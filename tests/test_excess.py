@@ -137,6 +137,23 @@ class TestSphericalExcess:
         ratio = (qb.graph_mass(f, r) - 3 * np.pi * r ** 2) / (np.pi * r ** 2)
         assert rec.excess == pytest.approx(ratio, rel=1e-9)
 
+    def test_horizontal_excess_is_the_mass_ratio(self, curve_cache,
+                                                 small_grid):
+        # mass, excess and S1 read one row of one table, so with
+        # P_0 = e12 the excess is (mass - S1_12) / (pi r^2) to the last bit
+        maps = [curve_cache(2, 3), curve_cache(3, 4),
+                curve_cache(2, 5, (0, 0, 0.3)),
+                curve_cache(3, 5, (0, 0, 0, 0.3 + 0.2j)),
+                qb.homogeneous_map(1.5, grid=small_grid),
+                qb.homogeneous_map(2.0, grid=small_grid)]
+        for f in maps:
+            for r in 2.0 ** -np.arange(15):
+                if r < f.grid.r_min:
+                    break
+                S1 = qb.excess._moments_up_to(f, r)[1]
+                ratio = (qb.graph_mass(f, r) - S1[0]) / (np.pi * r ** 2)
+                assert qb.spherical_excess(f, r).excess == ratio
+
     def test_tilting_away_increases_excess(self, curve_cache):
         f = curve_cache(2, 3)
         base = qb.spherical_excess(f, 0.25).excess
@@ -144,21 +161,6 @@ class TestSphericalExcess:
             for direction in (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])):
                 rec = qb.spherical_excess(f, 0.25, qb.Plane(eps * direction))
                 assert rec.excess > base
-
-    def test_ball_variant_converges_to_cylindrical(self, curve_cache):
-        # the ball loses the rim annulus of relative width |f|^2/(2 r^2),
-        # which for this curve costs a factor 1 - 3r/2 of the excess to
-        # leading order; the two definitions agree as r -> 0
-        f = curve_cache(2, 3)
-        ratios = []
-        for r in (2.0 ** -2, 2.0 ** -4, 2.0 ** -6):
-            cyl = qb.spherical_excess(f, r, definition="cylindrical").excess
-            ball = qb.spherical_excess(f, r,
-                                       definition="spherical_ball").excess
-            ratios.append(ball / cyl)
-            if r <= 2.0 ** -4:  # leading order needs r small
-                assert ball / cyl == pytest.approx(1.0 - 1.5 * r, abs=0.02)
-        assert ratios == sorted(ratios)
 
     def test_large_tilt_rejected(self):
         with pytest.raises(qb.TiltError):
@@ -243,7 +245,7 @@ class TestOptimalPlane:
     def test_refusals(self, small_grid, monkeypatch, S1, error):
         f = flat_sheets(small_grid, 1)
         monkeypatch.setattr(qb.excess, "_moments_up_to",
-                            lambda f, r, d: (1.0, np.array(S1, float)))
+                            lambda f, r: (1.0, np.array(S1, float)))
         with pytest.raises(error):
             qb.optimal_plane(f, 1.0)
 
@@ -275,7 +277,7 @@ class TestOptimalPlane:
         plus, minus = hodge_halves(S1)
         bound = (np.linalg.norm(plus) + np.linalg.norm(minus)) / np.sqrt(2)
         with mock.patch.object(qb.excess, "_moments_up_to",
-                               lambda f, r, d: (bound, S1)):
+                               lambda f, r: (bound, S1)):
             res = qb.optimal_plane(flat_sheets(small_grid, 1), 1.0)
         attained = _plucker_of_tilt(res["plane"].tilt) @ S1
         assert attained == pytest.approx(bound, rel=1e-12)
@@ -287,8 +289,13 @@ class TestAreaMoments:
 
     @staticmethod
     def direct_mean_tilt(f, r):
-        """Window weights over [r_min, r] plus the power-law core below."""
-        Jc = f.cartesian_gradients()
+        """Window weights over [r_min, r] plus the power-law core below,
+        on the Jacobians rotated here out of the polar gradients."""
+        du_dr, du_dth = f.gradients()
+        c = np.cos(f.grid.angles)[None, None, :, None]
+        s = np.sin(f.grid.angles)[None, None, :, None]
+        Jc = np.stack([du_dr * c - du_dth * s, du_dr * s + du_dth * c],
+                      axis=-1)
         prof = 2 * np.pi * np.mean(np.mean(Jc, axis=0), axis=1)  # (R, n, 2)
         rule = f.rule()
         w = rule.weights(f.grid.t[0], np.log(r), 2.0)
@@ -314,45 +321,25 @@ class TestAreaMoments:
     def test_one_gradient_pass_serves_every_entry_point(self, small_grid,
                                                        monkeypatch):
         calls, tables = [], []
-        original = qb.QFunction.cartesian_gradients
-        monkeypatch.setattr(qb.QFunction, "cartesian_gradients",
+        original = qb.QFunction.gradients
+        monkeypatch.setattr(qb.QFunction, "gradients",
                             lambda f: calls.append(1) or original(f))
         cumulative = RadialRule.cumulative
         monkeypatch.setattr(RadialRule, "cumulative", lambda rule, F, beta:
                             tables.append(1) or cumulative(rule, F, beta))
         f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
         radii = [2.0 ** -k for k in range(5, 0, -1)]
-        heights = []
         for _ in range(2):
             for r in radii:
                 qb.optimal_plane(f, r)
-                qb.optimal_plane(f, r, "spherical_ball")
-                heights.append(f._cache["sheet_heights"])
+                qb.least_excess(f, r)
                 qb.graph_mass(f, r)
                 qb.mean_tilt(f, r)
                 qb.spherical_excess(f, r)
             qb.excess_decay_fit(f, radii)
-            qb.excess_decay_fit(f, radii, "spherical_ball")
         assert len(calls) == 1
         # every disk integral reads one cumulative table of the area moments
         assert len(tables) == 1
-        # one read-only height profile serves every ball excess
-        assert all(h is heights[0] for h in heights)
-        assert not heights[0].flags.writeable
-
-    @pytest.mark.parametrize("call", [
-        lambda f: qb.optimal_plane(f, 0.25, "spherical-ball"),
-        lambda f: qb.spherical_excess(f, 0.25, definition="ball"),
-        lambda f: qb.excess_decay_fit(f, [2.0 ** -k for k in range(5, 0, -1)],
-                                      definition="bogus"),
-        lambda f: qb.intervals_of_flattening(
-            f, cfg=qb.ScaleTrackConfig(definition="bogus")),
-    ], ids=["optimal_plane", "spherical_excess", "excess_decay_fit",
-            "scale_track_config"])
-    def test_unknown_definition_is_refused(self, small_grid, call):
-        f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
-        with pytest.raises(qb.ConfigError, match="definition"):
-            call(f)
 
 
 class TestDecayFit:
