@@ -1,6 +1,6 @@
 """Rescaling machinery and the singularity-degree estimator.
 
-rescale realizes the graph dilation f_{q,r}(x) = f(q + r x) / r.  It is
+rescale realizes the graph dilation f_r(x) = f(r x) / r.  It is
 known exactly at x_i = r_i / r for f's own rings r_i, so every blow-up lives
 on f's rings relabelled, for any ratio r, with no interpolation.  Blow-ups
 are normalized either by the square root of the optimal-plane excess at the
@@ -21,8 +21,9 @@ instead of silently choosing one of the two numbers.
 
 Blow-up steps at different scales are independent once the average-free
 input is built; the estimator aggregates them in step order, so results do
-not depend on evaluation order, and it lists the steps that failed, with
-the reason, under notes["step_failures"].  A blow-up u = c f(r .) reads
+not depend on evaluation order, and it lists every step that failed, with
+the reason, under notes["step_failures"], a reference ball leaving the
+grid included.  A blow-up u = c f(r .) reads
 its ring table off f's whole table (scale invariance of the ring
 profiles): every row of its profiles, cumulative table and core is f's
 row rescaled.  So a degree estimate differentiates the
@@ -46,7 +47,7 @@ from .errors import (ConfigError, DataError, DegenerateBlowupError, RangeError)
 from .grids import M_DIM, PolarGrid, _ring_profile
 from .curves import QFunction, analytic_degree, CurveSpec, _json
 from .frequency import (_ball_integrals, _ring_data, _seed_blowup_ring_data,
-                        frequency_profile, frequency_limit, recenter,
+                        frequency_profile, frequency_limit,
                         default_profile_radii)
 
 #: normalizers below this relative size abort the blow-up as trivial
@@ -91,14 +92,13 @@ class DegreeEstimate:
 # dilation
 
 
-def rescale(f: QFunction, q=None, r: float = 1.0) -> QFunction:
-    """Graph dilation f_{q,r}(x) = f(q + r x) / r, sampled exactly.
+def rescale(f: QFunction, r: float = 1.0) -> QFunction:
+    """Graph dilation f_r(x) = f(r x) / r at the grid center, sampled
+    exactly.
 
-    q defaults to the grid center.  The blow-up lives on f's rings
-    relabelled, x_i = r_i / r, where it is f's samples divided by r; it
-    keeps the rings with x_i inside f's disk."""
-    if q is not None and not np.allclose(q, f.grid.center, atol=1e-15):
-        f = recenter(f, q)
+    The blow-up lives on f's rings relabelled, x_i = r_i / r, where it is
+    f's samples divided by r; it keeps the rings with x_i inside f's disk.
+    A dilation at another point is rescale(recenter(f, q), r)."""
     return _dilate(f, r, r)
 
 
@@ -235,15 +235,13 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
         # needs three octaves of room below it
         if r_k < grid.r_min * 8 * (1 - 1e-12):
             break
-        if 1.5 * r_k > grid.r_max * (1 + 1e-12):
-            continue
         try:
             u_k = coarse_blowup_normalize(v, r_k, cfg.normalization)
             radii = default_profile_radii(u_k.grid, octaves=1.0,
                                           top=u_k.grid.r_max)
             prof = frequency_profile(u_k, radii=radii)
             lim = frequency_limit(prof)
-        except (DegenerateBlowupError, DataError) as exc:
+        except (DegenerateBlowupError, DataError, RangeError) as exc:
             failures.append((k, str(exc)))
             continue
         steps.append((k, r_k, float(lim["estimate"])))

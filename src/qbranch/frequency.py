@@ -28,8 +28,21 @@ exact for any map, instead of differencing D across rings: at the default
 ring spacing a fourth-order difference already biases the residual by more
 than the promised tolerance for branch degrees around 5/2.
 
-All integrals decompose into the smooth pieces [r_min, s/2] and [s/2, s] of
-the cutoff, so the kinks never meet the quadrature cells.
+Every quantity is a moment of the four ring profiles of the map's one ring
+table, F = (A, B, C, P) = (|Du|^2, |u|^2, u . du/dr, |du/dr|^2), each
+integrated over the angle.  With Ball(rho) = int_0^rho F r dr, read off the
+table with the core below r_min included, and M_beta = int_{s/2}^s F
+r^(beta - 1) dr, one window for all four columns, the ramp (phi = 2 - 2t
+and phi' = -2 on the annulus) gives
+
+    (D, Sigma) = 2 Ball(s) - Ball(s/2) - (2/s) M_3        columns A, B
+    E = (2/s) (Ball(s) - Ball(s/2))                        column C
+    H = 2 M_1,   G = (2/s^2) M_3,   dD/dr = (2/s^2) M_3    columns B, P, A
+
+so a ramp record reads the table twice and integrates two windows, at
+beta = 1 and beta = 3, whose ends sit on the kink s/2 and the edge s: the
+kinks never meet the quadrature cells.  The sharp cutoff reads Ball(s) and
+the boundary values s B(s), s C(s), s P(s) and s A(s).
 """
 
 from __future__ import annotations
@@ -123,33 +136,29 @@ def _quantities(f: QFunction, s: float, cutoff: Cutoff = RAMP) -> dict:
     grid.require_radius(s)
     if s / 2 < grid.r_min * (1.0 - 1e-12):
         raise RangeError(f"scale {s} puts the cutoff kink below the grid")
-    rule = f.rule()
-    A, B, C, P = _ring_data(f)[0].T
-    r = grid.radii
+    F = _ring_data(f)[0]
     t_s = math.log(s)
 
     if cutoff.kind == "ramp":
         # the kink s / 2, clamped to the bottom ring when it rounds below
         r_half = max(s / 2, grid.r_min)
+        ball, inner = _ball_integrals(f, s), _ball_integrals(f, r_half)
+        rule = f.rule()
         t_half = math.log(r_half)
-        ramp = 2.0 - 2.0 * r / s
-        D_in, Sigma_in = _ball_integrals(f, r_half)[:2]
-        w_out = rule.weights(t_half, t_s, 2.0)
-        D = D_in + float(w_out @ (A * ramp))
-        Sigma = Sigma_in + float(w_out @ (B * ramp))
-        w1 = rule.weights(t_half, t_s, 1.0)
-        H = 2.0 * float(w1 @ B)
-        E = (2.0 / s) * float(w_out @ C)
-        w3 = rule.weights(t_half, t_s, 3.0)
-        G = (2.0 / s ** 2) * float(w3 @ P)
-        dD = (2.0 / s ** 2) * float(w3 @ A)
+        M1 = rule.weights(t_half, t_s, 1.0) @ F
+        M3 = rule.weights(t_half, t_s, 3.0) @ F
+        D, Sigma = 2.0 * ball[:2] - inner[:2] - (2.0 / s) * M3[:2]
+        H = 2.0 * M1[1]
+        E = (2.0 / s) * (ball[2] - inner[2])
+        G, dD = (2.0 / s ** 2) * M3[3], (2.0 / s ** 2) * M3[0]
     else:
         D, Sigma = _ball_integrals(f, s)[:2]
         # boundary values of the ring profiles at s, by the cell quintic
         j0, wc = _cell_interpolant(grid, t_s)
-        H, E, G, dD = (s * float(wc @ F[j0:j0 + 6]) for F in (B, C, P, A))
-    return {"D": float(D), "H": H, "E": E, "G": G, "Sigma": float(Sigma),
-            "dD": dD}
+        A, B, C, P = F.T
+        H, E, G, dD = (s * float(wc @ col[j0:j0 + 6]) for col in (B, C, P, A))
+    return {"D": float(D), "H": float(H), "E": float(E), "G": float(G),
+            "Sigma": float(Sigma), "dD": float(dD)}
 
 
 def dirichlet_energy(f: QFunction, r: float) -> float:
@@ -157,21 +166,15 @@ def dirichlet_energy(f: QFunction, r: float) -> float:
     return float(_ball_integrals(f, r)[0])
 
 
-def smoothed_D(f: QFunction, x=None, r: float = 1.0,
-               cutoff: Cutoff = RAMP) -> float:
-    f = _at_center(f, x)
+def smoothed_D(f: QFunction, r: float = 1.0, cutoff: Cutoff = RAMP) -> float:
     return _quantities(f, r, cutoff)["D"]
 
 
-def smoothed_H(f: QFunction, x=None, r: float = 1.0,
-               cutoff: Cutoff = RAMP) -> float:
-    f = _at_center(f, x)
+def smoothed_H(f: QFunction, r: float = 1.0, cutoff: Cutoff = RAMP) -> float:
     return _quantities(f, r, cutoff)["H"]
 
 
-def smoothed_I(f: QFunction, x=None, r: float = 1.0,
-               cutoff: Cutoff = RAMP) -> float:
-    f = _at_center(f, x)
+def smoothed_I(f: QFunction, r: float = 1.0, cutoff: Cutoff = RAMP) -> float:
     q = _quantities(f, r, cutoff)
     if _degenerate_height(q):
         raise DegenerateHeightError(
@@ -185,20 +188,18 @@ def _degenerate_height(q: dict) -> bool:
     return q["H"] <= DEGENERATE_HEIGHT * max(q["Sigma"], 1e-300)
 
 
-def auxiliary_quantities(f: QFunction, x=None, r: float = 1.0,
+def auxiliary_quantities(f: QFunction, r: float = 1.0,
                          cutoff: Cutoff = RAMP) -> dict:
-    f = _at_center(f, x)
     q = _quantities(f, r, cutoff)
     return {"E": q["E"], "G": q["G"], "Sigma": q["Sigma"]}
 
 
-def variation_residuals(f: QFunction, x=None, r: float = 1.0,
+def variation_residuals(f: QFunction, r: float = 1.0,
                         cutoff: Cutoff = RAMP) -> dict:
     """Relative residuals of the outer and inner variation identities.
 
     res_outer = |D - E| / D and res_inner = |dD/dr - (m-2)D/r - 2G| * r / D,
     both dimensionless; NaN with reason 'degenerate' when D vanishes."""
-    f = _at_center(f, x)
     q = _quantities(f, r, cutoff)
     return _residuals_from(q, r)
 
@@ -272,12 +273,11 @@ def _record_at(f: QFunction, s: float, cutoff: Cutoff) -> FrequencyRecord:
     return rec
 
 
-def frequency_profile(f: QFunction, x=None, radii=None,
+def frequency_profile(f: QFunction, radii=None,
                       cutoff: Cutoff = RAMP) -> FrequencyProfile:
     """Evaluate all per-radius quantities on an increasing list of radii,
     one radius after another in a single thread; the ring profiles and
     quadrature weights they share are cached on f."""
-    f = _at_center(f, x)
     if radii is None:
         radii = default_profile_radii(f.grid)
     radii = [float(r) for r in radii]
@@ -286,9 +286,8 @@ def frequency_profile(f: QFunction, x=None, radii=None,
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted strictly increasing")
     records = [_record_at(f, s, cutoff) for s in radii]
-    center = tuple(np.asarray(x, dtype=float)) if x is not None else (0.0, 0.0)
-    return FrequencyProfile(center=center, radii=radii, records=records,
-                            cutoff=cutoff,
+    return FrequencyProfile(center=tuple(f.grid.center), radii=radii,
+                            records=records, cutoff=cutoff,
                             notes={"label": f.metadata.get("label", "")})
 
 
@@ -338,15 +337,6 @@ def frequency_limit(profile: FrequencyProfile) -> dict:
 
 # ----------------------------------------------------------------------------
 # off-center evaluation (resampled, second class)
-
-
-def _at_center(f: QFunction, x) -> QFunction:
-    if x is None:
-        return f
-    x = np.asarray(x, dtype=float)
-    if np.allclose(x, f.grid.center, atol=1e-15):
-        return f
-    return recenter(f, x)
 
 
 def recenter(f: QFunction, x) -> QFunction:

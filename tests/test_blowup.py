@@ -17,33 +17,33 @@ from qbranch.grids import _window
 class TestRescale:
     def test_identity(self, curve_cache):
         f = curve_cache(2, 3)
-        g = qb.rescale(f, None, 1.0)
+        g = qb.rescale(f, 1.0)
         assert np.abs(g.values - f.values).max() < 1e-10
 
     def test_homogeneous_scaling_law(self, full_grid):
         # f(r x)/r = r^(alpha-1) f(x) for alpha-homogeneous f
         f = qb.homogeneous_map(1.5, grid=full_grid)
-        g = qb.rescale(f, None, 0.25)
+        g = qb.rescale(f, 0.25)
         shift = full_grid.n_rings - g.grid.n_rings
         expected = 0.25 ** 0.5 * f.values[:, shift:]
         assert np.abs(g.values - expected).max() < 1e-12
 
     def test_curve_quarter_scale_halves(self, curve_cache, full_grid):
         f = curve_cache(2, 3)
-        g = qb.rescale(f, None, 0.25)
+        g = qb.rescale(f, 0.25)
         shift = full_grid.n_rings - g.grid.n_rings
         assert np.abs(g.values - 0.5 * f.values[:, shift:]).max() < 1e-13
 
     def test_group_law(self, curve_cache):
         f = curve_cache(2, 3)
-        twice = qb.rescale(qb.rescale(f, None, 0.5), None, 0.5)
-        direct = qb.rescale(f, None, 0.25)
+        twice = qb.rescale(qb.rescale(f, 0.5), 0.5)
+        direct = qb.rescale(f, 0.25)
         assert np.abs(twice.values - direct.values).max() < 1e-8
 
     def test_group_law_off_lattice(self, curve_cache):
         f = curve_cache(2, 3)
-        twice = qb.rescale(qb.rescale(f, None, 0.3), None, 0.5)
-        direct = qb.rescale(f, None, 0.15)
+        twice = qb.rescale(qb.rescale(f, 0.3), 0.5)
+        direct = qb.rescale(f, 0.15)
         n = min(twice.grid.n_rings, direct.grid.n_rings)
         a = twice.values[:, twice.grid.n_rings - n:]
         b = direct.values[:, direct.grid.n_rings - n:]
@@ -51,7 +51,7 @@ class TestRescale:
 
     def test_domain_overflow(self, curve_cache):
         with pytest.raises(qb.RangeError):
-            qb.rescale(curve_cache(2, 3), None, 4.0)
+            qb.rescale(curve_cache(2, 3), 4.0)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,7 @@ class TestScaleInvariance:
         quadrature and radial stencils stay clear of its top rings, and
         whose cutoff kink s / 2 lies on or above its bottom ring."""
         f = perturbed_curve
-        u = qb.rescale(f, None, r)
+        u = qb.rescale(f, r)
         u = u.replace_values(c * u.values)
         for s in u.grid.radii[:-7]:
             if s / 2 >= u.grid.r_min * (1 - 1e-9):
@@ -151,7 +151,7 @@ class TestNormalize:
         h = u.metadata["blowup"]["normalizer"]
         assert raw / h == pytest.approx(1.0, abs=1e-10)
         # consistency of the rescaled samples with the stored normalizer
-        direct = qb.rescale(f, None, 0.25)
+        direct = qb.rescale(f, 0.25)
         assert np.abs(u.values * h - direct.values).max() < 1e-12
 
     def test_l2_norm_reads_the_cached_ring_table(self, curve_cache):
@@ -171,7 +171,7 @@ class TestNormalize:
             u = qb.coarse_blowup_normalize(v, 2.0 ** -k, mode)
             h = u.metadata["blowup"]["normalizer"]
             assert np.array_equal(u.values,
-                                  qb.rescale(v, None, 2.0 ** -k).values / h)
+                                  qb.rescale(v, 2.0 ** -k).values / h)
 
     def test_parent_samples_stay_untouched(self, curve_cache):
         f = curve_cache(2, 3)
@@ -307,7 +307,7 @@ class TestSingularityDegree:
         base = qb.singularity_degree(f)
         amp = qb.singularity_degree(f.replace_values(5.0 * f.values))
         assert amp.value == pytest.approx(base.value, abs=1e-10)
-        dil = qb.singularity_degree(qb.rescale(f, None, 0.5),
+        dil = qb.singularity_degree(qb.rescale(f, 0.5),
                                     qb.BlowupConfig(max_steps=10))
         assert dil.value == pytest.approx(base.value, abs=1e-3)
 
@@ -346,7 +346,7 @@ class TestSingularityDegree:
 
     def test_too_few_steps(self, curve_cache):
         f = curve_cache(2, 3)
-        shallow = qb.rescale(f, None, 2.0 ** -13)
+        shallow = qb.rescale(f, 2.0 ** -13)
         with pytest.raises(qb.DataError):
             qb.singularity_degree(shallow)
 
@@ -373,6 +373,22 @@ class TestSingularityDegree:
         assert sorted(failed + survived) == list(range(1, 8))
         assert all(isinstance(why, str) and why for _, why in failures)
         assert json.loads(est.to_json())["step_failures"] == failures
+
+    @pytest.mark.parametrize("mode", ["l2_norm", "excess_sqrt"])
+    def test_no_step_is_skipped_silently(self, curve_cache, mode):
+        # at scale factor 0.7 the first step's reference ball B_1.05 leaves
+        # the unit disk: l2_norm lists the step as failed, and excess_sqrt,
+        # which has no reference ball, keeps it
+        est = qb.singularity_degree(curve_cache(2, 3), qb.BlowupConfig(
+            scale_factor=0.7, normalization=mode))
+        failures = est.notes.get("step_failures", [])
+        failed = [k for k, _ in failures]
+        survived = [k for k, _, _ in est.per_step_I]
+        if mode == "l2_norm":
+            assert failed == [1] and "reference ball" in failures[0][1]
+        else:
+            assert failed == []
+        assert sorted(failed + survived) == list(range(1, survived[-1] + 1))
 
 
 class TestHomogeneityCheck:

@@ -184,7 +184,7 @@ class TestMetadata:
         assert "notes" not in f.metadata
         assert first.metadata["notes"] == ["first"]
         assert second.metadata["notes"] == ["first", "second"]
-        same = qb.rescale(first, None, 1.0)
+        same = qb.rescale(first, 1.0)
         free = qb.average_free_part(first)
         assert first.metadata["notes"] == ["first"]
         assert same.metadata["rescaled_by"] == 1.0

@@ -112,3 +112,9 @@ def test_one_weight_generator_has_two_callers():
     # the radial derivative is the only other stencil
     assert _package_callers("_stencil_weights") == [
         "grids.py:_cell_inverses", "grids.py:d_dr_geometric"]
+
+
+def test_resampling_is_explicit():
+    # off-center evaluation is one explicit recenter call by the user: no
+    # function of the package resamples a map behind its caller's back
+    assert _package_callers("recenter") == []

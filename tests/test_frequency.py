@@ -211,6 +211,43 @@ class TestProfiles:
         assert float(first[3]) == prof.records[0].I  # 17 digits roundtrip
 
 
+class TestRampMoments:
+    """The ramp quantities are moments of the ring table's four columns:
+    cumulative-table differences plus one window at beta = 1 and one at
+    beta = 3, checked against the closed form I = p/Q on every ring."""
+
+    @staticmethod
+    def ring_records(f):
+        grid = f.grid
+        radii = grid.radii[grid.radii >= 4 * grid.r_min * (1 - 1e-12)]
+        prof = qb.frequency_profile(f, radii=radii)
+        assert all(rec.valid for rec in prof.records)
+        return prof.records
+
+    @pytest.mark.parametrize("curve, bound", [((2, 5), 6e-5),
+                                              ((3, 7), 4e-5)])
+    def test_frequency_on_every_ring(self, curve_cache, curve, bound):
+        q, p = curve
+        records = self.ring_records(curve_cache(q, p))
+        assert max(abs(rec.I - p / q) for rec in records) <= bound
+
+    def test_variation_residuals_on_every_ring(self, curve_cache):
+        records = self.ring_records(curve_cache(2, 5))
+        assert max(max(rec.res_outer, rec.res_inner)
+                   for rec in records) <= 1e-5
+
+    def test_record_integrates_two_windows(self, curve_cache, monkeypatch):
+        weights, betas = qb.grids.RadialRule.weights, []
+        monkeypatch.setattr(qb.grids.RadialRule, "weights",
+                            lambda rule, t_a, t_b, beta: betas.append(beta)
+                            or weights(rule, t_a, t_b, beta))
+        f = curve_cache(2, 3)
+        for r in (0.5, 0.3):  # on a ring and between rings
+            betas.clear()
+            qb.smoothed_I(f, r=r)
+            assert sorted(betas) == [1.0, 3.0]
+
+
 class TestFrequencyLimit:
     def test_curve_estimates(self, curve_cache, full_grid):
         radii = qb.default_profile_radii(full_grid, octaves=3.0)
@@ -244,7 +281,7 @@ class TestInvariances:
 
     def test_scale_invariance_on_aligned_dilations(self, curve_cache):
         f = curve_cache(2, 3)
-        g = qb.rescale(f, None, 0.25)
+        g = qb.rescale(f, 0.25)
         assert abs(qb.smoothed_I(g, r=0.5) - qb.smoothed_I(f, r=0.125)) < 1e-10
 
     def test_monotonicity_on_minimizers(self, curve_cache, full_grid):
@@ -281,11 +318,15 @@ class TestInvariances:
 class TestOffCenter:
     def test_recentered_profile_runs(self, curve_cache):
         f = curve_cache(2, 3)
-        val = qb.smoothed_I(f, x=(0.3, 0.0), r=0.02)
+        val = qb.smoothed_I(qb.recenter(f, (0.3, 0.0)), r=0.02)
         assert np.isfinite(val)
         # away from the branch point the map is a pair of regular branches,
         # so the frequency at a regular point is small
         assert 0 <= val < 1.0
+
+    def test_profile_reports_its_center(self, curve_cache):
+        moved = qb.recenter(curve_cache(2, 3), (0.3, 0.1))
+        assert qb.frequency_profile(moved).center == (0.3, 0.1)
 
     def test_recenter_rejects_grid_overflow(self, curve_cache):
         with pytest.raises(qb.RangeError):
