@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, RefinementError, SpecError
 from .grids import (TWO_PI, PolarGrid, RadialRule, d_dr_geometric,
                     d_dtheta_periodic, default_grid)
-from .qvalue import QPoint, _separation, track_selection
+from .qvalue import QPoint, _separation, _sq_norm, track_selection
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,11 @@ def _move_ratio(step: np.ndarray, sep: np.ndarray) -> np.ndarray:
     sheet mean taken out in place, in units of sep / 2: inf where sheets
     coincide and move, 0 where nothing moves."""
     step -= np.mean(step, axis=0, keepdims=True)
-    move = np.sqrt(np.einsum("k...n,k...n->k...", step, step).max(axis=0))
+    # sheet by sheet: no (Q, ...) array of squared norms is formed
+    sq = _sq_norm(step[0])
+    for s in step[1:]:
+        np.maximum(sq, _sq_norm(s), out=sq)
+    move = np.sqrt(sq)
     with np.errstate(divide="ignore"):
         return np.divide(move, 0.5 * sep, out=np.zeros_like(move),
                          where=move > 0)

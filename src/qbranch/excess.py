@@ -26,13 +26,20 @@ length 1/sqrt 2 each (Harvey-Lawson, Calibrated geometries, Acta Math. 148
 (1982)), so the maximum (|S1+| + |S1-|)/sqrt 2 is attained at the unit
 tau = (S1+/|S1+| + S1-/|S1-|)/sqrt 2, and the tilt is read off tau/tau_12.
 
-Every quantity here reads one table per map, built on first use from the
-unnormalized p (P is never formed): the sheet sums of the ring profiles
-s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta, kept with their cumulative
-table, so an integral over B_r (core included) is an O(1) read.  The graph
-mass is S0, the excess reads S0 and S1, and the mean tilt is S1's entries
-1..4, all off the same row, which is what makes the mass-ratio identity
-above exact, with Q pi r^2 read as the quadrature's S1_12.
+Every quantity here reads one table per map, built on first use from
+rotation invariants of the polar gradients u_r = du/dr and
+w = du/dtheta / r (p is never stacked, nor are a and b formed): the
+rotation taking (u_r, w) to (a, b) has determinant 1, so
+a1 b2 - a2 b1 = u_r x w and |p|^2 = 1 + q^2 with
+q^2 = |u_r|^2 + |w|^2 + (u_r x w)^2, while the entries b = u_r sin + w cos
+and -a = w sin - u_r cos are linear, so their angular means are the
+sheet-summed gradients contracted against cos and sin.  The table holds
+the sheet sums of the ring profiles s0 = 2 pi <|p|>_theta and
+s1 = 2 pi <p>_theta with their cumulative table, so an integral over B_r
+(core included) is an O(1) read.  The graph mass is S0, the excess reads
+S0 and S1, and the mean tilt is S1's entries 1..4, all off the same row,
+which is what makes the mass-ratio identity above exact, with Q pi r^2
+read as the quadrature's S1_12.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ import numpy as np
 from .errors import DataError, TiltError
 from .grids import TWO_PI
 from .curves import QFunction, _csv
+from .qvalue import _sq_norm
 
 OMEGA_M = math.pi        # volume of the unit ball in the base dimension m = 2
 TILT_MAX = 0.5
@@ -99,18 +107,30 @@ def _plucker_of_tilt(A: np.ndarray) -> np.ndarray:
 def _area_moments(f: QFunction):
     """(F, cum, core), cached per map: F the (R, 7) sheet sums of the ring
     profiles s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta, with their
-    cumulative table and inner core at beta = 2.  The Jacobian columns
-    a = Df e1 and b = Df e2 are rotated out of the polar gradients as p is
-    formed; no Cartesian copy is kept."""
+    cumulative table and inner core at beta = 2.  Read off the polar
+    gradients: s0 is the mean of sqrt(1 + q^2), q^2 formed per node one
+    sheet at a time; s1 is 2 pi Q, then the means of (b1, b2, -a1, -a2)
+    from the sheet-summed gradients' cos and sin moments, then the mean of
+    u_r x w."""
     def build():
-        du_dr, du_dth = f.gradients()
-        c = np.cos(f.grid.angles)[None, None, :, None]
-        s = np.sin(f.grid.angles)[None, None, :, None]
-        p = _plucker(du_dr * c - du_dth * s, du_dr * s + du_dth * c)
-        area = np.sqrt(np.einsum("krtc,krtc->krt", p, p))
-        table = np.concatenate(
-            [np.mean(area, axis=-1)[..., None], np.mean(p, axis=2)], axis=-1)
-        return f.rule().disk_table((TWO_PI * table).sum(axis=0))
+        u, w = f.gradients()
+        cs = np.stack([np.cos(f.grid.angles), np.sin(f.grid.angles)])
+        cs /= f.grid.n_theta
+        U, W = cs @ u.sum(axis=0), cs @ w.sum(axis=0)  # (R, cos|sin, n)
+        area = wedge = 0.0
+        for uk, wk in zip(u, w):  # sheet by sheet: one (R, T) array each
+            cross = uk[..., 0] * wk[..., 1]
+            cross -= uk[..., 1] * wk[..., 0]
+            wedge = wedge + np.mean(cross, axis=-1)
+            q2 = np.square(cross, out=cross)
+            q2 += _sq_norm(uk)
+            q2 += _sq_norm(wk)
+            q2 += 1.0
+            area = area + np.mean(np.sqrt(q2, out=q2), axis=-1)
+        table = np.column_stack([
+            area, np.full_like(area, f.q), U[:, 1] + W[:, 0],
+            W[:, 1] - U[:, 0], wedge])
+        return f.rule().disk_table(TWO_PI * table)
     return f.cached("area_moments", build)
 
 
@@ -257,8 +277,7 @@ def mass_expansion_residual(f: QFunction, r: float) -> dict:
     dir2 = dirichlet_energy(f, r)
     # |Df_k|^2 is rotation invariant: the polar gradients give it directly
     du_dr, du_dth = f.gradients()
-    g2 = (np.einsum("krtn,krtn->krt", du_dr, du_dr)
-          + np.einsum("krtn,krtn->krt", du_dth, du_dth))
+    g2 = _sq_norm(du_dr) + _sq_norm(du_dth)
     prof4 = TWO_PI * np.mean(np.sum(g2 ** 2, axis=0), axis=-1)
     rule = f.rule()
     quartic = rule._disk_integral(rule.disk_table(prof4), r)

@@ -169,9 +169,16 @@ def _stencil_weights(offsets: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _ring_profile(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Angularly integrated ring profile 2 pi mean_theta sum_{k,n} a . b of
-    sheet samples (Q, R, T, n), shape (R,); b defaults to a."""
+    sheet samples (Q, R, T, n), shape (R,); b defaults to a.  One batched
+    dot product over the angles and components of every sheet and ring,
+    summed over the sheets and scaled by 2 pi / T: no per-node array is
+    formed, and the blocked dot keeps a pairwise mean's accuracy (a single
+    einsum's running sum lost up to 1e-14 relative on rings of equal
+    terms)."""
     b = a if b is None else b
-    return TWO_PI * np.mean(np.einsum("krtn,krtn->rt", a, b), axis=-1)
+    q, r = a.shape[:2]
+    dots = a.reshape(q, r, 1, -1) @ b.reshape(q, r, -1, 1)
+    return (TWO_PI / a.shape[2]) * dots.sum(axis=0)[:, 0, 0]
 
 
 # ----------------------------------------------------------------------------

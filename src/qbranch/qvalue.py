@@ -153,13 +153,21 @@ def brute_force_metric(a: QPoint, b: QPoint, return_perm: bool = False):
     return best
 
 
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis, per node: the component products summed in
+    order, which for n = 2 is the einsum's sum bit for bit."""
+    out = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        out += x[..., i] * x[..., i]
+    return out
+
+
 def _separation(v: np.ndarray) -> np.ndarray:
     """Smallest distance between two distinct sheets of a (Q, ..., n) stack,
     shape (...); inf where Q = 1."""
     sq = np.full(v.shape[1:-1], np.inf)
     for a, b in itertools.combinations(range(len(v)), 2):
-        d = v[a] - v[b]
-        sq = np.minimum(sq, np.einsum("...k,...k->...", d, d))
+        sq = np.minimum(sq, _sq_norm(v[a] - v[b]))
     return np.sqrt(sq)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qbranch as qb
-from qbranch.curves import _angular_step_ratio
+from qbranch.curves import _angular_step_ratio, _move_ratio
 from qbranch.qvalue import _separation
 
 
@@ -153,6 +153,41 @@ class TestTrackingCheck:
                                    rtol=1e-12, atol=0.0)
         assert f.check_selection() == pytest.approx(
             max(ang.max(), rad.max()), rel=1e-12, abs=0.0)
+
+    def test_squared_norms_are_the_einsum_ones(self, curve_cache, rng,
+                                               monkeypatch):
+        # the per-node squared norm sums the component products in order:
+        # for n = 2 that is the einsum's sum bit for bit
+        maps = [curve_cache(q, p) for (q, p) in
+                [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]]
+
+        def outputs():
+            return [(*_angular_step_ratio(f), f.check_selection(),
+                     qb.mass_expansion_residual(f, 0.5)) for f in maps]
+
+        fast = outputs()
+        for module in (qb.qvalue, qb.curves, qb.excess):
+            monkeypatch.setattr(module, "_sq_norm", lambda x: np.einsum(
+                "...n,...n->...", x, x))
+        for got, want in zip(fast, outputs()):
+            sep, ratio, selection, residual = got
+            assert np.array_equal(sep, want[0])
+            assert np.array_equal(ratio, want[1])
+            assert selection == want[2]
+            assert residual == want[3]
+        # for n = 3 the order of the sum may differ from the einsum's
+        v = rng.normal(size=(3, 5, 7, 3))
+        step = rng.normal(size=v.shape)
+        sep = _separation(v)
+        np.testing.assert_allclose(
+            sep, np.sqrt(np.minimum.reduce([
+                np.einsum("...n,...n->...", v[a] - v[b], v[a] - v[b])
+                for a, b in [(0, 1), (0, 2), (1, 2)]])), rtol=1e-15, atol=0)
+        moved = step - step.mean(axis=0)
+        np.testing.assert_allclose(
+            _move_ratio(step, sep), np.sqrt(np.einsum(
+                "k...n,k...n->k...", moved, moved).max(axis=0)) / (0.5 * sep),
+            rtol=1e-15, atol=0)
 
     def test_coinciding_sheets_give_no_nan(self, small_grid):
         x, y = small_grid.nodes_xy()

@@ -13,6 +13,7 @@ hence E(r) = 3 r for (2, 3) and E(r) = 4 r^(2/3) for (3, 4).  The tests
 evaluate the first line with an independent one-dimensional quadrature and
 freeze the closed form as a sanity cross-check."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -301,6 +302,51 @@ class TestAreaMoments:
         w = rule.weights(f.grid.t[0], np.log(r), 2.0)
         total = np.einsum("r,rnc->nc", w, prof) + rule.inner_core(prof, 2.0)
         return total / (np.pi * r ** 2)
+
+    @staticmethod
+    def rotated_plucker_table(f):
+        """The (R, 7) area table as a stack of Pluecker vectors p: the
+        Jacobian columns a = Df e1, b = Df e2 rotated out of the polar
+        gradients, s0 = 2 pi <|p|> and s1 = 2 pi <p> per sheet, summed."""
+        du_dr, du_dth = f.gradients()
+        c = np.cos(f.grid.angles)[None, None, :, None]
+        s = np.sin(f.grid.angles)[None, None, :, None]
+        p = _plucker(du_dr * c - du_dth * s, du_dr * s + du_dth * c)
+        area = np.sqrt(np.einsum("krtc,krtc->krt", p, p))
+        table = np.concatenate(
+            [np.mean(area, axis=-1)[..., None], np.mean(p, axis=2)], axis=-1)
+        return (2 * np.pi * table).sum(axis=0)
+
+    def test_table_is_the_rotated_plucker_table(self, curve_cache,
+                                                full_grid):
+        # a tilt with four distinct entries plus a non-holomorphic term, so
+        # that the linear entries (b1, b2, -a1, -a2) are O(1) and distinct
+        f = curve_cache(3, 4)
+        x, y = full_grid.nodes_xy()
+        values = f.values.copy()
+        values[..., 0] += 0.2 * x + 0.1 * y + 0.3 * (x * x + y * y)
+        values[..., 1] += -0.15 * x + 0.25 * y + 0.2 * x * y
+        maps = [curve_cache(2, 3), curve_cache(2, 5, (0, 0, 0.3)),
+                f.replace_values(values)]
+        got = np.stack([qb.excess._area_moments(g)[0] for g in maps])
+        want = np.stack([self.rotated_plucker_table(g) for g in maps])
+        scale = np.abs(want).max(axis=(0, 1))
+        assert scale[2:6].min() > 0.1  # the table columns of p_1 .. p_4
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_fresh_build_peaks_at_two_and_a_half_gradients(self, full_grid):
+        # q^2 is formed per node one sheet at a time: the build never holds
+        # a per-node stack of the six Pluecker entries
+        f = qb.make_multigraph(qb.CurveSpec(4, 5), full_grid)
+        du_dr = f.gradients()[0]
+        f.rule()
+        tracemalloc.start()
+        try:
+            qb.excess._area_moments(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * du_dr.nbytes
 
     def test_mean_tilt_is_the_area_average_of_the_jacobians(
             self, small_grid, curve_cache):
