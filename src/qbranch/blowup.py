@@ -5,6 +5,9 @@ known exactly at x_i = r_i / r for f's own rings r_i, so every blow-up lives
 on f's rings relabelled, for any ratio r, with no interpolation.  Blow-ups
 are normalized either by the square root of the optimal-plane excess at the
 scale, or by the L2 norm on a reference ball (giving a unit-norm rescaling).
+A blow-up holds f's samples and its divisor: its own samples, f's first
+rings over the divisor, are formed when first read, and a degree step never
+reads them.
 
 The degree estimator runs the pipeline
 
@@ -27,8 +30,8 @@ grid included.  A blow-up u = c f(r .) reads
 its ring table off f's whole table (scale invariance of the ring
 profiles): every row of its profiles, cumulative table and core is f's
 row rescaled.  So a degree estimate differentiates the
-average-free part once, and no step differentiates or reads its own
-samples.  The l2_norm normalizer is read off the same table of f.  Its
+average-free part once, and no step differentiates its samples or forms
+them.  The l2_norm normalizer is read off the same table of f.  Its
 steps share their quadrature windows through the window cache of grids,
 read their bottom-anchored integrals off cumulative tables, and the
 degeneracy guard's amplitude of the average-free part is taken once per
@@ -43,7 +46,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, DegenerateBlowupError, RangeError)
+from .errors import (ConfigError, DataError, DegenerateBlowupError,
+                     DimensionError, RangeError)
 from .grids import M_DIM, PolarGrid, _ring_profile
 from .curves import QFunction, analytic_degree, CurveSpec, _json
 from .frequency import (_ball_integrals, _ring_data, _seed_blowup_ring_data,
@@ -104,13 +108,46 @@ def rescale(f: QFunction, r: float = 1.0) -> QFunction:
 
 def _dilate(f: QFunction, r: float, divisor: float) -> QFunction:
     """The dilation of f by r with its samples divided by divisor (r for
-    the graph dilation), formed in one pass over f's first m rings."""
+    the graph dilation): a _Dilation of f's first m rings."""
     m, radii = _blowup_radii(f.grid, r)
+    # x -> |x| / divisor is monotone: the largest quotient is finite iff
+    # every quotient is
+    with np.errstate(over="ignore"):
+        if not math.isfinite(_ring_amplitudes(f)[:m].max() / divisor):
+            raise DimensionError("samples must be finite")
     grid = PolarGrid(radii=radii, n_theta=f.grid.n_theta,
                      center=f.grid.center)
-    return QFunction(grid=grid, values=f.values[:, :m] / divisor,
-                     monodromy=f.monodromy.copy(),
-                     metadata={**f.metadata, "rescaled_by": float(r)})
+    return _Dilation(f.values, m, divisor, grid, f.monodromy.copy(),
+                     {**f.metadata, "rescaled_by": float(r)})
+
+
+class _Dilation(QFunction):
+    """A dilation holding its parent's samples and its divisor: its own
+    samples, the parent's first m rings divided by the divisor, are formed
+    in one pass when first read, then kept.  The parent's samples passed
+    QFunction's checks, the divisor is positive and the largest quotient
+    is finite, so the checks hold for the quotient by construction and are
+    not run again."""
+
+    def __init__(self, source, m, divisor, grid, monodromy, metadata):
+        self._source, self._m, self._divisor = source, m, divisor
+        self._values = None
+        self.grid, self.monodromy, self.metadata = grid, monodromy, metadata
+        self._cache = {}
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = self._source[:, :self._m] / self._divisor
+        return self._values
+
+    @property
+    def q(self) -> int:
+        return self._source.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self._source.shape[3]
 
 
 def _blowup_radii(grid: PolarGrid, r: float):
@@ -126,6 +163,12 @@ def _blowup_radii(grid: PolarGrid, r: float):
     if m < min(12, grid.n_rings):
         raise RangeError("dilation leaves too few rings")
     return m, grid.radii[:m] / r
+
+
+def _ring_amplitudes(f: QFunction) -> np.ndarray:
+    """The largest sample magnitude on each ring of f, once per map."""
+    return f.cached("ring_amplitudes",
+                    lambda: np.abs(f.values).max(axis=(0, 2, 3)))
 
 
 # ----------------------------------------------------------------------------
@@ -183,7 +226,7 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
     of the least excess at scale r over all planes, graph planes or not."""
     grid = f.grid
     grid.require_radius(r)
-    amplitude = f.cached("amplitude", lambda: float(np.abs(f.values).max()))
+    amplitude = float(_ring_amplitudes(f).max())
     if mode == "l2_norm":
         r_ref = reference * r
         if r_ref > grid.r_max * (1 + 1e-12):

@@ -362,17 +362,18 @@ def save_qfunction(f: QFunction, path):
         "metadata": _json_safe(f.metadata),
     }
     # rows in (ring, angle, sheet) order, formatted a ring at a time: one
-    # operation for the whole file would hold every sample as a Python float
+    # operation for the whole file would hold every sample as a Python
+    # float.  A ring's row template holds its index prefixes as text, so
+    # only the two samples of each row are formatted
     Q, R, T, _ = f.values.shape
-    angle_sheet = np.indices((T, Q)).reshape(2, -1).T
-    ring_rows = "%d,%d,%d,%.17g,%.17g\n" * (T * Q)
+    rows = [f"{a},{k},%.17g,%.17g" for a in range(T) for k in range(Q)]
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.write("ring,angle,sheet,re,im\n")
         for i in range(R):
-            samples = f.values[:, i].transpose(1, 0, 2).reshape(-1, 2)
-            ring = np.hstack([np.full((T * Q, 1), i), angle_sheet, samples])
-            fh.write(ring_rows % tuple(ring.ravel().tolist()))
+            ring_rows = f"{i}," + f"\n{i},".join(rows) + "\n"
+            samples = f.values[:, i].transpose(1, 0, 2).ravel()
+            fh.write(ring_rows % tuple(samples.tolist()))
 
 
 def load_qfunction(path) -> QFunction:

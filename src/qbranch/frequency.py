@@ -41,7 +41,10 @@ and phi' = -2 on the annulus) gives
 
 so a ramp record reads the table twice and integrates two windows, at
 beta = 1 and beta = 3, whose ends sit on the kink s/2 and the edge s: the
-kinks never meet the quadrature cells.  The sharp cutoff reads Ball(s) and
+kinks never meet the quadrature cells.  A profile takes the ramp records
+whose s and s/2 both lie on rings together: their ball reads are rows of
+the cumulative table, their windows one stacked product W @ F, and the
+algebra above runs once on arrays.  The sharp cutoff reads Ball(s) and
 the boundary values s B(s), s C(s), s P(s) and s A(s).
 """
 
@@ -131,34 +134,45 @@ def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
 # the smoothed quantities
 
 
-def _quantities(f: QFunction, s: float, cutoff: Cutoff = RAMP) -> dict:
-    grid = f.grid
+def _kink(grid: PolarGrid, s: float) -> float:
+    """The cutoff kink s / 2, clamped to the bottom ring when it rounds
+    below; RangeError when s or its kink is off the grid."""
     grid.require_radius(s)
     if s / 2 < grid.r_min * (1.0 - 1e-12):
         raise RangeError(f"scale {s} puts the cutoff kink below the grid")
+    return max(s / 2, grid.r_min)
+
+
+def _ramp(s, ball, inner, M1, M3) -> dict:
+    """The ramp quantities at scales s from the ball reads Ball(s) and
+    Ball(s/2) and the windows M_1 and M_3, each with the four columns
+    A, B, C, P first: a scale per entry of s, elementwise."""
+    D, Sigma = 2.0 * ball[:2] - inner[:2] - (2.0 / s) * M3[:2]
+    return {"D": D, "H": 2.0 * M1[1], "E": (2.0 / s) * (ball[2] - inner[2]),
+            "G": (2.0 / s ** 2) * M3[3], "Sigma": Sigma,
+            "dD": (2.0 / s ** 2) * M3[0]}
+
+
+def _quantities(f: QFunction, s: float, cutoff: Cutoff = RAMP) -> dict:
+    grid = f.grid
+    r_half = _kink(grid, s)
     F = _ring_data(f)[0]
     t_s = math.log(s)
 
     if cutoff.kind == "ramp":
-        # the kink s / 2, clamped to the bottom ring when it rounds below
-        r_half = max(s / 2, grid.r_min)
-        ball, inner = _ball_integrals(f, s), _ball_integrals(f, r_half)
         rule = f.rule()
         t_half = math.log(r_half)
-        M1 = rule.weights(t_half, t_s, 1.0) @ F
-        M3 = rule.weights(t_half, t_s, 3.0) @ F
-        D, Sigma = 2.0 * ball[:2] - inner[:2] - (2.0 / s) * M3[:2]
-        H = 2.0 * M1[1]
-        E = (2.0 / s) * (ball[2] - inner[2])
-        G, dD = (2.0 / s ** 2) * M3[3], (2.0 / s ** 2) * M3[0]
+        q = _ramp(s, _ball_integrals(f, s), _ball_integrals(f, r_half),
+                  rule.weights(t_half, t_s, 1.0) @ F,
+                  rule.weights(t_half, t_s, 3.0) @ F)
     else:
         D, Sigma = _ball_integrals(f, s)[:2]
         # boundary values of the ring profiles at s, by the cell quintic
         j0, wc = _cell_interpolant(grid, t_s)
         A, B, C, P = F.T
         H, E, G, dD = (s * float(wc @ col[j0:j0 + 6]) for col in (B, C, P, A))
-    return {"D": float(D), "H": float(H), "E": float(E), "G": float(G),
-            "Sigma": float(Sigma), "dD": float(dD)}
+        q = {"D": D, "H": H, "E": E, "G": G, "Sigma": Sigma, "dD": dD}
+    return {k: float(v) for k, v in q.items()}
 
 
 def dirichlet_energy(f: QFunction, r: float) -> float:
@@ -258,6 +272,12 @@ def _record_at(f: QFunction, s: float, cutoff: Cutoff) -> FrequencyRecord:
         q = _quantities(f, s, cutoff)
     except RangeError as exc:
         return FrequencyRecord(r=s, valid=False, reason=str(exc))
+    return _record(s, q)
+
+
+def _record(s: float, q: dict) -> FrequencyRecord:
+    """The record at scale s from its quantities q, floats: I and the
+    residuals where the height does not vanish."""
     rec = FrequencyRecord(r=s, D=q["D"], H=q["H"], E=q["E"], G=q["G"],
                           Sigma=q["Sigma"])
     if _degenerate_height(q):
@@ -273,11 +293,43 @@ def _record_at(f: QFunction, s: float, cutoff: Cutoff) -> FrequencyRecord:
     return rec
 
 
+def _on_ring_records(f: QFunction, radii: list) -> dict:
+    """{index: record} of the ramp records at the radii s that lie on a
+    ring with their kink s / 2: the ball reads are rows of the cumulative
+    table plus the core, the windows of all of them, at beta = 1 and 3,
+    are one product W @ F, and the ramp algebra runs once on the stack."""
+    grid, rule = f.grid, f.rule()
+    picks = []
+    for i, s in enumerate(radii):
+        try:
+            r_half = _kink(grid, s)
+        except RangeError:
+            continue
+        (j, on), (jh, on_h) = (rule._ring_below(math.log(r))
+                               for r in (s, r_half))
+        if on and on_h:
+            picks.append((i, s, r_half, j, jh))
+    if not picks:
+        return {}
+    idx, s, r_half, j, jh = zip(*picks)
+    F, cum, core = _ring_data(f)
+    W = np.stack([rule.weights(math.log(h), math.log(r), beta)
+                  for beta in (1.0, 3.0) for r, h in zip(s, r_half)])
+    M = (W @ F).T
+    K = len(s)
+    q = _ramp(np.array(s), (cum[list(j)] + core).T, (cum[list(jh)] + core).T,
+              M[:, :K], M[:, K:])
+    rows = zip(*(v.tolist() for v in q.values()))
+    return {i: _record(r, dict(zip(q, row)))
+            for i, r, row in zip(idx, s, rows)}
+
+
 def frequency_profile(f: QFunction, radii=None,
                       cutoff: Cutoff = RAMP) -> FrequencyProfile:
-    """Evaluate all per-radius quantities on an increasing list of radii,
-    one radius after another in a single thread; the ring profiles and
-    quadrature weights they share are cached on f."""
+    """Evaluate all per-radius quantities on an increasing list of radii;
+    the ring profiles and quadrature weights they share are cached on f.
+    Ramp records whose radius and kink lie on rings are formed together
+    (_on_ring_records), the others one at a time."""
     if radii is None:
         radii = default_profile_radii(f.grid)
     radii = [float(r) for r in radii]
@@ -285,7 +337,9 @@ def frequency_profile(f: QFunction, radii=None,
         raise ValueError("radii list is empty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted strictly increasing")
-    records = [_record_at(f, s, cutoff) for s in radii]
+    batched = _on_ring_records(f, radii) if cutoff.kind == "ramp" else {}
+    records = [batched[i] if i in batched else _record_at(f, s, cutoff)
+               for i, s in enumerate(radii)]
     return FrequencyProfile(center=tuple(f.grid.center), radii=radii,
                             records=records, cutoff=cutoff,
                             notes={"label": f.metadata.get("label", "")})

@@ -43,7 +43,10 @@ order, well above the accuracy this library promises, and any stencil in
 log r puts a boundary bias on affine sheets.  Their seven weight patterns
 come from one batched solve per call, uncached so that a traced run's
 solve count still sees every differentiation.  Angular derivatives are
-spectral on the monodromy covering circle.
+spectral on the monodromy covering circle.  Both kernels run over blocks
+of rings of _BLOCK_BYTES, which stay in cache through all their passes;
+every ring is its own stencil row and its own transform, so the blocks
+change no bit.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ class PolarGrid:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
+        # a private read-only copy, so t and dt are taken from it once
+        r = np.array(self.radii, dtype=float)
         if r.ndim != 1 or r.size < 8:
             raise ConfigError("grid needs at least 8 radii")
         if np.any(np.diff(r) <= 0):
@@ -86,7 +90,10 @@ class PolarGrid:
             raise ConfigError("radii must form a geometric sequence")
         if self.n_theta < 64:
             raise ConfigError("n_theta must be at least 64")
+        r.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_dt", float(np.log(r[1] / r[0])))
 
     @property
     def n_rings(self) -> int:
@@ -94,11 +101,11 @@ class PolarGrid:
 
     @property
     def t(self) -> np.ndarray:
-        return np.log(self.radii)
+        return self._t
 
     @property
     def dt(self) -> float:
-        return float(np.log(self.radii[1] / self.radii[0]))
+        return self._dt
 
     @property
     def rho(self) -> float:
@@ -239,7 +246,7 @@ def _cell_interpolant(grid: PolarGrid, ts: float) -> tuple[int, np.ndarray]:
     """(j0, w): w @ F[j0:j0 + 6] interpolates F at ts by the quadrature's
     quintic on the cell holding ts (its pattern, clamped as in _window)."""
     t, R = grid.t, grid.n_rings
-    i = min(max(int(np.floor((ts - t[0]) / grid.dt + _ON_RING)), 0), R - 2)
+    i = min(max(math.floor((ts - t[0]) / grid.dt + _ON_RING), 0), R - 2)
     j0 = min(max(i - _BELOW, 0), R - _STENCIL)
     u = _snap((ts - t[i]) / grid.dt)
     return j0, _cell_inverses(_STENCIL)[i - j0] @ u ** np.arange(_STENCIL)
@@ -313,8 +320,8 @@ class RadialRule:
         R = t.size
         dt = self.grid.dt
         t_a, t_b = max(t_a, t[0]), min(t_b, t[-1])
-        i0 = min(int(np.floor((t_a - t[0]) / dt + _ON_RING)), R - 2)
-        i1 = int(np.ceil((t_b - t[0]) / dt - _ON_RING))
+        i0 = min(math.floor((t_a - t[0]) / dt + _ON_RING), R - 2)
+        i1 = math.ceil((t_b - t[0]) / dt - _ON_RING)
         i1 = max(min(i1, R - 1), i0 + 1)
         lo, w = _window(dt, float(beta), i1 - i0, min(i0, _BELOW),
                         min(R - 1 - i1, _ABOVE), _snap((t_a - t[i0]) / dt),
@@ -368,14 +375,21 @@ class RadialRule:
         """int_{t_0}^{t_b} F(t) e^{beta t} dt read off F's cumulative table
         cum: its row at the ring j below t_b, plus the window [t_j, t_b]
         when t_b is off-ring."""
+        j, on_ring = self._ring_below(t_b)
+        if on_ring:
+            return cum[j]
+        i, w = self._segment(self.grid.t[j], t_b, beta)
+        return cum[j] + sum(w[q] * F[i + q] for q in range(w.size))
+
+    def _ring_below(self, t_b: float) -> tuple[int, bool]:
+        """(j, on_ring): the ring j at or below t_b, clamped to the grid,
+        and whether t_b lies on it (within _ON_RING of dt), where a
+        bottom-anchored integral to t_b is the cumulative table's row j."""
         t = self.grid.t
         dt = self.grid.dt
         t_b = min(max(t_b, t[0]), t[-1])
-        j = min(int(np.floor((t_b - t[0]) / dt + _ON_RING)), t.size - 1)
-        if _snap((t_b - t[j]) / dt) == 0.0:
-            return cum[j]
-        i, w = self._segment(t[j], t_b, beta)
-        return cum[j] + sum(w[q] * F[i + q] for q in range(w.size))
+        j = min(math.floor((t_b - t[0]) / dt + _ON_RING), t.size - 1)
+        return j, _snap((t_b - t[j]) / dt) == 0.0
 
     def inner_core(self, F: np.ndarray, beta: float):
         """Contribution of the missing disk r < r_min, assuming F behaves
@@ -398,6 +412,10 @@ class RadialRule:
 
 _RADIAL_WIDTH = 7
 
+#: bytes of samples both derivative kernels take at once: a block of rings
+#: this size stays in cache through all of its passes
+_BLOCK_BYTES = 1 << 17
+
 
 def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
                    axis: int = 1) -> np.ndarray:
@@ -407,7 +425,9 @@ def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
     boundary bias).  Because consecutive radii have a fixed ratio, one
     dimensionless weight pattern per row offset serves every ring after a
     1/r scaling; the seven patterns (interior, three rows at each end) come
-    from one batched solve per call, uncached (see the module docstring)."""
+    from one batched solve per call, uncached (see the module docstring).
+    The interior is taken over blocks of _BLOCK_BYTES of rings, each
+    element by the same operations in the same order as in one pass."""
     v = np.moveaxis(values, axis, 0)
     n = v.shape[0]
     k = _RADIAL_WIDTH
@@ -423,11 +443,15 @@ def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
     inv_r = 1.0 / radii
     shape_tail = (1,) * (v.ndim - 1)
     out = np.empty_like(v)
-    acc, term = out[half:n - half], np.empty_like(v[half:n - half])
-    np.multiply(w[0, 0], v[0:n - k + 1], out=acc)
-    for j in range(1, k):
-        acc += np.multiply(w[0, j], v[j:n - k + 1 + j], out=term)
-    acc *= inv_r[half:n - half].reshape(-1, *shape_tail)
+    step = max(_BLOCK_BYTES // max(v[0].nbytes, 1), 1)
+    term = np.empty_like(v[:min(step, n - k + 1)])
+    for a in range(half, n - half, step):
+        b = min(a + step, n - half)
+        acc, tm = out[a:b], term[:b - a]
+        np.multiply(w[0, 0], v[a - half:b - half], out=acc)
+        for j in range(1, k):
+            acc += np.multiply(w[0, j], v[a - half + j:b - half + j], out=tm)
+        acc *= inv_r[a:b].reshape(-1, *shape_tail)
     for row in rows:
         out[row] = np.tensordot(w[1 + row], v[:k], axes=(0, 0)) * inv_r[row]
         out[n - 1 - row] = np.tensordot(w[1 + half + row], v[n - k:],
@@ -444,20 +468,26 @@ def d_dtheta_periodic(values: np.ndarray,
     Each monodromy cycle of length L is a smooth periodic function on the
     L-fold covering circle, so it is differentiated spectrally there; for
     band-limited sheets (branched roots, tilted planes, trigonometric
-    profiles) the derivative is exact to rounding."""
-    T = values.shape[2]
+    profiles) the derivative is exact to rounding.  Each cycle is taken
+    over blocks of _BLOCK_BYTES of rings; every ring is its own transform,
+    so the blocks change no bit."""
+    R, T = values.shape[1:3]
     out = np.empty_like(values)
     for cycle in _cycles(monodromy):
         L = len(cycle)
-        sig = np.concatenate([values[c] for c in cycle], axis=1)
         M = L * T
         # real samples: the half spectrum of rfft, Nyquist bin zeroed
         fac = 1j * np.arange(M // 2 + 1) / L
         if M % 2 == 0:
             fac[-1] = 0.0
-        shape = (1, fac.size) + (1,) * (sig.ndim - 2)
-        spec = np.fft.rfft(sig, axis=1) * fac.reshape(shape)
-        dsig = np.fft.irfft(spec, n=M, axis=1)
-        for m, c in enumerate(cycle):
-            out[c] = dsig[:, m * T:(m + 1) * T]
+        fac = fac.reshape((1, fac.size) + (1,) * (values.ndim - 3))
+        step = max(_BLOCK_BYTES // max(L * values[0, 0].nbytes, 1), 1)
+        for a in range(0, R, step):
+            sig = np.concatenate([values[c, a:a + step] for c in cycle],
+                                 axis=1)
+            spec = np.fft.rfft(sig, axis=1)
+            spec *= fac
+            dsig = np.fft.irfft(spec, n=M, axis=1)
+            for m, c in enumerate(cycle):
+                out[c, a:a + step] = dsig[:, m * T:(m + 1) * T]
     return out

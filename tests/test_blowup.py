@@ -3,6 +3,7 @@ Hardt-Simon functional."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,68 @@ class TestRescale:
     def test_domain_overflow(self, curve_cache):
         with pytest.raises(qb.RangeError):
             qb.rescale(curve_cache(2, 3), 4.0)
+
+
+class TestDilationSamples:
+    """A blow-up holds its parent's samples and its divisor; its own
+    samples are the parent's first rings over the divisor, formed when
+    first read."""
+
+    @pytest.mark.parametrize("r", [1.0, 0.25, 0.3])
+    def test_rescale_reads_the_eager_quotient(self, curve_cache, r):
+        f = curve_cache(3, 4)
+        u = qb.rescale(f, r)
+        assert np.array_equal(u.values, f.values[:, :u.grid.n_rings] / r)
+
+    @pytest.mark.parametrize("mode", ["l2_norm", "excess_sqrt"])
+    def test_normalized_blowup_reads_the_eager_quotient(self, curve_cache,
+                                                        mode):
+        v = qb.average_free_part(curve_cache(2, 5, (0, 0, 1)))
+        for r in (0.5, 0.3, 2.0 ** -9):
+            u = qb.coarse_blowup_normalize(v, r, mode)
+            h = u.metadata["blowup"]["normalizer"]
+            assert np.array_equal(u.values,
+                                  v.values[:, :u.grid.n_rings] / (r * h))
+
+    def test_shape_and_degree_step_form_no_samples(self, curve_cache):
+        f = qb.average_free_part(curve_cache(4, 5))
+        u = qb.coarse_blowup_normalize(f, 0.25)
+        assert (u.q, u.n) == (4, 2)
+        qb.frequency_limit(qb.frequency_profile(
+            u, radii=qb.default_profile_radii(u.grid, octaves=1.0)))
+        assert u._values is None
+        assert u.values.shape == (4, u.grid.n_rings, u.grid.n_theta, 2)
+        assert u._values is not None and (u.q, u.n) == (4, 2)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_only_an_overflowing_quotient_is_refused(self, small_grid,
+                                                     alpha):
+        # f(r x) / r is r^(alpha - 1) f(x) on an alpha-homogeneous map: its
+        # kept samples overflow at amplitude 1e308 for alpha < 1 only
+        f = qb.homogeneous_map(alpha, grid=small_grid)
+        huge = f.replace_values(f.values * 1e308)
+        if alpha < 1:
+            with pytest.raises(qb.DimensionError):
+                qb.rescale(huge, 0.25)
+        else:
+            assert np.isfinite(qb.rescale(huge, 0.25).values).all()
+
+    def test_degree_estimate_forms_no_step_samples(self, curve_cache):
+        # with the average-free part, its ring table and its amplitude
+        # cached by a first estimate, a second one allocates less than the
+        # samples of its smallest step
+        f = curve_cache(4, 5)
+        f.gradients()
+        qb.singularity_degree(f)
+        tracemalloc.start()
+        try:
+            est = qb.singularity_degree(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r_last = est.per_step_I[-1][1]
+        m = np.count_nonzero(f.grid.radii <= r_last * (1 + 1e-12))
+        assert peak < f.values[:, :m].nbytes
 
 
 @pytest.fixture(scope="module")

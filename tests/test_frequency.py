@@ -16,6 +16,7 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 import qbranch as qb
+from qbranch.frequency import _on_ring_records, _record_at
 
 
 def ramp(t):
@@ -246,6 +247,90 @@ class TestRampMoments:
             betas.clear()
             qb.smoothed_I(f, r=r)
             assert sorted(betas) == [1.0, 3.0]
+
+
+class TestOnRingRecords:
+    """Ramp records whose radius and kink lie on rings are formed together,
+    their windows in one product W @ F; every other record is _record_at's,
+    one radius at a time."""
+
+    @staticmethod
+    def singles(f, radii, cutoff=qb.RAMP):
+        return qb.FrequencyProfile(
+            center=f.grid.center, radii=list(radii), cutoff=cutoff,
+            records=[_record_at(f, s, cutoff) for s in radii])
+
+    @staticmethod
+    def assert_close(records, singles):
+        for rec, ref in zip(records, singles, strict=True):
+            assert (rec.r, rec.valid, rec.reason) == \
+                (ref.r, ref.valid, ref.reason)
+            for name in ("D", "H", "I", "E", "G", "Sigma"):
+                assert getattr(rec, name) == pytest.approx(
+                    getattr(ref, name), rel=1e-14, abs=0.0,
+                    nan_ok=True), name
+            # the residuals are relative to D already
+            for name in ("res_outer", "res_inner"):
+                assert getattr(rec, name) == pytest.approx(
+                    getattr(ref, name), rel=0.0, abs=1e-14,
+                    nan_ok=True), name
+
+    @pytest.mark.parametrize("curve", [(2, 3), (2, 5), (3, 4), (3, 5),
+                                       (4, 5)])
+    def test_batched_records_are_the_single_ones(self, curve_cache, curve):
+        f = curve_cache(*curve)
+        for u in (f, qb.coarse_blowup_normalize(qb.average_free_part(f),
+                                                2.0 ** -5)):
+            radii = u.grid.radii[u.grid.radii >= 2 * u.grid.r_min]
+            prof = qb.frequency_profile(u, radii=radii)
+            assert len(_on_ring_records(u, prof.radii)) == len(radii)
+            assert all(rec.valid and not rec.reason for rec in prof.records)
+            self.assert_close(prof.records,
+                              self.singles(u, prof.radii).records)
+
+    def test_other_records_are_the_single_ones(self, curve_cache, full_grid):
+        # between rings, the sharp cutoff, and a ratio-1.5 grid, whose
+        # kinks s / 2 are off its rings: all of it bit for bit
+        f = curve_cache(2, 5, (0, 0, 1))
+        between = np.sqrt(full_grid.radii[-40:-1] * full_grid.radii[-39:])
+        ratio15 = qb.PolarGrid(radii=1.5 ** np.arange(-16.0, 1.0),
+                               n_theta=64)
+        g = qb.homogeneous_map(1.5, grid=ratio15)
+        assert _on_ring_records(f, between.tolist()) == {}
+        assert _on_ring_records(g, ratio15.radii.tolist()) == {}
+        for u, radii, cutoff in [(f, between, qb.RAMP),
+                                 (f, full_grid.radii[-40:], qb.SHARP),
+                                 (g, ratio15.radii, qb.RAMP),
+                                 (g, ratio15.radii, qb.SHARP)]:
+            assert qb.frequency_profile(u, radii, cutoff).to_csv() == \
+                self.singles(u, radii, cutoff).to_csv()
+
+    def test_mixed_radii_keep_their_order(self, curve_cache, full_grid):
+        f = curve_cache(3, 4)
+        on = full_grid.radii[-17:]
+        radii = np.sort(np.concatenate([on, np.sqrt(on[:-1] * on[1:])]))
+        prof = qb.frequency_profile(f, radii=radii)
+        assert sorted(_on_ring_records(f, prof.radii)) == \
+            list(range(0, radii.size, 2))
+        singles = self.singles(f, prof.radii).records
+        self.assert_close(prof.records, singles)
+        assert prof.records[1::2] == singles[1::2]  # off-ring: bit for bit
+
+    @pytest.mark.parametrize("fill", [0.0, 1.0])
+    def test_invalid_records_and_reasons_are_the_single_ones(
+            self, small_grid, fill):
+        # a zero map has no height; a constant one has no energy, so its
+        # residuals are undefined; kinks below the grid are refused
+        v = np.full((1, small_grid.n_rings, small_grid.n_theta, 2), fill)
+        f = qb.QFunction(grid=small_grid, values=v, monodromy=[0])
+        radii = small_grid.radii
+        prof = qb.frequency_profile(f, radii=radii)
+        reasons = {rec.reason.split(" ")[0] for rec in prof.records}
+        assert reasons == {"scale", "degenerate-height" if fill == 0.0
+                           else "degenerate"}
+        assert len(_on_ring_records(f, prof.radii)) == \
+            sum(not rec.reason.startswith("scale") for rec in prof.records)
+        self.assert_close(prof.records, self.singles(f, radii).records)
 
 
 class TestFrequencyLimit:

@@ -10,8 +10,10 @@ from scipy.integrate import quad
 
 import qbranch as qb
 from qbranch.frequency import _ring_data
+from qbranch import grids
 from qbranch.grids import (RadialRule, _cell_interpolant, _moments,
-                           _stencil_weights, d_dr_geometric)
+                           _stencil_weights, d_dr_geometric,
+                           d_dtheta_periodic)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +103,40 @@ def test_d_dr_geometric_is_the_row_by_row_stencil_at_any_ratio(g, n, seed):
     values = np.random.default_rng(seed).normal(size=(2, n, 5, 2))
     assert np.array_equal(d_dr_geometric(values, radii, axis=1),
                           _d_dr_row_by_row(values, radii))
+
+
+@pytest.mark.parametrize("shape, monodromy", [
+    ((2, 129, 64, 2), [1, 0]),          # n = 2, three blocks of 64 rings
+    ((3, 40, 64, 3), [1, 2, 0]),        # n = 3, a three-cycle
+    ((4, 50, 65, 2), [1, 0, 3, 2]),     # two two-cycles, odd n_theta
+    ((2, 9, 64, 2), [0, 1])],           # fewer rings than a block
+    ids=["n2", "n3", "two_cycles_odd_T", "one_block"])
+@pytest.mark.parametrize("block", [None, 1], ids=["default", "ring"])
+def test_blocked_kernels_are_the_one_block_kernels(shape, monodromy, block,
+                                                   monkeypatch):
+    """Ring blocks change no bit: a block of one ring, the default block
+    and one block over every ring give the same derivatives."""
+    values = np.random.default_rng(7).normal(size=shape)
+    radii = 2.0 ** (np.arange(shape[1]) / 8.0 - 5.0)
+    monodromy = np.array(monodromy)
+    if block is not None:
+        monkeypatch.setattr(grids, "_BLOCK_BYTES", block)
+    got = (d_dr_geometric(values, radii, axis=1),
+           d_dtheta_periodic(values, monodromy))
+    monkeypatch.setattr(grids, "_BLOCK_BYTES", 1 << 60)
+    ref = (d_dr_geometric(values, radii, axis=1),
+           d_dtheta_periodic(values, monodromy))
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_grid_takes_its_logarithms_once():
+    radii = 2.0 ** np.arange(-10.0, 1.0)
+    g = qb.PolarGrid(radii=radii, n_theta=64)
+    radii[0] = 0.0  # the grid holds its own copy
+    assert g.r_min == 2.0 ** -10 and g.t is g.t
+    assert np.array_equal(g.t, np.log(g.radii))
+    assert g.dt == float(np.log(g.radii[1] / g.radii[0]))
+    assert not (g.radii.flags.writeable or g.t.flags.writeable)
 
 
 def test_d_dr_geometric_solves_once_per_call(grid, monkeypatch):
