@@ -194,21 +194,22 @@ class QFunction:
         move).  The displacement is measured on the average-free
         configuration: moving all sheets by a common vector never changes
         which matching is optimal."""
-        sep, ratio_th = _angular_step_ratio(self)
+        sep, ratio_th = _angular_step_ratio(self.values, self.monodromy)
         ratio_r = _move_ratio(np.diff(self.values, axis=1),
                               np.minimum(sep[1:], sep[:-1]))
         return max(float(ratio_th.max()), float(ratio_r.max()))
 
 
-def _angular_step_ratio(f: QFunction):
-    """(sep, ratio): the minimal sheet separation per node and the largest
-    average-free move to the next angle in units of sep / 2.  Common sheet
-    drift never changes the optimal matching, and pairwise differences do
-    not see it, so sep is taken on the samples themselves."""
-    x = f.values
+def _angular_step_ratio(x: np.ndarray, monodromy: np.ndarray):
+    """(sep, ratio) over the rings of samples x (Q, R, T, n): the minimal
+    sheet separation per node and the largest average-free move to the
+    next angle in units of sep / 2.  Every node reads only its own ring, so
+    a block of rings gives the rows of the whole.  Common sheet drift never
+    changes the optimal matching, and pairwise differences do not see it,
+    so sep is taken on the samples themselves."""
     step = np.empty_like(x)
     np.subtract(x[:, :, 1:], x[:, :, :-1], out=step[:, :, :-1])
-    np.subtract(x[f.monodromy, :, 0], x[:, :, -1], out=step[:, :, -1])
+    np.subtract(x[monodromy, :, 0], x[:, :, -1], out=step[:, :, -1])
     sep = _separation(x)
     return sep, _move_ratio(step, sep)
 
@@ -228,6 +229,11 @@ def _move_ratio(step: np.ndarray, sep: np.ndarray) -> np.ndarray:
                          where=move > 0)
 
 
+#: bytes of samples make_multigraph forms at once: the angular check of a
+#: block of rings this size runs while the block is in cache
+_BLOCK_BYTES = 1 << 19
+
+
 def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction:
     """Sample the curve's Q-valued graph on a polar grid.
 
@@ -235,23 +241,32 @@ def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction
     legitimate tracked selection: every angular step must move each sheet by
     less than half the local sheet separation, otherwise the angular
     resolution cannot distinguish the branches and a RefinementError asks
-    for a larger n_theta."""
+    for a larger n_theta.  The samples are formed a block of _BLOCK_BYTES of
+    rings at a time, each block checked while it is in cache; every node is
+    formed and checked by the same operations as in one pass."""
     if grid is None:
         grid = default_grid()
-    r = grid.radii[:, None]
     th = grid.angles[None, :]
-    z = r * np.exp(1j * th)
-    root = r ** (spec.p / spec.q) * np.exp(1j * spec.p * th / spec.q)
-    zeta = np.exp(2j * np.pi * np.arange(spec.q) / spec.q)
-    w = spec.h(z)[None, :, :] + root[None, :, :] * zeta[:, None, None]
-    values = w[..., None].view(np.float64)  # (re, im) pairs, no copy
+    turn = np.exp(1j * th)
+    phase = np.exp(1j * spec.p * th / spec.q)
+    zeta = np.exp(2j * np.pi * np.arange(spec.q) / spec.q)[:, None, None]
     monodromy = (np.arange(spec.q) + spec.p) % spec.q
+    w = np.empty((spec.q, grid.n_rings, grid.n_theta), dtype=complex)
+    values = w[..., None].view(np.float64)  # (re, im) pairs, no copy
+    step = max(_BLOCK_BYTES // max(w[:, 0].nbytes, 1), 1)
+    worst = 0.0
+    for a in range(0, grid.n_rings, step):
+        r = grid.radii[a:a + step, None]
+        block = w[:, a:a + step]
+        np.multiply((r ** (spec.p / spec.q) * phase)[None], zeta, out=block)
+        np.add(spec.h(r * turn)[None], block, out=block)
+        ratio = _angular_step_ratio(values[:, a:a + step], monodromy)[1]
+        worst = max(worst, float(ratio.max()))
     f = QFunction(grid=grid, values=values, monodromy=monodromy,
                   metadata={"kind": "curve", "q": spec.q, "p": spec.p,
                             "h_coeffs": [[c.real, c.imag]
                                          for c in spec.h_coeffs],
                             "label": spec.label()})
-    worst = float(_angular_step_ratio(f)[1].max())
     if worst >= 1.0:
         raise RefinementError(
             "angular step exceeds half the sheet separation "

@@ -7,6 +7,9 @@ order-free.  The distance is the optimal-matching one,
     g(a, b) = min over permutations sigma of sqrt(sum_i |a_i - b_sigma(i)|^2),
 
 computed through an exact assignment solve on the squared-distance matrix.
+The solver, linear_sum_assignment, is written here in plain Python: for Q
+of a dozen or fewer a solve costs tens of microseconds, while importing a
+compiled one (scipy.optimize) costs most of a second and 50 MB.
 Exhaustive enumeration over all Q! pairings, brute_force_metric, is kept
 here as the independent oracle that the tests and `qbranch selfcheck`
 compare the assignment route against.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +98,73 @@ def _check_compatible(a: QPoint, b: QPoint):
 
 
 def linear_sum_assignment(cost: np.ndarray):
-    """scipy's exact assignment solve, imported on first use: importing
-    scipy.optimize costs more than most commands spend computing."""
-    from scipy.optimize import linear_sum_assignment as solve
-    return solve(cost)
+    """Exact minimum-cost assignment of a square (Q, Q) cost matrix.
+
+    Returns (rows, cols) with rows = arange(Q): row i is assigned column
+    cols[i].  Entries of inf are forbidden edges.  Raises ValueError on a
+    non-square matrix, on NaN or -inf entries, and when every assignment
+    uses a forbidden edge.
+
+    This is the shortest-augmenting-path method with dual potentials of
+    Crouse, "On implementing 2D rectangular assignment algorithms" (IEEE
+    TAES 52(4), 2016), in scipy's scan order and tie rule: columns are
+    scanned from the last, and of equal reduced costs an unassigned column
+    is preferred.  So among several optimal assignments it picks the one
+    scipy.optimize.linear_sum_assignment picks.  It runs in O(Q^3) Python
+    operations, which for the few sheets of a Q-point costs far less than
+    importing a compiled solver."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost matrix must be square, got {cost.shape}")
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("cost matrix contains NaN or -inf entries")
+    c = cost.tolist()
+    nq = len(c)
+    u, v = [0.0] * nq, [0.0] * nq
+    path = [-1] * nq
+    col4row, row4col = [-1] * nq, [-1] * nq
+    for cur in range(nq):
+        # Dijkstra over reduced costs from row cur to an unassigned column
+        shortest = [math.inf] * nq
+        remaining = list(range(nq - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            seen_rows.append(i)
+            ci, ui = c[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(nq), np.asarray(col4row, dtype=np.intp)
 
 
 def _cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,8 +183,10 @@ def metric_g(a: QPoint, b: QPoint) -> float:
     """Optimal-matching distance on A_Q(R^n).
 
     The value is the square root of the matched squared distances summed in
-    index order, so it agrees bit for bit with an exhaustive minimum that
-    uses the same summation."""
+    index order, so where the optimal matching is unique it agrees bit for
+    bit with an exhaustive minimum that uses the same summation.  Where
+    several tie (repeated sheets), they agree to the rounding of the sum:
+    the exhaustive minimum keeps whichever order rounds lowest."""
     sigma = optimal_matching(a, b)
     diff = a.vectors - b.vectors[sigma]
     return float(np.sqrt(np.sum(np.einsum("ij,ij->i", diff, diff))))

@@ -127,6 +127,30 @@ class TestMultigraph:
         f2 = qb.make_multigraph(qb.CurveSpec(3, 4), g2)
         assert np.abs(f1.values - f2.values[:, :, ::2]).max() < 1e-14
 
+    @pytest.mark.parametrize("block", [None, 1], ids=["default", "ring"])
+    def test_ring_blocks_are_the_one_block_samples(self, full_grid, block,
+                                                   monkeypatch):
+        # blocks of rings change no sample bit, and a refused grid reports
+        # the same worst ratio
+        specs = [qb.CurveSpec(2, 3), qb.CurveSpec(4, 5),
+                 qb.CurveSpec(3, 5, (0, 0, 0, 1))]
+        coarse = qb.default_grid(r_min=2.0 ** -8, n_theta=64)
+
+        def outputs():
+            with pytest.raises(qb.RefinementError) as err:
+                qb.make_multigraph(qb.CurveSpec(6, 35), coarse)
+            return [qb.make_multigraph(s, full_grid).values
+                    for s in specs], str(err.value)
+
+        if block is not None:
+            monkeypatch.setattr(qb.curves, "_BLOCK_BYTES", block)
+        samples, message = outputs()
+        monkeypatch.setattr(qb.curves, "_BLOCK_BYTES", 1 << 60)
+        ref_samples, ref_message = outputs()
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(samples, ref_samples))
+        assert message == ref_message
+
 
 def _explicit_step_ratios(f):
     """(angular, radial) largest sheet moves between adjacent samples in
@@ -149,8 +173,9 @@ class TestTrackingCheck:
         f = qb.make_multigraph(qb.CurveSpec(q, p, h), small_grid) if h \
             else curve_cache(q, p)
         ang, rad = _explicit_step_ratios(f)
-        np.testing.assert_allclose(_angular_step_ratio(f)[1], ang,
-                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            _angular_step_ratio(f.values, f.monodromy)[1], ang,
+            rtol=1e-12, atol=0.0)
         assert f.check_selection() == pytest.approx(
             max(ang.max(), rad.max()), rel=1e-12, abs=0.0)
 
@@ -162,8 +187,9 @@ class TestTrackingCheck:
                 [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]]
 
         def outputs():
-            return [(*_angular_step_ratio(f), f.check_selection(),
-                     qb.mass_expansion_residual(f, 0.5)) for f in maps]
+            return [(*_angular_step_ratio(f.values, f.monodromy),
+                     f.check_selection(), qb.mass_expansion_residual(f, 0.5))
+                    for f in maps]
 
         fast = outputs()
         for module in (qb.qvalue, qb.curves, qb.excess):
@@ -203,11 +229,13 @@ class TestTrackingCheck:
             warnings.simplefilter("error")
             # nothing moves once the common motion is taken out: 0
             for f in (pair(harmonic, harmonic), pair(zero, zero)):
-                assert _angular_step_ratio(f)[1].max() == 0.0
+                ratio = _angular_step_ratio(f.values, f.monodromy)[1]
+                assert ratio.max() == 0.0
                 assert f.check_selection() == 0.0
             # sheets that meet and move apart: inf, which no check passes
             f = pair(crossing, -crossing)
-            assert _angular_step_ratio(f)[1].max() == np.inf
+            ratio = _angular_step_ratio(f.values, f.monodromy)[1]
+            assert ratio.max() == np.inf
             assert f.check_selection() == np.inf
 
 

@@ -2,7 +2,9 @@
 
 The exhaustive Q!-permutation minimum implemented in the test module's own
 helper (and in qbranch.brute_force_metric, kept intentionally naive) is the
-oracle for the assignment-based metric."""
+oracle for the assignment-based metric.  scipy's linear_sum_assignment is
+the oracle for the package's own assignment solver; the package itself
+never imports scipy."""
 
 import itertools
 import os
@@ -100,6 +102,23 @@ def qpoint_triples(draw):
 
 
 class TestMetricProperties:
+    @given(st.integers(1, 7).flatmap(lambda q: st.tuples(*(
+        arrays(np.float64, (q, 2), elements=st.floats(-10, 10))
+        for _ in range(2)))))
+    def test_metric_is_the_exhaustive_minimum(self, pair):
+        # bit for bit where the optimal matching is unique.  Where several
+        # tie (repeated sheets), each sums the same squared distances in
+        # its own order, and the exhaustive minimum keeps the lowest
+        # rounding: there they agree to the rounding of a Q-term sum
+        a, b = (qb.QPoint(v) for v in pair)
+        got, best = qb.metric_g(a, b), qb.brute_force_metric(a, b)
+        sums = sorted(np.sqrt(np.sum((a.vectors - b.vectors[list(p)]) ** 2))
+                      for p in itertools.permutations(range(a.q)))
+        if len(sums) == 1 or sums[1] - sums[0] > 1e-12 * max(sums[0], 1.0):
+            assert got == best
+        else:
+            assert got == pytest.approx(best, rel=1e-15 * a.q, abs=0.0)
+
     @given(qpoint_triples())
     def test_axioms_against_the_exhaustive_metric(self, triple):
         (a, b, c), perm = triple
@@ -112,6 +131,70 @@ class TestMetricProperties:
         relabelled = qb.QPoint(a.vectors[perm])
         assert qb.metric_g(relabelled, b) == pytest.approx(ab, rel=1e-12)
         assert qb.metric_g(relabelled, a) == 0.0
+
+
+def _solve_or_none(solve, cost):
+    """The column array of an assignment solve, or None where it raises
+    ValueError."""
+    try:
+        rows, cols = solve(cost)
+    except ValueError:
+        return None
+    assert np.array_equal(rows, np.arange(len(cost)))
+    return cols.tolist()
+
+
+def _cost_sweep(rng):
+    """Seeded square cost matrices for Q = 1..12: Gaussian entries, the
+    squared distances of near-duplicate points, exact ties (small integer
+    costs, repeated rows) and forbidden inf entries."""
+    for q in range(1, 13):
+        for _ in range(30):
+            yield "gaussian", rng.normal(size=(q, q))
+            pts = rng.normal(size=(q, 2))
+            pts[q // 2:] = pts[:q - q // 2] + 1e-3 * rng.normal(
+                size=(q - q // 2, 2))
+            near = pts[rng.permutation(q)] + 1e-3 * rng.normal(size=(q, 2))
+            yield "near-duplicate", qvalue._cost_matrix(pts, near)
+            yield "integer ties", rng.integers(0, 3, (q, q)).astype(float)
+            rows = rng.integers(0, 4, (q, q)).astype(float)
+            rows[rng.integers(q, size=q)] = rows[0]
+            yield "repeated rows", rows
+            forbidden = rng.normal(size=(q, q))
+            forbidden[rng.random((q, q)) < 0.3] = np.inf
+            yield "forbidden", forbidden
+
+
+class TestAssignmentSolver:
+    def test_picks_scipys_assignment(self):
+        kinds, infeasible = set(), 0
+        for kind, cost in _cost_sweep(np.random.default_rng(19)):
+            want = _solve_or_none(linear_sum_assignment, cost)
+            assert _solve_or_none(qvalue.linear_sum_assignment, cost) \
+                == want, (kind, cost)
+            kinds.add(kind)
+            infeasible += want is None
+        assert len(kinds) == 5 and infeasible > 0
+
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    def test_a_forbidden_row_raises_in_both(self, q, rng):
+        cost = rng.normal(size=(q, q))
+        cost[q // 2] = np.inf
+        for solve in (linear_sum_assignment, qvalue.linear_sum_assignment):
+            with pytest.raises(ValueError):
+                solve(cost)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nan_and_minus_inf_raise(self, bad):
+        cost = np.ones((3, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError):
+            qvalue.linear_sum_assignment(cost)
+
+    def test_only_square_matrices(self):
+        for shape in [(2, 3), (3, 2), (4,)]:
+            with pytest.raises(ValueError):
+                qvalue.linear_sum_assignment(np.zeros(shape))
 
 
 class TestAverage:
@@ -379,3 +462,24 @@ def test_import_leaves_scipy_optimize_unloaded():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "False"
+
+
+def test_matching_loads_no_scipy():
+    # a metric and a tracking step that both need an assignment solve
+    src = pathlib.Path(qb.__file__).resolve().parents[1]
+    code = ("import sys, numpy as np, qbranch as qb; "
+            "from qbranch import qvalue; "
+            "solves, solve = [], qvalue.linear_sum_assignment; "
+            "qvalue.linear_sum_assignment = "
+            "lambda c: solves.append(1) or solve(c); "
+            "rng = np.random.default_rng(5); "
+            "qb.metric_g(qb.QPoint(rng.normal(size=(5, 2))), "
+            "qb.QPoint(rng.normal(size=(5, 2)))); "
+            "qvalue.match_step(qb.QPoint([[1.0, 0.0], [-1.0, 0.0]]), "
+            "qb.QPoint([[0.6, 0.5], [-0.6, -0.5]])); "
+            "print(len(solves), [m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "4 []"
