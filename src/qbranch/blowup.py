@@ -50,9 +50,8 @@ from .errors import (ConfigError, DataError, DegenerateBlowupError,
                      DimensionError, RangeError)
 from .grids import M_DIM, PolarGrid, _ring_profile
 from .curves import QFunction, analytic_degree, CurveSpec, _json
-from .frequency import (_ball_integrals, _ring_data, _seed_blowup_ring_data,
-                        frequency_profile, frequency_limit,
-                        default_profile_radii)
+from .frequency import (_ring_data, _seed_blowup_ring_data, frequency_profile,
+                        frequency_limit, default_profile_radii)
 
 #: normalizers below this relative size abort the blow-up as trivial
 DEGENERACY_FLOOR = 1e-14
@@ -234,7 +233,7 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
                 f"reference ball {reference} * {r} exceeds the grid")
         # |f|^2 off f's ring table, which the seed below reads anyway; the
         # norm of the blow-up on B_reference scales from it
-        raw = float(np.sqrt(_ball_integrals(f, r_ref)[1]))
+        raw = float(np.sqrt(f.rule()._disk_integral(_ring_data(f), r_ref)[1]))
         normalizer = raw * r ** (-(M_DIM + 2) / 2.0)
     elif mode == "excess_sqrt":
         from .excess import least_excess

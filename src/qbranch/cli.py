@@ -281,7 +281,8 @@ def cmd_bv_track(run: Run) -> dict:
     f = run.build_input()
     intervals = intervals_of_flattening(f, cfg=run.track)
     prof = universal_frequency(
-        f, intervals, points_per_octave=run.opt.get("points-per-octave", 1))
+        f, intervals, points_per_octave=run.opt.get("points-per-octave", 1),
+        cutoff=run.cutoff)
     return {"universal_profile.csv": prof.records_csv(),
             "jumps.csv": prof.jumps_csv(),
             "bv.json": _json(bv_budget(prof)) + "\n"}

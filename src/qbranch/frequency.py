@@ -41,11 +41,14 @@ and phi' = -2 on the annulus) gives
 
 so a ramp record reads the table twice and integrates two windows, at
 beta = 1 and beta = 3, whose ends sit on the kink s/2 and the edge s: the
-kinks never meet the quadrature cells.  A profile takes the ramp records
-whose s and s/2 both lie on rings together: their ball reads are rows of
-the cumulative table, their windows one stacked product W @ F, and the
-algebra above runs once on arrays.  The sharp cutoff reads Ball(s) and
+kinks never meet the quadrature cells.  The sharp cutoff reads Ball(s) and
 the boundary values s B(s), s C(s), s P(s) and s A(s).
+
+Every record, of a profile, a blow-up step or the stitched frequency,
+comes from _quantities over a list of scales: one table read for all the
+balls, and each window, or sharp boundary value, its own product with F
+(a stacked product's rows can round differently), so a record depends
+only on the map, its scale and the cutoff.
 """
 
 from __future__ import annotations
@@ -107,12 +110,6 @@ def _ring_data(f: QFunction):
     return f.cached("ring_data", build)
 
 
-def _ball_integrals(f: QFunction, r: float) -> np.ndarray:
-    """int_{B_r} of each of the four ring profiles of _ring_data, the
-    power-law core below r_min included, read off f's ring table."""
-    return f.rule()._disk_integral(_ring_data(f), r)
-
-
 def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
     """Cache on the blow-up u = c f(r .) a ring table read off f's whole
     table.  u's grid is f's first m rings relabelled, radius r_i / r for
@@ -153,43 +150,53 @@ def _ramp(s, ball, inner, M1, M3) -> dict:
             "dD": (2.0 / s ** 2) * M3[0]}
 
 
-def _quantities(f: QFunction, s: float, cutoff: Cutoff = RAMP) -> dict:
-    grid = f.grid
-    r_half = _kink(grid, s)
-    F = _ring_data(f)[0]
-    t_s = math.log(s)
-
+def _quantities(f: QFunction, s, cutoff: Cutoff = RAMP) -> dict:
+    """The quantities at the scales of the list s, {name: array over s};
+    RangeError when any scale or its kink is off the grid.  All ball reads
+    are one _disk_integral call, and each window is its own product with
+    F, so no scale's quantities depend on the other scales of the call."""
+    rule, table = f.rule(), _ring_data(f)
+    F = table[0]
+    scales = [float(x) for x in s]
+    kinks = [_kink(f.grid, x) for x in scales]
+    K = len(scales)
     if cutoff.kind == "ramp":
-        rule = f.rule()
-        t_half = math.log(r_half)
-        q = _ramp(s, _ball_integrals(f, s), _ball_integrals(f, r_half),
-                  rule.weights(t_half, t_s, 1.0) @ F,
-                  rule.weights(t_half, t_s, 3.0) @ F)
-    else:
-        D, Sigma = _ball_integrals(f, s)[:2]
-        # boundary values of the ring profiles at s, by the cell quintic
-        j0, wc = _cell_interpolant(grid, t_s)
-        A, B, C, P = F.T
-        H, E, G, dD = (s * float(wc @ col[j0:j0 + 6]) for col in (B, C, P, A))
-        q = {"D": D, "H": H, "E": E, "G": G, "Sigma": Sigma, "dD": dD}
-    return {k: float(v) for k, v in q.items()}
+        ball = rule._disk_integral(table, scales + kinks).T
+        M1, M3 = np.empty((2, 4, K))
+        for k, (x, h) in enumerate(zip(scales, kinks)):
+            t_half, t_s = math.log(h), math.log(x)
+            M1[:, k] = rule.weights(t_half, t_s, 1.0) @ F
+            M3[:, k] = rule.weights(t_half, t_s, 3.0) @ F
+        return _ramp(np.array(scales), ball[:, :K], ball[:, K:], M1, M3)
+    D, Sigma = rule._disk_integral(table, scales).T[:2]
+    # boundary values s F(s) of the ring profiles, by the cell quintic
+    A, B, C, P = np.empty((4, K))
+    for k, x in enumerate(scales):
+        j0, wc = _cell_interpolant(f.grid, math.log(x))
+        A[k], B[k], C[k], P[k] = x * (wc @ F[j0:j0 + 6])
+    return {"D": D, "H": B, "E": C, "G": P, "Sigma": Sigma, "dD": A}
+
+
+def _at(f: QFunction, r: float, cutoff: Cutoff) -> dict:
+    """The quantities at the one scale r, floats."""
+    return {k: float(v[0]) for k, v in _quantities(f, [r], cutoff).items()}
 
 
 def dirichlet_energy(f: QFunction, r: float) -> float:
     """Total gradient energy int_{B_r} sum_i |Df_i|^2."""
-    return float(_ball_integrals(f, r)[0])
+    return float(f.rule()._disk_integral(_ring_data(f), r)[0])
 
 
 def smoothed_D(f: QFunction, r: float = 1.0, cutoff: Cutoff = RAMP) -> float:
-    return _quantities(f, r, cutoff)["D"]
+    return _at(f, r, cutoff)["D"]
 
 
 def smoothed_H(f: QFunction, r: float = 1.0, cutoff: Cutoff = RAMP) -> float:
-    return _quantities(f, r, cutoff)["H"]
+    return _at(f, r, cutoff)["H"]
 
 
 def smoothed_I(f: QFunction, r: float = 1.0, cutoff: Cutoff = RAMP) -> float:
-    q = _quantities(f, r, cutoff)
+    q = _at(f, r, cutoff)
     if _degenerate_height(q):
         raise DegenerateHeightError(
             f"height vanishes on the annulus at scale {r}")
@@ -204,7 +211,7 @@ def _degenerate_height(q: dict) -> bool:
 
 def auxiliary_quantities(f: QFunction, r: float = 1.0,
                          cutoff: Cutoff = RAMP) -> dict:
-    q = _quantities(f, r, cutoff)
+    q = _at(f, r, cutoff)
     return {"E": q["E"], "G": q["G"], "Sigma": q["Sigma"]}
 
 
@@ -214,7 +221,7 @@ def variation_residuals(f: QFunction, r: float = 1.0,
 
     res_outer = |D - E| / D and res_inner = |dD/dr - (m-2)D/r - 2G| * r / D,
     both dimensionless; NaN with reason 'degenerate' when D vanishes."""
-    q = _quantities(f, r, cutoff)
+    q = _at(f, r, cutoff)
     return _residuals_from(q, r)
 
 
@@ -267,14 +274,6 @@ class FrequencyProfile:
             for rec in self.records])
 
 
-def _record_at(f: QFunction, s: float, cutoff: Cutoff) -> FrequencyRecord:
-    try:
-        q = _quantities(f, s, cutoff)
-    except RangeError as exc:
-        return FrequencyRecord(r=s, valid=False, reason=str(exc))
-    return _record(s, q)
-
-
 def _record(s: float, q: dict) -> FrequencyRecord:
     """The record at scale s from its quantities q, floats: I and the
     residuals where the height does not vanish."""
@@ -293,43 +292,31 @@ def _record(s: float, q: dict) -> FrequencyRecord:
     return rec
 
 
-def _on_ring_records(f: QFunction, radii: list) -> dict:
-    """{index: record} of the ramp records at the radii s that lie on a
-    ring with their kink s / 2: the ball reads are rows of the cumulative
-    table plus the core, the windows of all of them, at beta = 1 and 3,
-    are one product W @ F, and the ramp algebra runs once on the stack."""
-    grid, rule = f.grid, f.rule()
-    picks = []
-    for i, s in enumerate(radii):
+def _records(f: QFunction, radii: list, cutoff: Cutoff) -> list:
+    """The records at radii, a list of floats, in their order: a radius
+    off the grid, or whose kink is, gives an invalid record carrying the
+    reason; the others come from one _quantities call."""
+    reasons = []
+    for s in radii:
         try:
-            r_half = _kink(grid, s)
-        except RangeError:
-            continue
-        (j, on), (jh, on_h) = (rule._ring_below(math.log(r))
-                               for r in (s, r_half))
-        if on and on_h:
-            picks.append((i, s, r_half, j, jh))
-    if not picks:
-        return {}
-    idx, s, r_half, j, jh = zip(*picks)
-    F, cum, core = _ring_data(f)
-    W = np.stack([rule.weights(math.log(h), math.log(r), beta)
-                  for beta in (1.0, 3.0) for r, h in zip(s, r_half)])
-    M = (W @ F).T
-    K = len(s)
-    q = _ramp(np.array(s), (cum[list(j)] + core).T, (cum[list(jh)] + core).T,
-              M[:, :K], M[:, K:])
+            _kink(f.grid, s)
+            reasons.append("")
+        except RangeError as exc:
+            reasons.append(str(exc))
+    q = _quantities(f, [s for s, why in zip(radii, reasons) if not why],
+                    cutoff)
     rows = zip(*(v.tolist() for v in q.values()))
-    return {i: _record(r, dict(zip(q, row)))
-            for i, r, row in zip(idx, s, rows)}
+    return [FrequencyRecord(r=s, reason=why) if why
+            else _record(s, dict(zip(q, next(rows))))
+            for s, why in zip(radii, reasons)]
 
 
 def frequency_profile(f: QFunction, radii=None,
                       cutoff: Cutoff = RAMP) -> FrequencyProfile:
-    """Evaluate all per-radius quantities on an increasing list of radii;
-    the ring profiles and quadrature weights they share are cached on f.
-    Ramp records whose radius and kink lie on rings are formed together
-    (_on_ring_records), the others one at a time."""
+    """Evaluate all per-radius quantities on an increasing list of radii:
+    one _records call, whose ring table and quadrature windows are cached
+    on f and in the process.  Each record is the one that radius gets
+    alone, bit for bit, on a ring or between rings."""
     if radii is None:
         radii = default_profile_radii(f.grid)
     radii = [float(r) for r in radii]
@@ -337,11 +324,8 @@ def frequency_profile(f: QFunction, radii=None,
         raise ValueError("radii list is empty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted strictly increasing")
-    batched = _on_ring_records(f, radii) if cutoff.kind == "ramp" else {}
-    records = [batched[i] if i in batched else _record_at(f, s, cutoff)
-               for i, s in enumerate(radii)]
     return FrequencyProfile(center=tuple(f.grid.center), radii=radii,
-                            records=records, cutoff=cutoff,
+                            records=_records(f, radii, cutoff), cutoff=cutoff,
                             notes={"label": f.metadata.get("label", "")})
 
 

@@ -358,38 +358,44 @@ class RadialRule:
         F = np.asarray(F, dtype=float)
         return F, self.cumulative(F, 2.0), self.inner_core(F, 2.0)
 
-    def _disk_integral(self, table: tuple, r: float):
+    def _disk_integral(self, table: tuple, r):
         """int_{B_r} of ring profiles F carrying their angular weight, i.e.
         int_0^r F(s) s ds, with the power-law core below r_min included,
-        read off F's disk_table (F, cum, core).
-        F may stack profiles as (R, ...); the result then has shape
-        F.shape[1:], and each entry is summed by the same elementwise
-        operations as a lone profile, so stacking never changes a digit."""
-        self.grid.require_radius(r)
+        read off F's disk_table (F, cum, core), at a radius r or an array
+        of radii.  F may stack profiles as (R, ...); the result then has
+        shape np.shape(r) + F.shape[1:], and each entry is summed by the
+        same elementwise operations as a lone profile at a lone radius, so
+        neither stacking nor batching changes a digit."""
         F, cum, core = table
-        total = self._from_bottom(cum, F, math.log(r), 2.0) + core
+        r = np.asarray(r, dtype=float)
+        radii = r.ravel().tolist()
+        for x in radii:
+            self.grid.require_radius(x)
+        total = self._from_bottom(cum, F, [math.log(x) for x in radii], 2.0)
+        total = total.reshape(r.shape + F.shape[1:]) + core
         return float(total) if total.ndim == 0 else total
 
-    def _from_bottom(self, cum: np.ndarray, F: np.ndarray, t_b: float,
-                     beta: float):
-        """int_{t_0}^{t_b} F(t) e^{beta t} dt read off F's cumulative table
-        cum: its row at the ring j below t_b, plus the window [t_j, t_b]
-        when t_b is off-ring."""
-        j, on_ring = self._ring_below(t_b)
-        if on_ring:
-            return cum[j]
-        i, w = self._segment(self.grid.t[j], t_b, beta)
-        return cum[j] + sum(w[q] * F[i + q] for q in range(w.size))
-
-    def _ring_below(self, t_b: float) -> tuple[int, bool]:
-        """(j, on_ring): the ring j at or below t_b, clamped to the grid,
-        and whether t_b lies on it (within _ON_RING of dt), where a
-        bottom-anchored integral to t_b is the cumulative table's row j."""
-        t = self.grid.t
-        dt = self.grid.dt
-        t_b = min(max(t_b, t[0]), t[-1])
-        j = min(math.floor((t_b - t[0]) / dt + _ON_RING), t.size - 1)
-        return j, _snap((t_b - t[j]) / dt) == 0.0
+    def _from_bottom(self, cum: np.ndarray, F: np.ndarray, t_b: list,
+                     beta: float) -> np.ndarray:
+        """int_{t_0}^{t_b} F(t) e^{beta t} dt at each end of the list t_b,
+        stacked, read off F's cumulative table cum: its row at the ring j
+        at or below the end (clamped to the grid), plus the window
+        [t_j, t_b] when the end is off that ring by _ON_RING of dt or
+        more."""
+        t, dt = self.grid.t, self.grid.dt
+        lo, hi = float(t[0]), float(t[-1])
+        below, partial = [], []
+        for k, end in enumerate(t_b):
+            clamped = min(max(end, lo), hi)
+            j = min(math.floor((clamped - lo) / dt + _ON_RING), t.size - 1)
+            below.append(j)
+            if (clamped - float(t[j])) / dt >= _ON_RING:
+                partial.append((k, j, end))
+        out = cum[below]
+        for k, j, end in partial:
+            i, w = self._segment(float(t[j]), end, beta)
+            out[k] = cum[j] + sum(w[q] * F[i + q] for q in range(w.size))
+        return out
 
     def inner_core(self, F: np.ndarray, beta: float):
         """Contribution of the missing disk r < r_min, assuming F behaves

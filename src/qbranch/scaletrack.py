@@ -48,7 +48,7 @@ from .errors import ConfigError, DataError
 from .curves import QFunction, _csv
 from .blowup import _blowup_radii, _branched_part
 from .excess import Plane, least_excess, optimal_plane
-from .frequency import Cutoff, RAMP, _record_at
+from .frequency import Cutoff, RAMP, _records
 
 #: the linearized (affine-subtraction) reparametrization is trusted only
 #: well inside the graphical tilt regime; beyond this an interval is
@@ -265,18 +265,22 @@ def universal_frequency(f: QFunction, intervals: ScaleIntervals,
                         cutoff: Cutoff = RAMP) -> UniversalProfile:
     """Stitch per-interval frequency profiles across the flattening scales.
 
-    Interval j is recorded on ]s_j, t_j] at the rings of its blow-up at t_j,
-    each record being I of the measured object v = _branched_part(f) at
-    that radius (the blow-up is a view of v, and its plane drops out with
-    the average; the plane only truncates).  Jumps are recorded at interior
-    seams; both sides read v at t_j, so they are zero here."""
+    Interval j is recorded on ]s_j, t_j] at points_per_octave rings per
+    octave of its blow-up at t_j (a divisor of the grid's rings per octave,
+    ConfigError otherwise), each record being I of the measured object
+    v = _branched_part(f) at that radius (the blow-up is a view of v, and
+    its plane drops out with the average; the plane only truncates).
+    Jumps are recorded at interior seams; both sides read v at t_j, so they
+    are zero here.  All records come from one _records call on v."""
+    rpo = int(round(math.log(2.0) / f.grid.dt))
+    if points_per_octave < 1 or rpo % points_per_octave:
+        raise ConfigError(f"points_per_octave {points_per_octave} does not "
+                          f"divide the grid's {rpo} rings per octave")
     if intervals.empty:
         raise DataError("no flattening intervals below the threshold")
     v = _branched_part(f)
-    rpo = int(round(math.log(2.0) / f.grid.dt))
-    stride = max(rpo // max(points_per_octave, 1), 1)
-    records = []
-    jumps = []
+    stride = rpo // points_per_octave
+    spans = []  # (j, radii) of each recorded interval
     truncated = []
     for rec in intervals.intervals:
         # refuses tops above r_max and blow-ups left with too few rings
@@ -290,18 +294,18 @@ def universal_frequency(f: QFunction, intervals: ScaleIntervals,
         rho = x / radii[-1]
         keep = (rho > rec.s / rec.t * (1 + 1e-12)) \
             & (x / 2 >= radii[0] * (1 - 1e-12))
-        for r in (rho[keep] * rec.t)[::-1].tolist():
-            fr = _record_at(v, r, cutoff)
-            if fr.valid:
-                records.append(ProfileRecord(r=r, j=rec.j, I=fr.I))
+        spans.append((rec.j, (rho[keep] * rec.t)[::-1].tolist()))
     # seams: interval j meets interval j-1 at t_j; both sides read v there
-    for j in range(1, len(intervals.intervals)):
-        if not intervals.coinciding(j):
-            continue
-        if j in truncated or (j - 1) in truncated:
-            continue
-        rec = intervals.intervals[j]
-        seam = _record_at(v, rec.t, cutoff)
+    seams = [rec for j, rec in enumerate(intervals.intervals)
+             if j > 0 and intervals.coinciding(j)
+             and j not in truncated and j - 1 not in truncated]
+    found = iter(_records(v, [r for _, rs in spans for r in rs]
+                          + [rec.t for rec in seams], cutoff))
+    # zip draws from its radii first, so each span takes its own records
+    records = [ProfileRecord(r=r, j=j, I=fr.I)
+               for j, rs in spans for r, fr in zip(rs, found) if fr.valid]
+    jumps = []
+    for rec, seam in zip(seams, found):
         if not seam.valid:
             continue
         jumps.append(JumpRecord(t=rec.t, I_left=seam.I, I_right=seam.I,

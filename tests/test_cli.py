@@ -143,6 +143,23 @@ class TestOtherCommands:
         assert (out / "universal_profile.csv").exists()
         assert (out / "jumps.csv").exists()
 
+    def test_bv_track_reads_the_cutoff(self, tmp_path):
+        # the stitched records are read with the requested cutoff; the
+        # default run is the ramp one
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), qb.default_grid(
+            r_min=2.0 ** -10, n_theta=256))
+        iv = qb.intervals_of_flattening(f, eps3_sq=0.1)
+        args = ["bv-track", "--curve", "2,3", "--eps3", "0.1"] + FAST
+        csv = {}
+        for name, cutoff in (("ramp", qb.RAMP), ("sharp", qb.SHARP)):
+            extra = ["--cutoff", "sharp"] if name == "sharp" else []
+            code, out = run(args + extra, tmp_path, sub=name)
+            assert code == 0
+            csv[name] = (out / "universal_profile.csv").read_text()
+            assert csv[name] == qb.universal_frequency(
+                f, iv, cutoff=cutoff).records_csv()
+        assert csv["sharp"] != csv["ramp"]
+
     def test_bv_track_single_valued(self, tmp_path):
         # a one-sheet map is measured itself, as by degree: its average-free
         # part is zero and left no valid record
@@ -291,6 +308,10 @@ EXIT_CASES = {
                             "10^400"], 2),
     "complex_number": (["hardt-simon", "--curve", "2,3", "--rho=-8^0.5"],
                        2),
+    "points_per_octave_not_dividing": (["bv-track", "--curve", "2,3",
+                                        "--eps3", "0.1",
+                                        "--points-per-octave", "3"] + FAST,
+                                       2),
     "reversed_radii": (["frequency", "--curve", "2,3", "--radii", "1..0.5"]
                        + FAST, 2),
     "malformed_radii": (["frequency", "--curve", "2,3", "--radii",

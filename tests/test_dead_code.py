@@ -118,3 +118,12 @@ def test_resampling_is_explicit():
     # off-center evaluation is one explicit recenter call by the user: no
     # function of the package resamples a map behind its caller's back
     assert _package_callers("recenter") == []
+
+
+def test_records_are_formed_in_one_place():
+    # every record, of a profile, a blow-up step or the stitched frequency,
+    # comes from frequency._records through one _quantities call; no other
+    # module forms quantities or records
+    assert _package_callers("_record") == ["frequency.py:_records"]
+    assert {caller.split(":")[0]
+            for caller in _package_callers("_quantities")} == {"frequency.py"}

@@ -5,6 +5,8 @@ oracle evaluated inside the tests: the curve has sum_i |Df_i|^2 = 9 |z| and
 sum_i |f_i|^2 = 2 |z|^3, so every smoothed quantity reduces to an explicit
 one-dimensional radial integral handled by scipy."""
 
+import dataclasses
+import math
 import os
 import pathlib
 import subprocess
@@ -16,7 +18,8 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 import qbranch as qb
-from qbranch.frequency import _on_ring_records, _record_at
+from qbranch.frequency import _ring_data
+from qbranch.grids import _cell_interpolant
 
 
 def ramp(t):
@@ -249,31 +252,26 @@ class TestRampMoments:
             assert sorted(betas) == [1.0, 3.0]
 
 
+def single(f, s, cutoff=qb.RAMP):
+    """The record at s alone: a profile of the one radius."""
+    return qb.frequency_profile(f, [s], cutoff).records[0]
+
+
+def assert_same(records, singles):
+    """Records equal field for field, bit for bit (NaN equal to NaN)."""
+    for rec, ref in zip(records, singles, strict=True):
+        assert repr(dataclasses.astuple(rec)) == \
+            repr(dataclasses.astuple(ref))
+
+
+RATIO15 = qb.PolarGrid(radii=1.5 ** np.arange(-16.0, 1.0), n_theta=64)
+
+
 class TestOnRingRecords:
-    """Ramp records whose radius and kink lie on rings are formed together,
-    their windows in one product W @ F; every other record is _record_at's,
-    one radius at a time."""
-
-    @staticmethod
-    def singles(f, radii, cutoff=qb.RAMP):
-        return qb.FrequencyProfile(
-            center=f.grid.center, radii=list(radii), cutoff=cutoff,
-            records=[_record_at(f, s, cutoff) for s in radii])
-
-    @staticmethod
-    def assert_close(records, singles):
-        for rec, ref in zip(records, singles, strict=True):
-            assert (rec.r, rec.valid, rec.reason) == \
-                (ref.r, ref.valid, ref.reason)
-            for name in ("D", "H", "I", "E", "G", "Sigma"):
-                assert getattr(rec, name) == pytest.approx(
-                    getattr(ref, name), rel=1e-14, abs=0.0,
-                    nan_ok=True), name
-            # the residuals are relative to D already
-            for name in ("res_outer", "res_inner"):
-                assert getattr(rec, name) == pytest.approx(
-                    getattr(ref, name), rel=0.0, abs=1e-14,
-                    nan_ok=True), name
+    """Records on rings, between rings, on a grid whose kinks s / 2 miss
+    its rings (ratio 1.5) and with the sharp cutoff, invalid ones included:
+    each record of a profile is the one its radius gets alone, bit for
+    bit, however many radii share the call."""
 
     @pytest.mark.parametrize("curve", [(2, 3), (2, 5), (3, 4), (3, 5),
                                        (4, 5)])
@@ -283,38 +281,29 @@ class TestOnRingRecords:
                                                 2.0 ** -5)):
             radii = u.grid.radii[u.grid.radii >= 2 * u.grid.r_min]
             prof = qb.frequency_profile(u, radii=radii)
-            assert len(_on_ring_records(u, prof.radii)) == len(radii)
             assert all(rec.valid and not rec.reason for rec in prof.records)
-            self.assert_close(prof.records,
-                              self.singles(u, prof.radii).records)
+            assert_same(prof.records, [single(u, s) for s in prof.radii])
 
     def test_other_records_are_the_single_ones(self, curve_cache, full_grid):
-        # between rings, the sharp cutoff, and a ratio-1.5 grid, whose
-        # kinks s / 2 are off its rings: all of it bit for bit
         f = curve_cache(2, 5, (0, 0, 1))
         between = np.sqrt(full_grid.radii[-40:-1] * full_grid.radii[-39:])
-        ratio15 = qb.PolarGrid(radii=1.5 ** np.arange(-16.0, 1.0),
-                               n_theta=64)
-        g = qb.homogeneous_map(1.5, grid=ratio15)
-        assert _on_ring_records(f, between.tolist()) == {}
-        assert _on_ring_records(g, ratio15.radii.tolist()) == {}
+        g = qb.homogeneous_map(1.5, grid=RATIO15)
         for u, radii, cutoff in [(f, between, qb.RAMP),
                                  (f, full_grid.radii[-40:], qb.SHARP),
-                                 (g, ratio15.radii, qb.RAMP),
-                                 (g, ratio15.radii, qb.SHARP)]:
-            assert qb.frequency_profile(u, radii, cutoff).to_csv() == \
-                self.singles(u, radii, cutoff).to_csv()
+                                 (g, RATIO15.radii, qb.RAMP),
+                                 (g, RATIO15.radii, qb.SHARP)]:
+            prof = qb.frequency_profile(u, radii, cutoff)
+            assert_same(prof.records,
+                        [single(u, s, cutoff) for s in prof.radii])
 
     def test_mixed_radii_keep_their_order(self, curve_cache, full_grid):
         f = curve_cache(3, 4)
         on = full_grid.radii[-17:]
         radii = np.sort(np.concatenate([on, np.sqrt(on[:-1] * on[1:])]))
         prof = qb.frequency_profile(f, radii=radii)
-        assert sorted(_on_ring_records(f, prof.radii)) == \
-            list(range(0, radii.size, 2))
-        singles = self.singles(f, prof.radii).records
-        self.assert_close(prof.records, singles)
-        assert prof.records[1::2] == singles[1::2]  # off-ring: bit for bit
+        assert prof.radii == radii.tolist()
+        assert [rec.r for rec in prof.records] == prof.radii
+        assert_same(prof.records, [single(f, s) for s in prof.radii])
 
     @pytest.mark.parametrize("fill", [0.0, 1.0])
     def test_invalid_records_and_reasons_are_the_single_ones(
@@ -328,9 +317,71 @@ class TestOnRingRecords:
         reasons = {rec.reason.split(" ")[0] for rec in prof.records}
         assert reasons == {"scale", "degenerate-height" if fill == 0.0
                            else "degenerate"}
-        assert len(_on_ring_records(f, prof.radii)) == \
-            sum(not rec.reason.startswith("scale") for rec in prof.records)
-        self.assert_close(prof.records, self.singles(f, radii).records)
+        assert_same(prof.records, [single(f, s) for s in radii])
+
+
+class TestOneRecordPath:
+    """Every record comes from one path: any sorted subset of on-ring and
+    between-ring radii, some with their kink below the grid, gives for each
+    radius the record and the public scalar quantities it gets alone, bit
+    for bit."""
+
+    @staticmethod
+    def candidates(grid):
+        r = grid.radii
+        return np.sort(np.concatenate([r, np.sqrt(r[:-1] * r[1:])]))
+
+    @given(kind=st.sampled_from(["curve", "blowup", "ratio15"]),
+           sharp=st.booleans(),
+           picks=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                          min_size=1, max_size=12))
+    def test_every_record_is_the_one_radius_record(self, curve_cache, kind,
+                                                   sharp, picks):
+        f = curve_cache(3, 4)
+        u = {"curve": lambda: f,
+             "blowup": lambda: qb.coarse_blowup_normalize(
+                 qb.average_free_part(f), 2.0 ** -5),
+             "ratio15": lambda: qb.homogeneous_map(1.5, grid=RATIO15)}[kind]()
+        cutoff = qb.SHARP if sharp else qb.RAMP
+        cands = self.candidates(u.grid)
+        radii = np.unique(cands[(np.array(picks) * cands.size).astype(int)])
+        prof = qb.frequency_profile(u, radii, cutoff)
+        assert_same(prof.records, [single(u, s, cutoff) for s in prof.radii])
+        for rec in prof.records:
+            s = rec.r
+            if rec.reason.startswith("scale"):
+                with pytest.raises(qb.RangeError):
+                    qb.smoothed_D(u, s, cutoff)
+                continue
+            aux = qb.auxiliary_quantities(u, s, cutoff)
+            res = qb.variation_residuals(u, s, cutoff)
+            assert repr((qb.smoothed_D(u, s, cutoff),
+                         qb.smoothed_H(u, s, cutoff), aux["E"], aux["G"],
+                         aux["Sigma"])) == \
+                repr((rec.D, rec.H, rec.E, rec.G, rec.Sigma))
+            if rec.valid:
+                assert qb.smoothed_I(u, s, cutoff) == rec.I
+                assert repr((res["residual_outer"], res["residual_inner"])) \
+                    == repr((rec.res_outer, rec.res_inner))
+
+    @pytest.mark.parametrize("cutoff", [qb.RAMP, qb.SHARP])
+    def test_each_window_is_its_own_product(self, curve_cache, full_grid,
+                                            cutoff):
+        # H is 2 M_1 (ramp) or s B(s) (sharp): one vector-matrix product per
+        # radius, never a row of one stacked product, whose rows can round
+        # differently
+        f = curve_cache(3, 4)
+        on = full_grid.radii[-17:]
+        radii = np.sort(np.concatenate([on, np.sqrt(on[:-1] * on[1:])]))
+        F = _ring_data(f)[0]
+        for rec in qb.frequency_profile(f, radii, cutoff).records:
+            t_s = math.log(rec.r)
+            if cutoff.kind == "ramp":
+                w = f.rule().weights(math.log(rec.r / 2), t_s, 1.0)
+                assert rec.H == 2.0 * (w @ F)[1]
+            else:
+                j0, wc = _cell_interpolant(f.grid, t_s)
+                assert rec.H == rec.r * (wc @ F[j0:j0 + 6])[1]
 
 
 class TestFrequencyLimit:

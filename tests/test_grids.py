@@ -216,17 +216,19 @@ def test_cell_moments_hold_their_digits_on_short_cells(beta):
 @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
 def test_cumulative_reads_match_the_bottom_windows(grid, beta):
     """int_{t_min}^{t} of a map's ring profiles read off their cumulative
-    table, at every ring and between rings, is the bottom-anchored window's
-    integral."""
+    table, at every ring and between rings, all ends in one call, is the
+    bottom-anchored window's integral."""
     f = qb.make_multigraph(qb.CurveSpec(3, 4), grid)
     F = _ring_data(f)[0]
     rule = f.rule()
     cum = rule.cumulative(F, beta)
     t = grid.t
-    for t_b in np.concatenate([t[1:], t[:-1] + 0.37 * grid.dt]):
+    ends = np.concatenate([t[1:], t[:-1] + 0.37 * grid.dt]).tolist()
+    got = rule._from_bottom(cum, F, ends, beta)
+    assert got.shape == (len(ends), F.shape[1])
+    for t_b, row in zip(ends, got):
         ref = rule.weights(t[0], t_b, beta) @ F
-        got = rule._from_bottom(cum, F, t_b, beta)
-        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), t_b
+        assert np.all(np.abs(row - ref) <= 1e-13 * np.abs(ref)), t_b
 
 
 STACKED_POWERS = np.array([0.0, 0.5, 1.0])
@@ -238,7 +240,8 @@ def test_disk_integral_matches_power_law_closed_form(grid, power, rel):
     """int_0^r s^p s ds = r^(p+2) / (p+2), including the core below r_min.
     Constants are integrated exactly; other powers carry the quintic rule's
     (p dt)^6 error, far below the core's share (r_min/r)^(p+2).  A stacked
-    (R, 3) profile gives each column bit for bit what a lone call gives."""
+    (R, 3) profile gives each column, and an array of radii each radius,
+    bit for bit what a lone call gives."""
     rule = RadialRule(grid)
     F = np.power.outer(grid.radii, power)
     for r in (grid.r_max, 0.3, float(grid.radii[20])):
@@ -251,6 +254,12 @@ def test_disk_integral_matches_power_law_closed_form(grid, power, rel):
             assert np.array_equal(got, [
                 rule._disk_integral(rule.disk_table(F[:, j]), r)
                 for j in range(F.shape[1])])
+    # an array of radii, on rings and between them, gives each radius's
+    # lone result bit for bit
+    radii = np.array([grid.r_max, 0.3, float(grid.radii[20]), 0.3])
+    table = rule.disk_table(F)
+    assert np.array_equal(rule._disk_integral(table, radii),
+                          [rule._disk_integral(table, r) for r in radii])
 
 
 def test_stacked_inner_core_takes_every_branch_per_column(grid):

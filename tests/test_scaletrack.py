@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import qbranch as qb
+from qbranch.blowup import _branched_part
 from qbranch.scaletrack import IntervalRecord, JumpRecord, ProfileRecord
 
 
@@ -196,6 +197,31 @@ class TestUniversalFrequency:
         dense = qb.universal_frequency(f, iv, points_per_octave=4)
         sparse = qb.universal_frequency(f, iv, points_per_octave=1)
         assert len(dense.records) > 2 * len(sparse.records)
+
+    @pytest.mark.parametrize("ppo", [3, 5, 6, 7, 0])
+    def test_points_per_octave_must_divide_the_rings(self, curve_cache, ppo):
+        # the default grid has 8 rings per octave
+        f = curve_cache(2, 3)
+        iv = qb.intervals_of_flattening(f, eps3_sq=0.1)
+        with pytest.raises(qb.ConfigError):
+            qb.universal_frequency(f, iv, points_per_octave=ppo)
+
+    @pytest.mark.parametrize("cutoff", [qb.RAMP, qb.SHARP])
+    @pytest.mark.parametrize("q,p,eps3_sq", [(2, 3, 0.1), (3, 4, 0.2)])
+    def test_stitched_records_are_the_one_radius_records(
+            self, curve_cache, q, p, eps3_sq, cutoff):
+        f = curve_cache(q, p)
+        v = _branched_part(f)
+        prof = qb.universal_frequency(
+            f, qb.intervals_of_flattening(f, eps3_sq=eps3_sq),
+            points_per_octave=2, cutoff=cutoff)
+        assert prof.records and prof.jumps
+        for rec in prof.records:
+            assert rec.I == qb.frequency_profile(
+                v, [rec.r], cutoff).records[0].I
+        for jp in prof.jumps:
+            assert jp.I_left == qb.frequency_profile(
+                v, [jp.t], cutoff).records[0].I
 
     def test_truncated_interval_diagnostic(self, curve_cache):
         f = curve_cache(2, 3)
