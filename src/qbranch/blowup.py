@@ -48,9 +48,10 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateBlowupError,
                      DimensionError, RangeError)
-from .grids import M_DIM, PolarGrid, _ring_profile
+from .grids import M_DIM, PolarGrid, _ring_blocks, _ring_profile
 from .curves import QFunction, analytic_degree, CurveSpec, _json
-from .frequency import (_ring_data, _seed_blowup_ring_data, frequency_profile,
+from .frequency import (_ring_data, _seed_average_free_ring_data,
+                        _seed_blowup_ring_data, frequency_profile,
                         frequency_limit, default_profile_radii)
 
 #: normalizers below this relative size abort the blow-up as trivial
@@ -165,9 +166,11 @@ def _blowup_radii(grid: PolarGrid, r: float):
 
 
 def _ring_amplitudes(f: QFunction) -> np.ndarray:
-    """The largest sample magnitude on each ring of f, once per map."""
-    return f.cached("ring_amplitudes",
-                    lambda: np.abs(f.values).max(axis=(0, 2, 3)))
+    """The largest sample magnitude on each ring of f, once per map, a
+    block of rings at a time: no full-size temporary is formed."""
+    return f.cached("ring_amplitudes", lambda: np.concatenate([
+        np.abs(f.values[:, a:b]).max(axis=(0, 2, 3))
+        for a, b in _ring_blocks(f.values)]))
 
 
 # ----------------------------------------------------------------------------
@@ -183,17 +186,15 @@ def eta_map(f: QFunction) -> QFunction:
 
 def average_free_part(f: QFunction) -> QFunction:
     """Subtract the sheet average from every sheet, once per map: cached on
-    f, read-only, shared by every caller.  When f has its gradients cached,
-    the result's are f's minus their sheet mean: both derivative stencils
-    are linear, so this is the fresh differentiation up to rounding."""
+    f, read-only, shared by every caller.  When f was swept first, the
+    result's ring table is read off that sweep, which took it from f's
+    gradients minus their sheet mean: both derivative stencils are linear,
+    so this is the fresh differentiation up to rounding."""
     def build():
-        mean = np.mean(f.values, axis=0, keepdims=True)
-        out = f.replace_values(f.values - mean, note="average-free")
+        values = f.values - np.mean(f.values, axis=0, keepdims=True)
+        out = f.replace_values(values, note="average-free")
         out.values.flags.writeable = False
-        grad = f._cache.get("grad")
-        if grad is not None:
-            out.cached("grad", lambda: tuple(
-                g - np.mean(g, axis=0, keepdims=True) for g in grad))
+        _seed_average_free_ring_data(out, f)
         return out
     return f.cached("average_free", build)
 

@@ -11,9 +11,10 @@ are sampled on a geometric polar grid with a globally consistent labelling:
 continuing past arg(z) = 2 pi, sheet j runs into sheet (j + p) mod Q, a
 Q-cycle exactly when gcd(p, Q) = 1.
 
+Both are sampled about the origin; a grid centred elsewhere is refused.
 Grid generation is vectorized over all rings at once and the resulting
-samples are treated as immutable; derived quantities (gradients, tangent
-frames) are cached on first use.
+samples are treated as immutable; derived ring tables are cached on first
+use, and gradients are never kept (QFunction.gradients).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, RefinementError, SpecError
-from .grids import (TWO_PI, PolarGrid, RadialRule, d_dr_geometric,
-                    d_dtheta_periodic, default_grid)
+from .grids import (TWO_PI, PolarGrid, RadialRule, _ring_blocks,
+                    d_dr_geometric, d_dtheta_periodic, default_grid)
 from .qvalue import QPoint, _separation, _sq_norm, track_selection
 
 
@@ -172,18 +173,23 @@ class QFunction:
     def rule(self) -> RadialRule:
         return self.cached("rule", lambda: RadialRule(self.grid))
 
-    def gradients(self):
-        """(du_dr, du_dtheta_over_r), each of shape (Q, R, T, n).
-
-        The radial stencil is polynomial-exact in r (constant offsets and
-        tilted planes are differentiated without error) and the angular
-        derivative is spectral on the monodromy covering circle."""
-        def build():
-            radii = self.grid.radii
-            du_dth = d_dtheta_periodic(self.values, self.monodromy)
-            du_dth *= 1.0 / radii[None, :, None, None]
-            return d_dr_geometric(self.values, radii, axis=1), du_dth
-        return self.cached("grad", build)
+    def gradients(self, reduce=None):
+        """The map's one differentiation, du_dr and du_dtheta / r (radial
+        stencil exact for polynomials in r, angular derivative spectral on
+        the monodromy covering circle), swept over grids._ring_blocks: with
+        reduce, the list of reduce(x, du_dr, du_dth) over the blocks, x the
+        block's samples, so no derivative outlives its block; without, the
+        whole derivatives (Q, R, T, n), uncached."""
+        x, radii = self.values, self.grid.radii
+        blocks, out = _ring_blocks(x), []
+        for (a, b), du_dr, du_dth in zip(
+                blocks, d_dr_geometric(x, radii, 1, blocks),
+                d_dtheta_periodic(x, self.monodromy, blocks)):
+            du_dth *= 1.0 / radii[None, a:b, None, None]
+            out.append((du_dr, du_dth) if reduce is None
+                       else reduce(x[:, a:b], du_dr, du_dth))
+        return out if reduce else tuple(np.concatenate(d, axis=1)
+                                        for d in zip(*out))
 
     # ---- consistency --------------------------------------------------
 
@@ -229,13 +235,24 @@ def _move_ratio(step: np.ndarray, sep: np.ndarray) -> np.ndarray:
                          where=move > 0)
 
 
+def _origin_grid(grid: PolarGrid | None) -> PolarGrid:
+    """grid, default_grid() for None; ConfigError unless it is centred at
+    the origin, about which the closed forms are sampled."""
+    grid = default_grid() if grid is None else grid
+    if any(grid.center):
+        raise ConfigError("closed forms are sampled about the origin, "
+                          f"not about the grid centre {grid.center}")
+    return grid
+
+
 #: bytes of samples make_multigraph forms at once: the angular check of a
 #: block of rings this size runs while the block is in cache
 _BLOCK_BYTES = 1 << 19
 
 
 def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction:
-    """Sample the curve's Q-valued graph on a polar grid.
+    """Sample the curve's Q-valued graph on a polar grid centred at the
+    origin (ConfigError on any other centre).
 
     The closed-form sheets are laid down directly and then verified to be a
     legitimate tracked selection: every angular step must move each sheet by
@@ -244,8 +261,7 @@ def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction
     for a larger n_theta.  The samples are formed a block of _BLOCK_BYTES of
     rings at a time, each block checked while it is in cache; every node is
     formed and checked by the same operations as in one pass."""
-    if grid is None:
-        grid = default_grid()
+    grid = _origin_grid(grid)
     th = grid.angles[None, :]
     turn = np.exp(1j * th)
     phase = np.exp(1j * spec.p * th / spec.q)
@@ -253,14 +269,13 @@ def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction
     monodromy = (np.arange(spec.q) + spec.p) % spec.q
     w = np.empty((spec.q, grid.n_rings, grid.n_theta), dtype=complex)
     values = w[..., None].view(np.float64)  # (re, im) pairs, no copy
-    step = max(_BLOCK_BYTES // max(w[:, 0].nbytes, 1), 1)
     worst = 0.0
-    for a in range(0, grid.n_rings, step):
-        r = grid.radii[a:a + step, None]
-        block = w[:, a:a + step]
+    for a, b in _ring_blocks(values, _BLOCK_BYTES):
+        r = grid.radii[a:b, None]
+        block = w[:, a:b]
         np.multiply((r ** (spec.p / spec.q) * phase)[None], zeta, out=block)
         np.add(spec.h(r * turn)[None], block, out=block)
-        ratio = _angular_step_ratio(values[:, a:a + step], monodromy)[1]
+        ratio = _angular_step_ratio(values[:, a:b], monodromy)[1]
         worst = max(worst, float(ratio.max()))
     f = QFunction(grid=grid, values=values, monodromy=monodromy,
                   metadata={"kind": "curve", "q": spec.q, "p": spec.p,
@@ -319,12 +334,11 @@ def homogeneous_map(alpha: float, boundary=None,
     tracked around the circle (a closed chain), which fixes the sheet labels
     and the monodromy; None selects the spiral profile for alpha.  The
     extension is homogeneous by construction at every node.  alpha must be
-    positive, with alpha * 2 pi finite."""
+    positive, with alpha * 2 pi finite, and the grid centred at the origin."""
     if not 0 < alpha * TWO_PI < math.inf:
         raise ConfigError("homogeneity degree must be positive, with "
                           f"alpha * 2 pi finite, got {alpha}")
-    if grid is None:
-        grid = default_grid()
+    grid = _origin_grid(grid)
     if boundary is None:
         boundary, _ = spiral_profile(alpha)
     samples = [boundary(t) for t in grid.angles]

@@ -26,9 +26,10 @@ length 1/sqrt 2 each (Harvey-Lawson, Calibrated geometries, Acta Math. 148
 (1982)), so the maximum (|S1+| + |S1-|)/sqrt 2 is attained at the unit
 tau = (S1+/|S1+| + S1-/|S1-|)/sqrt 2, and the tilt is read off tau/tau_12.
 
-Every quantity here reads one table per map, built on first use from
-rotation invariants of the polar gradients u_r = du/dr and
-w = du/dtheta / r (p is never stacked, nor are a and b formed): the
+Every quantity here reads one table per map, built on first use, a block
+of rings at a time, from rotation invariants of the polar gradients
+u_r = du/dr and w = du/dtheta / r (p is never stacked, nor are a and b
+formed, nor are the gradients kept): the
 rotation taking (u_r, w) to (a, b) has determinant 1, so
 a1 b2 - a2 b1 = u_r x w and |p|^2 = 1 + q^2 with
 q^2 = |u_r|^2 + |w|^2 + (u_r x w)^2, while the entries b = u_r sin + w cos
@@ -107,15 +108,23 @@ def _plucker_of_tilt(A: np.ndarray) -> np.ndarray:
 def _area_moments(f: QFunction):
     """(F, cum, core), cached per map: F the (R, 7) sheet sums of the ring
     profiles s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta, with their
-    cumulative table and inner core at beta = 2.  Read off the polar
-    gradients: s0 is the mean of sqrt(1 + q^2), q^2 formed per node one
-    sheet at a time; s1 is 2 pi Q, then the means of (b1, b2, -a1, -a2)
+    cumulative table and inner core at beta = 2, from f's one sweep
+    (frequency._sweep), whose blocks _area_rows reduces."""
+    from .frequency import _sweep  # frequency reads _area_rows from here
+    return f._cache.get("area_moments") or _sweep(f, "area_moments")
+
+
+def _area_rows(f: QFunction):
+    """The reduction of a block of f's rings, (x, u, w) with the polar
+    gradients u = du/dr and w = du/dtheta / r, to its rows of the area
+    table: s0 is the mean of sqrt(1 + q^2), q^2 formed per node
+    one sheet at a time; s1 is Q, then the means of (b1, b2, -a1, -a2)
     from the sheet-summed gradients' cos and sin moments, then the mean of
     u_r x w."""
-    def build():
-        u, w = f.gradients()
-        cs = np.stack([np.cos(f.grid.angles), np.sin(f.grid.angles)])
-        cs /= f.grid.n_theta
+    cs = np.stack([np.cos(f.grid.angles), np.sin(f.grid.angles)])
+    cs /= f.grid.n_theta
+
+    def rows(x, u, w):
         U, W = cs @ u.sum(axis=0), cs @ w.sum(axis=0)  # (R, cos|sin, n)
         area = wedge = 0.0
         for uk, wk in zip(u, w):  # sheet by sheet: one (R, T) array each
@@ -127,11 +136,10 @@ def _area_moments(f: QFunction):
             q2 += _sq_norm(wk)
             q2 += 1.0
             area = area + np.mean(np.sqrt(q2, out=q2), axis=-1)
-        table = np.column_stack([
-            area, np.full_like(area, f.q), U[:, 1] + W[:, 0],
-            W[:, 1] - U[:, 0], wedge])
-        return f.rule().disk_table(TWO_PI * table)
-    return f.cached("area_moments", build)
+        return TWO_PI * np.column_stack([area, np.full_like(area, f.q),
+                                         U[:, 1] + W[:, 0], W[:, 1] - U[:, 0],
+                                         wedge])
+    return rows
 
 
 def _moments_up_to(f: QFunction, r: float):

@@ -62,6 +62,7 @@ from .errors import (ConfigError, DataError, DegenerateHeightError, RangeError)
 from .grids import (M_DIM, TWO_PI, PolarGrid, _cell_interpolant,
                     _ring_profile, default_grid)
 from .curves import QFunction, _csv
+from .excess import _area_rows
 from .qvalue import _chain_labels, _match_pairs
 
 #: H below this multiple of Sigma declares the annulus trivial
@@ -101,13 +102,45 @@ def _ring_data(f: QFunction):
     angular weight) as the columns of F, shape (R, 4), with their
     cumulative table and inner core at beta = 2.  F is the transpose of
     the stacked profiles, so each profile is a contiguous row of F.T."""
-    def build():
-        du_dr, du_dth = f.gradients()
-        P = _ring_profile(du_dr)
-        return f.rule().disk_table(np.stack([
-            P + _ring_profile(du_dth), _ring_profile(f.values),
-            _ring_profile(f.values, du_dr), P]).T)
-    return f.cached("ring_data", build)
+    return f._cache.get("ring_data") or _sweep(f, "ring_data")
+
+
+def _profiles(x, du_dr, du_dth) -> np.ndarray:
+    """The rows of F for a block of rings: samples x and gradients."""
+    P = _ring_profile(du_dr)
+    return np.stack([P + _ring_profile(du_dth), _ring_profile(x),
+                     _ring_profile(x, du_dr), P]).T
+
+
+def _sweep(f: QFunction, key: str):
+    """Cache f's table under key, "ring_data" or "area_moments", and return
+    it, from f's one differentiation (QFunction.gradients), whose blocks of
+    rings fill its other tables too (a table already cached is kept): its
+    ring table, and, unless f is an average-free part, its area table and,
+    when Q > 1 and f has no average-free part yet, that part's ring table,
+    from the blocks minus their sheet mean (both stencils are linear), for
+    average_free_part."""
+    c = f._cache
+    raw = "is_average_free" not in c
+    tables = {"ring_data": _profiles}
+    if raw or key == "area_moments":
+        tables["area_moments"] = _area_rows(f)
+    if raw and f.q > 1 and "average_free" not in c:
+        tables["free_ring_data"] = lambda *b: _profiles(*(
+            a - np.mean(a, axis=0, keepdims=True) for a in b))
+    blocks = f.gradients(lambda *b: [reduce(*b) for reduce in tables.values()])
+    for k, rows in zip(tables, zip(*blocks)):
+        table = f.rule().disk_table(np.concatenate(rows))
+        f.cached(k, lambda: table)
+    return c[key]
+
+
+def _seed_average_free_ring_data(v: QFunction, f: QFunction):
+    """Mark v as f's average-free part, with the ring table f's sweep took
+    for it when f was swept first."""
+    v._cache["is_average_free"] = True
+    if "free_ring_data" in f._cache:
+        v.cached("ring_data", lambda: f._cache.pop("free_ring_data"))
 
 
 def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
@@ -150,15 +183,22 @@ def _ramp(s, ball, inner, M1, M3) -> dict:
             "dD": (2.0 / s ** 2) * M3[0]}
 
 
-def _quantities(f: QFunction, s, cutoff: Cutoff = RAMP) -> dict:
-    """The quantities at the scales of the list s, {name: array over s};
-    RangeError when any scale or its kink is off the grid.  All ball reads
-    are one _disk_integral call, and each window is its own product with
-    F, so no scale's quantities depend on the other scales of the call."""
+def _quantities(f: QFunction, s, cutoff: Cutoff = RAMP):
+    """(q, off): the quantities at the scales of the list s on the grid,
+    {name: array over them}, and per scale of s why it or its kink is off
+    the grid ("" when neither is).  All ball reads are one _disk_integral
+    call, and each window is its own product with F, so no scale's
+    quantities depend on the other scales of the call."""
     rule, table = f.rule(), _ring_data(f)
     F = table[0]
-    scales = [float(x) for x in s]
-    kinks = [_kink(f.grid, x) for x in scales]
+    scales, kinks, off = [], [], []
+    for x in map(float, s):
+        try:
+            kinks.append(_kink(f.grid, x))
+            scales.append(x)
+            off.append("")
+        except RangeError as exc:
+            off.append(str(exc))
     K = len(scales)
     if cutoff.kind == "ramp":
         ball = rule._disk_integral(table, scales + kinks).T
@@ -167,19 +207,23 @@ def _quantities(f: QFunction, s, cutoff: Cutoff = RAMP) -> dict:
             t_half, t_s = math.log(h), math.log(x)
             M1[:, k] = rule.weights(t_half, t_s, 1.0) @ F
             M3[:, k] = rule.weights(t_half, t_s, 3.0) @ F
-        return _ramp(np.array(scales), ball[:, :K], ball[:, K:], M1, M3)
+        return _ramp(np.array(scales), ball[:, :K], ball[:, K:], M1, M3), off
     D, Sigma = rule._disk_integral(table, scales).T[:2]
     # boundary values s F(s) of the ring profiles, by the cell quintic
     A, B, C, P = np.empty((4, K))
     for k, x in enumerate(scales):
         j0, wc = _cell_interpolant(f.grid, math.log(x))
         A[k], B[k], C[k], P[k] = x * (wc @ F[j0:j0 + 6])
-    return {"D": D, "H": B, "E": C, "G": P, "Sigma": Sigma, "dD": A}
+    return {"D": D, "H": B, "E": C, "G": P, "Sigma": Sigma, "dD": A}, off
 
 
 def _at(f: QFunction, r: float, cutoff: Cutoff) -> dict:
-    """The quantities at the one scale r, floats."""
-    return {k: float(v[0]) for k, v in _quantities(f, [r], cutoff).items()}
+    """The quantities at the one scale r, floats; RangeError when r or
+    its kink is off the grid."""
+    q, (why,) = _quantities(f, [r], cutoff)
+    if why:
+        raise RangeError(why)
+    return {k: float(v[0]) for k, v in q.items()}
 
 
 def dirichlet_energy(f: QFunction, r: float) -> float:
@@ -295,16 +339,8 @@ def _record(s: float, q: dict) -> FrequencyRecord:
 def _records(f: QFunction, radii: list, cutoff: Cutoff) -> list:
     """The records at radii, a list of floats, in their order: a radius
     off the grid, or whose kink is, gives an invalid record carrying the
-    reason; the others come from one _quantities call."""
-    reasons = []
-    for s in radii:
-        try:
-            _kink(f.grid, s)
-            reasons.append("")
-        except RangeError as exc:
-            reasons.append(str(exc))
-    q = _quantities(f, [s for s, why in zip(radii, reasons) if not why],
-                    cutoff)
+    reason; the others come from the same _quantities call."""
+    q, reasons = _quantities(f, radii, cutoff)
     rows = zip(*(v.tolist() for v in q.values()))
     return [FrequencyRecord(r=s, reason=why) if why
             else _record(s, dict(zip(q, next(rows))))

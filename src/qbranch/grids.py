@@ -43,10 +43,11 @@ order, well above the accuracy this library promises, and any stencil in
 log r puts a boundary bias on affine sheets.  Their seven weight patterns
 come from one batched solve per call, uncached so that a traced run's
 solve count still sees every differentiation.  Angular derivatives are
-spectral on the monodromy covering circle.  Both kernels run over blocks
-of rings of _BLOCK_BYTES, which stay in cache through all their passes;
-every ring is its own stencil row and its own transform, so the blocks
-change no bit.
+spectral on the monodromy covering circle.  Both kernels hand out blocks
+of rings of _BLOCK_BYTES (_ring_blocks), which stay in cache through all
+their passes and through QFunction.gradients' reduction of each block to
+ring tables; every ring is its own stencil row and its own transform, so
+the blocks change no bit.
 """
 
 from __future__ import annotations
@@ -418,13 +419,20 @@ class RadialRule:
 
 _RADIAL_WIDTH = 7
 
-#: bytes of samples both derivative kernels take at once: a block of rings
-#: this size stays in cache through all of its passes
+#: bytes of samples a block of rings holds: the derivative kernels and the
+#: sweep of QFunction.gradients keep a block in cache through its passes
 _BLOCK_BYTES = 1 << 17
 
 
+def _ring_blocks(x: np.ndarray, nbytes: int | None = None) -> list:
+    """Ring ranges (a, b) covering the rings of sheet samples x (Q, R, ...),
+    each block at most nbytes (_BLOCK_BYTES) of samples, or one ring."""
+    step = max((nbytes or _BLOCK_BYTES) // max(x[:, 0].nbytes, 1), 1)
+    return [(a, min(a + step, x.shape[1])) for a in range(0, x.shape[1], step)]
+
+
 def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
-                   axis: int = 1) -> np.ndarray:
+                   axis: int = 1, blocks: list | None = None):
     """Radial derivative on geometric rings with 7-point weights built in
     the radius variable, so the stencil is exact for polynomials in r up to
     degree 6 (constant offsets and tilted planes in particular leave no
@@ -432,8 +440,10 @@ def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
     dimensionless weight pattern per row offset serves every ring after a
     1/r scaling; the seven patterns (interior, three rows at each end) come
     from one batched solve per call, uncached (see the module docstring).
-    The interior is taken over blocks of _BLOCK_BYTES of rings, each
-    element by the same operations in the same order as in one pass."""
+    With blocks, ring ranges (a, b) along axis, an iterator over each
+    block's rows in turn, read off the block and its three-ring halo;
+    without, the whole derivative, over _ring_blocks.  Each element comes
+    from the same operations in the same order either way."""
     v = np.moveaxis(values, axis, 0)
     n = v.shape[0]
     k = _RADIAL_WIDTH
@@ -448,25 +458,29 @@ def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
                          np.eye(k)[:, 1:2])[..., 0]  # d/dx at offset 0
     inv_r = 1.0 / radii
     shape_tail = (1,) * (v.ndim - 1)
-    out = np.empty_like(v)
-    step = max(_BLOCK_BYTES // max(v[0].nbytes, 1), 1)
-    term = np.empty_like(v[:min(step, n - k + 1)])
-    for a in range(half, n - half, step):
-        b = min(a + step, n - half)
-        acc, tm = out[a:b], term[:b - a]
-        np.multiply(w[0, 0], v[a - half:b - half], out=acc)
-        for j in range(1, k):
-            acc += np.multiply(w[0, j], v[a - half + j:b - half + j], out=tm)
-        acc *= inv_r[a:b].reshape(-1, *shape_tail)
-    for row in rows:
-        out[row] = np.tensordot(w[1 + row], v[:k], axes=(0, 0)) * inv_r[row]
-        out[n - 1 - row] = np.tensordot(w[1 + half + row], v[n - k:],
-                                        axes=(0, 0)) * inv_r[n - 1 - row]
-    return np.moveaxis(out, 0, axis)
+
+    def block(a, b):
+        out = np.empty_like(v[a:b])
+        lo, hi = max(a, half), min(b, n - half)  # the interior rows
+        if lo < hi:
+            acc, tm = out[lo - a:hi - a], np.empty_like(v[lo:hi])
+            np.multiply(w[0, 0], v[lo - half:hi - half], out=acc)
+            for j in range(1, k):
+                acc += np.multiply(w[0, j], v[lo - half + j:hi - half + j],
+                                   out=tm)
+            acc *= inv_r[lo:hi].reshape(-1, *shape_tail)
+        for i in range(a, min(b, half)):
+            out[i - a] = np.tensordot(w[1 + i], v[:k], axes=(0, 0)) * inv_r[i]
+        for i in range(max(a, n - half), b):
+            out[i - a] = np.tensordot(w[half + n - i], v[n - k:],
+                                      axes=(0, 0)) * inv_r[i]
+        return np.moveaxis(out, 0, axis)
+    parts = (block(a, b) for a, b in blocks or _ring_blocks(v[None]))
+    return parts if blocks else np.concatenate([*parts], axis=axis)
 
 
-def d_dtheta_periodic(values: np.ndarray,
-                      monodromy: np.ndarray) -> np.ndarray:
+def d_dtheta_periodic(values: np.ndarray, monodromy: np.ndarray,
+                      blocks: list | None = None):
     """Angular derivative of sheet samples (Q, R, T, ...) that close up only
     after applying the monodromy permutation: continuing past theta = 2pi,
     sheet k runs into sheet monodromy[k] at theta = 0.
@@ -474,26 +488,29 @@ def d_dtheta_periodic(values: np.ndarray,
     Each monodromy cycle of length L is a smooth periodic function on the
     L-fold covering circle, so it is differentiated spectrally there; for
     band-limited sheets (branched roots, tilted planes, trigonometric
-    profiles) the derivative is exact to rounding.  Each cycle is taken
-    over blocks of _BLOCK_BYTES of rings; every ring is its own transform,
-    so the blocks change no bit."""
-    R, T = values.shape[1:3]
-    out = np.empty_like(values)
+    profiles) the derivative is exact to rounding.  With blocks, ring
+    ranges (a, b), an iterator over each block's derivative in turn;
+    without, the whole derivative, over _ring_blocks.  Every ring is its
+    own transform, so the blocks change no bit."""
+    T, tail = values.shape[2], (1,) * (values.ndim - 3)
+    cycles = []
     for cycle in _cycles(monodromy):
-        L = len(cycle)
-        M = L * T
+        M = len(cycle) * T
         # real samples: the half spectrum of rfft, Nyquist bin zeroed
-        fac = 1j * np.arange(M // 2 + 1) / L
+        fac = 1j * np.arange(M // 2 + 1) / len(cycle)
         if M % 2 == 0:
             fac[-1] = 0.0
-        fac = fac.reshape((1, fac.size) + (1,) * (values.ndim - 3))
-        step = max(_BLOCK_BYTES // max(L * values[0, 0].nbytes, 1), 1)
-        for a in range(0, R, step):
-            sig = np.concatenate([values[c, a:a + step] for c in cycle],
-                                 axis=1)
+        cycles.append((cycle, M, fac.reshape((1, -1) + tail)))
+
+    def block(a, b):
+        out = np.empty_like(values[:, a:b])
+        for cycle, M, fac in cycles:
+            sig = np.concatenate([values[c, a:b] for c in cycle], axis=1)
             spec = np.fft.rfft(sig, axis=1)
             spec *= fac
             dsig = np.fft.irfft(spec, n=M, axis=1)
             for m, c in enumerate(cycle):
-                out[c, a:a + step] = dsig[:, m * T:(m + 1) * T]
-    return out
+                out[c] = dsig[:, m * T:(m + 1) * T]
+        return out
+    parts = (block(a, b) for a, b in blocks or _ring_blocks(values))
+    return parts if blocks else np.concatenate([*parts], axis=1)

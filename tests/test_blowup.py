@@ -104,7 +104,7 @@ class TestDilationSamples:
         # cached by a first estimate, a second one allocates less than the
         # samples of its smallest step
         f = curve_cache(4, 5)
-        f.gradients()
+        _ring_data(f)
         qb.singularity_degree(f)
         tracemalloc.start()
         try:
@@ -115,6 +115,20 @@ class TestDilationSamples:
         r_last = est.per_step_I[-1][1]
         m = np.count_nonzero(f.grid.radii <= r_last * (1 + 1e-12))
         assert peak < f.values[:, :m].nbytes
+
+    def test_ring_amplitudes_form_no_full_temporary(self, curve_cache):
+        # negative samples: a largest magnitude is no largest sample
+        f = curve_cache(4, 5)
+        f = f.replace_values(-np.abs(f.values))
+        tracemalloc.start()
+        try:
+            amplitude = blowup._ring_amplitudes(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(amplitude,
+                              np.abs(f.values).max(axis=(0, 2, 3)))
+        assert peak < f.values.nbytes / 8
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +168,7 @@ class TestRingShiftTables:
                     if s >= 2.0 * u.grid.r_min]
             own = qb.frequency_profile(u, radii=u.grid.radii[keep])
             parent = qb.frequency_profile(v, radii=v.grid.radii[keep])
-            assert "grad" not in u._cache
+            assert u._cache.keys() <= {"rule", "ring_data"}
             for a, b in zip(own.records, parent.records):
                 assert a.valid == b.valid, (r, a.r)
                 for key, k in scale.items():
@@ -165,7 +179,8 @@ class TestRingShiftTables:
     def test_cached_tables_are_read_only(self, average_free_inputs):
         v = average_free_inputs["curve23"]
         u = qb.coarse_blowup_normalize(v, v.grid.rho, reference=1.0)
-        for table in (v.gradients(), _ring_data(v), u._cache["ring_data"]):
+        for table in (qb.excess._area_moments(v), _ring_data(v),
+                      u._cache["ring_data"]):
             for a in table:
                 with pytest.raises(ValueError):
                     a[0] = a[0]
@@ -176,7 +191,7 @@ class TestRingShiftTables:
         assert "ring_data" in u._cache
         radii = qb.default_profile_radii(u.grid, octaves=1.0)
         lim = qb.frequency_limit(qb.frequency_profile(u, radii=radii))
-        assert "grad" not in u._cache
+        assert u._cache.keys() <= {"rule", "ring_data"}
         assert lim["estimate"] == pytest.approx(1.5, abs=1e-3)
 
 
@@ -292,12 +307,14 @@ class TestAverageFree:
         assert np.abs(np.mean(f.values, axis=0)).max() > 0.5
 
     def test_gradients_are_seeded_from_the_input(self, perturbed_curve):
+        # f's sweep takes v's ring table from f's gradients minus their
+        # sheet mean: the fresh table of v up to rounding
         f = perturbed_curve
-        f.gradients()
+        _ring_data(f)
         v = qb.average_free_part(f)
-        assert "grad" in v._cache
-        fresh = v.replace_values(v.values).gradients()
-        for seeded, own in zip(v.gradients(), fresh):
+        assert "ring_data" in v._cache
+        fresh = _ring_data(v.replace_values(v.values))
+        for seeded, own in zip(_ring_data(v), fresh):
             assert np.abs(seeded - own).max() <= 1e-12 * np.abs(own).max()
 
     def test_one_shared_read_only_part_per_map(self, perturbed_curve):
@@ -329,11 +346,12 @@ class TestAverageFree:
         qb.universal_frequency(f, qb.intervals_of_flattening(f, eps3_sq=0.2))
         qb.hardt_simon_check(qb.average_free_part(f), 64 * grid.r_min)
         assert [built.count(key) for key in
-                ("average_free", "grad", "ring_data")] == [1, 2, 2]
-        # the flattening scan's excess reads one area table of f; no
-        # Cartesian Jacobians and no per-sheet profile are kept
-        assert set(built) == {"rule", "average_free", "grad", "ring_data",
-                              "area_moments"}
+                ("average_free", "ring_data", "free_ring_data")] == [1, 2, 1]
+        # f's one sweep also fills the area table the flattening scan's
+        # excess reads, and v's ring table; no gradient, no Cartesian
+        # Jacobians and no per-sheet profile are kept
+        assert set(built) == {"rule", "average_free", "ring_data",
+                              "area_moments", "free_ring_data"}
 
     def test_repeated_harmonic_sheet_collapses(self, small_grid):
         x, y = small_grid.nodes_xy()
@@ -521,11 +539,11 @@ class TestHardtSimon:
     @pytest.mark.parametrize("alpha", [1 / 2, 4 / 5, 7 / 8, 11 / 12, 13 / 12,
                                        9 / 8, 3 / 2, 7 / 2])
     def test_homogeneous_closed_form(self, alpha, monkeypatch):
-        # the integrand is read off the ring table: with f's gradients
+        # the integrand is read off the ring table: with f's ring table
         # cached, nothing differentiates f again
         grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
         f = qb.homogeneous_map(alpha, grid=grid)
-        f.gradients()
+        _ring_data(f)
         for module in (grids, curves, frequency, blowup):
             monkeypatch.setattr(module, "d_dr_geometric", None, raising=False)
         res = qb.hardt_simon_check(f, 2.0 ** -6)

@@ -103,6 +103,14 @@ class TestMultigraph:
         assert abs(avg[0] - (z ** 2).real) < 1e-12
         assert abs(avg[1] - (z ** 2).imag) < 1e-12
 
+    def test_rejects_a_grid_off_the_origin(self):
+        # the curve is sampled about its branch point at the origin:
+        # another centre would label the origin's samples with it
+        grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64,
+                               center=(0.3, 0.1))
+        with pytest.raises(qb.ConfigError, match="origin"):
+            qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+
     def test_average_vanishes_without_perturbation(self, curve_cache):
         for (q, p) in [(2, 3), (3, 4), (4, 5)]:
             f = curve_cache(q, p)
@@ -291,6 +299,14 @@ class TestHomogeneousMap:
             qb.spiral_profile(alpha)
         with pytest.raises(qb.ConfigError):
             qb.homogeneous_map(alpha, grid=small_grid)
+
+    def test_rejects_a_grid_off_the_origin(self):
+        # the closed forms are sampled about the origin: another centre
+        # would label the origin's samples with it
+        grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64,
+                               center=(0.3, 0.1))
+        with pytest.raises(qb.ConfigError, match="origin"):
+            qb.homogeneous_map(1.5, grid=grid)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.5])
     def test_rejects_nonpositive_alpha(self, alpha, small_grid):

@@ -84,6 +84,19 @@ def test_radial_differentiation_has_one_caller():
         "curves.py:QFunction.gradients"]
 
 
+def test_angular_differentiation_has_one_caller():
+    assert _package_callers("d_dtheta_periodic") == [
+        "curves.py:QFunction.gradients"]
+
+
+def test_no_map_caches_its_gradients():
+    # gradients are reduced to ring tables a block of rings at a time; no
+    # cache key names whole gradient arrays
+    assert not any(isinstance(node, ast.Constant) and node.value == "grad"
+                   for path in SOURCES
+                   for node in ast.walk(ast.parse(path.read_text())))
+
+
 def test_ring_table_key_is_named_in_one_module():
     # the cache key of a map's ring table is written and read only by the
     # module that builds the table

@@ -369,7 +369,7 @@ class TestAreaMoments:
         calls, tables = [], []
         original = qb.QFunction.gradients
         monkeypatch.setattr(qb.QFunction, "gradients",
-                            lambda f: calls.append(1) or original(f))
+                            lambda f, *a: calls.append(1) or original(f, *a))
         cumulative = RadialRule.cumulative
         monkeypatch.setattr(RadialRule, "cumulative", lambda rule, F, beta:
                             tables.append(1) or cumulative(rule, F, beta))
@@ -384,8 +384,10 @@ class TestAreaMoments:
                 qb.spherical_excess(f, r)
             qb.excess_decay_fit(f, radii)
         assert len(calls) == 1
-        # every disk integral reads one cumulative table of the area moments
-        assert len(tables) == 1
+        # every disk integral reads one cumulative table of the area
+        # moments; the sweep's others are the ring tables of f and of its
+        # average-free part
+        assert len(tables) == 3
 
 
 class TestDecayFit:

@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 import qbranch as qb
-from qbranch.frequency import _ring_data
+from qbranch import frequency
+from qbranch.frequency import _profiles, _ring_data
 from qbranch.grids import _cell_interpolant
 
 
@@ -185,7 +187,9 @@ class TestProfiles:
     @pytest.mark.parametrize("cutoff", [qb.RAMP, qb.SHARP])
     def test_profile_reads_one_inner_core(self, small_grid, monkeypatch,
                                           cutoff):
-        # the core below r_min is cached with the map's cumulative table
+        # the core below r_min is cached with the map's cumulative table;
+        # the map's one sweep builds its area table and its average-free
+        # part's ring table too, each with its own core
         core, shapes = qb.grids.RadialRule.inner_core, []
         monkeypatch.setattr(qb.grids.RadialRule, "inner_core",
                             lambda rule, F, beta: shapes.append(F.shape)
@@ -194,7 +198,8 @@ class TestProfiles:
         radii = qb.default_profile_radii(f.grid)
         assert len(radii) == 17
         qb.frequency_profile(f, radii=radii, cutoff=cutoff)
-        assert shapes == [(f.grid.n_rings, 4)]
+        R = f.grid.n_rings
+        assert shapes == [(R, 4), (R, 7), (R, 4)]
 
     def test_reversed_radii_rejected(self, curve_cache):
         with pytest.raises(ValueError):
@@ -325,6 +330,20 @@ class TestOneRecordPath:
     between-ring radii, some with their kink below the grid, gives for each
     radius the record and the public scalar quantities it gets alone, bit
     for bit."""
+
+    def test_each_radius_is_checked_once(self, curve_cache, monkeypatch):
+        kinks, kink = [], frequency._kink
+        monkeypatch.setattr(frequency, "_kink", lambda grid, s:
+                            kinks.append(s) or kink(grid, s))
+        f = curve_cache(2, 3)
+        radii = [f.grid.r_min, 2.0 ** -14, 0.5, 2.0]
+        prof = qb.frequency_profile(f, radii=radii)
+        assert kinks == radii
+        assert [rec.valid for rec in prof.records] == [False, True, True,
+                                                       False]
+        for r, why in [(f.grid.r_min, "kink below"), (2.0, "outside grid")]:
+            with pytest.raises(qb.RangeError, match=why):
+                qb.smoothed_I(f, r)
 
     @staticmethod
     def candidates(grid):
@@ -470,6 +489,69 @@ class TestOffCenter:
         # too close to the branch point for a multivalued selection
         with pytest.raises(qb.RangeError):
             qb.recenter(curve_cache(2, 3), (1e-4, 0.0))
+
+
+class TestOneSweep:
+    """A map is differentiated once, a block of rings at a time, and keeps
+    only the ring tables its blocks reduce to."""
+
+    @staticmethod
+    def whole_reduction(f):
+        """f's tables from one pass over its whole gradients() arrays."""
+        x, (u, w), disk = f.values, f.gradients(), f.rule().disk_table
+        tables = {"ring": disk(_profiles(x, u, w)),
+                  "area": disk(qb.excess._area_rows(f)(x, u, w))}
+        if f.q > 1:
+            tables["free"] = disk(_profiles(
+                *(a - np.mean(a, axis=0, keepdims=True) for a in (x, u, w))))
+        return tables
+
+    @pytest.mark.parametrize("block", [1, None, 1 << 60],
+                             ids=["ring", "default", "all_rings"])
+    @pytest.mark.parametrize("case", ["perturbed", "ratio15", "single"])
+    def test_swept_tables_are_the_whole_reduction(self, case, block,
+                                                  monkeypatch):
+        grid = qb.default_grid(r_min=2.0 ** -8, n_theta=128)
+        if case == "perturbed":
+            f = qb.make_multigraph(qb.CurveSpec(3, 5, (0, 0, 0, 0.3 + 0.2j)),
+                                   grid)
+        elif case == "ratio15":
+            f = qb.make_multigraph(qb.CurveSpec(2, 3), qb.PolarGrid(
+                radii=1.5 ** -np.arange(24.0)[::-1], n_theta=128))
+        else:
+            f = qb.homogeneous_map(2.0, grid=grid)
+            assert f.q == 1
+        if block is not None:
+            monkeypatch.setattr(qb.grids, "_BLOCK_BYTES", block)
+        swept = {"ring": _ring_data(f), "area": qb.excess._area_moments(f)}
+        if f.q > 1:
+            swept["free"] = _ring_data(qb.average_free_part(f))
+        else:
+            assert "free_ring_data" not in f._cache
+        want = self.whole_reduction(f)
+        assert swept.keys() == want.keys()
+        for key, table in want.items():
+            for a, b in zip(swept[key], table):
+                assert np.array_equal(a, b), key
+
+    def test_flatten_pipeline_keeps_no_gradient(self, full_grid):
+        tracemalloc.start()
+        try:
+            f = qb.make_multigraph(qb.CurveSpec(4, 5), full_grid)
+            qb.frequency_profile(f)
+            qb.excess_decay_fit(f, [2.0 ** -k for k in range(9, 2, -1)])
+            qb.universal_frequency(
+                f, qb.intervals_of_flattening(f, eps3_sq=0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the samples of f and of its average-free part, and ring blocks
+        assert peak <= 2.5 * f.values.nbytes
+        for g in (f, f._cache["average_free"]):
+            for entry in g._cache.values():
+                for a in entry if isinstance(entry, tuple) else (entry,):
+                    if isinstance(a, np.ndarray):
+                        assert a.size < g.values[0].size
 
 
 PROFILE_RADII = [0.2, 0.2 * 2 ** 0.3, 0.31, 0.5, 0.7071, 0.9]
