@@ -22,27 +22,26 @@ at small scale, the estimator reports the degree of the average-free
 (branched) part and flags the discrepancy with the full-graph contact order
 instead of silently choosing one of the two numbers.
 
-Blow-up steps at different scales are independent once the average-free
-input is built; the estimator aggregates them in step order, so results do
-not depend on evaluation order, and it lists every step that failed, with
-the reason, under notes["step_failures"], a reference ball leaving the
-grid included.  A blow-up u = c f(r .) reads
-its ring table off f's whole table (scale invariance of the ring
-profiles): every row of its profiles, cumulative table and core is f's
-row rescaled.  So a degree estimate differentiates the
-average-free part once, and no step differentiates its samples or forms
-them.  The l2_norm normalizer is read off the same table of f.  Its
-steps share their quadrature windows through the window cache of grids,
-read their bottom-anchored integrals off cumulative tables, and the
-degeneracy guard's amplitude of the average-free part is taken once per
-map.  The Hardt-Simon check reads the map's ring table as well, so it
+I is scale and amplitude invariant, so every step's records are records of
+the measured object v: the blow-up u_k = c v(r_k .) has I_{u_k}(s) =
+I_v(r_k s), and its top octave is v's octave below r_m, the ring of v that
+is u_k's top ring.  One frequency profile of v over the union of the
+steps' windows gives every record, and each step's frequency limit reads
+its own window.  So a degree estimate differentiates v once, and a step's
+blow-up gives only its normalizer, with the normalizer's refusals, and its
+top ring: its samples are never formed and no ring table is built for it.
+The l2_norm normalizer is read off v's ring table, and the degeneracy
+guard's amplitude of v is taken once per map.  The estimator lists every
+step that failed, with the reason, in step order under
+notes["step_failures"], a reference ball leaving the grid included.  The
+Hardt-Simon check reads the map's ring table as well, so it
 differentiates nothing that is cached.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -51,8 +50,8 @@ from .errors import (ConfigError, DataError, DegenerateBlowupError,
 from .grids import M_DIM, PolarGrid, _ring_blocks, _ring_profile
 from .curves import QFunction, analytic_degree, CurveSpec, _json
 from .frequency import (_ring_data, _seed_average_free_ring_data,
-                        _seed_blowup_ring_data, frequency_profile,
-                        frequency_limit, default_profile_radii)
+                        frequency_profile, frequency_limit,
+                        default_profile_radii)
 
 #: normalizers below this relative size abort the blow-up as trivial
 DEGENERACY_FLOOR = 1e-14
@@ -232,8 +231,8 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
         if r_ref > grid.r_max * (1 + 1e-12):
             raise RangeError(
                 f"reference ball {reference} * {r} exceeds the grid")
-        # |f|^2 off f's ring table, which the seed below reads anyway; the
-        # norm of the blow-up on B_reference scales from it
+        # |f|^2 off f's ring table, which a degree estimate's profile
+        # reads anyway; the norm of the blow-up on B_reference scales from it
         raw = float(np.sqrt(f.rule()._disk_integral(_ring_data(f), r_ref)[1]))
         normalizer = raw * r ** (-(M_DIM + 2) / 2.0)
     elif mode == "excess_sqrt":
@@ -248,7 +247,6 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
             "the blow-up would be trivial")
     # one pass: at power-of-two r this is (f / r) / normalizer bit for bit
     out = _dilate(f, r, r * normalizer)
-    _seed_blowup_ring_data(out, f, r, 1.0 / (r * normalizer))
     out.metadata["blowup"] = {"r": float(r), "mode": mode,
                               "normalizer": float(normalizer)}
     return out
@@ -261,17 +259,17 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
 def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeEstimate:
     """Estimate the singularity degree of the graph at the grid center.
 
-    Pipeline: average-free part, then normalized blow-ups along
+    Pipeline: average-free part v, then normalized blow-ups along
     r_k = scale_factor^k, then the frequency limit of each step over its top
-    octave.  The estimate is the median over the trailing steps that agree
-    within convergence_tol.  It measures _branched_part(f): the shared
-    average-free part, or a single-valued map itself."""
+    octave, read off one frequency profile of v (see the module
+    docstring).  The estimate is the median over the trailing steps that
+    agree within convergence_tol.  It measures _branched_part(f): the
+    shared average-free part, or a single-valued map itself."""
     if cfg is None:
         cfg = BlowupConfig()
     v = _branched_part(f)
-    grid = f.grid
-    steps = []
-    failures = []
+    grid = v.grid
+    windows, failures = {}, {}
     for k in range(1, cfg.max_steps + 1):
         r_k = cfg.scale_factor ** k
         # the blow-up keeps log2(r_k / r_min) octaves; the top-octave window
@@ -280,14 +278,26 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
             break
         try:
             u_k = coarse_blowup_normalize(v, r_k, cfg.normalization)
-            radii = default_profile_radii(u_k.grid, octaves=1.0,
-                                          top=u_k.grid.r_max)
-            prof = frequency_profile(u_k, radii=radii)
-            lim = frequency_limit(prof)
         except (DegenerateBlowupError, DataError, RangeError) as exc:
-            failures.append((k, str(exc)))
+            failures[k] = str(exc)
             continue
-        steps.append((k, r_k, float(lim["estimate"])))
+        # I_{u_k}(s) = I_v(r_k s): u_k's top octave is v's octave below
+        # r_m, the ring of v that is u_k's top ring
+        windows[k] = default_profile_radii(
+            grid, octaves=1.0, top=grid.radii[u_k.grid.n_rings - 1])
+    union = sorted({r for window in windows.values() for r in window})
+    # no step left: the DataError below, not frequency_profile's refusal
+    prof = frequency_profile(v, radii=union) if union else None
+    found = dict(zip(union, prof.records)) if prof else {}
+    steps = []
+    for k, window in windows.items():
+        try:
+            lim = frequency_limit(replace(
+                prof, radii=window, records=[found[r] for r in window]))
+            steps.append((k, cfg.scale_factor ** k, float(lim["estimate"])))
+        except DataError as exc:
+            failures[k] = str(exc)
+    failures = sorted(failures.items())
     if len(steps) < 3:
         raise DataError(
             f"only {len(steps)} usable blow-up steps (need 3); "

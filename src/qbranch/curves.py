@@ -183,7 +183,7 @@ class QFunction:
         x, radii = self.values, self.grid.radii
         blocks, out = _ring_blocks(x), []
         for (a, b), du_dr, du_dth in zip(
-                blocks, d_dr_geometric(x, radii, 1, blocks),
+                blocks, d_dr_geometric(x, radii, blocks),
                 d_dtheta_periodic(x, self.monodromy, blocks)):
             du_dth *= 1.0 / radii[None, a:b, None, None]
             out.append((du_dr, du_dth) if reduce is None

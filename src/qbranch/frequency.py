@@ -44,11 +44,12 @@ beta = 1 and beta = 3, whose ends sit on the kink s/2 and the edge s: the
 kinks never meet the quadrature cells.  The sharp cutoff reads Ball(s) and
 the boundary values s B(s), s C(s), s P(s) and s A(s).
 
-Every record, of a profile, a blow-up step or the stitched frequency,
-comes from _quantities over a list of scales: one table read for all the
-balls, and each window, or sharp boundary value, its own product with F
-(a stacked product's rows can round differently), so a record depends
-only on the map, its scale and the cutoff.
+Every record, of a profile (all the steps of a degree estimate are one
+profile of the average-free part) or of the stitched frequency, comes
+from _quantities over a list of scales: one table read for all the balls,
+and each window, or sharp boundary value, its own product with F (a
+stacked product's rows can round differently), so a record depends only
+on the map, its scale and the cutoff.
 """
 
 from __future__ import annotations
@@ -141,23 +142,6 @@ def _seed_average_free_ring_data(v: QFunction, f: QFunction):
     v._cache["is_average_free"] = True
     if "free_ring_data" in f._cache:
         v.cached("ring_data", lambda: f._cache.pop("free_ring_data"))
-
-
-def _seed_blowup_ring_data(u: QFunction, f: QFunction, r: float, c: float):
-    """Cache on the blow-up u = c f(r .) a ring table read off f's whole
-    table.  u's grid is f's first m rings relabelled, radius r_i / r for
-    f's r_i, so by the chain rule and scale invariance u's profiles are
-    f's first m rows scaled: |Du|^2 and |du/dr|^2 by (r c)^2, |u|^2 by c^2
-    and u . du/dr by r c^2.  Substituting s = r s' in int_0^s' F s ds, the
-    cumulative table and core are f's too, each column scaled likewise and
-    divided by r^2.  u's samples are never read."""
-    m = u.grid.n_rings
-    scale = np.array([(r * c) ** 2, c ** 2, r * c ** 2, (r * c) ** 2])
-    shrink = scale / r ** 2
-    F, cum, core = _ring_data(f)
-    u.cached("ring_data", lambda: ((F.T[:, :m] * scale[:, None]).T,
-                                   (cum.T[:, :m] * shrink[:, None]).T,
-                                   core * shrink))
 
 
 # ----------------------------------------------------------------------------
@@ -352,14 +336,15 @@ def frequency_profile(f: QFunction, radii=None,
     """Evaluate all per-radius quantities on an increasing list of radii:
     one _records call, whose ring table and quadrature windows are cached
     on f and in the process.  Each record is the one that radius gets
-    alone, bit for bit, on a ring or between rings."""
+    alone, bit for bit, on a ring or between rings.  ConfigError when the
+    list is empty or not strictly increasing."""
     if radii is None:
         radii = default_profile_radii(f.grid)
     radii = [float(r) for r in radii]
     if not radii:
-        raise ValueError("radii list is empty")
+        raise ConfigError("radii list is empty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be sorted strictly increasing")
+        raise ConfigError("radii must be sorted strictly increasing")
     return FrequencyProfile(center=tuple(f.grid.center), radii=radii,
                             records=_records(f, radii, cutoff), cutoff=cutoff,
                             notes={"label": f.metadata.get("label", "")})

@@ -30,11 +30,10 @@ table, built by RadialRule.disk_table (the frequency profiles and the area
 moments alike), and every disk integral reads such a table.
 
 A blow-up of a map lives on the map's rings relabelled (radii divided by
-the dilation ratio), a grid with the same dt, so its whole table is the
-map's first rows scaled (frequency._seed_blowup_ring_data), and a window
-at the same place below the top ring is one cached window for the map and
-all its blow-ups (bitwise so when the ratio is a power of two, which
-divides the radii exactly).
+the dilation ratio), a grid with the same dt, so a window at the same
+place below the top ring is one cached window for the map and all its
+blow-ups.  A degree estimate reads its steps off the map's own table, so
+no blow-up of it builds one.
 
 Radial derivatives use 7-point weights built in the radius variable, exact
 for polynomials in r through degree 6; low-order stencils in log r bias
@@ -432,7 +431,7 @@ def _ring_blocks(x: np.ndarray, nbytes: int | None = None) -> list:
 
 
 def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
-                   axis: int = 1, blocks: list | None = None):
+                   blocks: list | None = None):
     """Radial derivative on geometric rings with 7-point weights built in
     the radius variable, so the stencil is exact for polynomials in r up to
     degree 6 (constant offsets and tilted planes in particular leave no
@@ -440,11 +439,12 @@ def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
     dimensionless weight pattern per row offset serves every ring after a
     1/r scaling; the seven patterns (interior, three rows at each end) come
     from one batched solve per call, uncached (see the module docstring).
-    With blocks, ring ranges (a, b) along axis, an iterator over each
-    block's rows in turn, read off the block and its three-ring halo;
-    without, the whole derivative, over _ring_blocks.  Each element comes
-    from the same operations in the same order either way."""
-    v = np.moveaxis(values, axis, 0)
+    values are sheet samples (Q, R, ...), differentiated along the rings.
+    With blocks, ring ranges (a, b), an iterator over each block's rows in
+    turn, read off the block and its three-ring halo; without, the whole
+    derivative, over _ring_blocks.  Each element comes from the same
+    operations in the same order either way."""
+    v = np.moveaxis(values, 1, 0)
     n = v.shape[0]
     k = _RADIAL_WIDTH
     if n < k:
@@ -474,9 +474,9 @@ def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
         for i in range(max(a, n - half), b):
             out[i - a] = np.tensordot(w[half + n - i], v[n - k:],
                                       axes=(0, 0)) * inv_r[i]
-        return np.moveaxis(out, 0, axis)
-    parts = (block(a, b) for a, b in blocks or _ring_blocks(v[None]))
-    return parts if blocks else np.concatenate([*parts], axis=axis)
+        return np.moveaxis(out, 0, 1)
+    parts = (block(a, b) for a, b in blocks or _ring_blocks(values))
+    return parts if blocks else np.concatenate([*parts], axis=1)
 
 
 def d_dtheta_periodic(values: np.ndarray, monodromy: np.ndarray,

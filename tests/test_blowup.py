@@ -77,11 +77,10 @@ class TestDilationSamples:
                                   v.values[:, :u.grid.n_rings] / (r * h))
 
     def test_shape_and_degree_step_form_no_samples(self, curve_cache):
+        # a degree step's normalized blow-up, and its shape, read none
         f = qb.average_free_part(curve_cache(4, 5))
         u = qb.coarse_blowup_normalize(f, 0.25)
         assert (u.q, u.n) == (4, 2)
-        qb.frequency_limit(qb.frequency_profile(
-            u, radii=qb.default_profile_radii(u.grid, octaves=1.0)))
         assert u._values is None
         assert u.values.shape == (4, u.grid.n_rings, u.grid.n_theta, 2)
         assert u._values is not None and (u.q, u.n) == (4, 2)
@@ -145,8 +144,9 @@ def average_free_inputs():
 
 
 class TestRingShiftTables:
-    """A blow-up, at any ratio, reads its ring table off its parent's whole
-    table; its frequency records are the parent's at the relabelled radii."""
+    """A blow-up at any ratio, differentiated on its own, has its parent's
+    frequency records at the relabelled radii, so a degree step reads its
+    records off the parent."""
 
     @pytest.mark.parametrize("mode", ["l2_norm", "excess_sqrt"])
     @pytest.mark.parametrize("name", ["curve23", "curve25", "curve34",
@@ -155,8 +155,9 @@ class TestRingShiftTables:
     def test_blowup_reads_its_parents_table(self, average_free_inputs,
                                             name, mode):
         """u = c v(r .) has I_u(s) = I_v(r s), and D, H, E, G, Sigma scale
-        by c^2, c^2 / r, c^2, c^2 r and c^2 / r^2, at every ring of u but
-        its top two, where u's quadrature stencils clamp and v's do not."""
+        by c^2, c^2 / r, c^2, c^2 r and c^2 / r^2, at every ring of u whose
+        quadrature and radial stencils stay clear of its top rings, where
+        they clamp and v's do not."""
         v = average_free_inputs[name]
         # ring shifts, then off-lattice ratios
         for r in [v.grid.rho ** k for k in (1, 2, 3, 8)] + [0.6, 0.3]:
@@ -164,11 +165,10 @@ class TestRingShiftTables:
             c2 = (r * u.metadata["blowup"]["normalizer"]) ** -2
             scale = {"I": 1.0, "D": c2, "H": c2 / r, "E": c2, "G": c2 * r,
                      "Sigma": c2 / r ** 2}
-            keep = [i for i, s in enumerate(u.grid.radii[:-2])
+            keep = [i for i, s in enumerate(u.grid.radii[:-7])
                     if s >= 2.0 * u.grid.r_min]
             own = qb.frequency_profile(u, radii=u.grid.radii[keep])
             parent = qb.frequency_profile(v, radii=v.grid.radii[keep])
-            assert u._cache.keys() <= {"rule", "ring_data"}
             for a, b in zip(own.records, parent.records):
                 assert a.valid == b.valid, (r, a.r)
                 for key, k in scale.items():
@@ -178,20 +178,24 @@ class TestRingShiftTables:
 
     def test_cached_tables_are_read_only(self, average_free_inputs):
         v = average_free_inputs["curve23"]
-        u = qb.coarse_blowup_normalize(v, v.grid.rho, reference=1.0)
-        for table in (qb.excess._area_moments(v), _ring_data(v),
-                      u._cache["ring_data"]):
+        for table in (qb.excess._area_moments(v), _ring_data(v)):
             for a in table:
                 with pytest.raises(ValueError):
                     a[0] = a[0]
 
     def test_off_lattice_ratio_reads_its_parents_table(self,
                                                        average_free_inputs):
-        u = qb.coarse_blowup_normalize(average_free_inputs["curve23"], 0.6)
-        assert "ring_data" in u._cache
-        radii = qb.default_profile_radii(u.grid, octaves=1.0)
-        lim = qb.frequency_limit(qb.frequency_profile(u, radii=radii))
-        assert u._cache.keys() <= {"rule", "ring_data"}
+        # the step at r = 0.6 reads v's octave below r_m, the ring of v that
+        # is its blow-up's top ring; the blow-up forms and builds nothing
+        v = average_free_inputs["curve23"]
+        est = qb.singularity_degree(v, qb.BlowupConfig(scale_factor=0.6,
+                                                       max_steps=3))
+        u = qb.coarse_blowup_normalize(v, 0.6)
+        radii = qb.default_profile_radii(
+            v.grid, octaves=1.0, top=v.grid.radii[u.grid.n_rings - 1])
+        lim = qb.frequency_limit(qb.frequency_profile(v, radii=radii))
+        assert est.per_step_I[0] == (1, 0.6, lim["estimate"])
+        assert u._values is None and not u._cache
         assert lim["estimate"] == pytest.approx(1.5, abs=1e-3)
 
 
@@ -405,7 +409,7 @@ class TestSingularityDegree:
 
     def test_estimate_differentiates_once(self, monkeypatch):
         # the average-free part's gradients are the estimate's only radial
-        # differentiation: every blow-up reads its parent's whole table
+        # differentiation: every step reads that part's ring table
         calls = []
         for module in (grids, curves, frequency, blowup):
             original = getattr(module, "d_dr_geometric", None)
@@ -451,6 +455,7 @@ class TestSingularityDegree:
         survived = [k for k, _, _ in est.per_step_I]
         assert len(survived) >= 3
         assert {6, 7} <= set(failed)  # reference balls inside the zero disk
+        assert failed == sorted(failed)  # in step order, whichever refused
         assert sorted(failed + survived) == list(range(1, 8))
         assert all(isinstance(why, str) and why for _, why in failures)
         assert json.loads(est.to_json())["step_failures"] == failures
@@ -470,6 +475,50 @@ class TestSingularityDegree:
         else:
             assert failed == []
         assert sorted(failed + survived) == list(range(1, survived[-1] + 1))
+
+
+class TestStepsFromOneProfile:
+    """Every step of a degree estimate reads one frequency profile of the
+    average-free part v: step k's records are v's over its window, v's
+    octave below r_m, the ring of v that is the blow-up's top ring."""
+
+    @given(scale_factor=st.floats(0.3, 0.75),
+           mode=st.sampled_from(["l2_norm", "excess_sqrt"]))
+    def test_each_step_is_its_windows_limit(self, perturbed_curve,
+                                            scale_factor, mode):
+        v = qb.average_free_part(perturbed_curve)
+        est = qb.singularity_degree(perturbed_curve, qb.BlowupConfig(
+            scale_factor=scale_factor, normalization=mode))
+        for k, r, I in est.per_step_I:
+            u = qb.coarse_blowup_normalize(v, r, mode)
+            window = qb.default_profile_radii(
+                v.grid, octaves=1.0, top=v.grid.radii[u.grid.n_rings - 1])
+            lim = qb.frequency_limit(qb.frequency_profile(v, radii=window))
+            assert r == scale_factor ** k and I == lim["estimate"]
+        failed = [k for k, _ in est.notes.get("step_failures", [])]
+        steps = sorted(failed + [k for k, _, _ in est.per_step_I])
+        assert failed == sorted(failed)
+        assert steps == list(range(1, len(steps) + 1))
+
+    def test_one_profile_per_estimate(self, perturbed_curve, monkeypatch):
+        calls = []
+        profile = blowup.frequency_profile
+        monkeypatch.setattr(blowup, "frequency_profile", lambda g, *a, **k:
+                            calls.append(g) or profile(g, *a, **k))
+        est = qb.singularity_degree(perturbed_curve)
+        assert len(est.per_step_I) >= 3
+        assert len(calls) == 1
+        assert calls[0] is qb.average_free_part(perturbed_curve)
+
+    @pytest.mark.parametrize("scale_factor", [0.5, 0.6])
+    @pytest.mark.parametrize("q, p, tol", [(2, 5, 6e-5), (3, 7, 3.5e-5)])
+    def test_no_step_reads_a_clamped_window(self, curve_cache, q, p, tol,
+                                            scale_factor):
+        # read off each blow-up's own top octave, whose windows clamp at
+        # its grid top, these estimates miss p/Q by 7.4e-5 and 4.4e-5
+        est = qb.singularity_degree(curve_cache(q, p), qb.BlowupConfig(
+            scale_factor=scale_factor))
+        assert abs(est.value - p / q) <= tol
 
 
 class TestHomogeneityCheck:

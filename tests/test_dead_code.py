@@ -78,10 +78,19 @@ def _package_callers(name: str) -> list[str]:
 
 
 def test_radial_differentiation_has_one_caller():
-    # a map is differentiated once, by its gradients; a blow-up reads its
-    # parent's whole ring table, and everything else reads the ring table
+    # a map is differentiated once, by its gradients; a degree estimate's
+    # steps read the average-free part's ring table, and everything else
+    # reads the ring table
     assert _package_callers("d_dr_geometric") == [
         "curves.py:QFunction.gradients"]
+
+
+def test_degree_steps_read_one_profile():
+    # the blow-up steps of a degree estimate read one profile of the
+    # average-free part, and nothing else in blowup forms a profile
+    assert [caller for caller in _package_callers("frequency_profile")
+            if caller.startswith("blowup.py:")] == [
+        "blowup.py:singularity_degree"]
 
 
 def test_angular_differentiation_has_one_caller():

@@ -202,11 +202,11 @@ class TestProfiles:
         assert shapes == [(R, 4), (R, 7), (R, 4)]
 
     def test_reversed_radii_rejected(self, curve_cache):
-        with pytest.raises(ValueError):
+        with pytest.raises(qb.ConfigError, match="strictly increasing"):
             qb.frequency_profile(curve_cache(2, 3), radii=[0.5, 0.25])
 
     def test_empty_radii_rejected(self, curve_cache):
-        with pytest.raises(ValueError):
+        with pytest.raises(qb.ConfigError, match="empty"):
             qb.frequency_profile(curve_cache(2, 3), radii=[])
 
     def test_csv_roundtrip_precision(self, curve_cache, full_grid):
