@@ -14,7 +14,8 @@ Q-cycle exactly when gcd(p, Q) = 1.
 Both are sampled about the origin; a grid centred elsewhere is refused.
 Grid generation is vectorized over all rings at once and the resulting
 samples are treated as immutable; derived ring tables are cached on first
-use, and gradients are never kept (QFunction.gradients).
+use, and gradients exist only a block of rings at a time, each reduced
+to ring tables before the next is formed (QFunction.gradients).
 """
 
 from __future__ import annotations
@@ -173,23 +174,21 @@ class QFunction:
     def rule(self) -> RadialRule:
         return self.cached("rule", lambda: RadialRule(self.grid))
 
-    def gradients(self, reduce=None):
+    def gradients(self, reduce):
         """The map's one differentiation, du_dr and du_dtheta / r (radial
         stencil exact for polynomials in r, angular derivative spectral on
-        the monodromy covering circle), swept over grids._ring_blocks: with
-        reduce, the list of reduce(x, du_dr, du_dth) over the blocks, x the
-        block's samples, so no derivative outlives its block; without, the
-        whole derivatives (Q, R, T, n), uncached."""
+        the monodromy covering circle), swept over grids._ring_blocks: the
+        list of reduce(x, du_dr, du_dth) over the blocks, x the block's
+        samples, so no derivative outlives its block and no map's whole
+        derivative is ever formed."""
         x, radii = self.values, self.grid.radii
-        blocks, out = _ring_blocks(x), []
+        out = []
         for (a, b), du_dr, du_dth in zip(
-                blocks, d_dr_geometric(x, radii, blocks),
-                d_dtheta_periodic(x, self.monodromy, blocks)):
+                _ring_blocks(x), d_dr_geometric(x, radii),
+                d_dtheta_periodic(x, self.monodromy)):
             du_dth *= 1.0 / radii[None, a:b, None, None]
-            out.append((du_dr, du_dth) if reduce is None
-                       else reduce(x[:, a:b], du_dr, du_dth))
-        return out if reduce else tuple(np.concatenate(d, axis=1)
-                                        for d in zip(*out))
+            out.append(reduce(x[:, a:b], du_dr, du_dth))
+        return out
 
     # ---- consistency --------------------------------------------------
 

@@ -42,11 +42,12 @@ order, well above the accuracy this library promises, and any stencil in
 log r puts a boundary bias on affine sheets.  Their seven weight patterns
 come from one batched solve per call, uncached so that a traced run's
 solve count still sees every differentiation.  Angular derivatives are
-spectral on the monodromy covering circle.  Both kernels hand out blocks
-of rings of _BLOCK_BYTES (_ring_blocks), which stay in cache through all
-their passes and through QFunction.gradients' reduction of each block to
-ring tables; every ring is its own stencil row and its own transform, so
-the blocks change no bit.
+spectral on the monodromy covering circle.  Both kernels return an
+iterator over blocks of rings of _BLOCK_BYTES (_ring_blocks), never a
+whole derivative: a block stays in cache through all their passes and
+through QFunction.gradients' reduction of it to ring tables.  Every ring
+is its own stencil row and its own transform, so the blocks change no
+bit.
 """
 
 from __future__ import annotations
@@ -430,8 +431,7 @@ def _ring_blocks(x: np.ndarray, nbytes: int | None = None) -> list:
     return [(a, min(a + step, x.shape[1])) for a in range(0, x.shape[1], step)]
 
 
-def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
-                   blocks: list | None = None):
+def d_dr_geometric(values: np.ndarray, radii: np.ndarray):
     """Radial derivative on geometric rings with 7-point weights built in
     the radius variable, so the stencil is exact for polynomials in r up to
     degree 6 (constant offsets and tilted planes in particular leave no
@@ -440,10 +440,9 @@ def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
     1/r scaling; the seven patterns (interior, three rows at each end) come
     from one batched solve per call, uncached (see the module docstring).
     values are sheet samples (Q, R, ...), differentiated along the rings.
-    With blocks, ring ranges (a, b), an iterator over each block's rows in
-    turn, read off the block and its three-ring halo; without, the whole
-    derivative, over _ring_blocks.  Each element comes from the same
-    operations in the same order either way."""
+    Returns an iterator over the blocks of _ring_blocks(values), each
+    block's rows read off the block and its three-ring halo; every row is
+    the same operations in the same order whatever the blocks."""
     v = np.moveaxis(values, 1, 0)
     n = v.shape[0]
     k = _RADIAL_WIDTH
@@ -475,12 +474,10 @@ def d_dr_geometric(values: np.ndarray, radii: np.ndarray,
             out[i - a] = np.tensordot(w[half + n - i], v[n - k:],
                                       axes=(0, 0)) * inv_r[i]
         return np.moveaxis(out, 0, 1)
-    parts = (block(a, b) for a, b in blocks or _ring_blocks(values))
-    return parts if blocks else np.concatenate([*parts], axis=1)
+    return (block(a, b) for a, b in _ring_blocks(values))
 
 
-def d_dtheta_periodic(values: np.ndarray, monodromy: np.ndarray,
-                      blocks: list | None = None):
+def d_dtheta_periodic(values: np.ndarray, monodromy: np.ndarray):
     """Angular derivative of sheet samples (Q, R, T, ...) that close up only
     after applying the monodromy permutation: continuing past theta = 2pi,
     sheet k runs into sheet monodromy[k] at theta = 0.
@@ -488,10 +485,9 @@ def d_dtheta_periodic(values: np.ndarray, monodromy: np.ndarray,
     Each monodromy cycle of length L is a smooth periodic function on the
     L-fold covering circle, so it is differentiated spectrally there; for
     band-limited sheets (branched roots, tilted planes, trigonometric
-    profiles) the derivative is exact to rounding.  With blocks, ring
-    ranges (a, b), an iterator over each block's derivative in turn;
-    without, the whole derivative, over _ring_blocks.  Every ring is its
-    own transform, so the blocks change no bit."""
+    profiles) the derivative is exact to rounding.  Returns an iterator
+    over the blocks of _ring_blocks(values), each block's derivative in
+    turn; every ring is its own transform, so the blocks change no bit."""
     T, tail = values.shape[2], (1,) * (values.ndim - 3)
     cycles = []
     for cycle in _cycles(monodromy):
@@ -512,5 +508,4 @@ def d_dtheta_periodic(values: np.ndarray, monodromy: np.ndarray,
             for m, c in enumerate(cycle):
                 out[c] = dsig[:, m * T:(m + 1) * T]
         return out
-    parts = (block(a, b) for a, b in blocks or _ring_blocks(values))
-    return parts if blocks else np.concatenate([*parts], axis=1)
+    return (block(a, b) for a, b in _ring_blocks(values))

@@ -181,13 +181,16 @@ def intervals_of_flattening(source, eps3_sq: float | None = None,
     current = None
     power = 2.0 - 2.0 * cfg.delta2
 
+    def opened(r, E, plane):
+        return {"t": r, "m0": max(E, cfg.eps_bar ** 2 * r ** power),
+                "plane": plane}
+
     for r in radii:
         E, plane = provider(r)
         excess_by_r[r] = E
         if current is None:
             if E <= cfg.eps3_sq:
-                m0 = max(E, cfg.eps_bar ** 2 * r ** power)
-                current = {"t": r, "m0": m0, "plane": plane}
+                current = opened(r, E, plane)
             else:
                 gaps.append(r)
             continue
@@ -210,8 +213,7 @@ def intervals_of_flattening(source, eps3_sq: float | None = None,
             current = None
             gaps.append(r)
         else:
-            m0 = max(E, cfg.eps_bar ** 2 * r ** power)
-            current = {"t": r, "m0": m0, "plane": plane}
+            current = opened(r, E, plane)
     if current is not None:
         intervals.append(IntervalRecord(
             j=len(intervals), s=cfg.r_floor, t=current["t"],

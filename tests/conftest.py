@@ -44,6 +44,13 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def whole_gradients(f):
+    """f's whole derivatives du_dr and du_dtheta / r, (Q, R, T, n) each:
+    the ring blocks QFunction.gradients hands out, concatenated."""
+    blocks = f.gradients(lambda x, du_dr, du_dth: (du_dr, du_dth))
+    return tuple(np.concatenate(d, axis=1) for d in zip(*blocks))
+
+
 def random_smooth_qfunction(grid, q, rng, radial_degree=2, angular_modes=3):
     """Random piecewise-smooth Q-valued map with identity monodromy:
     trigonometric polynomials in the angle with polynomial radial profiles,

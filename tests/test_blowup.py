@@ -320,6 +320,22 @@ class TestAverageFree:
         fresh = _ring_data(v.replace_values(v.values))
         for seeded, own in zip(_ring_data(v), fresh):
             assert np.abs(seeded - own).max() <= 1e-12 * np.abs(own).max()
+        # so a degree estimate depends on the call order only by rounding:
+        # on the selfcheck map, qbranch degree differentiates v itself and
+        # selfcheck, which profiles f first, reads v's seeded table
+        grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
+        ests = []
+        for swept_first in (False, True):
+            g = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+            if swept_first:
+                _ring_data(g)
+            ests.append(qb.singularity_degree(g, qb.BlowupConfig(max_steps=6)))
+        own, seeded = ests
+        assert seeded.value == pytest.approx(own.value, rel=1e-13, abs=0)
+        assert [s[:2] for s in seeded.per_step_I] == \
+            [s[:2] for s in own.per_step_I]
+        for a, b in zip(seeded.per_step_I, own.per_step_I):
+            assert a[2] == pytest.approx(b[2], rel=1e-13, abs=0)
 
     def test_one_shared_read_only_part_per_map(self, perturbed_curve):
         # a fresh map: caching here must not unseed the test above

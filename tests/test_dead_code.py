@@ -98,6 +98,22 @@ def test_angular_differentiation_has_one_caller():
         "curves.py:QFunction.gradients"]
 
 
+def test_derivatives_exist_only_as_ring_blocks():
+    # both kernels hand out ring blocks and nothing else, and every sweep
+    # of a map's gradients reduces each block: no whole-array mode is left
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    kernels = {node.name: [a.arg for a in node.args.args]
+               for node in trees["grids.py"].body
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("d_dr_geometric", "d_dtheta_periodic")}
+    assert kernels == {"d_dr_geometric": ["values", "radii"],
+                       "d_dtheta_periodic": ["values", "monodromy"]}
+    calls = [call for tree in trees.values() for call in ast.walk(tree)
+             if isinstance(call, ast.Call)
+             and getattr(call.func, "attr", None) == "gradients"]
+    assert calls and all(call.args or call.keywords for call in calls)
+
+
 def test_no_map_caches_its_gradients():
     # gradients are reduced to ring tables a block of rings at a time; no
     # cache key names whole gradient arrays

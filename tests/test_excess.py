@@ -24,6 +24,7 @@ from scipy.integrate import quad
 import qbranch as qb
 from qbranch.excess import _plucker, _plucker_of_tilt
 from qbranch.grids import RadialRule
+from qbranch.qvalue import _sq_norm
 
 
 def oracle_curve_excess(q, p, r):
@@ -105,6 +106,46 @@ class TestGraphMass:
         for (q, p) in [(2, 3), (3, 4), (2, 5)]:
             out = qb.mass_expansion_residual(curve_cache(q, p), 1.0)
             assert out["lhs"] <= 0.25 * out["quartic"] + 1e-9
+
+
+class TestMassExpansionResidual:
+    """The |Df|^4 profile is reduced a block of rings at a time."""
+
+    @staticmethod
+    def whole_array_residual(f, r):
+        """The residual from f's whole gradient arrays at once."""
+        from conftest import whole_gradients
+        mass, dir2 = qb.graph_mass(f, r), qb.dirichlet_energy(f, r)
+        du_dr, du_dth = whole_gradients(f)
+        g2 = _sq_norm(du_dr) + _sq_norm(du_dth)
+        prof4 = 2 * np.pi * np.mean(np.sum(g2 ** 2, axis=0), axis=-1)
+        rule = f.rule()
+        quartic = rule._disk_integral(rule.disk_table(prof4), r)
+        lhs = abs(mass - f.q * np.pi * r ** 2 - 0.5 * dir2)
+        return {"lhs": lhs, "quartic": quartic,
+                "ratio": lhs / quartic if quartic > 0 else 0.0}
+
+    @pytest.mark.parametrize("case", ["curve23", "perturbed25", "homog2"])
+    def test_is_the_whole_array_formula(self, case, curve_cache, full_grid):
+        f = {"curve23": lambda: curve_cache(2, 3),
+             "perturbed25": lambda: curve_cache(2, 5, (0, 0, 0.3)),
+             "homog2": lambda: qb.homogeneous_map(2.0, grid=full_grid)}[case]()
+        for r in (1.0, 0.3):
+            assert qb.mass_expansion_residual(f, r) == \
+                self.whole_array_residual(f, r)
+
+    def test_peaks_below_half_the_samples(self, curve_cache):
+        # with the ring and area tables cached, no derivative outlives its
+        # block of rings: whole gradients took 4x the samples
+        f = curve_cache(4, 5)
+        qb.mass_expansion_residual(f, 1.0)
+        tracemalloc.start()
+        try:
+            qb.mass_expansion_residual(f, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * f.values.nbytes
 
 
 class TestSphericalExcess:
@@ -292,7 +333,8 @@ class TestAreaMoments:
     def direct_mean_tilt(f, r):
         """Window weights over [r_min, r] plus the power-law core below,
         on the Jacobians rotated here out of the polar gradients."""
-        du_dr, du_dth = f.gradients()
+        from conftest import whole_gradients
+        du_dr, du_dth = whole_gradients(f)
         c = np.cos(f.grid.angles)[None, None, :, None]
         s = np.sin(f.grid.angles)[None, None, :, None]
         Jc = np.stack([du_dr * c - du_dth * s, du_dr * s + du_dth * c],
@@ -308,7 +350,8 @@ class TestAreaMoments:
         """The (R, 7) area table as a stack of Pluecker vectors p: the
         Jacobian columns a = Df e1, b = Df e2 rotated out of the polar
         gradients, s0 = 2 pi <|p|> and s1 = 2 pi <p> per sheet, summed."""
-        du_dr, du_dth = f.gradients()
+        from conftest import whole_gradients
+        du_dr, du_dth = whole_gradients(f)
         c = np.cos(f.grid.angles)[None, None, :, None]
         s = np.sin(f.grid.angles)[None, None, :, None]
         p = _plucker(du_dr * c - du_dth * s, du_dr * s + du_dth * c)
@@ -338,7 +381,6 @@ class TestAreaMoments:
         # q^2 is formed per node one sheet at a time: the build never holds
         # a per-node stack of the six Pluecker entries
         f = qb.make_multigraph(qb.CurveSpec(4, 5), full_grid)
-        du_dr = f.gradients()[0]
         f.rule()
         tracemalloc.start()
         try:
@@ -346,7 +388,7 @@ class TestAreaMoments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * du_dr.nbytes
+        assert peak <= 2.5 * f.values.nbytes  # a gradient's size
 
     def test_mean_tilt_is_the_area_average_of_the_jacobians(
             self, small_grid, curve_cache):

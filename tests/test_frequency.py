@@ -497,8 +497,9 @@ class TestOneSweep:
 
     @staticmethod
     def whole_reduction(f):
-        """f's tables from one pass over its whole gradients() arrays."""
-        x, (u, w), disk = f.values, f.gradients(), f.rule().disk_table
+        """f's tables from one pass over its whole gradient arrays."""
+        from conftest import whole_gradients
+        x, (u, w), disk = f.values, whole_gradients(f), f.rule().disk_table
         tables = {"ring": disk(_profiles(x, u, w)),
                   "area": disk(qb.excess._area_rows(f)(x, u, w))}
         if f.q > 1:

@@ -16,6 +16,11 @@ from qbranch.grids import (RadialRule, _cell_interpolant, _moments,
                            d_dtheta_periodic)
 
 
+def whole(blocks):
+    """A derivative kernel's ring blocks, concatenated along the rings."""
+    return np.concatenate([*blocks], axis=1)
+
+
 @pytest.fixture(scope="module")
 def grid():
     return qb.default_grid(r_min=2.0 ** -6, n_theta=64)
@@ -51,7 +56,7 @@ def test_d_dr_geometric_exact_through_degree_six(grid, degree):
     values = np.broadcast_to(r[None, :, None, None] ** degree,
                              (2, r.size, 3, 2))
     exact = degree * r ** (degree - 1) if degree else np.zeros_like(r)
-    got = d_dr_geometric(values, r)
+    got = whole(d_dr_geometric(values, r))
     # every row, the three one-sided rows at each end included
     err = np.abs(got - exact[None, :, None, None])
     assert err.max() <= 1e-12 * max(1.0, np.abs(exact).max())
@@ -92,7 +97,7 @@ def test_d_dr_geometric_is_the_row_by_row_stencil(curve_cache, rings):
     """One batched solve and in-place accumulation change no bit."""
     f = curve_cache(2, 5, (0, 0, 1))
     values, radii = f.values[:, rings], f.grid.radii[rings]
-    assert np.array_equal(d_dr_geometric(values, radii),
+    assert np.array_equal(whole(d_dr_geometric(values, radii)),
                           _d_dr_row_by_row(values, radii))
 
 
@@ -101,7 +106,7 @@ def test_d_dr_geometric_is_the_row_by_row_stencil(curve_cache, rings):
 def test_d_dr_geometric_is_the_row_by_row_stencil_at_any_ratio(g, n, seed):
     radii = 2.0 ** -5 * g ** np.arange(n)
     values = np.random.default_rng(seed).normal(size=(2, n, 5, 2))
-    assert np.array_equal(d_dr_geometric(values, radii),
+    assert np.array_equal(whole(d_dr_geometric(values, radii)),
                           _d_dr_row_by_row(values, radii))
 
 
@@ -121,11 +126,11 @@ def test_blocked_kernels_are_the_one_block_kernels(shape, monodromy, block,
     monodromy = np.array(monodromy)
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK_BYTES", block)
-    got = (d_dr_geometric(values, radii),
-           d_dtheta_periodic(values, monodromy))
+    got = (whole(d_dr_geometric(values, radii)),
+           whole(d_dtheta_periodic(values, monodromy)))
     monkeypatch.setattr(grids, "_BLOCK_BYTES", 1 << 60)
-    ref = (d_dr_geometric(values, radii),
-           d_dtheta_periodic(values, monodromy))
+    ref = (whole(d_dr_geometric(values, radii)),
+           whole(d_dtheta_periodic(values, monodromy)))
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
@@ -147,7 +152,7 @@ def test_d_dr_geometric_solves_once_per_call(grid, monkeypatch):
                         lambda a, b: shapes.append(a.shape) or solve(a, b))
     values = np.ones((2, grid.n_rings, 3, 2))
     for _ in range(2):
-        d_dr_geometric(values, grid.radii)
+        whole(d_dr_geometric(values, grid.radii))
     assert shapes == [(7, 7, 7)] * 2
 
 
