@@ -16,7 +16,8 @@ from .errors import (ConfigError, DataError, DegenerateBlowupError,
 from .grids import PolarGrid, default_grid
 from .qvalue import (QPoint, SheetSelection, average_free, brute_force_metric,
                      eta, metric_g, optimal_matching, track_selection)
-from .curves import (CurveSpec, QFunction, analytic_degree, constant_profile,
+from .curves import (CurveSpec, QFunction, analytic_degree,
+                     average_free_part, constant_profile, eta_map,
                      evaluate_sheets, homogeneous_map, load_qfunction,
                      make_multigraph, save_qfunction, spiral_profile)
 from .frequency import (Cutoff, FrequencyProfile, FrequencyRecord, RAMP,
@@ -25,9 +26,9 @@ from .frequency import (Cutoff, FrequencyProfile, FrequencyRecord, RAMP,
                         recenter, smoothed_D, smoothed_H, smoothed_I,
                         variation_residuals)
 from .blowup import (BlowupConfig, DegreeEstimate, HardtSimonResult,
-                     average_free_part, coarse_blowup_normalize, eta_map,
-                     hardt_simon_check, homogeneity_check, l2_norm_on_ball,
-                     rescale, singularity_degree)
+                     coarse_blowup_normalize, hardt_simon_check,
+                     homogeneity_check, l2_norm_on_ball, rescale,
+                     singularity_degree)
 from .excess import (ExcessRecord, Plane, HORIZONTAL, excess_decay_fit,
                      excess_table_csv, graph_mass, least_excess,
                      mass_expansion_residual, mean_tilt, optimal_plane,

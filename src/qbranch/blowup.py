@@ -35,7 +35,9 @@ guard's amplitude of v is taken once per map.  The estimator lists every
 step that failed, with the reason, in step order under
 notes["step_failures"], a reference ball leaving the grid included.  The
 Hardt-Simon check reads the map's ring table as well, so it
-differentiates nothing that is cached.
+differentiates nothing that is cached.  The tables, and the average-free
+part, whose ring table may come from its parent's sweep, are built in
+curves.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ import numpy as np
 from .errors import (ConfigError, DataError, DegenerateBlowupError,
                      DimensionError, RangeError)
 from .grids import M_DIM, PolarGrid, _ring_blocks, _ring_profile
-from .curves import QFunction, analytic_degree, CurveSpec, _json
-from .frequency import (_ring_data, _seed_average_free_ring_data,
-                        frequency_profile, frequency_limit,
+from .curves import (QFunction, analytic_degree, average_free_part,
+                     CurveSpec, _json, _ring_data)
+from .excess import least_excess
+from .frequency import (frequency_profile, frequency_limit,
                         default_profile_radii)
 
 #: normalizers below this relative size abort the blow-up as trivial
@@ -173,36 +176,7 @@ def _ring_amplitudes(f: QFunction) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# averages
-
-
-def eta_map(f: QFunction) -> QFunction:
-    """The sheet average as a single-valued map on the same grid."""
-    mean = np.mean(f.values, axis=0, keepdims=True)
-    return QFunction(grid=f.grid, values=mean, monodromy=np.array([0]),
-                     metadata={**f.metadata, "kind": "sheet-average"})
-
-
-def average_free_part(f: QFunction) -> QFunction:
-    """Subtract the sheet average from every sheet, once per map: cached on
-    f, read-only, shared by every caller.  When f was swept first, the
-    result's ring table is read off that sweep, which took it from f's
-    block derivatives minus their sheet mean; otherwise the result
-    differentiates itself.  Both derivative stencils are linear, so the two
-    tables agree up to rounding, but only up to it: on (2,3) on the default
-    grid their entries differ by up to 2.5e-16 of the largest, and on the
-    selfcheck map ((2,3), r_min 2^-10, 256 angles, 6 steps) qbranch
-    degree gives 1.499998466424626 where selfcheck, which profiles f
-    first, gives 1.4999984664246258.  Both stay: the seed spares a caller
-    of both tables a second differentiation, and a lone estimate of v is
-    cheaper differentiating v than sweeping f for it."""
-    def build():
-        values = f.values - np.mean(f.values, axis=0, keepdims=True)
-        out = f.replace_values(values, note="average-free")
-        out.values.flags.writeable = False
-        _seed_average_free_ring_data(out, f)
-        return out
-    return f.cached("average_free", build)
+# the measured object
 
 
 def _branched_part(f: QFunction) -> QFunction:
@@ -216,7 +190,12 @@ def _branched_part(f: QFunction) -> QFunction:
 
 def l2_norm_on_ball(f: QFunction, radius: float) -> float:
     """sqrt of int_{B_radius} |f|^2, from the |f|^2 ring profile alone:
-    nothing is differentiated."""
+    nothing is differentiated.  Column B of the ring table gives the same
+    integral bit for bit, and the l2_norm normalizer reads it there, where
+    a degree estimate has built it anyway; here a fresh map would pay a
+    whole sweep for it (best of 10 on the default grid, 2-vCPU host: 0.3
+    to 0.5 ms for this profile against 12 to 31 ms for the sweep, for
+    (2,3) to (4,5))."""
     rule = f.rule()
     return float(np.sqrt(rule._disk_integral(
         rule.disk_table(_ring_profile(f.values)), radius)))
@@ -243,7 +222,6 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
         raw = float(np.sqrt(f.rule()._disk_integral(_ring_data(f), r_ref)[1]))
         normalizer = raw * r ** (-(M_DIM + 2) / 2.0)
     elif mode == "excess_sqrt":
-        from .excess import least_excess
         ex = least_excess(f, r)
         normalizer = math.sqrt(max(ex, 0.0))
     else:

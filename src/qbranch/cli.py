@@ -32,8 +32,8 @@ from .grids import default_grid
 from .qvalue import QPoint, brute_force_metric, metric_g
 from .curves import (CurveSpec, _json, homogeneous_map, load_qfunction,
                      make_multigraph)
-from .frequency import (Cutoff, frequency_limit, frequency_profile,
-                        default_profile_radii)
+from .frequency import (Cutoff, _radii_in, frequency_limit,
+                        frequency_profile, default_profile_radii)
 from .blowup import (BlowupConfig, _branched_part, hardt_simon_check,
                      singularity_degree)
 from .excess import excess_decay_fit, excess_table_csv
@@ -103,11 +103,10 @@ def _parse_radii(spec: str, grid) -> list:
     lo, hi = _parse_number(lo_s), _parse_number(hi_s)
     if not (0 < lo < hi):
         raise ConfigError("radii window must satisfy 0 < A < B")
-    r = grid.radii
-    sel = r[(r >= lo * (1 - 1e-12)) & (r <= hi * (1 + 1e-12))]
-    if sel.size == 0:
+    radii = _radii_in(grid, lo, hi)
+    if not radii:
         raise ConfigError("radius window contains no grid radii")
-    return [float(v) for v in sel]
+    return radii
 
 
 def _parse_perturbation(text: str):

@@ -13,9 +13,20 @@ Q-cycle exactly when gcd(p, Q) = 1.
 
 Both are sampled about the origin; a grid centred elsewhere is refused.
 Grid generation is vectorized over all rings at once and the resulting
-samples are treated as immutable; derived ring tables are cached on first
-use, and gradients exist only a block of rings at a time, each reduced
-to ring tables before the next is formed (QFunction.gradients).
+samples are treated as immutable.
+
+This module owns a map's tables, every one of them a disk_table of ring
+profiles reduced from the map's one differentiation, QFunction.gradients,
+which exists only a block of rings at a time: the ring table of the
+frequency, the area table of the excess and the sum |Df|^4 table of the
+mass expansion.  One sweep (_sweep) fills the requested table and the ring
+table; when the map is no average-free part, also its area table; and
+when in addition Q > 1 and the map has no average-free part yet, that
+part's ring table, from the blocks minus their sheet mean (both stencils
+are linear), which average_free_part then takes over.  A table already
+cached is skipped, and the cache keys are named here alone.  The sheet
+average (eta_map) and the average-free part live here too: how the part
+comes by its ring table is part of that policy.
 """
 
 from __future__ import annotations
@@ -29,7 +40,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, RefinementError, SpecError
 from .grids import (TWO_PI, PolarGrid, RadialRule, _ring_blocks,
-                    d_dr_geometric, d_dtheta_periodic, default_grid)
+                    _ring_profile, d_dr_geometric, d_dtheta_periodic,
+                    default_grid)
 from .qvalue import QPoint, _separation, _sq_norm, track_selection
 
 
@@ -232,6 +244,138 @@ def _move_ratio(step: np.ndarray, sep: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.divide(move, 0.5 * sep, out=np.zeros_like(move),
                          where=move > 0)
+
+
+# ----------------------------------------------------------------------------
+# ring tables
+
+
+def _ring_data(f: QFunction):
+    """f's ring table (F, cum, core), cached: the angularly integrated ring
+    profiles |Du|^2, |u|^2, u . du/dr, |du/dr|^2 (each carrying the 2 pi
+    angular weight) as the columns of F, shape (R, 4), with their
+    cumulative table and inner core at beta = 2.  F is the transpose of
+    the stacked profiles, so each profile is a contiguous row of F.T."""
+    return _sweep(f, "ring_data")
+
+
+def _area_moments(f: QFunction):
+    """f's area table (F, cum, core), cached: F the (R, 7) sheet sums of
+    the ring profiles s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta (see
+    excess), with their cumulative table and inner core at beta = 2."""
+    return _sweep(f, "area_moments")
+
+
+def _quartic_data(f: QFunction):
+    """f's table of the ring profile 2 pi <sum_k |Df_k|^4>_theta, cached."""
+    return _sweep(f, "quartic_data")
+
+
+def _sweep(f: QFunction, key: str):
+    """f's table under key, cached: when it is missing, from one pass of
+    f's one differentiation (QFunction.gradients), whose blocks of rings
+    fill the tables of the policy in the module docstring that are not
+    cached yet."""
+    c = f._cache
+    if key not in c:
+        keys = [key, "ring_data"]
+        if "is_average_free" not in c:
+            keys.append("area_moments")
+            if f.q > 1 and "average_free" not in c:
+                keys.append("free_ring_data")
+        reductions = {"ring_data": _profiles, "area_moments": _area_rows(f),
+                      "quartic_data": _quartic_rows,
+                      "free_ring_data": _free_profiles}
+        todo = [k for k in dict.fromkeys(keys) if k not in c]
+        blocks = f.gradients(lambda *b: [reductions[k](*b) for k in todo])
+        for k, rows in zip(todo, zip(*blocks)):
+            table = f.rule().disk_table(np.concatenate(rows))
+            f.cached(k, lambda: table)
+    return c[key]
+
+
+def _profiles(x, du_dr, du_dth) -> np.ndarray:
+    """The rows of F for a block of rings: samples x and gradients."""
+    P = _ring_profile(du_dr)
+    return np.stack([P + _ring_profile(du_dth), _ring_profile(x),
+                     _ring_profile(x, du_dr), P]).T
+
+
+def _free_profiles(*block) -> np.ndarray:
+    """The rows of the average-free part's F: _profiles of the block
+    minus its sheet mean."""
+    return _profiles(*(a - np.mean(a, axis=0, keepdims=True)
+                       for a in block))
+
+
+def _quartic_rows(x, du_dr, du_dth) -> np.ndarray:
+    """The sum |Df|^4 profile of a block: |Df_k|^2 is rotation invariant,
+    so the polar gradients give it."""
+    g2 = _sq_norm(du_dr) + _sq_norm(du_dth)
+    return TWO_PI * np.mean(np.sum(g2 ** 2, axis=0), axis=-1)
+
+
+def _area_rows(f: QFunction):
+    """The reduction of a block of f's rings, (x, u, w) with the polar
+    gradients u = du/dr and w = du/dtheta / r, to its rows of the area
+    table: s0 is the mean of sqrt(1 + q^2), q^2 formed per node
+    one sheet at a time; s1 is Q, then the means of (b1, b2, -a1, -a2)
+    from the sheet-summed gradients' cos and sin moments, then the mean of
+    u_r x w."""
+    cs = np.stack([np.cos(f.grid.angles), np.sin(f.grid.angles)])
+    cs /= f.grid.n_theta
+
+    def rows(x, u, w):
+        U, W = cs @ u.sum(axis=0), cs @ w.sum(axis=0)  # (R, cos|sin, n)
+        area = wedge = 0.0
+        for uk, wk in zip(u, w):  # sheet by sheet: one (R, T) array each
+            cross = uk[..., 0] * wk[..., 1]
+            cross -= uk[..., 1] * wk[..., 0]
+            wedge = wedge + np.mean(cross, axis=-1)
+            q2 = np.square(cross, out=cross)
+            q2 += _sq_norm(uk)
+            q2 += _sq_norm(wk)
+            q2 += 1.0
+            area = area + np.mean(np.sqrt(q2, out=q2), axis=-1)
+        return TWO_PI * np.column_stack([area, np.full_like(area, f.q),
+                                         U[:, 1] + W[:, 0], W[:, 1] - U[:, 0],
+                                         wedge])
+    return rows
+
+
+# ----------------------------------------------------------------------------
+# averages
+
+
+def eta_map(f: QFunction) -> QFunction:
+    """The sheet average as a single-valued map on the same grid."""
+    mean = np.mean(f.values, axis=0, keepdims=True)
+    return QFunction(grid=f.grid, values=mean, monodromy=np.array([0]),
+                     metadata={**f.metadata, "kind": "sheet-average"})
+
+
+def average_free_part(f: QFunction) -> QFunction:
+    """Subtract the sheet average from every sheet, once per map: cached on
+    f, read-only, shared by every caller.  When f was swept first, the
+    result's ring table is read off that sweep, which took it from f's
+    block derivatives minus their sheet mean; otherwise the result
+    differentiates itself.  Both derivative stencils are linear, so the two
+    tables agree up to rounding, but only up to it: on (2,3) on the default
+    grid their entries differ by up to 2.5e-16 of the largest, and on the
+    selfcheck map ((2,3), r_min 2^-10, 256 angles, 6 steps) qbranch
+    degree gives 1.499998466424626 where selfcheck, which profiles f
+    first, gives 1.4999984664246258.  Both stay: the seed spares a caller
+    of both tables a second differentiation, and a lone estimate of v is
+    cheaper differentiating v than sweeping f for it."""
+    def build():
+        values = f.values - np.mean(f.values, axis=0, keepdims=True)
+        out = f.replace_values(values, note="average-free")
+        out.values.flags.writeable = False
+        out._cache["is_average_free"] = True
+        if "free_ring_data" in f._cache:
+            out.cached("ring_data", lambda: f._cache.pop("free_ring_data"))
+        return out
+    return f.cached("average_free", build)
 
 
 def _origin_grid(grid: PolarGrid | None) -> PolarGrid:

@@ -26,12 +26,12 @@ length 1/sqrt 2 each (Harvey-Lawson, Calibrated geometries, Acta Math. 148
 (1982)), so the maximum (|S1+| + |S1-|)/sqrt 2 is attained at the unit
 tau = (S1+/|S1+| + S1-/|S1-|)/sqrt 2, and the tilt is read off tau/tau_12.
 
-Every quantity here reads one table per map, built on first use, a block
-of rings at a time, from rotation invariants of the polar gradients
-u_r = du/dr and w = du/dtheta / r (p is never stacked, nor are a and b
-formed, nor are the gradients kept): the
-rotation taking (u_r, w) to (a, b) has determinant 1, so
-a1 b2 - a2 b1 = u_r x w and |p|^2 = 1 + q^2 with
+Every quantity here reads one table per map, which curves builds in the
+map's one sweep (curves._area_rows), a block of rings at a time, from
+rotation invariants of the polar gradients u_r = du/dr and
+w = du/dtheta / r (p is never stacked, nor are a and b formed, nor are
+the gradients kept): the rotation taking (u_r, w) to (a, b) has
+determinant 1, so a1 b2 - a2 b1 = u_r x w and |p|^2 = 1 + q^2 with
 q^2 = |u_r|^2 + |w|^2 + (u_r x w)^2, while the entries b = u_r sin + w cos
 and -a = w sin - u_r cos are linear, so their angular means are the
 sheet-summed gradients contracted against cos and sin.  The table holds
@@ -51,9 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, TiltError
-from .grids import TWO_PI
-from .curves import QFunction, _csv
-from .qvalue import _sq_norm
+from .curves import QFunction, _area_moments, _csv, _quartic_data
+from .frequency import dirichlet_energy
 
 OMEGA_M = math.pi        # volume of the unit ball in the base dimension m = 2
 TILT_MAX = 0.5
@@ -103,43 +102,6 @@ def _plucker_of_tilt(A: np.ndarray) -> np.ndarray:
     """Unit 2-vector of the plane {(x, A x)}."""
     p = _plucker(A[:, 0], A[:, 1])
     return p / np.linalg.norm(p)
-
-
-def _area_moments(f: QFunction):
-    """(F, cum, core), cached per map: F the (R, 7) sheet sums of the ring
-    profiles s0 = 2 pi <|p|>_theta and s1 = 2 pi <p>_theta, with their
-    cumulative table and inner core at beta = 2, from f's one sweep
-    (frequency._sweep), whose blocks _area_rows reduces."""
-    from .frequency import _sweep  # frequency reads _area_rows from here
-    return f._cache.get("area_moments") or _sweep(f, "area_moments")
-
-
-def _area_rows(f: QFunction):
-    """The reduction of a block of f's rings, (x, u, w) with the polar
-    gradients u = du/dr and w = du/dtheta / r, to its rows of the area
-    table: s0 is the mean of sqrt(1 + q^2), q^2 formed per node
-    one sheet at a time; s1 is Q, then the means of (b1, b2, -a1, -a2)
-    from the sheet-summed gradients' cos and sin moments, then the mean of
-    u_r x w."""
-    cs = np.stack([np.cos(f.grid.angles), np.sin(f.grid.angles)])
-    cs /= f.grid.n_theta
-
-    def rows(x, u, w):
-        U, W = cs @ u.sum(axis=0), cs @ w.sum(axis=0)  # (R, cos|sin, n)
-        area = wedge = 0.0
-        for uk, wk in zip(u, w):  # sheet by sheet: one (R, T) array each
-            cross = uk[..., 0] * wk[..., 1]
-            cross -= uk[..., 1] * wk[..., 0]
-            wedge = wedge + np.mean(cross, axis=-1)
-            q2 = np.square(cross, out=cross)
-            q2 += _sq_norm(uk)
-            q2 += _sq_norm(wk)
-            q2 += 1.0
-            area = area + np.mean(np.sqrt(q2, out=q2), axis=-1)
-        return TWO_PI * np.column_stack([area, np.full_like(area, f.q),
-                                         U[:, 1] + W[:, 0], W[:, 1] - U[:, 0],
-                                         wedge])
-    return rows
 
 
 def _moments_up_to(f: QFunction, r: float):
@@ -280,20 +242,12 @@ def mass_expansion_residual(f: QFunction, r: float) -> dict:
 
     lhs = |mass - Q pi r^2 - (1/2) int sum |Df|^2|, quartic = int sum |Df|^4;
     their ratio is the measured constant of the expansion bound.  The
-    ring profile of sum |Df|^4 is reduced from f's gradients a block of
-    rings at a time; every ring is its own reduction, so no block size
-    changes a bit of it."""
-    from .frequency import dirichlet_energy
+    sum |Df|^4 profile is one more table of f's one sweep, asked for
+    first, so a fresh map is differentiated once and every later call
+    reads tables only."""
+    quartic = f.rule()._disk_integral(_quartic_data(f), r)
     mass = graph_mass(f, r)
     dir2 = dirichlet_energy(f, r)
-
-    def quartic_rows(x, du_dr, du_dth):
-        # |Df_k|^2 is rotation invariant: the polar gradients give it
-        g2 = _sq_norm(du_dr) + _sq_norm(du_dth)
-        return TWO_PI * np.mean(np.sum(g2 ** 2, axis=0), axis=-1)
-    prof4 = np.concatenate(f.gradients(quartic_rows))
-    rule = f.rule()
-    quartic = rule._disk_integral(rule.disk_table(prof4), r)
     area = f.q * OMEGA_M * r ** 2
     lhs = abs(mass - area - 0.5 * dir2)
     return {"lhs": lhs, "quartic": quartic,

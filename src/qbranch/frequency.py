@@ -30,10 +30,11 @@ than the promised tolerance for branch degrees around 5/2.
 
 Every quantity is a moment of the four ring profiles of the map's one ring
 table, F = (A, B, C, P) = (|Du|^2, |u|^2, u . du/dr, |du/dr|^2), each
-integrated over the angle.  With Ball(rho) = int_0^rho F r dr, read off the
-table with the core below r_min included, and M_beta = int_{s/2}^s F
-r^(beta - 1) dr, one window for all four columns, the ramp (phi = 2 - 2t
-and phi' = -2 on the annulus) gives
+integrated over the angle; curves builds and caches the table
+(curves._ring_data), and this module only reads it.  With
+Ball(rho) = int_0^rho F r dr, read off the table with the core below r_min
+included, and M_beta = int_{s/2}^s F r^(beta - 1) dr, one window for all
+four columns, the ramp (phi = 2 - 2t and phi' = -2 on the annulus) gives
 
     (D, Sigma) = 2 Ball(s) - Ball(s/2) - (2/s) M_3        columns A, B
     E = (2/s) (Ball(s) - Ball(s/2))                        column C
@@ -60,10 +61,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateHeightError, RangeError)
-from .grids import (M_DIM, TWO_PI, PolarGrid, _cell_interpolant,
-                    _ring_profile, default_grid)
-from .curves import QFunction, _csv
-from .excess import _area_rows
+from .grids import M_DIM, TWO_PI, PolarGrid, _cell_interpolant, default_grid
+from .curves import QFunction, _csv, _ring_data
 from .qvalue import _chain_labels, _match_pairs
 
 #: H below this multiple of Sigma declares the annulus trivial
@@ -91,57 +90,6 @@ class Cutoff:
 
 RAMP = Cutoff("ramp")
 SHARP = Cutoff("sharp")
-
-
-# ----------------------------------------------------------------------------
-# ring-level data
-
-
-def _ring_data(f: QFunction):
-    """f's ring table (F, cum, core), cached: the angularly integrated ring
-    profiles |Du|^2, |u|^2, u . du/dr, |du/dr|^2 (each carrying the 2 pi
-    angular weight) as the columns of F, shape (R, 4), with their
-    cumulative table and inner core at beta = 2.  F is the transpose of
-    the stacked profiles, so each profile is a contiguous row of F.T."""
-    return f._cache.get("ring_data") or _sweep(f, "ring_data")
-
-
-def _profiles(x, du_dr, du_dth) -> np.ndarray:
-    """The rows of F for a block of rings: samples x and gradients."""
-    P = _ring_profile(du_dr)
-    return np.stack([P + _ring_profile(du_dth), _ring_profile(x),
-                     _ring_profile(x, du_dr), P]).T
-
-
-def _sweep(f: QFunction, key: str):
-    """Cache f's table under key, "ring_data" or "area_moments", and return
-    it, from f's one differentiation (QFunction.gradients), whose blocks of
-    rings fill its other tables too (a table already cached is kept): its
-    ring table, and, unless f is an average-free part, its area table and,
-    when Q > 1 and f has no average-free part yet, that part's ring table,
-    from the blocks minus their sheet mean (both stencils are linear), for
-    average_free_part."""
-    c = f._cache
-    raw = "is_average_free" not in c
-    tables = {"ring_data": _profiles}
-    if raw or key == "area_moments":
-        tables["area_moments"] = _area_rows(f)
-    if raw and f.q > 1 and "average_free" not in c:
-        tables["free_ring_data"] = lambda *b: _profiles(*(
-            a - np.mean(a, axis=0, keepdims=True) for a in b))
-    blocks = f.gradients(lambda *b: [reduce(*b) for reduce in tables.values()])
-    for k, rows in zip(tables, zip(*blocks)):
-        table = f.rule().disk_table(np.concatenate(rows))
-        f.cached(k, lambda: table)
-    return c[key]
-
-
-def _seed_average_free_ring_data(v: QFunction, f: QFunction):
-    """Mark v as f's average-free part, with the ring table f's sweep took
-    for it when f was swept first."""
-    v._cache["is_average_free"] = True
-    if "free_ring_data" in f._cache:
-        v.cached("ring_data", lambda: f._cache.pop("free_ring_data"))
 
 
 # ----------------------------------------------------------------------------
@@ -354,9 +302,13 @@ def default_profile_radii(grid: PolarGrid, octaves: float = 2.0,
                           top: float | None = None) -> list:
     """Grid radii spanning the requested number of octaves below `top`."""
     top = grid.r_max if top is None else top
-    lo = top * 2.0 ** (-octaves)
+    return _radii_in(grid, top * 2.0 ** (-octaves), top)
+
+
+def _radii_in(grid: PolarGrid, lo: float, hi: float) -> list:
+    """The grid radii in [lo, hi], each end widened by 1e-12 relative."""
     r = grid.radii
-    sel = r[(r >= lo * (1 - 1e-12)) & (r <= top * (1 + 1e-12))]
+    sel = r[(r >= lo * (1 - 1e-12)) & (r <= hi * (1 + 1e-12))]
     return [float(v) for v in sel]
 
 

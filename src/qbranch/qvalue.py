@@ -202,7 +202,7 @@ def average_free(a: QPoint) -> QPoint:
     return QPoint(a.vectors - eta(a)[None, :])
 
 
-def brute_force_metric(a: QPoint, b: QPoint, return_perm: bool = False):
+def brute_force_metric(a: QPoint, b: QPoint) -> float:
     """Exhaustive Q!-permutation minimum of the matching distance.
 
     Exponential in Q; this is the reference implementation that the tests
@@ -210,15 +210,11 @@ def brute_force_metric(a: QPoint, b: QPoint, return_perm: bool = False):
     _check_compatible(a, b)
     av, bv = a.vectors, b.vectors
     best = np.inf
-    best_perm = None
     for perm in itertools.permutations(range(a.q)):
         diff = av - bv[list(perm)]
         val = float(np.sqrt(np.sum(np.einsum("ij,ij->i", diff, diff))))
         if val < best:
             best = val
-            best_perm = perm
-    if return_perm:
-        return best, np.asarray(best_perm)
     return best
 
 

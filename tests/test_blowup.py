@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 import qbranch as qb
 from qbranch import blowup, curves, frequency, grids
-from qbranch.frequency import _ring_data
+from qbranch.curves import _area_moments, _ring_data
 from qbranch.grids import _window
 
 
@@ -178,7 +178,7 @@ class TestRingShiftTables:
 
     def test_cached_tables_are_read_only(self, average_free_inputs):
         v = average_free_inputs["curve23"]
-        for table in (qb.excess._area_moments(v), _ring_data(v)):
+        for table in (_area_moments(v), _ring_data(v)):
             for a in table:
                 with pytest.raises(ValueError):
                     a[0] = a[0]
@@ -244,6 +244,30 @@ class TestNormalize:
         assert fresh._cache.keys() <= {"rule"}  # nothing differentiated
         _ring_data(fresh)
         assert qb.l2_norm_on_ball(fresh, 0.5) == cold
+
+    def test_l2_norm_is_the_ring_tables_column(self, full_grid):
+        # the samples-only table and column B of the ring table, which the
+        # l2_norm normalizer reads, give the same integral bit for bit, on
+        # and off the rings, for seeded and self-differentiated parts too
+        def curve(q, p, h=()):
+            return qb.make_multigraph(qb.CurveSpec(q, p, h), full_grid)
+
+        swept = [curve(2, 3), curve(3, 5, (0, 0, 0.3))]
+        for g in swept:
+            _ring_data(g)
+        maps = [curve(3, 4), curve(2, 5, (0, 0, 1)), curve(4, 5),
+                qb.homogeneous_map(2.0, grid=full_grid),
+                qb.homogeneous_map(0.8, grid=full_grid),
+                qb.rescale(curve(2, 3), 0.25)]
+        maps += [qb.average_free_part(g) for g in swept + maps[:2]]
+        assert ["ring_data" in v._cache for v in maps[-4:]] == [
+            True, True, False, False]
+        radii = list(full_grid.radii[::23]) + [0.013, 0.3, 0.71, 1.0]
+        for g in maps:
+            table = _ring_data(g)
+            for r in (r for r in radii if r >= g.grid.r_min):
+                assert qb.l2_norm_on_ball(g, r) == float(np.sqrt(
+                    g.rule()._disk_integral(table, r)[1]))
 
     @pytest.mark.parametrize("mode", ["l2_norm", "excess_sqrt"])
     def test_samples_are_divided_once(self, curve_cache, mode):

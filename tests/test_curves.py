@@ -195,12 +195,15 @@ class TestTrackingCheck:
                 [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]]
 
         def outputs():
+            # the residual of a fresh copy: its tables are swept anew
             return [(*_angular_step_ratio(f.values, f.monodromy),
-                     f.check_selection(), qb.mass_expansion_residual(f, 0.5))
+                     f.check_selection(),
+                     qb.mass_expansion_residual(f.replace_values(f.values),
+                                                0.5))
                     for f in maps]
 
         fast = outputs()
-        for module in (qb.qvalue, qb.curves, qb.excess):
+        for module in (qb.qvalue, qb.curves):
             monkeypatch.setattr(module, "_sq_norm", lambda x: np.einsum(
                 "...n,...n->...", x, x))
         for got, want in zip(fast, outputs()):

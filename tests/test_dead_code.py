@@ -123,13 +123,45 @@ def test_no_map_caches_its_gradients():
 
 
 def test_ring_table_key_is_named_in_one_module():
-    # the cache key of a map's ring table is written and read only by the
-    # module that builds the table
-    naming = sorted(path.name for path in SOURCES
-                    if any(isinstance(node, ast.Constant)
-                           and node.value == "ring_data"
-                           for node in ast.walk(ast.parse(path.read_text()))))
-    assert naming == ["frequency.py"]
+    # the cache keys of a map's tables, and the marker of an average-free
+    # part, are written and read only by the module that builds the tables
+    for key in ("ring_data", "area_moments", "free_ring_data",
+                "is_average_free", "quartic_data"):
+        naming = sorted(
+            path.name for path in SOURCES
+            if any(isinstance(node, ast.Constant) and node.value == key
+                   for node in ast.walk(ast.parse(path.read_text()))))
+        assert naming == ["curves.py"], key
+
+
+def test_gradients_have_one_caller():
+    # every table comes from one sweep of the map's one differentiation;
+    # only the L2 norm builds a table of its own, from the samples alone
+    assert _package_callers("gradients") == ["curves.py:_sweep"]
+    assert _package_callers("disk_table") == [
+        "blowup.py:l2_norm_on_ball", "curves.py:_sweep"]
+
+
+def test_imports_sit_at_module_level_and_form_a_dag():
+    # no function imports, so no import hides a cycle between modules
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    inner = sorted(f"{module}:{fn.name}" for module, tree in trees.items()
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and any(isinstance(node, (ast.Import, ast.ImportFrom))
+                           for node in ast.walk(fn)))
+    assert inner == []
+    edges = {module: {node.module or (alias.name if alias.name in trees
+                                      else "__init__")
+                      for node in tree.body
+                      if isinstance(node, ast.ImportFrom) and node.level
+                      for alias in node.names}
+             for module, tree in trees.items()}
+    done = set()
+    while edges.keys() - done:
+        ready = {m for m in edges.keys() - done if edges[m] <= done}
+        assert ready, sorted(edges.keys() - done)  # the rest import in a cycle
+        done |= ready
 
 
 def test_area_table_is_read_in_one_place():

@@ -134,9 +134,25 @@ class TestMassExpansionResidual:
             assert qb.mass_expansion_residual(f, r) == \
                 self.whole_array_residual(f, r)
 
+    def test_one_sweep_serves_every_radius(self, full_grid, monkeypatch):
+        # the sum |Df|^4 profile is a table of the map's one sweep, asked
+        # for first: a fresh map is differentiated once, and the calls at
+        # other radii read tables only
+        f = qb.make_multigraph(qb.CurveSpec(4, 5), full_grid)
+        swept, gradients = [], qb.QFunction.gradients
+
+        def spy(self, reduce):
+            swept.append(self)
+            return gradients(self, reduce)
+
+        monkeypatch.setattr(qb.QFunction, "gradients", spy)
+        for k in range(5):
+            qb.mass_expansion_residual(f, 2.0 ** -k)
+        assert len(swept) == 1 and swept[0] is f
+
     def test_peaks_below_half_the_samples(self, curve_cache):
-        # with the ring and area tables cached, no derivative outlives its
-        # block of rings: whole gradients took 4x the samples
+        # with its tables cached, a call differentiates nothing: whole
+        # gradients took 4x the samples
         f = curve_cache(4, 5)
         qb.mass_expansion_residual(f, 1.0)
         tracemalloc.start()
@@ -371,7 +387,7 @@ class TestAreaMoments:
         values[..., 1] += -0.15 * x + 0.25 * y + 0.2 * x * y
         maps = [curve_cache(2, 3), curve_cache(2, 5, (0, 0, 0.3)),
                 f.replace_values(values)]
-        got = np.stack([qb.excess._area_moments(g)[0] for g in maps])
+        got = np.stack([qb.curves._area_moments(g)[0] for g in maps])
         want = np.stack([self.rotated_plucker_table(g) for g in maps])
         scale = np.abs(want).max(axis=(0, 1))
         assert scale[2:6].min() > 0.1  # the table columns of p_1 .. p_4
@@ -384,7 +400,7 @@ class TestAreaMoments:
         f.rule()
         tracemalloc.start()
         try:
-            qb.excess._area_moments(f)
+            qb.curves._area_moments(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

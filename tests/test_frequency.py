@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 import qbranch as qb
 from qbranch import frequency
-from qbranch.frequency import _profiles, _ring_data
+from qbranch.curves import _area_moments, _area_rows, _profiles, _ring_data
 from qbranch.grids import _cell_interpolant
 
 
@@ -501,7 +501,7 @@ class TestOneSweep:
         from conftest import whole_gradients
         x, (u, w), disk = f.values, whole_gradients(f), f.rule().disk_table
         tables = {"ring": disk(_profiles(x, u, w)),
-                  "area": disk(qb.excess._area_rows(f)(x, u, w))}
+                  "area": disk(_area_rows(f)(x, u, w))}
         if f.q > 1:
             tables["free"] = disk(_profiles(
                 *(a - np.mean(a, axis=0, keepdims=True) for a in (x, u, w))))
@@ -524,7 +524,7 @@ class TestOneSweep:
             assert f.q == 1
         if block is not None:
             monkeypatch.setattr(qb.grids, "_BLOCK_BYTES", block)
-        swept = {"ring": _ring_data(f), "area": qb.excess._area_moments(f)}
+        swept = {"ring": _ring_data(f), "area": _area_moments(f)}
         if f.q > 1:
             swept["free"] = _ring_data(qb.average_free_part(f))
         else:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import qbranch as qb
-from qbranch.frequency import _ring_data
+from qbranch.curves import _ring_data
 from qbranch import grids
 from qbranch.grids import (RadialRule, _cell_interpolant, _moments,
                            _stencil_weights, d_dr_geometric,
