@@ -19,14 +19,16 @@ This module owns a map's tables, every one of them a disk_table of ring
 profiles reduced from the map's one differentiation, QFunction.gradients,
 which exists only a block of rings at a time: the ring table of the
 frequency, the area table of the excess and the sum |Df|^4 table of the
-mass expansion.  One sweep (_sweep) fills the requested table and the ring
-table; when the map is no average-free part, also its area table; and
-when in addition Q > 1 and the map has no average-free part yet, that
-part's ring table, from the blocks minus their sheet mean (both stencils
-are linear), which average_free_part then takes over.  A table already
-cached is skipped, and the cache keys are named here alone.  The sheet
-average (eta_map) and the average-free part live here too: how the part
-comes by its ring table is part of that policy.
+mass expansion.  One sweep (_sweep) fills the requested tables and the
+ring table (the sum |Df|^4 table is requested with the area table, which
+the mass expansion reads beside it); when the map is no average-free
+part, also its area table; and when in addition Q > 1 and the map has no
+average-free part yet, that part's ring table, from the blocks minus
+their sheet mean (both stencils are linear), which average_free_part then
+takes over.  A table already cached is skipped, and the cache keys are
+named here alone.  The sheet average (eta_map) and the average-free part
+live here too: how the part comes by its ring table is part of that
+policy.
 """
 
 from __future__ import annotations
@@ -267,31 +269,31 @@ def _area_moments(f: QFunction):
 
 
 def _quartic_data(f: QFunction):
-    """f's table of the ring profile 2 pi <sum_k |Df_k|^4>_theta, cached."""
-    return _sweep(f, "quartic_data")
+    """f's table of the ring profile 2 pi <sum_k |Df_k|^4>_theta, cached.
+    The mass expansion reads it next to the area table, so the sweep that
+    builds it fills that table too, on an average-free part as well."""
+    return _sweep(f, "quartic_data", "area_moments")
 
 
-def _sweep(f: QFunction, key: str):
-    """f's table under key, cached: when it is missing, from one pass of
-    f's one differentiation (QFunction.gradients), whose blocks of rings
-    fill the tables of the policy in the module docstring that are not
-    cached yet."""
+def _sweep(f: QFunction, *keys: str):
+    """f's table under keys[0], cached: when it is missing, from one pass
+    of f's one differentiation (QFunction.gradients), whose blocks of rings
+    fill the requested tables and the others of the policy in the module
+    docstring that are not cached yet."""
     c = f._cache
-    if key not in c:
-        keys = [key, "ring_data"]
+    if keys[0] not in c:
+        keys += ("ring_data",)
         if "is_average_free" not in c:
-            keys.append("area_moments")
+            keys += ("area_moments",)
             if f.q > 1 and "average_free" not in c:
-                keys.append("free_ring_data")
-        reductions = {"ring_data": _profiles, "area_moments": _area_rows(f),
-                      "quartic_data": _quartic_rows,
-                      "free_ring_data": _free_profiles}
+                keys += ("free_ring_data",)
         todo = [k for k in dict.fromkeys(keys) if k not in c]
-        blocks = f.gradients(lambda *b: [reductions[k](*b) for k in todo])
+        reduce = [_REDUCTIONS[k](f) for k in todo]
+        blocks = f.gradients(lambda *b: [r(*b) for r in reduce])
         for k, rows in zip(todo, zip(*blocks)):
             table = f.rule().disk_table(np.concatenate(rows))
             f.cached(k, lambda: table)
-    return c[key]
+    return c[keys[0]]
 
 
 def _profiles(x, du_dr, du_dth) -> np.ndarray:
@@ -341,6 +343,13 @@ def _area_rows(f: QFunction):
                                          U[:, 1] + W[:, 0], W[:, 1] - U[:, 0],
                                          wedge])
     return rows
+
+
+#: per table key, the reduction of a block of f's rings to the table's rows
+_REDUCTIONS = {"ring_data": lambda f: _profiles,
+               "free_ring_data": lambda f: _free_profiles,
+               "area_moments": _area_rows,
+               "quartic_data": lambda f: _quartic_rows}
 
 
 # ----------------------------------------------------------------------------

@@ -243,8 +243,9 @@ def mass_expansion_residual(f: QFunction, r: float) -> dict:
     lhs = |mass - Q pi r^2 - (1/2) int sum |Df|^2|, quartic = int sum |Df|^4;
     their ratio is the measured constant of the expansion bound.  The
     sum |Df|^4 profile is one more table of f's one sweep, asked for
-    first, so a fresh map is differentiated once and every later call
-    reads tables only."""
+    first together with the area table, so a fresh map, an average-free
+    part too, is differentiated once and every later call reads tables
+    only."""
     quartic = f.rule()._disk_integral(_quartic_data(f), r)
     mass = graph_mass(f, r)
     dir2 = dirichlet_energy(f, r)

@@ -22,6 +22,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import qbranch as qb
+from qbranch.curves import _ring_data
 from qbranch.excess import _plucker, _plucker_of_tilt
 from qbranch.grids import RadialRule
 from qbranch.qvalue import _sq_norm
@@ -134,11 +135,16 @@ class TestMassExpansionResidual:
             assert qb.mass_expansion_residual(f, r) == \
                 self.whole_array_residual(f, r)
 
-    def test_one_sweep_serves_every_radius(self, full_grid, monkeypatch):
+    @pytest.mark.parametrize("part", ["map", "average_free"])
+    def test_one_sweep_serves_every_radius(self, part, full_grid,
+                                           monkeypatch):
         # the sum |Df|^4 profile is a table of the map's one sweep, asked
-        # for first: a fresh map is differentiated once, and the calls at
-        # other radii read tables only
+        # for first with the area table: a fresh map, an average-free part
+        # too, is differentiated once, and the calls at other radii read
+        # tables only
         f = qb.make_multigraph(qb.CurveSpec(4, 5), full_grid)
+        if part == "average_free":
+            f = qb.average_free_part(f)
         swept, gradients = [], qb.QFunction.gradients
 
         def spy(self, reduce):
@@ -150,17 +156,28 @@ class TestMassExpansionResidual:
             qb.mass_expansion_residual(f, 2.0 ** -k)
         assert len(swept) == 1 and swept[0] is f
 
-    def test_peaks_below_half_the_samples(self, curve_cache):
-        # with its tables cached, a call differentiates nothing: whole
-        # gradients took 4x the samples
-        f = curve_cache(4, 5)
-        qb.mass_expansion_residual(f, 1.0)
+    def test_peaks_below_half_the_samples(self, curve_cache, monkeypatch):
+        # the sweep that builds the sum |Df|^4 table, alone: the ring, area
+        # and average-free tables are filled first, so the traced call
+        # reduces block gradients to that table only (whole gradients took
+        # 4x the samples)
+        base = curve_cache(4, 5)
+        f = base.replace_values(base.values)
+        _ring_data(f)
+        swept, gradients = [], qb.QFunction.gradients
+
+        def spy(self, reduce):
+            swept.append(self)
+            return gradients(self, reduce)
+
+        monkeypatch.setattr(qb.QFunction, "gradients", spy)
         tracemalloc.start()
         try:
             qb.mass_expansion_residual(f, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert swept == [f]
         assert peak <= 0.5 * f.values.nbytes
 
 
