@@ -20,7 +20,10 @@ frequency and Hardt-Simon check all measure _branched_part, one object per
 map.  For the perturbed curves whose sheet average dominates the branching
 at small scale, the estimator reports the degree of the average-free
 (branched) part and flags the discrepancy with the full-graph contact order
-instead of silently choosing one of the two numbers.
+instead of silently choosing one of the two numbers.  The curve a map
+claims is read through CurveSpec.from_metadata, before any sweep, so a
+malformed claim is refused with ConfigError; this module names no key of
+it.
 
 I is scale and amplitude invariant, so every step's records are records of
 the measured object v: the blow-up u_k = c v(r_k .) has I_{u_k}(s) =
@@ -141,6 +144,7 @@ class _Dilation(QFunction):
     def values(self) -> np.ndarray:
         if self._values is None:
             self._values = self._source[:, :self._m] / self._divisor
+            self._values.flags.writeable = False
         return self._values
 
     @property
@@ -249,9 +253,12 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
     octave, read off one frequency profile of v (see the module
     docstring).  The estimate is the median over the trailing steps that
     agree within convergence_tol.  It measures _branched_part(f): the
-    shared average-free part, or a single-valued map itself."""
+    shared average-free part, or a single-valued map itself.  The curve f
+    claims (CurveSpec.from_metadata) is read first, so a malformed claim is
+    refused with ConfigError before any sweep."""
     if cfg is None:
         cfg = BlowupConfig()
+    claim = CurveSpec.from_metadata(f.metadata)
     v = _branched_part(f)
     grid = v.grid
     windows, failures = {}, {}
@@ -305,19 +312,17 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
                          per_step_I=steps, converged=converged)
     if failures:
         est.notes["step_failures"] = [[k, reason] for k, reason in failures]
-    _flag_average_discrepancy(f, est)
+    _flag_average_discrepancy(claim, est)
     return est
 
 
-def _flag_average_discrepancy(f: QFunction, est: DegreeEstimate):
-    """When the input is a perturbed curve, compare the measured average-free
-    degree with the full-graph reference order and flag a mismatch."""
-    meta = f.metadata
-    if meta.get("kind") != "curve":
+def _flag_average_discrepancy(claim: CurveSpec | None, est: DegreeEstimate):
+    """When the input claims a test curve, compare the measured
+    average-free degree with the curve's full-graph reference order and
+    flag a mismatch."""
+    if claim is None:
         return
-    coeffs = [complex(re, im) for re, im in meta.get("h_coeffs", [])]
-    spec = CurveSpec(q=int(meta["q"]), p=int(meta["p"]), h_coeffs=coeffs)
-    ref = analytic_degree(spec)
+    ref = analytic_degree(claim)
     est.notes["reference_degree"] = ref["value"]
     est.notes["measured_object"] = "average_free"
     if ref["kind"] == "reference" and \

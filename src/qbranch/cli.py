@@ -138,8 +138,6 @@ def _parse_perturbation(text: str):
             raise ConfigError(
                 f"cannot parse perturbation term {term!r}") from None
         coeffs[power] = coeffs.get(power, 0j) + coef
-    if not coeffs:
-        raise ConfigError(f"cannot parse perturbation {text!r}")
     top = max(coeffs)
     return tuple(coeffs.get(k, 0j) for k in range(top + 1))
 

@@ -11,9 +11,17 @@ are sampled on a geometric polar grid with a globally consistent labelling:
 continuing past arg(z) = 2 pi, sheet j runs into sheet (j + p) mod Q, a
 Q-cycle exactly when gcd(p, Q) = 1.
 
-Both are sampled about the origin; a grid centred elsewhere is refused.
-Grid generation is vectorized over all rings at once and the resulting
-samples are treated as immutable.
+CurveSpec owns the curve: its closed form with these labels
+(CurveSpec.sheets, which make_multigraph and evaluate_sheets both read)
+and the curve a map claims in its metadata, written by make_multigraph
+and read back by CurveSpec.from_metadata; no other module evaluates the
+sheets or reads the claim.  A map resampled about another point
+(recenter) and the sheet average (eta_map) write their own "kind", so
+they claim no curve.
+
+Both test objects are sampled about the origin; a grid centred elsewhere
+is refused.  Every map's samples are read-only, so no cached table below
+goes stale.
 
 This module owns a map's tables, every one of them a disk_table of ring
 profiles reduced from the map's one differentiation, QFunction.gradients,
@@ -99,6 +107,31 @@ class CurveSpec:
             s += " h=" + ",".join(repr(c) for c in self.h_coeffs)
         return s
 
+    def sheets(self, r, theta, out=None) -> np.ndarray:
+        """The labelled sheets h(z) + r^(p/Q) exp(i p theta / Q) zeta^j at
+        z = r e^(i theta), theta in [0, 2 pi), on a leading sheet axis j,
+        written into out (shape (Q,) + the broadcast shape of r and theta)
+        when it is given."""
+        zeta = np.exp(2j * np.pi * np.arange(self.q) / self.q)
+        zeta = zeta.reshape((-1,) + (1,) * np.broadcast(r, theta).ndim)
+        root = r ** (self.p / self.q) * np.exp(1j * self.p * theta / self.q)
+        out = np.multiply(root, zeta, out=out)
+        return np.add(self.h(r * np.exp(1j * theta)), out, out=out)
+
+    @classmethod
+    def from_metadata(cls, meta: dict) -> "CurveSpec | None":
+        """The curve a map's metadata claims, as make_multigraph writes it,
+        or None when the map claims none.  ConfigError, naming the claimed
+        fields, when the claim is no valid CurveSpec."""
+        if meta.get("kind") != "curve":
+            return None
+        q, p, hs = meta.get("q"), meta.get("p"), meta.get("h_coeffs", [])
+        try:
+            return cls(q, p, [complex(re, im) for re, im in hs])
+        except (TypeError, ValueError, SpecError) as exc:
+            raise ConfigError(f"the claimed curve q={q!r}, p={p!r}, "
+                              f"h_coeffs={hs!r} is malformed: {exc}") from None
+
 
 def analytic_degree(spec: CurveSpec) -> dict:
     """Reference frequency of the curve at the origin.
@@ -118,16 +151,10 @@ def analytic_degree(spec: CurveSpec) -> dict:
 
 
 def evaluate_sheets(spec: CurveSpec, z: complex) -> QPoint:
-    """The Q solutions w of (w - h(z))^Q = z^p at one point, as a QPoint.
-
-    At z = 0 the sheets extend continuously by h(0) = 0."""
+    """The Q solutions w of (w - h(z))^Q = z^p at one point, as a QPoint:
+    spec.sheets at |z| and arg z in [0, 2 pi), 0 at z = 0."""
     z = complex(z)
-    if z == 0:
-        return QPoint(np.zeros((spec.q, 2)))
-    root = abs(z) ** (spec.p / spec.q) * np.exp(
-        1j * spec.p * np.angle(z) / spec.q)
-    zeta = np.exp(2j * np.pi * np.arange(spec.q) / spec.q)
-    return QPoint.from_complex(spec.h(z) + root * zeta)
+    return QPoint.from_complex(spec.sheets(abs(z), cmath.phase(z) % TWO_PI))
 
 
 @dataclass
@@ -135,7 +162,9 @@ class QFunction:
     """Q-valued map on a polar grid, stored as a consistent sheet selection.
 
     values[k, i, j] is sheet k at ring i, angle j, a vector in R^n.
-    Continuing past theta = 2 pi, sheet k runs into sheet monodromy[k]."""
+    Continuing past theta = 2 pi, sheet k runs into sheet monodromy[k].
+    The samples are stored read-only, so no cached table goes stale: an
+    array of floats passed in is stored as it is, and turns read-only too."""
 
     grid: PolarGrid
     values: np.ndarray           # (Q, R, T, n)
@@ -151,6 +180,7 @@ class QFunction:
             raise DimensionError("values do not match the grid")
         if not np.all(np.isfinite(v)):
             raise DimensionError("samples must be finite")
+        v.flags.writeable = False
         self.values = v
         self.monodromy = np.asarray(self.monodromy, dtype=int)
         if sorted(self.monodromy.tolist()) != list(range(v.shape[0])):
@@ -365,7 +395,7 @@ def eta_map(f: QFunction) -> QFunction:
 
 def average_free_part(f: QFunction) -> QFunction:
     """Subtract the sheet average from every sheet, once per map: cached on
-    f, read-only, shared by every caller.  When f was swept first, the
+    f and shared by every caller.  When f was swept first, the
     result's ring table is read off that sweep, which took it from f's
     block derivatives minus their sheet mean; otherwise the result
     differentiates itself.  Both derivative stencils are linear, so the two
@@ -379,7 +409,6 @@ def average_free_part(f: QFunction) -> QFunction:
     def build():
         values = f.values - np.mean(f.values, axis=0, keepdims=True)
         out = f.replace_values(values, note="average-free")
-        out.values.flags.writeable = False
         out._cache["is_average_free"] = True
         if "free_ring_data" in f._cache:
             out.cached("ring_data", lambda: f._cache.pop("free_ring_data"))
@@ -414,19 +443,13 @@ def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction
     rings at a time, each block checked while it is in cache; every node is
     formed and checked by the same operations as in one pass."""
     grid = _origin_grid(grid)
-    th = grid.angles[None, :]
-    turn = np.exp(1j * th)
-    phase = np.exp(1j * spec.p * th / spec.q)
-    zeta = np.exp(2j * np.pi * np.arange(spec.q) / spec.q)[:, None, None]
     monodromy = (np.arange(spec.q) + spec.p) % spec.q
     w = np.empty((spec.q, grid.n_rings, grid.n_theta), dtype=complex)
     values = w[..., None].view(np.float64)  # (re, im) pairs, no copy
     worst = 0.0
     for a, b in _ring_blocks(values, _BLOCK_BYTES):
-        r = grid.radii[a:b, None]
-        block = w[:, a:b]
-        np.multiply((r ** (spec.p / spec.q) * phase)[None], zeta, out=block)
-        np.add(spec.h(r * turn)[None], block, out=block)
+        spec.sheets(grid.radii[a:b, None], grid.angles[None, :],
+                    out=w[:, a:b])
         ratio = _angular_step_ratio(values[:, a:b], monodromy)[1]
         worst = max(worst, float(ratio.max()))
     f = QFunction(grid=grid, values=values, monodromy=monodromy,

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TiltError
+from .errors import DataError, DimensionError, TiltError
 from .curves import QFunction, _area_moments, _csv, _quartic_data
 from .frequency import dirichlet_energy
 
@@ -108,7 +108,10 @@ def _moments_up_to(f: QFunction, r: float):
     """Area moments S0 = int |p|, S1 = int p over the cylinder above B_r,
     every sheet summed, with the puncture core r < r_min restored
     componentwise so that the mass-ratio identity and the flat-plane
-    cancellations survive it."""
+    cancellations survive it.  DimensionError unless the codomain is R^2,
+    the only one the table's rotation invariants describe."""
+    if f.n != 2:
+        raise DimensionError(f"area moments need a planar codomain: R^{f.n}")
     S = f.rule()._disk_integral(_area_moments(f), r)
     return float(S[0]), S[1:]
 

@@ -382,8 +382,10 @@ def recenter(f: QFunction, x) -> QFunction:
     if rr.min() < grid.r_min:
         raise RangeError("recentered grid dips below the sampled core")
     raw = _bilinear_sheets(f, rr, th)  # (Q, R', T', n) unordered per node
+    # a curve f claims holds about the origin: like eta_map, the result
+    # writes its own kind, so it claims none
     return _track_node_sets(new, raw, metadata={
-        **f.metadata, "recentered_at": x.tolist()})
+        **f.metadata, "kind": "recentered", "recentered_at": x.tolist()})
 
 
 def _bilinear_sheets(f: QFunction, rr, th):

@@ -517,6 +517,50 @@ class TestSingularityDegree:
         assert sorted(failed + survived) == list(range(1, survived[-1] + 1))
 
 
+class TestClaimedCurve:
+    def test_reads_the_claim_through_curve_spec(self, perturbed_curve):
+        est = qb.singularity_degree(perturbed_curve,
+                                    qb.BlowupConfig(max_steps=6))
+        ref = qb.analytic_degree(qb.CurveSpec(2, 5, (0, 0, 0.3 + 0.2j)))
+        assert est.notes["reference_degree"] == ref["value"]
+        assert est.notes["measured_object"] == "average_free"
+
+    @pytest.mark.parametrize("meta", [{"kind": "curve"},
+                                      {"kind": "curve", "q": 2, "p": 4}])
+    def test_malformed_claim_is_refused_before_any_sweep(self, meta,
+                                                         monkeypatch):
+        f = qb.homogeneous_map(1.5, grid=qb.default_grid(r_min=2.0 ** -8,
+                                                          n_theta=64))
+        f.metadata = meta
+
+        def no_sweep(*args):
+            raise AssertionError("swept before reading the claim")
+        monkeypatch.setattr(curves.QFunction, "gradients", no_sweep)
+        with pytest.raises(qb.ConfigError, match="claimed curve"):
+            qb.singularity_degree(f)
+        assert f._cache == {}
+
+
+class TestRefusals:
+    def test_convergence_tolerance_must_be_positive(self):
+        with pytest.raises(qb.ConfigError, match="convergence_tol"):
+            qb.BlowupConfig(convergence_tol=0)
+
+    def test_rescale_refuses_a_zero_ratio(self, perturbed_curve):
+        with pytest.raises(qb.RangeError, match="must be positive"):
+            qb.rescale(perturbed_curve, 0)
+
+    def test_unknown_normalization(self, perturbed_curve):
+        with pytest.raises(qb.ConfigError, match="unknown normalization"):
+            qb.coarse_blowup_normalize(perturbed_curve, 0.5, mode="peak")
+
+    def test_hardt_simon_needs_the_half_disk(self):
+        grid = qb.default_grid(r_min=2.0 ** -10, r_max=0.25, n_theta=64)
+        f = qb.homogeneous_map(1.5, grid=grid)
+        with pytest.raises(qb.RangeError, match="reach radius 1/2"):
+            qb.hardt_simon_check(f, rho_inner=2.0 ** -8)
+
+
 class TestStepsFromOneProfile:
     """Every step of a degree estimate reads one frequency profile of the
     average-free part v: step k's records are v's over its window, v's

@@ -279,6 +279,17 @@ def _zero_file(tmp_path):
     return str(path)
 
 
+def _bare_claim_file(tmp_path):
+    """The (2,3) curve saved with metadata that claims a curve and names
+    none of its fields."""
+    from conftest import edit_qfunction_header
+    grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64)
+    path = tmp_path / "claim.qfn"
+    qb.save_qfunction(qb.make_multigraph(qb.CurveSpec(2, 3), grid), path)
+    return str(edit_qfunction_header(path, lambda h: {
+        **h, "metadata": {"kind": "curve"}}))
+
+
 #: (arguments, expected exit code); a callable argument is replaced by the
 #: path it creates under tmp_path, and --out defaults to tmp_path / "out"
 EXIT_CASES = {
@@ -339,6 +350,9 @@ EXIT_CASES = {
                           _bad_radii_file("not_geometric")], 2),
     "out_below_regular_file": (["frequency", "--curve", "2,3", "--out",
                                 _below_regular_file] + FAST, 2),
+    "bare_curve_claim_degree": (["degree", "--input", _bare_claim_file], 2),
+    "bare_curve_claim_frequency": (["frequency", "--input",
+                                    _bare_claim_file], 0),
     "zero_input": (["degree", "--input", _zero_file], 3),
     "rho_below_grid": (["hardt-simon", "--homogeneous", "0.8", "--rho",
                         "2^-30"] + FAST, 3),
@@ -398,6 +412,26 @@ def test_exit_code_table(case, tmp_path, capsys):
     out = tmp_path / "out"
     if expected != 0 and out.is_dir():
         assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["frequency", "--curve", "2,3", "--radii", "3..4"],
+     "config-error: radius window contains no grid radii\n"),
+    (["degree", "--curve", "2,5", "--perturb", "0.5z^x"],
+     "config-error: cannot parse perturbation term '0.5z^x'\n"),
+    (["degree", "--curve", "2,5", "--perturb", "+"],
+     "config-error: cannot parse perturbation '+'\n"),
+    (["degree", "--input", _bare_claim_file],
+     "config-error: the claimed curve q=None, p=None, h_coeffs=[] is "
+     "malformed: "),
+])
+def test_refusal_messages(args, message, tmp_path, capsys):
+    # the message, or its start where the rest is Python's own
+    args = [a(tmp_path) if callable(a) else a for a in args]
+    code, out = run(args + FAST, tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 def test_value_error_from_numerics_is_internal(tmp_path, monkeypatch, capsys):

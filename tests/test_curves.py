@@ -1,6 +1,7 @@
 """Ground-truth multigraphs and synthetic homogeneous maps."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +21,10 @@ class TestCurveSpec:
     def test_rejects_p_below_q(self):
         with pytest.raises(qb.SpecError):
             qb.CurveSpec(3, 2)
+
+    def test_rejects_a_single_sheet(self):
+        with pytest.raises(qb.SpecError, match="at least 2"):
+            qb.CurveSpec(1, 3)
 
     def test_rejects_low_order_perturbation(self):
         with pytest.raises(qb.SpecError):
@@ -73,6 +78,44 @@ class TestEvaluateSheets:
                 prod = np.prod(w - spec.h(z))
                 expected = (-1) ** (spec.q + 1) * z ** spec.p
                 assert abs(prod - expected) <= 1e-10 * max(abs(expected), 1e-30)
+
+
+class TestSheets:
+    """CurveSpec.sheets is the one closed form of the test curve."""
+
+    @pytest.mark.parametrize("q, p, h", [
+        (2, 3, ()), (2, 5, (0, 0, 0.3 + 0.1j)), (4, 5, (0, 0, 0, 0.2j)),
+        (3, 7, ())])
+    def test_are_the_multigraph_samples(self, full_grid, q, p, h):
+        # make_multigraph fills its ring blocks through sheets, so the
+        # whole grid at once gives its samples bit for bit
+        spec = qb.CurveSpec(q, p, h)
+        f = qb.make_multigraph(spec, full_grid)
+        w = spec.sheets(full_grid.radii[:, None], full_grid.angles[None, :])
+        assert w.shape == f.values.shape[:3]
+        assert np.array_equal(f.values.view(complex)[..., 0], w)
+
+    def test_writes_into_out(self):
+        spec = qb.CurveSpec(3, 5, (0, 0, 0.3))
+        r, theta = np.array([[0.5], [0.25]]), np.array([[0.0, 1.0, 4.0]])
+        out = np.empty((3, 2, 3), dtype=complex)
+        assert spec.sheets(r, theta, out=out) is out
+        assert np.array_equal(out, spec.sheets(r, theta))
+
+    @pytest.mark.parametrize("q, p", [(2, 3), (3, 5), (4, 7)])
+    def test_labels_continue_by_the_monodromy(self, q, p):
+        # past theta = 2 pi sheet j runs into sheet (j + p) mod Q
+        spec = qb.CurveSpec(q, p, (0, 0, 0.2))
+        before = spec.sheets(0.5, 2 * np.pi - 1e-9)
+        after = spec.sheets(0.5, 0.0)
+        assert np.allclose(before, after[(np.arange(q) + p) % q], atol=1e-8)
+
+    @pytest.mark.parametrize("z", [0.3 + 0.4j, -0.3 - 0.4j, -1.0, 2j])
+    def test_evaluate_sheets_reads_them_at_arg_z(self, z):
+        spec = qb.CurveSpec(3, 5, (0, 0, 0.3))
+        theta = np.angle(z) % (2 * np.pi)
+        assert np.array_equal(qb.evaluate_sheets(spec, z).as_complex(),
+                              spec.sheets(abs(z), theta))
 
 
 class TestMultigraph:
@@ -264,6 +307,127 @@ class TestMetadata:
         assert same.metadata["rescaled_by"] == 1.0
         assert same.metadata["notes"] == ["first"]
         assert free.metadata["notes"] == ["first", "average-free"]
+
+
+class TestClaimedCurve:
+    """CurveSpec.from_metadata reads back the curve make_multigraph claims."""
+
+    SPECS = [qb.CurveSpec(2, 3), qb.CurveSpec(2, 5, (0, 0, 0.3 + 0.1j)),
+             qb.CurveSpec(3, 7, (0, 0, 0, -0.2j))]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_reads_back_the_claim(self, spec, tmp_path):
+        grid = qb.default_grid(r_min=2.0 ** -6, n_theta=256)
+        f = qb.make_multigraph(spec, grid)
+        assert qb.CurveSpec.from_metadata(f.metadata) == spec
+        qb.save_qfunction(f, tmp_path / "f.qfn")
+        loaded = qb.load_qfunction(tmp_path / "f.qfn")
+        assert qb.CurveSpec.from_metadata(loaded.metadata) == spec
+
+    def test_maps_that_claim_no_curve(self, small_grid):
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), qb.default_grid(
+            r_min=2.0 ** -6, n_theta=128))
+        for g in (qb.homogeneous_map(1.5, grid=small_grid), qb.eta_map(f),
+                  qb.recenter(f, (0.4, 0.1)),
+                  qb.QFunction(grid=small_grid, monodromy=[0],
+                               values=np.zeros((1, small_grid.n_rings,
+                                                small_grid.n_theta, 2)))):
+            assert qb.CurveSpec.from_metadata(g.metadata) is None
+
+    @pytest.mark.parametrize("meta, message", [
+        ({}, "q=None, p=None, h_coeffs=[] is malformed"),
+        ({"q": 2.5, "p": 3}, "q=2.5,"),
+        ({"q": "2", "p": 3}, "q='2',"),
+        ({"q": 2}, "p=None,"),
+        ({"q": 2, "p": 3, "h_coeffs": [[0, 0], [1]]},
+         "h_coeffs=[[0, 0], [1]] is malformed"),
+        ({"q": 2, "p": 3, "h_coeffs": None}, "h_coeffs=None is malformed"),
+        ({"q": 2, "p": 3, "h_coeffs": [[0, 0], ["1", 0]]},
+         "h_coeffs=[[0, 0], ['1', 0]] is malformed"),
+        ({"q": 1, "p": 3}, "Q must be at least 2"),
+        ({"q": 2, "p": 4}, "coprime"),
+        ({"q": 2, "p": 3, "h_coeffs": [[0.5, 0]]}, "h(0) must vanish"),
+    ])
+    def test_malformed_claim_names_the_fields(self, meta, message):
+        with pytest.raises(qb.ConfigError, match=re.escape(message)) as err:
+            qb.CurveSpec.from_metadata({"kind": "curve", **meta})
+        assert str(err.value).startswith("the claimed curve q=")
+
+
+class TestReadOnlySamples:
+    """Every map's samples are read-only, so no cached table goes stale."""
+
+    @staticmethod
+    def build(source, tmp_path):
+        grid = qb.default_grid(r_min=2.0 ** -6, n_theta=128)
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+        if source == "homogeneous_map":
+            return qb.homogeneous_map(1.5, grid=grid)
+        if source == "load_qfunction":
+            qb.save_qfunction(f, tmp_path / "f.qfn")
+            return qb.load_qfunction(tmp_path / "f.qfn")
+        if source == "recenter":
+            return qb.recenter(f, (0.4, 0.1))
+        if source == "rescale":
+            return qb.rescale(f, 0.5)
+        return f
+
+    @pytest.mark.parametrize("source", [
+        "make_multigraph", "homogeneous_map", "load_qfunction", "recenter",
+        "rescale"])
+    def test_in_place_write_raises(self, source, tmp_path):
+        f = self.build(source, tmp_path)
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            f.values *= 2.0
+
+    def test_replace_values_gets_fresh_tables(self):
+        grid = qb.default_grid(r_min=2.0 ** -8, n_theta=64)
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+        before = qb.smoothed_I(f, 0.5), qb.dirichlet_energy(f, 0.5)
+        values = 2.0 * f.values
+        values[0, ..., 0] += grid.radii[:, None] ** 2
+        g = f.replace_values(values)
+        fresh = qb.QFunction(grid=grid, values=values.copy(),
+                             monodromy=f.monodromy)
+        after = qb.smoothed_I(g, 0.5), qb.dirichlet_energy(g, 0.5)
+        assert after == (qb.smoothed_I(fresh, 0.5),
+                         qb.dirichlet_energy(fresh, 0.5))
+        assert after[0] != pytest.approx(before[0], rel=1e-3)
+        assert after[1] != pytest.approx(before[1], rel=1e-3)
+        assert (qb.smoothed_I(f, 0.5), qb.dirichlet_energy(f, 0.5)) == before
+
+
+class TestQFunctionRefusals:
+    @staticmethod
+    def refused(grid, values, monodromy, message):
+        with pytest.raises(qb.DimensionError, match=message):
+            qb.QFunction(grid=grid, values=values, monodromy=monodromy)
+
+    def test_shape(self, small_grid):
+        R, T = small_grid.n_rings, small_grid.n_theta
+        self.refused(small_grid, np.zeros((2, R, T)), [1, 0],
+                     "shape \\(Q, R, T, n\\)")
+        self.refused(small_grid, np.zeros((2, R - 1, T, 2)), [1, 0],
+                     "do not match the grid")
+
+    def test_samples_must_be_finite(self, small_grid):
+        values = np.zeros((2, small_grid.n_rings, small_grid.n_theta, 2))
+        values[1, 3, 4, 0] = np.nan
+        self.refused(small_grid, values, [1, 0], "finite")
+
+    @pytest.mark.parametrize("monodromy", [[0, 0], [1, 2], [0]])
+    def test_monodromy_must_permute_the_sheets(self, small_grid, monodromy):
+        values = np.zeros((2, small_grid.n_rings, small_grid.n_theta, 2))
+        self.refused(small_grid, values, monodromy, "permutation")
+
+    def test_file_format_is_planar(self, small_grid, tmp_path):
+        f = qb.QFunction(grid=small_grid, monodromy=[0], values=np.zeros(
+            (1, small_grid.n_rings, small_grid.n_theta, 3)))
+        with pytest.raises(qb.DimensionError, match="planar codomains"):
+            qb.save_qfunction(f, tmp_path / "f.qfn")
+        assert not (tmp_path / "f.qfn").exists()
 
 
 class TestHomogeneousMap:

@@ -197,3 +197,18 @@ def test_records_are_formed_in_one_place():
     assert _package_callers("_record") == ["frequency.py:_records"]
     assert {caller.split(":")[0]
             for caller in _package_callers("_quantities")} == {"frequency.py"}
+
+
+def test_the_curve_lives_in_curve_spec():
+    # the test curve's closed form and the curve a map claims are read in
+    # curves alone: no other module evaluates the sheets or parses the
+    # claim's fields
+    naming = sorted(path.name for path in SOURCES
+                    if any(isinstance(node, ast.Constant)
+                           and node.value == "h_coeffs"
+                           for node in ast.walk(ast.parse(path.read_text()))))
+    assert naming == ["curves.py"]
+    assert _package_callers("sheets") == ["curves.py:evaluate_sheets",
+                                          "curves.py:make_multigraph"]
+    assert _package_callers("from_metadata") == [
+        "blowup.py:singularity_degree"]

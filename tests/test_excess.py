@@ -71,6 +71,32 @@ def flat_sheets(grid, q, tilt=None, offsets=None):
                         metadata={"kind": "flat"})
 
 
+class TestPlanarCodomainOnly:
+    """The area table describes graphs in R^2 x R^2 only: the (2,3) curve
+    padded to R^3, and the same rotated by 0.7 rad in the codomain's
+    (2,3)-plane, have the same area, yet the table read 2.74889 and
+    2.63657 for their mass over B_1/2."""
+
+    @staticmethod
+    def maps():
+        f = qb.make_multigraph(qb.CurveSpec(2, 3),
+                               qb.default_grid(r_min=2.0 ** -8, n_theta=64))
+        padded = np.concatenate([f.values, np.zeros_like(f.values[..., :1])],
+                                axis=-1)
+        c, s = np.cos(0.7), np.sin(0.7)
+        turn = np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
+        return [qb.QFunction(grid=f.grid, values=v, monodromy=f.monodromy)
+                for v in (padded, padded @ turn.T)]
+
+    @pytest.mark.parametrize("read", [
+        qb.graph_mass, qb.least_excess, qb.mean_tilt, qb.optimal_plane,
+        qb.spherical_excess, qb.mass_expansion_residual])
+    def test_area_reads_refuse_other_codomains(self, read):
+        for f in self.maps():
+            with pytest.raises(qb.DimensionError, match="planar codomain"):
+                read(f, 0.5)
+
+
 class TestGraphMass:
     def test_flat_sheets_exact_area(self, small_grid):
         f = flat_sheets(small_grid, 3, offsets=[(0, 0), (1, 0), (0, 1)])

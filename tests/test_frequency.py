@@ -6,6 +6,7 @@ sum_i |f_i|^2 = 2 |z|^3, so every smoothed quantity reduces to an explicit
 one-dimensional radial integral handled by scipy."""
 
 import dataclasses
+import itertools
 import math
 import os
 import pathlib
@@ -426,6 +427,12 @@ class TestFrequencyLimit:
         with pytest.raises(qb.DataError):
             qb.frequency_limit(prof)
 
+    def test_needs_an_octave(self, curve_cache, full_grid):
+        f = curve_cache(2, 3)
+        prof = qb.frequency_profile(f, radii=full_grid.radii[-6:-1])
+        with pytest.raises(qb.DataError, match="at least one octave"):
+            qb.frequency_limit(prof)
+
 
 class TestInvariances:
     def test_amplitude_invariance(self, curve_cache):
@@ -482,6 +489,30 @@ class TestOffCenter:
     def test_profile_reports_its_center(self, curve_cache):
         moved = qb.recenter(curve_cache(2, 3), (0.3, 0.1))
         assert qb.frequency_profile(moved).center == (0.3, 0.1)
+
+    @pytest.mark.parametrize("q, p, h, x", [
+        (2, 3, (), (0.4, 0.1)), (3, 5, (0, 0, 0.3), (-0.2, 0.35)),
+        (4, 5, (), (0.1, -0.5))])
+    def test_recenter_is_within_the_bilinear_bound(self, q, p, h, x):
+        # unordered error at the shifted nodes against the closed form, in
+        # units of the bilinear bound (dt^2 + dtheta^2)/8 * sqrt(Q) *
+        # (alpha^2 |z|^alpha + k^2 |h|) for h = c z^k: 0.75, 0.60 and 0.76
+        # of it on the 128-angle default grid
+        spec = qb.CurveSpec(q, p, h)
+        f = qb.make_multigraph(spec, qb.default_grid(n_theta=128))
+        moved = qb.recenter(f, x)
+        xs, ys = moved.grid.nodes_xy()
+        z = (xs + x[0]) + 1j * (ys + x[1])
+        want = spec.sheets(np.abs(z), np.angle(z) % (2 * np.pi))
+        got = moved.values.view(complex)[..., 0]
+        err = np.min([np.sqrt(np.sum(np.abs(got[list(perm)] - want) ** 2,
+                                     axis=0))
+                      for perm in itertools.permutations(range(q))], axis=0)
+        alpha, k = p / q, len(spec.h_coeffs) - 1 if h else 0
+        curvature = np.sqrt(q) * (alpha ** 2 * np.abs(z) ** alpha
+                                  + k ** 2 * np.abs(spec.h(z)))
+        bound = (f.grid.dt ** 2 + f.grid.d_theta ** 2) / 8.0 * curvature
+        assert np.max(err / bound) <= 1.0
 
     def test_recenter_rejects_grid_overflow(self, curve_cache):
         with pytest.raises(qb.RangeError):

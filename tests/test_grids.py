@@ -295,3 +295,24 @@ def test_default_grid_counts_octaves_past_the_float_range():
     # r_max / r_min overflows here; the octave count does not
     grid = qb.default_grid(r_min=2.0 ** -1074, rings_per_octave=1)
     assert grid.n_rings == 1075 and grid.r_min == 2.0 ** -1074
+
+
+@pytest.mark.parametrize("radii, n_theta, message", [
+    (2.0 ** -np.arange(7.0)[::-1], 64, "at least 8 radii"),
+    (2.0 ** -np.arange(9.0), 64, "strictly increasing"),
+    (2.0 ** -np.arange(9.0)[::-1], 32, "n_theta must be at least 64"),
+])
+def test_polar_grid_refusals(radii, n_theta, message):
+    with pytest.raises(qb.ConfigError, match=message):
+        qb.PolarGrid(radii=radii, n_theta=n_theta)
+
+
+def test_default_grid_refuses_a_part_octave_range():
+    with pytest.raises(qb.ConfigError, match="whole number of octaves"):
+        qb.default_grid(r_min=2.0 ** -6.3)
+
+
+def test_weights_refuse_a_range_outside_the_grid(grid):
+    rule = RadialRule(grid)
+    with pytest.raises(qb.RangeError, match="outside grid"):
+        rule.weights(grid.t[0] - 1.0, grid.t[-1], 2.0)

@@ -483,3 +483,23 @@ def test_matching_loads_no_scipy():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "4 []"
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("vectors, message", [
+        (np.zeros((2, 0)), "\\(Q, n\\) array"),
+        (np.zeros((2, 2, 2)), "\\(Q, n\\) array"),
+        ([[0.0, np.nan], [1.0, 0.0]], "finite"),
+        ([[0.0, np.inf], [1.0, 0.0]], "finite"),
+    ])
+    def test_qpoint_refuses_bad_vectors(self, vectors, message):
+        with pytest.raises(qb.DimensionError, match=message):
+            qb.QPoint(vectors)
+
+    def test_complex_view_needs_a_plane(self):
+        with pytest.raises(qb.DimensionError, match="n = 2"):
+            qb.QPoint(np.zeros((2, 3))).as_complex()
+
+    def test_empty_chain_is_refused(self):
+        with pytest.raises(qb.TrackingError, match="empty sample chain"):
+            qb.track_selection([])

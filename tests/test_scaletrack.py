@@ -364,3 +364,21 @@ class TestBV:
             prof = qb.universal_frequency(f, iv)
             parts.append(qb.bv_negative_variation(prof)["jump_part"])
         assert parts[1] <= max(parts[0] / 2, 1e-9)
+
+
+class TestRefusals:
+    def test_floor_must_lie_below_the_top(self):
+        with pytest.raises(qb.ConfigError, match="r_floor < r_top"):
+            qb.ScaleTrackConfig(r_floor=0.5, r_top=0.5)
+
+    def test_unknown_source_kind(self):
+        with pytest.raises(qb.ConfigError, match="source must be"):
+            qb.intervals_of_flattening(0.5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_variation_needs_two_records(self, n):
+        profile = qb.UniversalProfile(
+            records=[ProfileRecord(r=0.5, j=0, I=1.5, jump_flag=False)][:n],
+            jumps=[], interval_m0=[])
+        with pytest.raises(qb.DataError, match="at least 2 records"):
+            qb.bv_negative_variation(profile)
