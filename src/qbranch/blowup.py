@@ -9,35 +9,40 @@ A blow-up holds f's samples and its divisor: its own samples, f's first
 rings over the divisor, are formed when first read, and a degree step never
 reads them.
 
-The degree estimator runs the pipeline
-
-    average-free part -> normalized blow-up at r_k = scale^k
-                      -> frequency limit over the top octave of each step,
-
-and aggregates the per-step values by the median over the trailing steps
-whose values agree within the convergence tolerance.  Degree, stitched
-frequency and Hardt-Simon check all measure _branched_part, one object per
-map.  For the perturbed curves whose sheet average dominates the branching
-at small scale, the estimator reports the degree of the average-free
-(branched) part and flags the discrepancy with the full-graph contact order
-instead of silently choosing one of the two numbers.  The curve a map
-claims is read through CurveSpec.from_metadata, before any sweep, so a
-malformed claim is refused with ConfigError; this module names no key of
-it.
+The degree is a limit of v's frequency, v the average-free part, and the
+paper proves that it does not depend on the sequence of scales, so the
+estimate reads none: it is frequency_limit, whose rate beta is measured,
+over v's rings in [8 r_min, 64 r_min].  The disjoint three-octave windows
+above it, [64 r_min, 512 r_min] and so on while their top stays within
+r_max, test it: the spread is max - min of the windows' limits, and the
+estimate is converged when at least two windows fit and the spread is
+within the convergence tolerance.  When only one window fits, as on a grid
+with room for one, the estimate is unconverged and
+notes["convergence_note"] says why; when none fits, DataError.  The
+normalized blow-ups at r_k = scale^k remain as the report: each step's
+frequency limit over its top octave is listed, and a step whose normalizer
+is refused is listed as failed.  Degree, stitched frequency and Hardt-Simon
+check all measure _branched_part, one object per map.  For the perturbed
+curves whose sheet average dominates the branching at small scale, the
+estimator reports the degree of the average-free (branched) part and flags
+the discrepancy with the full-graph contact order instead of silently
+choosing one of the two numbers.  The curve a map claims is read through
+CurveSpec.from_metadata, before any sweep, so a malformed claim is refused
+with ConfigError; this module names no key of it.
 
 I is scale and amplitude invariant, so every step's records are records of
 the measured object v: the blow-up u_k = c v(r_k .) has I_{u_k}(s) =
 I_v(r_k s), and its top octave is v's octave below r_m, the ring of v that
-is u_k's top ring.  One frequency profile of v over the union of the
-steps' windows gives every record, and each step's frequency limit reads
-its own window.  So a degree estimate differentiates v once, and a step's
-blow-up gives only its normalizer, with the normalizer's refusals, and its
-top ring: its samples are never formed and no ring table is built for it.
-The l2_norm normalizer is read off v's ring table, and the degeneracy
-guard's amplitude of v is taken once per map.  The estimator lists every
-step that failed, with the reason, in step order under
-notes["step_failures"], a reference ball leaving the grid included.  The
-Hardt-Simon check reads the map's ring table as well, so it
+is u_k's top ring.  One frequency profile of v over the union of the steps'
+windows and the limit windows gives every record, and each window's
+frequency limit reads its own records.  So a degree estimate differentiates
+v once, and a step's blow-up gives only its normalizer, with the
+normalizer's refusals, and its top ring: its samples are never formed and
+no ring table is built for it.  The l2_norm normalizer is read off v's ring
+table, and the degeneracy guard's amplitude of v is taken once per map.
+The estimator lists every step that failed, with the reason, in step order
+under notes["step_failures"], a reference ball leaving the grid included.
+The Hardt-Simon check reads the map's ring table as well, so it
 differentiates nothing that is cached.  The tables, and the average-free
 part, whose ring table may come from its parent's sweep, are built in
 curves.
@@ -46,6 +51,7 @@ curves.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -248,12 +254,16 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
 def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeEstimate:
     """Estimate the singularity degree of the graph at the grid center.
 
-    Pipeline: average-free part v, then normalized blow-ups along
-    r_k = scale_factor^k, then the frequency limit of each step over its top
-    octave, read off one frequency profile of v (see the module
-    docstring).  The estimate is the median over the trailing steps that
-    agree within convergence_tol.  It measures _branched_part(f): the
-    shared average-free part, or a single-valued map itself.  The curve f
+    The value is the frequency limit of v, the average-free part, over its
+    rings in [8 r_min, 64 r_min]; the spread is max - min over the limits
+    of the disjoint three-octave windows [8^j 8 r_min, 8^j 64 r_min] within
+    r_max, and converged means that two of them fit and agree within
+    convergence_tol.  The normalized blow-ups along r_k = scale_factor^k
+    are the per-step report: each step's frequency limit over its top
+    octave.  Every record is read off one frequency profile of v (see the
+    module docstring).  DataError when fewer than three steps are usable,
+    or no window fits.  It measures _branched_part(f): the shared
+    average-free part, or a single-valued map itself.  The curve f
     claims (CurveSpec.from_metadata) is read first, so a malformed claim is
     refused with ConfigError before any sweep."""
     if cfg is None:
@@ -277,39 +287,40 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
         # r_m, the ring of v that is u_k's top ring
         windows[k] = default_profile_radii(
             grid, octaves=1.0, top=grid.radii[u_k.grid.n_rings - 1])
-    union = sorted({r for window in windows.values() for r in window})
-    # no step left: the DataError below, not frequency_profile's refusal
+    # disjoint three-octave windows of v's rings from 8 r_min up: the
+    # lowest one's limit is the estimate, the others test it
+    limits, top = [], 64 * grid.r_min
+    while top <= grid.r_max * (1 + 1e-12):
+        limits.append(default_profile_radii(grid, octaves=3.0, top=top))
+        top *= 8
+    union = sorted({r for w in [*windows.values(), *limits] for r in w})
+    # no window at all: the DataError below, not frequency_profile's refusal
     prof = frequency_profile(v, radii=union) if union else None
-    found = dict(zip(union, prof.records)) if prof else {}
-    steps = []
+
+    def limit(w):
+        return frequency_limit(replace(prof, radii=w, records=[
+            rec for rec in prof.records if w[0] <= rec.r <= w[-1]]))["estimate"]
+    steps, values = [], []
     for k, window in windows.items():
         try:
-            lim = frequency_limit(replace(
-                prof, radii=window, records=[found[r] for r in window]))
-            steps.append((k, cfg.scale_factor ** k, float(lim["estimate"])))
+            steps.append((k, cfg.scale_factor ** k, limit(window)))
         except DataError as exc:
             failures[k] = str(exc)
+    for window in limits:
+        with suppress(DataError):
+            values.append(limit(window))
     failures = sorted(failures.items())
-    if len(steps) < 3:
+    if len(steps) < 3 or not values:
         raise DataError(
-            f"only {len(steps)} usable blow-up steps (need 3); "
+            f"{len(steps)} usable blow-up steps (need 3) and "
+            f"{len(values)} fitting limit windows (need 1); "
             f"failures: {failures}")
-    values = np.array([I for (_, _, I) in steps])
-    best_len = 0
-    for L in range(len(values), 2, -1):
-        tail = values[-L:]
-        if tail.max() - tail.min() <= cfg.convergence_tol:
-            best_len = L
-            break
-    if best_len >= 3:
-        tail = values[-best_len:]
-        converged = True
-    else:
-        tail = values[-3:]
-        converged = False
-    est = DegreeEstimate(value=float(np.median(tail)),
-                         spread=float(tail.max() - tail.min()),
-                         per_step_I=steps, converged=converged)
+    spread = max(values) - min(values)
+    converged = len(values) > 1 and spread <= cfg.convergence_tol
+    est = DegreeEstimate(values[0], spread, steps, converged)
+    if len(values) < 2:
+        est.notes["convergence_note"] = ("only one three-octave limit window "
+                                         "fits; convergence needs two")
     if failures:
         est.notes["step_failures"] = [[k, reason] for k, reason in failures]
     _flag_average_discrepancy(claim, est)

@@ -16,8 +16,8 @@ CurveSpec owns the curve: its closed form with these labels
 and the curve a map claims in its metadata, written by make_multigraph
 and read back by CurveSpec.from_metadata; no other module evaluates the
 sheets or reads the claim.  A map resampled about another point
-(recenter) and the sheet average (eta_map) write their own "kind", so
-they claim no curve.
+(recenter), the sheet average (eta_map) and the average-free part
+(average_free_part) write their own "kind", so they claim no curve.
 
 Both test objects are sampled about the origin; a grid centred elsewhere
 is refused.  Every map's samples are read-only, so no cached table below
@@ -30,7 +30,8 @@ frequency, the area table of the excess and the sum |Df|^4 table of the
 mass expansion.  One sweep (_sweep) fills the requested tables and the
 ring table (the sum |Df|^4 table is requested with the area table, which
 the mass expansion reads beside it); when the map is no average-free
-part, also its area table; and when in addition Q > 1 and the map has no
+part, also its area table if its codomain is planar, the only one the
+excess reads; and when in addition Q > 1 and the map has no
 average-free part yet, that part's ring table, from the blocks minus
 their sheet mean (both stencils are linear), which average_free_part then
 takes over.  A table already cached is skipped, and the cache keys are
@@ -314,7 +315,7 @@ def _sweep(f: QFunction, *keys: str):
     if keys[0] not in c:
         keys += ("ring_data",)
         if "is_average_free" not in c:
-            keys += ("area_moments",)
+            keys += ("area_moments",) if f.n == 2 else ()
             if f.q > 1 and "average_free" not in c:
                 keys += ("free_ring_data",)
         todo = [k for k in dict.fromkeys(keys) if k not in c]
@@ -402,13 +403,14 @@ def average_free_part(f: QFunction) -> QFunction:
     tables agree up to rounding, but only up to it: on (2,3) on the default
     grid their entries differ by up to 2.5e-16 of the largest, and on the
     selfcheck map ((2,3), r_min 2^-10, 256 angles, 6 steps) qbranch
-    degree gives 1.499998466424626 where selfcheck, which profiles f
-    first, gives 1.4999984664246258.  Both stay: the seed spares a caller
+    degree gives 1.4999985852531474 where selfcheck, which profiles f
+    first, gives 1.4999985852531488.  Both stay: the seed spares a caller
     of both tables a second differentiation, and a lone estimate of v is
     cheaper differentiating v than sweeping f for it."""
     def build():
         values = f.values - np.mean(f.values, axis=0, keepdims=True)
         out = f.replace_values(values, note="average-free")
+        out.metadata["kind"] = "average-free"  # it claims no curve
         out._cache["is_average_free"] = True
         if "free_ring_data" in f._cache:
             out.cached("ring_data", lambda: f._cache.pop("free_ring_data"))
@@ -583,15 +585,17 @@ def save_qfunction(f: QFunction, path):
 def load_qfunction(path) -> QFunction:
     """Read a file written by save_qfunction.
 
-    Raises ConfigError unless the file is readable, its header describes a
-    grid, and its rows hold exactly one finite sample for every (sheet,
-    ring, angle) of that grid."""
+    Raises ConfigError unless the file is readable, every header field has
+    its JSON type (_HEADER_FIELDS; nothing is coerced), the header
+    describes a grid, and its rows hold exactly one finite sample for every
+    (sheet, ring, angle) of that grid."""
     try:
         with open(path) as fh:
             header = json.loads(fh.readline())
             if not isinstance(header, dict) or \
                     header.get("format") != "qbranch-qfunction-1":
                 raise ConfigError(f"{path}: not a qbranch QFunction file")
+            _check_header(path, header)
             fh.readline()  # column header
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         q, R, T = (int(header[k]) for k in ("q", "n_rings", "n_theta"))
@@ -629,6 +633,42 @@ def load_qfunction(path) -> QFunction:
                          metadata=header.get("metadata", {}))
     except DimensionError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+#: what each header field must be, as JSON: a field that is present and no
+#: such value is refused, never coerced
+_HEADER_FIELDS = {
+    "q": ("an integer", _is_int),
+    "n_rings": ("an integer", _is_int),
+    "n_theta": ("an integer", _is_int),
+    "r_min": ("a number", _is_number),
+    "r_max": ("a number", _is_number),
+    "radii": ("null or a list of numbers", lambda r: r is None or (
+        isinstance(r, list) and all(map(_is_number, r)))),
+    "center": ("two finite numbers", lambda c: isinstance(c, list)
+               and len(c) == 2 and all(_is_number(x) and math.isfinite(x)
+                                       for x in c)),
+    "monodromy": ("a list of integers", lambda m: isinstance(m, list)
+                  and all(map(_is_int, m))),
+    "metadata": ("a JSON object", lambda m: isinstance(m, dict)),
+}
+
+
+def _check_header(path, header: dict):
+    """ConfigError, naming the field, unless every field of the header
+    that _HEADER_FIELDS lists holds a value of its type."""
+    for key, (what, ok) in _HEADER_FIELDS.items():
+        if key in header and not ok(header[key]):
+            raise ConfigError(f"{path}: header field {key!r} must be {what}, "
+                              f"not {header[key]!r}")
 
 
 def _header_grid(path, radii, R, T, r_min, r_max, center) -> PolarGrid:

@@ -40,6 +40,36 @@ def curve_cache(full_grid):
 
 
 @pytest.fixture(scope="session")
+def union_curve(full_grid):
+    """The union (2,3) u 2.(3,4) on the default grid: sheets +-z^{3/2} and
+    2 zeta_3^k z^{4/3}, two monodromy cycles of lengths 2 and 3.  It is
+    holomorphic, so area-minimizing, its sheet average is 0 and its degree
+    is 4/3, which the sharp I(s) approaches at the slow rate s^{1/3}.  It
+    claims no curve."""
+    a = qb.make_multigraph(qb.CurveSpec(2, 3), full_grid)
+    b = qb.make_multigraph(qb.CurveSpec(3, 4), full_grid)
+    return qb.QFunction(grid=full_grid,
+                        values=np.concatenate([a.values, 2.0 * b.values]),
+                        monodromy=np.concatenate([a.monodromy,
+                                                  b.monodromy + 2]),
+                        metadata={"kind": "union", "label": "(2,3)+2(3,4)"})
+
+
+@pytest.fixture(scope="session")
+def impostor(full_grid):
+    """The (2,3) curve's average-free part times 1 + 0.1 sin(2 pi log2 r)
+    on the default grid: no minimizer, whose frequency oscillates in log r
+    and has no limit.  It claims no curve."""
+    v = qb.average_free_part(qb.make_multigraph(qb.CurveSpec(2, 3),
+                                                full_grid))
+    wobble = 1.0 + 0.1 * np.sin(2 * np.pi * np.log2(full_grid.radii))
+    return qb.QFunction(grid=full_grid,
+                        values=v.values * wobble[None, :, None, None],
+                        monodromy=v.monodromy.copy(),
+                        metadata={"kind": "impostor"})
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
 

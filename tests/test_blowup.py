@@ -517,6 +517,62 @@ class TestSingularityDegree:
         assert sorted(failed + survived) == list(range(1, survived[-1] + 1))
 
 
+class TestOneLimit:
+    """The degree is one limit of v's profile, read over v's rings in
+    [8 r_min, 64 r_min]; the disjoint three-octave windows above test it.
+    It does not depend on the scale sequence."""
+
+    @pytest.mark.parametrize("mode", ["l2_norm", "excess_sqrt"])
+    def test_union_converges_to_its_lower_degree(self, union_curve, mode):
+        # I approaches 4/3 at the rate s^{1/3}: a one-octave window, whose
+        # rate is fixed at 1, misses it by about 3e-3 and moves with the
+        # scale sequence
+        ests = [qb.singularity_degree(union_curve, qb.BlowupConfig(
+            scale_factor=sf, normalization=mode)) for sf in (0.25, 0.5, 0.6)]
+        for est in ests:
+            assert abs(est.value - 4 / 3) <= 1e-4
+            assert est.converged
+            assert est.value == ests[0].value and est.spread == ests[0].spread
+            assert "convergence_note" not in est.notes
+
+    @pytest.mark.parametrize("scale_factor", [0.25, 0.5, 0.6, 0.7])
+    def test_impostor_is_unconverged(self, impostor, scale_factor):
+        # I oscillates in log r: the windows' limits disagree by 3.2e-2,
+        # whichever scale sequence the steps take
+        est = qb.singularity_degree(impostor, qb.BlowupConfig(
+            scale_factor=scale_factor))
+        assert not est.converged
+        assert est.spread > qb.BlowupConfig().convergence_tol
+
+    def test_value_is_the_lowest_windows_limit(self, union_curve,
+                                               curve_cache):
+        for f in (union_curve, curve_cache(3, 5)):
+            v = qb.average_free_part(f)
+            window = qb.default_profile_radii(v.grid, octaves=3.0,
+                                              top=64 * v.grid.r_min)
+            lim = qb.frequency_limit(qb.frequency_profile(v, radii=window))
+            assert window[0] == 8 * v.grid.r_min
+            assert qb.singularity_degree(f).value == lim["estimate"]
+
+    def test_one_window_is_no_convergence(self):
+        grid = qb.default_grid(r_min=2.0 ** -8, n_theta=256)
+        est = qb.singularity_degree(qb.make_multigraph(qb.CurveSpec(2, 3),
+                                                       grid))
+        assert est.value == pytest.approx(1.5, abs=1e-5)
+        assert not est.converged and est.spread == 0.0
+        assert "one three-octave limit window" in est.notes[
+            "convergence_note"]
+        assert "convergence_note" in json.loads(est.to_json())
+
+    def test_no_window_is_refused(self):
+        # five octaves: three steps fit at scale factor 0.7, no window does
+        grid = qb.default_grid(r_min=2.0 ** -5, n_theta=256)
+        with pytest.raises(qb.DataError, match="0 fitting limit windows"):
+            qb.singularity_degree(
+                qb.make_multigraph(qb.CurveSpec(2, 3), grid),
+                qb.BlowupConfig(scale_factor=0.7, normalization="excess_sqrt"))
+
+
 class TestClaimedCurve:
     def test_reads_the_claim_through_curve_spec(self, perturbed_curve):
         est = qb.singularity_degree(perturbed_curve,
@@ -524,6 +580,19 @@ class TestClaimedCurve:
         ref = qb.analytic_degree(qb.CurveSpec(2, 5, (0, 0, 0.3 + 0.2j)))
         assert est.notes["reference_degree"] == ref["value"]
         assert est.notes["measured_object"] == "average_free"
+
+    def test_average_free_part_claims_no_curve(self):
+        # v's sheet average is 0, so the perturbed curve's full-graph order
+        # 2 is no reference for it
+        f = qb.make_multigraph(qb.CurveSpec(2, 5, (0, 0, 1)), qb.default_grid(
+            r_min=2.0 ** -10, n_theta=256))
+        v = qb.average_free_part(f)
+        assert qb.CurveSpec.from_metadata(v.metadata) is None
+        assert v.metadata["label"] == f.metadata["label"]
+        est = qb.singularity_degree(v)
+        assert est.value == pytest.approx(2.5, abs=1e-3)
+        assert not {"discrepancy", "reference_degree"} & set(est.notes)
+        assert qb.singularity_degree(f).notes["discrepancy"] is True
 
     @pytest.mark.parametrize("meta", [{"kind": "curve"},
                                       {"kind": "curve", "q": 2, "p": 4}])

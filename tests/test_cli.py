@@ -434,6 +434,27 @@ def test_refusal_messages(args, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["frequency", "degree"])
+@pytest.mark.parametrize("field, value", [
+    ("metadata", ["x"]), ("metadata", None), ("center", [float("nan"), 0]),
+    ("center", [0]), ("center", "00"), ("monodromy", [1.5, 0]),
+    ("n_theta", 64.5), ("n_theta", "64"), ("q", "2")])
+def test_malformed_header_field_is_refused(command, field, value, tmp_path,
+                                           capsys):
+    # a coerced value would be read silently, and non-dict metadata
+    # would fail later as an internal error
+    from conftest import edit_qfunction_header
+    path = tmp_path / "f.qfn"
+    qb.save_qfunction(qb.make_multigraph(qb.CurveSpec(2, 3), qb.default_grid(
+        r_min=2.0 ** -6, n_theta=64)), path)
+    edit_qfunction_header(path, lambda h: {**h, field: value})
+    code, out = run([command, "--input", str(path)], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"config-error: {path}: header field {field!r} must be ")
+    assert not out.exists()
+
+
 def test_value_error_from_numerics_is_internal(tmp_path, monkeypatch, capsys):
     """Only the exception class picks the exit code: a ValueError raised by
     the numerics is a defect, not a configuration error."""

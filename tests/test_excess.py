@@ -96,6 +96,23 @@ class TestPlanarCodomainOnly:
             with pytest.raises(qb.DimensionError, match="planar codomain"):
                 read(f, 0.5)
 
+    def test_other_codomains_sweep_without_an_area_table(self):
+        # the scalar first component of (2,3) is 3/2-homogeneous and
+        # harmonic; its sweep reads no second component, and an R^3 map's
+        # sweep builds no table that its one reader would refuse
+        padded = self.maps()[0]
+        scalar = qb.QFunction(grid=padded.grid, values=padded.values[..., :1],
+                              monodromy=padded.monodromy)
+        for f in (scalar, padded):
+            prof = qb.frequency_profile(f)
+            assert max(abs(rec.I - 1.5) for rec in prof.valid_records()) \
+                < 1e-5
+            assert "area_moments" not in f._cache
+        est = qb.singularity_degree(scalar)
+        assert est.value == pytest.approx(1.5, abs=1e-5)
+        with pytest.raises(qb.DimensionError, match="planar codomain"):
+            qb.least_excess(padded, 0.5)
+
 
 class TestGraphMass:
     def test_flat_sheets_exact_area(self, small_grid):
