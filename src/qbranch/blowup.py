@@ -5,9 +5,10 @@ known exactly at x_i = r_i / r for f's own rings r_i, so every blow-up lives
 on f's rings relabelled, for any ratio r, with no interpolation.  Blow-ups
 are normalized either by the square root of the optimal-plane excess at the
 scale, or by the L2 norm on a reference ball (giving a unit-norm rescaling).
-A blow-up holds f's samples and its divisor: its own samples, f's first
-rings over the divisor, are formed when first read, and a degree step never
-reads them.
+A blow-up is a view (curves._View) that holds f and its divisor: its own
+samples, f's first rings over the divisor, are formed when first read, and
+a degree step never reads them, nor, through them, the samples of the
+average-free part it dilates.
 
 The degree is a limit of v's frequency, v the average-free part, and the
 paper proves that it does not depend on the sequence of scales, so the
@@ -44,8 +45,11 @@ The estimator lists every step that failed, with the reason, in step order
 under notes["step_failures"], a reference ball leaving the grid included.
 The Hardt-Simon check reads the map's ring table as well, so it
 differentiates nothing that is cached.  The tables, and the average-free
-part, whose ring table may come from its parent's sweep, are built in
-curves.
+part, a view of its parent's samples whose tables come from one sweep of
+them whichever caller built them first, are built in curves; so a degree
+estimate never forms v's samples.  A value below 1 - convergence_tol is
+flagged in notes["below_one_note"]: the paper proves the degree is at
+least 1 at a flat singular point of a minimizer.
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateBlowupError,
                      DimensionError, RangeError)
-from .grids import M_DIM, PolarGrid, _ring_blocks, _ring_profile
+from .grids import M_DIM, PolarGrid, _ring_profile
 from .curves import (QFunction, analytic_degree, average_free_part,
-                     CurveSpec, _json, _ring_data)
+                     CurveSpec, _View, _json, _ring_amplitudes, _ring_data)
 from .excess import least_excess
 from .frequency import (frequency_profile, frequency_limit,
                         default_profile_radii)
@@ -119,7 +123,10 @@ def rescale(f: QFunction, r: float = 1.0) -> QFunction:
 
 def _dilate(f: QFunction, r: float, divisor: float) -> QFunction:
     """The dilation of f by r with its samples divided by divisor (r for
-    the graph dilation): a _Dilation of f's first m rings."""
+    the graph dilation): a view (curves._View) of f's first m rings, which
+    holds f, so that dilating an average-free part forms neither its
+    samples nor the dilation's.  The samples of f are finite, the divisor
+    positive and the largest quotient finite, so every quotient is."""
     m, radii = _blowup_radii(f.grid, r)
     # x -> |x| / divisor is monotone: the largest quotient is finite iff
     # every quotient is
@@ -128,38 +135,9 @@ def _dilate(f: QFunction, r: float, divisor: float) -> QFunction:
             raise DimensionError("samples must be finite")
     grid = PolarGrid(radii=radii, n_theta=f.grid.n_theta,
                      center=f.grid.center)
-    return _Dilation(f.values, m, divisor, grid, f.monodromy.copy(),
-                     {**f.metadata, "rescaled_by": float(r)})
-
-
-class _Dilation(QFunction):
-    """A dilation holding its parent's samples and its divisor: its own
-    samples, the parent's first m rings divided by the divisor, are formed
-    in one pass when first read, then kept.  The parent's samples passed
-    QFunction's checks, the divisor is positive and the largest quotient
-    is finite, so the checks hold for the quotient by construction and are
-    not run again."""
-
-    def __init__(self, source, m, divisor, grid, monodromy, metadata):
-        self._source, self._m, self._divisor = source, m, divisor
-        self._values = None
-        self.grid, self.monodromy, self.metadata = grid, monodromy, metadata
-        self._cache = {}
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = self._source[:, :self._m] / self._divisor
-            self._values.flags.writeable = False
-        return self._values
-
-    @property
-    def q(self) -> int:
-        return self._source.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self._source.shape[3]
+    return _View(lambda: f.values[:, :m] / divisor,
+                 (f.q, m, grid.n_theta, f.n), grid, f.monodromy.copy(),
+                 {**f.metadata, "rescaled_by": float(r)})
 
 
 def _blowup_radii(grid: PolarGrid, r: float):
@@ -175,14 +153,6 @@ def _blowup_radii(grid: PolarGrid, r: float):
     if m < min(12, grid.n_rings):
         raise RangeError("dilation leaves too few rings")
     return m, grid.radii[:m] / r
-
-
-def _ring_amplitudes(f: QFunction) -> np.ndarray:
-    """The largest sample magnitude on each ring of f, once per map, a
-    block of rings at a time: no full-size temporary is formed."""
-    return f.cached("ring_amplitudes", lambda: np.concatenate([
-        np.abs(f.values[:, a:b]).max(axis=(0, 2, 3))
-        for a, b in _ring_blocks(f.values)]))
 
 
 # ----------------------------------------------------------------------------
@@ -261,8 +231,10 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
     convergence_tol.  The normalized blow-ups along r_k = scale_factor^k
     are the per-step report: each step's frequency limit over its top
     octave.  Every record is read off one frequency profile of v (see the
-    module docstring).  DataError when fewer than three steps are usable,
-    or no window fits.  It measures _branched_part(f): the shared
+    module docstring).  A value below 1 - convergence_tol, which the paper
+    rules out at a flat singular point of a minimizer, is flagged in
+    notes["below_one_note"].  DataError when fewer than three steps are
+    usable, or no window fits.  It measures _branched_part(f): the shared
     average-free part, or a single-valued map itself.  The curve f
     claims (CurveSpec.from_metadata) is read first, so a malformed claim is
     refused with ConfigError before any sweep."""
@@ -321,6 +293,10 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
     if len(values) < 2:
         est.notes["convergence_note"] = ("only one three-octave limit window "
                                          "fits; convergence needs two")
+    if est.value < 1 - cfg.convergence_tol:
+        est.notes["below_one_note"] = (
+            "degree below 1: at a flat singular point of an area-minimizing "
+            "current the degree is at least 1, so this map is none")
     if failures:
         est.notes["step_failures"] = [[k, reason] for k, reason in failures]
     _flag_average_discrepancy(claim, est)

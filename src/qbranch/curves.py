@@ -38,6 +38,15 @@ takes over.  A table already cached is skipped, and the cache keys are
 named here alone.  The sheet average (eta_map) and the average-free part
 live here too: how the part comes by its ring table is part of that
 policy.
+
+Derived maps are views, not copies (_View): a dilation (blowup._dilate)
+holds its parent map and the average-free part holds its parent's
+samples, and each forms its own samples only when a caller reads them.
+The part's sweep runs over its parent's samples and takes every block,
+derivatives included, minus its sheet mean, which is how its parent's
+sweep seeds it: so the part's ring table has one path, the same bits
+whichever sweep built it, and a degree estimate never forms the part's
+samples.
 """
 
 from __future__ import annotations
@@ -172,6 +181,9 @@ class QFunction:
     monodromy: np.ndarray        # (Q,)
     metadata: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
+    #: the parent samples an average-free part sweeps (_View); None when
+    #: the map differentiates its own
+    _free_of = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -225,14 +237,24 @@ class QFunction:
         the monodromy covering circle), swept over grids._ring_blocks: the
         list of reduce(x, du_dr, du_dth) over the blocks, x the block's
         samples, so no derivative outlives its block and no map's whole
-        derivative is ever formed."""
-        x, radii = self.values, self.grid.radii
+        derivative is ever formed.  An average-free part sweeps its
+        parent's samples and hands reduce each of the three blocks minus
+        its sheet mean, exactly as its parent's sweep seeds its ring table
+        (both stencils are linear), so its tables have one path and it
+        never forms its own samples."""
+        free = self._free_of
+        x, radii = (self.values if free is None else free), self.grid.radii
         out = []
         for (a, b), du_dr, du_dth in zip(
                 _ring_blocks(x), d_dr_geometric(x, radii),
                 d_dtheta_periodic(x, self.monodromy)):
             du_dth *= 1.0 / radii[None, a:b, None, None]
-            out.append(reduce(x[:, a:b], du_dr, du_dth))
+            if free is None:
+                out.append(reduce(x[:, a:b], du_dr, du_dth))
+            else:  # the derivative blocks are fresh: centred in place
+                out.append(reduce(_minus_sheet_mean(x[:, a:b]),
+                                  _minus_sheet_mean(du_dr, du_dr),
+                                  _minus_sheet_mean(du_dth, du_dth)))
         return out
 
     # ---- consistency --------------------------------------------------
@@ -248,6 +270,55 @@ class QFunction:
         ratio_r = _move_ratio(np.diff(self.values, axis=1),
                               np.minimum(sep[1:], sep[:-1]))
         return max(float(ratio_th.max()), float(ratio_r.max()))
+
+
+class _View(QFunction):
+    """A map derived from another one, whose samples are formed in one pass
+    when first read, then kept read-only: a dilation (blowup._dilate),
+    which holds its parent map, or an average-free part
+    (average_free_part), which holds its parent's samples, never the
+    parent, which caches it.  Its builder checks that the derived samples
+    are finite; QFunction's other checks hold by construction and are not
+    run again.  form() forms the samples, shape is their shape."""
+
+    def __init__(self, form, shape, grid, monodromy, metadata,
+                 free_of=None):
+        self._form, self._shape, self._values = form, shape, None
+        self.grid, self.monodromy, self.metadata = grid, monodromy, metadata
+        self._free_of, self._cache = free_of, {}
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = self._form()
+            self._values.flags.writeable = False
+        return self._values
+
+    @property
+    def q(self) -> int:
+        return self._shape[0]
+
+    @property
+    def n(self) -> int:
+        return self._shape[3]
+
+
+def _minus_sheet_mean(a: np.ndarray, out=None) -> np.ndarray:
+    """a (Q, ...) minus its mean over the sheets, into out when given."""
+    return np.subtract(a, np.mean(a, axis=0, keepdims=True), out=out)
+
+
+def _ring_amplitudes(f: QFunction) -> np.ndarray:
+    """The largest sample magnitude on each ring of f, once per map, a
+    block of rings at a time: no full-size temporary is formed.  An
+    average-free part has them from its build."""
+    return f.cached("ring_amplitudes", lambda: _amplitudes(
+        f.values[:, a:b] for a, b in _ring_blocks(f.values)))
+
+
+def _amplitudes(blocks) -> np.ndarray:
+    """Per ring, the largest magnitude over blocks of rings (Q, ., T, n)."""
+    return np.concatenate([np.abs(b).max(axis=(0, 2, 3)) for b in blocks])
 
 
 def _angular_step_ratio(x: np.ndarray, monodromy: np.ndarray):
@@ -336,9 +407,8 @@ def _profiles(x, du_dr, du_dth) -> np.ndarray:
 
 def _free_profiles(*block) -> np.ndarray:
     """The rows of the average-free part's F: _profiles of the block
-    minus its sheet mean."""
-    return _profiles(*(a - np.mean(a, axis=0, keepdims=True)
-                       for a in block))
+    minus its sheet mean, as the part's own sweep gives them."""
+    return _profiles(*map(_minus_sheet_mean, block))
 
 
 def _quartic_rows(x, du_dr, du_dth) -> np.ndarray:
@@ -395,26 +465,36 @@ def eta_map(f: QFunction) -> QFunction:
 
 
 def average_free_part(f: QFunction) -> QFunction:
-    """Subtract the sheet average from every sheet, once per map: cached on
-    f and shared by every caller.  When f was swept first, the
-    result's ring table is read off that sweep, which took it from f's
-    block derivatives minus their sheet mean; otherwise the result
-    differentiates itself.  Both derivative stencils are linear, so the two
-    tables agree up to rounding, but only up to it: on (2,3) on the default
-    grid their entries differ by up to 2.5e-16 of the largest, and on the
-    selfcheck map ((2,3), r_min 2^-10, 256 angles, 6 steps) qbranch
-    degree gives 1.4999985852531474 where selfcheck, which profiles f
-    first, gives 1.4999985852531488.  Both stay: the seed spares a caller
-    of both tables a second differentiation, and a lone estimate of v is
-    cheaper differentiating v than sweeping f for it."""
+    """f minus its sheet average, once per map: cached on f and shared by
+    every caller, and f itself when f is an average-free part, whose sheet
+    mean is zero by construction.  The part is a view (_View) of f's
+    samples: its own are formed only when a caller reads values, and its
+    tables come from one sweep of f's samples whose blocks, derivatives
+    included, are taken minus their sheet mean.  When f was swept first,
+    that sweep gave the part's ring table, with the same bits.  Its ring
+    amplitudes come from one pass of blocks when it is built, which
+    refuses with DimensionError samples whose sheet mean overflows."""
+    if "is_average_free" in f._cache:
+        return f
+
     def build():
-        values = f.values - np.mean(f.values, axis=0, keepdims=True)
-        out = f.replace_values(values, note="average-free")
-        out.metadata["kind"] = "average-free"  # it claims no curve
-        out._cache["is_average_free"] = True
+        x = f.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            amplitudes = _amplitudes(_minus_sheet_mean(x[:, a:b])
+                                     for a, b in _ring_blocks(x))
+        if not np.all(np.isfinite(amplitudes)):
+            raise DimensionError("samples must be finite")
+        amplitudes.flags.writeable = False
+        # it claims no curve
+        meta = {**f.metadata, "kind": "average-free",
+                "notes": f.metadata.get("notes", []) + ["average-free"]}
+        v = _View(lambda: _minus_sheet_mean(x), x.shape, f.grid,
+                  f.monodromy.copy(), meta, free_of=x)
+        v._cache.update({"is_average_free": True,
+                         "ring_amplitudes": amplitudes})
         if "free_ring_data" in f._cache:
-            out.cached("ring_data", lambda: f._cache.pop("free_ring_data"))
-        return out
+            v.cached("ring_data", lambda: f._cache.pop("free_ring_data"))
+        return v
     return f.cached("average_free", build)
 
 
@@ -553,6 +633,12 @@ def _json(obj) -> str:
 
 
 def save_qfunction(f: QFunction, path):
+    """Write f to path as text that load_qfunction reads back: one line of
+    JSON header (format "qbranch-qfunction-1", q, n_rings, n_theta, r_min,
+    r_max, radii, center, monodromy and metadata), the column line
+    ring,angle,sheet,re,im, then one row per sample in (ring, angle,
+    sheet) order.  Samples are written with %.17g, so every float reads
+    back bit for bit.  DimensionError unless the codomain is planar."""
     if f.n != 2:
         raise DimensionError("file format stores planar codomains only")
     header = {
@@ -610,11 +696,13 @@ def load_qfunction(path) -> QFunction:
             from None
     if q < 1 or not 0 < r_min < r_max:
         raise ConfigError(f"{path}: header describes no grid")
-    grid = _header_grid(path, radii, R, T, r_min, r_max, center)
+    # before the grid: a header's ring count allocates nothing the rows
+    # do not back
     if data.shape != (q * R * T, 5):
         raise ConfigError(
             f"{path}: expected {q * R * T} rows of 5 columns, found "
             f"{data.shape[0]} rows of {data.shape[1]}")
+    grid = _header_grid(path, radii, R, T, r_min, r_max, center)
     idx = data[:, :3].astype(int)
     if not np.array_equal(idx, data[:, :3]) or np.any(idx < 0) \
             or np.any(idx >= (R, T, q)):

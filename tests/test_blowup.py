@@ -1,9 +1,11 @@
 """Dilations, normalized blow-ups, the degree estimator, and the
 Hardt-Simon functional."""
 
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -405,6 +407,62 @@ class TestAverageFree:
                          monodromy=np.arange(3), metadata={})
         v = qb.average_free_part(f)
         assert np.abs(v.values).max() < 1e-14
+
+
+class TestAverageFreeView:
+    """The average-free part is a view of its parent's samples: its tables
+    come from one sweep of them, whichever table was built first."""
+
+    def test_lone_and_seeded_estimates_are_bit_identical(self):
+        # the selfcheck map: qbranch degree estimates f alone, selfcheck
+        # profiles f first
+        grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
+        ests = []
+        for swept_first in (False, True):
+            f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+            if swept_first:
+                qb.frequency_profile(f)
+            ests.append(qb.singularity_degree(f, qb.BlowupConfig(
+                max_steps=6)).to_json())
+        assert ests[0] == ests[1]
+
+    def test_degree_never_forms_the_parts_samples(self, full_grid):
+        f = qb.make_multigraph(qb.CurveSpec(4, 5), full_grid)
+        tracemalloc.start()
+        try:
+            qb.singularity_degree(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert qb.average_free_part(f)._values is None
+        assert peak < f.values.nbytes / 2
+
+    def test_overflowing_sheet_mean_is_refused(self):
+        # each sample is finite, their sheet mean is not
+        grid = qb.default_grid(r_min=2.0 ** -8, n_theta=64)
+        values = np.empty((2, grid.n_rings, grid.n_theta, 2))
+        values[0], values[1] = 1.5e308, 1.35e308
+        f = qb.QFunction(grid=grid, values=values, monodromy=np.arange(2))
+        with pytest.raises(qb.DimensionError, match="finite"):
+            qb.average_free_part(f)
+
+    def test_part_of_a_part_is_the_part(self, curve_cache):
+        v = qb.average_free_part(curve_cache(2, 5, (0, 0, 1)))
+        assert qb.average_free_part(v) is v
+
+    def test_part_and_parent_form_no_reference_cycle(self, small_grid):
+        # f caches v, so v holds f's samples and not f: with the collector
+        # off, f dies with its last reference
+        gc.disable()
+        try:
+            f = qb.make_multigraph(qb.CurveSpec(2, 5, (0, 0, 1)),
+                                   small_grid)
+            qb.coarse_blowup_normalize(qb.average_free_part(f), 0.5)
+            parent = weakref.ref(f)
+            del f
+            assert parent() is None
+        finally:
+            gc.enable()
 
 
 class TestSingularityDegree:

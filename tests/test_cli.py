@@ -92,6 +92,20 @@ class TestDegreeCommand:
         est = json.loads((out / "degree.json").read_text())
         assert est["value"] == pytest.approx(2.0, abs=1e-4)
 
+    def test_degree_below_one_is_flagged(self, tmp_path):
+        # the paper proves a degree of at least 1 at a flat singular point
+        code, out = run(["degree", "--homogeneous", "0.75"] + FAST, tmp_path)
+        assert code == 0
+        est = json.loads((out / "degree.json").read_text())
+        assert est["value"] == pytest.approx(0.75, abs=1e-4)
+        assert "at least 1" in est["below_one_note"]
+
+    def test_degree_above_one_gets_no_below_one_note(self, tmp_path):
+        code, out = run(["degree", "--curve", "2,3"] + FAST, tmp_path)
+        assert code == 0
+        assert "below_one_note" not in json.loads(
+            (out / "degree.json").read_text())
+
     def test_perturbed_flags_discrepancy(self, tmp_path):
         code, out = run(["degree", "--curve", "2,5", "--perturb", "z^2",
                          "--max-steps", "8"] + FAST, tmp_path)
@@ -535,5 +549,78 @@ def test_fuzzed_options_exit_classified(tmp_path_factory, command, source,
     else:
         assert err.getvalue().startswith(_PREFIX[code]), err.getvalue()
     if code != 0:
+        assert not (work / "out").exists() \
+            or not any((work / "out").iterdir())
+
+
+#: JSON values the header fuzz writes into a field: wrong types,
+#: non-finite, out of range, huge, malformed and empty, and values of the
+#: right type that disagree with the rest of the file or pass; ABSENT
+#: removes the field
+ABSENT = "<absent>"
+HEADER_VALUES = [ABSENT, None, True, -1, 0, 1, 2, 3, 64, 73, 64.5, 2 ** 40,
+                 2.0 ** -9, 0.5, 1.0, 1e308, float("nan"), float("inf"),
+                 "x", "2", [], [0], [1, 0], [0, 1, 2], [0.5, 0.25],
+                 [0.0, 0.0], [0.25, 0.0], {}, {"label": "x"},
+                 {"kind": "curve"},
+                 {"kind": "curve", "q": 2, "p": 4, "h_coeffs": []},
+                 {"kind": "curve", "q": 2, "p": 5, "h_coeffs": [[0, 0]]}]
+HEADER_KEYS = ["format", "q", "n_rings", "n_theta", "r_min", "r_max",
+               "radii", "center", "monodromy", "metadata"]
+ROW_DAMAGE = ["truncated", "duplicated", "index_out_of_range",
+              "nan_sample", "short", "moved", "not_geometric", "not_numbers"]
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """The text of a small saved (2,3) file, intact and with each damage
+    of the conftest helpers, by name ("intact" or a ROW_DAMAGE name)."""
+    from conftest import write_corrupt_qfunction, write_qfunction_bad_radii
+    grid = qb.default_grid(r_min=2.0 ** -9, n_theta=64)
+    work = tmp_path_factory.mktemp("saved")
+    qb.save_qfunction(qb.make_multigraph(qb.CurveSpec(2, 3), grid),
+                      work / "intact")
+    for kind in ROW_DAMAGE[:4]:
+        write_corrupt_qfunction(work / kind, grid, kind)
+    for kind in ROW_DAMAGE[4:]:
+        write_qfunction_bad_radii(work / kind, grid, kind)
+    return {path.name: path.read_text() for path in work.iterdir()}
+
+
+@settings(max_examples=40)
+@given(command=st.sampled_from(["frequency", "degree", "excess-decay",
+                                "bv-track"]),
+       damage=st.sampled_from(ROW_DAMAGE) | st.lists(
+           st.tuples(st.sampled_from(HEADER_KEYS),
+                     st.sampled_from(HEADER_VALUES)),
+           min_size=1, max_size=2, unique_by=lambda e: e[0]))
+def test_fuzzed_file_header_exits_classified(saved_files, tmp_path_factory,
+                                             command, damage):
+    """A saved file with one or two header fields replaced or removed, or
+    with damaged rows or radii, is read by every command that takes
+    --input: it is answered or refused with exit 2 or 3, never 4, with the
+    prefix of its exit code, and a refused run writes no file."""
+    from conftest import edit_qfunction_header
+    work = tmp_path_factory.mktemp("header")
+    path = work / "f.qfn"
+    if isinstance(damage, str):
+        path.write_text(saved_files[damage])
+    else:
+        path.write_text(saved_files["intact"])
+        edit_qfunction_header(path, lambda h: {
+            **{k: v for k, v in h.items() if k not in dict(damage)},
+            **{k: v for k, v in damage if v is not ABSENT}})
+    args = [command, f"--input={path}", f"--out={work / 'out'}"]
+    if command == "bv-track":  # the default threshold finds no interval
+        args.append("--eps3=0.2")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith(_PREFIX[code]), err.getvalue()
         assert not (work / "out").exists() \
             or not any((work / "out").iterdir())

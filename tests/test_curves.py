@@ -585,6 +585,20 @@ class TestFileFormat:
         with pytest.raises(qb.ConfigError):
             qb.load_qfunction(path)
 
+    def test_counts_the_rows_before_building_the_grid(self, tmp_path,
+                                                      small_grid):
+        # a header without radii describes the default grid of n_rings
+        # rings: 2^40 of them are refused by the row count, not allocated
+        from conftest import edit_qfunction_header
+        path = tmp_path / "huge.qfn"
+        qb.save_qfunction(qb.make_multigraph(qb.CurveSpec(2, 3),
+                                             small_grid), path)
+        edit_qfunction_header(path, lambda h: {
+            **{k: v for k, v in h.items() if k != "radii"},
+            "n_rings": 2 ** 40})
+        with pytest.raises(qb.ConfigError, match="expected .* rows"):
+            qb.load_qfunction(path)
+
     def test_rejects_unreadable_file(self, tmp_path):
         with pytest.raises(qb.ConfigError):
             qb.load_qfunction(tmp_path / "missing.qfn")
