@@ -30,14 +30,14 @@ frequency, the area table of the excess and the sum |Df|^4 table of the
 mass expansion.  One sweep (_sweep) fills the requested tables and the
 ring table (the sum |Df|^4 table is requested with the area table, which
 the mass expansion reads beside it); when the map is no average-free
-part, also its area table if its codomain is planar, the only one the
-excess reads; and when in addition Q > 1 and the map has no
-average-free part yet, that part's ring table, from the blocks minus
-their sheet mean (both stencils are linear), which average_free_part then
-takes over.  A table already cached is skipped, and the cache keys are
-named here alone.  The sheet average (eta_map) and the average-free part
-live here too: how the part comes by its ring table is part of that
-policy.
+part, which is known by the parent samples its sweep reads (_free_of),
+also its area table if its codomain is planar, the only one the excess
+reads; and when in addition Q > 1 and the map has no average-free part
+yet, that part's ring table, from the blocks minus their sheet mean (both
+stencils are linear), which average_free_part then takes over.  A table
+already cached is skipped, and the cache keys are named here alone.  The
+sheet average (eta_map) and the average-free part live here too: how the
+part comes by its ring table is part of that policy.
 
 Derived maps are views, not copies (_View): a dilation (blowup._dilate)
 holds its parent map and the average-free part holds its parent's
@@ -181,8 +181,8 @@ class QFunction:
     monodromy: np.ndarray        # (Q,)
     metadata: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
-    #: the parent samples an average-free part sweeps (_View); None when
-    #: the map differentiates its own
+    #: the parent samples an average-free part sweeps (_View), by which
+    #: the part is known; None when the map differentiates its own
     _free_of = None
 
     def __post_init__(self):
@@ -194,18 +194,18 @@ class QFunction:
         if not np.all(np.isfinite(v)):
             raise DimensionError("samples must be finite")
         v.flags.writeable = False
-        self.values = v
+        self.values, self._shape = v, v.shape
         self.monodromy = np.asarray(self.monodromy, dtype=int)
         if sorted(self.monodromy.tolist()) != list(range(v.shape[0])):
             raise DimensionError("monodromy must be a permutation of sheets")
 
     @property
     def q(self) -> int:
-        return self.values.shape[0]
+        return self._shape[0]
 
     @property
     def n(self) -> int:
-        return self.values.shape[3]
+        return self._shape[3]
 
     def replace_values(self, values, note=None) -> "QFunction":
         meta = dict(self.metadata)
@@ -279,7 +279,9 @@ class _View(QFunction):
     (average_free_part), which holds its parent's samples, never the
     parent, which caches it.  Its builder checks that the derived samples
     are finite; QFunction's other checks hold by construction and are not
-    run again.  form() forms the samples, shape is their shape."""
+    run again.  form() forms the samples and shape is their shape, which
+    the view stores as every map does; free_of, the parent samples an
+    average-free part sweeps, is what marks a view as that part."""
 
     def __init__(self, form, shape, grid, monodromy, metadata,
                  free_of=None):
@@ -294,18 +296,14 @@ class _View(QFunction):
             self._values.flags.writeable = False
         return self._values
 
-    @property
-    def q(self) -> int:
-        return self._shape[0]
-
-    @property
-    def n(self) -> int:
-        return self._shape[3]
-
 
 def _minus_sheet_mean(a: np.ndarray, out=None) -> np.ndarray:
-    """a (Q, ...) minus its mean over the sheets, into out when given."""
-    return np.subtract(a, np.mean(a, axis=0, keepdims=True), out=out)
+    """a (Q, ...) minus its mean over the sheets, into out when given.  The
+    mean is np.mean's own arithmetic, the sheet sum divided in place by Q,
+    without its dispatch."""
+    mean = np.add.reduce(a, axis=0, keepdims=True)
+    mean /= a.shape[0]
+    return np.subtract(a, mean, out=out)
 
 
 def _ring_amplitudes(f: QFunction) -> np.ndarray:
@@ -339,7 +337,7 @@ def _move_ratio(step: np.ndarray, sep: np.ndarray) -> np.ndarray:
     """Per node, the largest sheet move of the steps (Q, ..., n), their
     sheet mean taken out in place, in units of sep / 2: inf where sheets
     coincide and move, 0 where nothing moves."""
-    step -= np.mean(step, axis=0, keepdims=True)
+    _minus_sheet_mean(step, step)
     # sheet by sheet: no (Q, ...) array of squared norms is formed
     sq = _sq_norm(step[0])
     for s in step[1:]:
@@ -385,7 +383,7 @@ def _sweep(f: QFunction, *keys: str):
     c = f._cache
     if keys[0] not in c:
         keys += ("ring_data",)
-        if "is_average_free" not in c:
+        if f._free_of is None:
             keys += ("area_moments",) if f.n == 2 else ()
             if f.q > 1 and "average_free" not in c:
                 keys += ("free_ring_data",)
@@ -421,25 +419,27 @@ def _quartic_rows(x, du_dr, du_dth) -> np.ndarray:
 def _area_rows(f: QFunction):
     """The reduction of a block of f's rings, (x, u, w) with the polar
     gradients u = du/dr and w = du/dtheta / r, to its rows of the area
-    table: s0 is the mean of sqrt(1 + q^2), q^2 formed per node
-    one sheet at a time; s1 is Q, then the means of (b1, b2, -a1, -a2)
-    from the sheet-summed gradients' cos and sin moments, then the mean of
-    u_r x w."""
+    table: s0 is the mean of sqrt(1 + q^2); s1 is Q, then the means of
+    (b1, b2, -a1, -a2) from the sheet-summed gradients' cos and sin
+    moments, then the mean of u_r x w.  The angular means of all the
+    block's sheets are taken as one array, then summed in sheet order from
+    0.0, so every row has the bits of a sheet-by-sheet loop."""
     cs = np.stack([np.cos(f.grid.angles), np.sin(f.grid.angles)])
     cs /= f.grid.n_theta
 
     def rows(x, u, w):
         U, W = cs @ u.sum(axis=0), cs @ w.sum(axis=0)  # (R, cos|sin, n)
-        area = wedge = 0.0
-        for uk, wk in zip(u, w):  # sheet by sheet: one (R, T) array each
-            cross = uk[..., 0] * wk[..., 1]
-            cross -= uk[..., 1] * wk[..., 0]
-            wedge = wedge + np.mean(cross, axis=-1)
-            q2 = np.square(cross, out=cross)
-            q2 += _sq_norm(uk)
-            q2 += _sq_norm(wk)
-            q2 += 1.0
-            area = area + np.mean(np.sqrt(q2, out=q2), axis=-1)
+        cross = u[..., 0] * w[..., 1]  # (Q, R, T)
+        cross -= u[..., 1] * w[..., 0]
+        wedge = np.mean(cross, axis=-1)
+        q2 = np.square(cross, out=cross)
+        q2 += _sq_norm(u)
+        q2 += _sq_norm(w)
+        q2 += 1.0
+        # sum, not np.add.reduce: a one-ring block of 8 or more sheets
+        # would be summed pairwise, out of sheet order
+        area = sum(np.mean(np.sqrt(q2, out=q2), axis=-1), 0.0)
+        wedge = sum(wedge, 0.0)
         return TWO_PI * np.column_stack([area, np.full_like(area, f.q),
                                          U[:, 1] + W[:, 0], W[:, 1] - U[:, 0],
                                          wedge])
@@ -467,14 +467,15 @@ def eta_map(f: QFunction) -> QFunction:
 def average_free_part(f: QFunction) -> QFunction:
     """f minus its sheet average, once per map: cached on f and shared by
     every caller, and f itself when f is an average-free part, whose sheet
-    mean is zero by construction.  The part is a view (_View) of f's
-    samples: its own are formed only when a caller reads values, and its
-    tables come from one sweep of f's samples whose blocks, derivatives
-    included, are taken minus their sheet mean.  When f was swept first,
-    that sweep gave the part's ring table, with the same bits.  Its ring
-    amplitudes come from one pass of blocks when it is built, which
-    refuses with DimensionError samples whose sheet mean overflows."""
-    if "is_average_free" in f._cache:
+    mean is zero by construction and which is known by the parent samples
+    it holds (_free_of).  The part is a view (_View) of f's samples: its
+    own are formed only when a caller reads values, and its tables come
+    from one sweep of f's samples whose blocks, derivatives included, are
+    taken minus their sheet mean.  When f was swept first, that sweep gave
+    the part's ring table, with the same bits.  Its ring amplitudes come
+    from one pass of blocks when it is built, which refuses with
+    DimensionError samples whose sheet mean overflows."""
+    if f._free_of is not None:
         return f
 
     def build():
@@ -490,8 +491,7 @@ def average_free_part(f: QFunction) -> QFunction:
                 "notes": f.metadata.get("notes", []) + ["average-free"]}
         v = _View(lambda: _minus_sheet_mean(x), x.shape, f.grid,
                   f.monodromy.copy(), meta, free_of=x)
-        v._cache.update({"is_average_free": True,
-                         "ring_amplitudes": amplitudes})
+        v._cache["ring_amplitudes"] = amplitudes
         if "free_ring_data" in f._cache:
             v.cached("ring_data", lambda: f._cache.pop("free_ring_data"))
         return v

@@ -9,8 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qbranch as qb
-from qbranch.curves import _angular_step_ratio, _move_ratio
-from qbranch.qvalue import _separation
+from qbranch import curves
+from qbranch.curves import (_angular_step_ratio, _area_moments, _area_rows,
+                            _minus_sheet_mean, _move_ratio, _quartic_data,
+                            _ring_data)
+from qbranch.grids import TWO_PI
+from qbranch.qvalue import _separation, _sq_norm
 
 
 class TestCurveSpec:
@@ -428,6 +432,97 @@ class TestQFunctionRefusals:
         with pytest.raises(qb.DimensionError, match="planar codomains"):
             qb.save_qfunction(f, tmp_path / "f.qfn")
         assert not (tmp_path / "f.qfn").exists()
+
+
+def _reference_minus_sheet_mean(a, out=None):
+    """The centring as np.mean gives it."""
+    return np.subtract(a, np.mean(a, axis=0, keepdims=True), out=out)
+
+
+def _reference_area_rows(f):
+    """The area rows of a block of f's rings, reduced sheet by sheet."""
+    cs = np.stack([np.cos(f.grid.angles), np.sin(f.grid.angles)])
+    cs /= f.grid.n_theta
+
+    def rows(x, u, w):
+        U, W = cs @ u.sum(axis=0), cs @ w.sum(axis=0)
+        area = wedge = 0.0
+        for uk, wk in zip(u, w):
+            cross = uk[..., 0] * wk[..., 1]
+            cross -= uk[..., 1] * wk[..., 0]
+            wedge = wedge + np.mean(cross, axis=-1)
+            q2 = np.square(cross, out=cross)
+            q2 += _sq_norm(uk)
+            q2 += _sq_norm(wk)
+            q2 += 1.0
+            area = area + np.mean(np.sqrt(q2, out=q2), axis=-1)
+        return TWO_PI * np.column_stack([area, np.full_like(area, f.q),
+                                         U[:, 1] + W[:, 0], W[:, 1] - U[:, 0],
+                                         wedge])
+    return rows
+
+
+def _swept_tables(f):
+    """The ring, area and sum |Df|^4 tables of f, as bytes."""
+    return [np.asarray(a).tobytes()
+            for build in (_ring_data, _area_moments, _quartic_data)
+            for a in build(f)]
+
+
+class TestArrayReductions:
+    """The sheet mean and the area rows reduce a block's sheets as one
+    array, with the bits of np.mean and of a sheet-by-sheet loop."""
+
+    # Q >= 8 on a one-ring block is where numpy's reduce over the sheets
+    # would sum pairwise
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 12])
+    @pytest.mark.parametrize("rings", [1, 2, 7])
+    def test_random_ring_blocks(self, small_grid, q, rings):
+        rng = np.random.default_rng([q, rings])
+        f = qb.QFunction(grid=small_grid, monodromy=np.arange(q),
+                         values=np.zeros((q, small_grid.n_rings,
+                                          small_grid.n_theta, 2)))
+        for _ in range(10):  # a pairwise sum differs in about 1 in 3
+            x, u, w = (rng.standard_normal((q, rings, small_grid.n_theta, 2))
+                       * 10.0 ** rng.integers(-3, 4, size=(q, rings, 1, 1))
+                       for _ in range(3))
+            assert _area_rows(f)(x, u, w).tobytes() == \
+                _reference_area_rows(f)(x, u, w).tobytes()
+            assert _minus_sheet_mean(x).tobytes() == \
+                _reference_minus_sheet_mean(x).tobytes()
+            centred = u.copy()
+            _minus_sheet_mean(centred, centred)
+            assert centred.tobytes() == \
+                _reference_minus_sheet_mean(u).tobytes()
+
+    @pytest.mark.parametrize("name", ["(2,3)", "(4,5)+0.3z^2",
+                                      "(3,5)+(0.2+0.1i)z^2", "alpha=0.75"])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_swept_tables(self, curve_cache, full_grid, monkeypatch, name,
+                          seeded):
+        source = {"(2,3)": lambda: curve_cache(2, 3),
+                  "(4,5)+0.3z^2": lambda: curve_cache(4, 5, (0, 0, 0.3)),
+                  "(3,5)+(0.2+0.1i)z^2":
+                      lambda: curve_cache(3, 5, (0, 0, 0.2 + 0.1j)),
+                  "alpha=0.75": lambda: qb.homogeneous_map(
+                      0.75, grid=full_grid)}[name]()
+
+        def tables():
+            # a fresh map, no table cached; swept before its part, whose
+            # ring table its sweep then seeds, or after it
+            f = source.replace_values(source.values)
+            first = _swept_tables(f) if seeded else []
+            v = qb.average_free_part(f)
+            assert ("ring_data" in v._cache) == seeded
+            return first + _swept_tables(v) + ([] if seeded
+                                               else _swept_tables(f))
+
+        swept = tables()
+        monkeypatch.setattr(curves, "_minus_sheet_mean",
+                            _reference_minus_sheet_mean)
+        monkeypatch.setitem(curves._REDUCTIONS, "area_moments",
+                            _reference_area_rows)
+        assert swept == tables()
 
 
 class TestHomogeneousMap:

@@ -12,10 +12,11 @@ import qbranch
 SOURCES = sorted(Path(qbranch.__file__).parent.glob("*.py"))
 
 
-def _private_definitions(tree: ast.Module) -> set[str]:
-    """Private module-level functions, classes and assigned names."""
+def _definitions(body: list) -> set[str]:
+    """The functions, classes and assigned names of a module or class
+    body."""
     names = set()
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             names.add(node.name)
@@ -24,7 +25,13 @@ def _private_definitions(tree: ast.Module) -> set[str]:
                 else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Private module-level functions, classes and assigned names."""
+    return {n for n in _definitions(tree.body)
+            if n.startswith("_") and not n.startswith("__")}
 
 
 def _references(tree: ast.Module) -> set[str]:
@@ -123,15 +130,33 @@ def test_no_map_caches_its_gradients():
 
 
 def test_ring_table_key_is_named_in_one_module():
-    # the cache keys of a map's tables, and the marker of an average-free
-    # part, are written and read only by the module that builds the tables
+    # the cache keys of a map's tables are written and read only by the
+    # module that builds the tables
     for key in ("ring_data", "area_moments", "free_ring_data",
-                "is_average_free", "quartic_data"):
+                "quartic_data"):
         naming = sorted(
             path.name for path in SOURCES
             if any(isinstance(node, ast.Constant) and node.value == key
                    for node in ast.walk(ast.parse(path.read_text()))))
         assert naming == ["curves.py"], key
+
+
+def test_sample_shape_is_read_in_one_class():
+    # q and n are read off the sample shape every map stores once: no
+    # subclass of QFunction defines them again
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    classes = {node.name: node for tree in trees.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    maps = {"QFunction"}
+    while grown := {name for name, node in classes.items()
+                    if name not in maps
+                    and any(getattr(base, "id", None) in maps
+                            for base in node.bases)}:
+        maps |= grown
+    redefined = sorted(
+        f"{name}.{attr}" for name in maps - {"QFunction"}
+        for attr in _definitions(classes[name].body) & {"q", "n"})
+    assert maps > {"QFunction"} and redefined == []
 
 
 def test_gradients_have_one_caller():
