@@ -629,20 +629,28 @@ def _json(obj) -> str:
 
 
 # ----------------------------------------------------------------------------
-# file format: JSON header line, then CSV rows ring,angle,sheet,re,im
+# file format: one JSON header line, then the samples as raw little-endian
+# float64 in C order (Q, R, T, 2); the format name fixes that encoding.  The
+# text format before it (CSV rows ring,angle,sheet,re,im) is still read
+
+
+#: the format save_qfunction writes
+_FORMAT = "qbranch-qfunction-2"
+#: the text format load_qfunction still reads
+_TEXT_FORMAT = "qbranch-qfunction-1"
 
 
 def save_qfunction(f: QFunction, path):
-    """Write f to path as text that load_qfunction reads back: one line of
-    JSON header (format "qbranch-qfunction-1", q, n_rings, n_theta, r_min,
-    r_max, radii, center, monodromy and metadata), the column line
-    ring,angle,sheet,re,im, then one row per sample in (ring, angle,
-    sheet) order.  Samples are written with %.17g, so every float reads
-    back bit for bit.  DimensionError unless the codomain is planar."""
+    """Write f to path as a file that load_qfunction reads back: one line of
+    JSON header (format "qbranch-qfunction-2", q, n_rings, n_theta, r_min,
+    r_max, radii, center, monodromy and metadata), then the samples as raw
+    little-endian float64 in C order (sheet, ring, angle, component), so
+    every float reads back bit for bit.  DimensionError unless the codomain
+    is planar."""
     if f.n != 2:
         raise DimensionError("file format stores planar codomains only")
     header = {
-        "format": "qbranch-qfunction-1",
+        "format": _FORMAT,
         "q": f.q,
         "n_rings": f.grid.n_rings,
         "n_theta": f.grid.n_theta,
@@ -653,37 +661,35 @@ def save_qfunction(f: QFunction, path):
         "monodromy": f.monodromy.tolist(),
         "metadata": _json_safe(f.metadata),
     }
-    # rows in (ring, angle, sheet) order, formatted a ring at a time: one
-    # operation for the whole file would hold every sample as a Python
-    # float.  A ring's row template holds its index prefixes as text, so
-    # only the two samples of each row are formatted
-    Q, R, T, _ = f.values.shape
-    rows = [f"{a},{k},%.17g,%.17g" for a in range(T) for k in range(Q)]
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write("ring,angle,sheet,re,im\n")
-        for i in range(R):
-            ring_rows = f"{i}," + f"\n{i},".join(rows) + "\n"
-            samples = f.values[:, i].transpose(1, 0, 2).ravel()
-            fh.write(ring_rows % tuple(samples.tolist()))
+    samples = np.ascontiguousarray(f.values, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(samples.data)
 
 
 def load_qfunction(path) -> QFunction:
-    """Read a file written by save_qfunction.
+    """Read a file written by save_qfunction, or a text file of the format
+    before it ("qbranch-qfunction-1": a column line ring,angle,sheet,re,im
+    after the header, then one CSV row per sample).
 
-    Raises ConfigError unless the file is readable, every header field has
-    its JSON type (_HEADER_FIELDS; nothing is coerced), the header
-    describes a grid, and its rows hold exactly one finite sample for every
-    (sheet, ring, angle) of that grid."""
+    Raises ConfigError unless the file is readable, its header names one of
+    these formats, every header field has its JSON type (_HEADER_FIELDS;
+    nothing is coerced), the header describes a grid, and the file holds
+    exactly one finite sample for every (sheet, ring, angle) of that grid:
+    exactly q n_rings n_theta 16 bytes after the header, or that many rows
+    with their indices."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             header = json.loads(fh.readline())
-            if not isinstance(header, dict) or \
-                    header.get("format") != "qbranch-qfunction-1":
+            fmt = header.get("format") if isinstance(header, dict) else None
+            if fmt not in (_FORMAT, _TEXT_FORMAT):
                 raise ConfigError(f"{path}: not a qbranch QFunction file")
             _check_header(path, header)
-            fh.readline()  # column header
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if fmt == _FORMAT:
+                body = fh.read()
+            else:
+                fh.readline()  # column header
+                body = np.loadtxt(fh, delimiter=",", ndmin=2)
         q, R, T = (int(header[k]) for k in ("q", "n_rings", "n_theta"))
         r_min, r_max = float(header["r_min"]), float(header["r_max"])
         center = tuple(float(c) for c in header.get("center", (0.0, 0.0)))
@@ -694,15 +700,38 @@ def load_qfunction(path) -> QFunction:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read QFunction file {path}: {exc!r}") \
             from None
-    if q < 1 or not 0 < r_min < r_max:
+    if min(q, R, T) < 1 or not 0 < r_min < r_max < math.inf:
         raise ConfigError(f"{path}: header describes no grid")
-    # before the grid: a header's ring count allocates nothing the rows
+    # before the grid: a header's ring count allocates nothing the samples
     # do not back
+    read = _raw_samples if fmt == _FORMAT else _text_samples
+    values = read(path, body, q, R, T)
+    grid = _header_grid(path, radii, R, T, r_min, r_max, center)
+    try:  # QFunction refuses non-finite samples
+        return QFunction(grid=grid, values=values, monodromy=monodromy,
+                         metadata=header.get("metadata", {}))
+    except DimensionError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _raw_samples(path, payload: bytes, q, R, T) -> np.ndarray:
+    """The (q, R, T, 2) samples a "qbranch-qfunction-2" payload holds, read
+    in place; ConfigError unless it is exactly that many float64."""
+    if len(payload) != q * R * T * 16:
+        raise ConfigError(
+            f"{path}: expected {q * R * T * 16} bytes of samples, found "
+            f"{len(payload)}")
+    return np.frombuffer(payload, dtype="<f8").reshape(q, R, T, 2)
+
+
+def _text_samples(path, data: np.ndarray, q, R, T) -> np.ndarray:
+    """The (q, R, T, 2) samples the rows of a "qbranch-qfunction-1" file
+    hold; ConfigError unless they are q R T rows of 5 columns whose indices
+    cover every (ring, angle, sheet) once."""
     if data.shape != (q * R * T, 5):
         raise ConfigError(
             f"{path}: expected {q * R * T} rows of 5 columns, found "
             f"{data.shape[0]} rows of {data.shape[1]}")
-    grid = _header_grid(path, radii, R, T, r_min, r_max, center)
     idx = data[:, :3].astype(int)
     if not np.array_equal(idx, data[:, :3]) or np.any(idx < 0) \
             or np.any(idx >= (R, T, q)):
@@ -712,15 +741,9 @@ def load_qfunction(path) -> QFunction:
     hit[(sheet * R + ring) * T + angle] = True
     if not hit.all():  # q R T indices in range: distinct iff they cover
         raise ConfigError(f"{path}: duplicated sample index")
-    if not np.all(np.isfinite(data[:, 3:])):
-        raise ConfigError(f"{path}: samples must be finite")
     values = np.empty((q, R, T, 2))
     values[sheet, ring, angle] = data[:, 3:]
-    try:
-        return QFunction(grid=grid, values=values, monodromy=monodromy,
-                         metadata=header.get("metadata", {}))
-    except DimensionError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return values
 
 
 def _is_int(x) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import qbranch as qb
+from qbranch.curves import _json_safe
 
 # every property test runs the same few examples on every run and host, and
 # leaves no example database behind
@@ -103,35 +104,96 @@ def random_smooth_qfunction(grid, q, rng, radial_degree=2, angular_modes=3):
                         metadata={"kind": "random-smooth"})
 
 
-def write_corrupt_qfunction(path, grid, kind):
-    """Save the (2,3) curve on grid to path with its sample rows damaged:
-    'truncated' drops the last 10 rows, 'duplicated' replaces the last row
-    by the first, 'index_out_of_range' sets the last row's ring index to
-    n_rings and 'nan_sample' makes its real part NaN."""
-    qb.save_qfunction(qb.make_multigraph(qb.CurveSpec(2, 3), grid), path)
-    lines = path.read_text().splitlines()
-    head, rows = lines[:2], lines[2:]
-    last = rows[-1].split(",")  # ring,angle,sheet,re,im
-    if kind == "truncated":
-        rows = rows[:-10]
-    elif kind == "duplicated":
-        rows[-1] = rows[0]
-    elif kind == "index_out_of_range":
-        rows[-1] = ",".join([str(grid.n_rings)] + last[1:])
-    elif kind == "nan_sample":
-        rows[-1] = ",".join(last[:3] + ["nan"] + last[4:])
-    else:
-        raise ValueError(f"unknown corruption {kind!r}")
-    path.write_text("\n".join(head + rows) + "\n")
+def save_qfunction_text(f, path):
+    """The text writer of the format before save_qfunction's, kept as the
+    reference for load_qfunction's "qbranch-qfunction-1" reader: the JSON
+    header line, the column line ring,angle,sheet,re,im, then one row per
+    sample in (ring, angle, sheet) order, each sample written with %.17g."""
+    header = {
+        "format": "qbranch-qfunction-1",
+        "q": f.q,
+        "n_rings": f.grid.n_rings,
+        "n_theta": f.grid.n_theta,
+        "r_min": f.grid.r_min,
+        "r_max": f.grid.r_max,
+        "radii": f.grid.radii.tolist(),
+        "center": list(f.grid.center),
+        "monodromy": f.monodromy.tolist(),
+        "metadata": _json_safe(f.metadata),
+    }
+    Q, R, T, _ = f.values.shape
+    rows = [f"{a},{k},%.17g,%.17g" for a in range(T) for k in range(Q)]
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write("ring,angle,sheet,re,im\n")
+        for i in range(R):
+            ring_rows = f"{i}," + f"\n{i},".join(rows) + "\n"
+            samples = f.values[:, i].transpose(1, 0, 2).ravel()
+            fh.write(ring_rows % tuple(samples.tolist()))
     return path
 
 
-def write_qfunction_bad_radii(path, grid, kind):
-    """Save the (2,3) curve on grid to path with the header's radii
-    damaged: 'short' drops the last radius, 'moved' doubles all of them
-    (so they disagree with r_min and r_max), 'not_geometric' moves one
-    inner radius by 1% and 'not_numbers' replaces them by strings."""
-    qb.save_qfunction(qb.make_multigraph(qb.CurveSpec(2, 3), grid), path)
+def save_curve(path, grid, text=False):
+    """Save the (2,3) curve on grid to path, as a text file of the format
+    before save_qfunction's if text, else with save_qfunction."""
+    f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+    (save_qfunction_text if text else qb.save_qfunction)(f, path)
+    return path
+
+
+#: the sample damage write_corrupt_qfunction makes, per format (text or not)
+SAMPLE_DAMAGE = {
+    True: ("truncated", "duplicated", "index_out_of_range", "nan_sample"),
+    False: ("truncated", "trailing", "nan_sample", "inf_sample"),
+}
+
+
+def write_corrupt_qfunction(path, grid, kind, text=False):
+    """Save the (2,3) curve on grid to path with its samples damaged.  In a
+    text file 'truncated' drops the last 10 rows, 'duplicated' replaces the
+    last row by the first, 'index_out_of_range' sets the last row's ring
+    index to n_rings and 'nan_sample' makes its real part NaN.  In a raw
+    file 'truncated' drops the last 10 samples' bytes, 'trailing' appends
+    the first sample's bytes once more, and 'nan_sample' and 'inf_sample'
+    make the last sample's real and imaginary part NaN and inf."""
+    if kind not in SAMPLE_DAMAGE[text]:
+        raise ValueError(f"unknown corruption {kind!r}")
+    save_curve(path, grid, text)
+    head, body = path.read_bytes().split(b"\n", 1)
+    if text:
+        columns, *rows = body.decode().splitlines()
+        last = rows[-1].split(",")  # ring,angle,sheet,re,im
+        if kind == "truncated":
+            rows = rows[:-10]
+        elif kind == "duplicated":
+            rows[-1] = rows[0]
+        elif kind == "index_out_of_range":
+            rows[-1] = ",".join([str(grid.n_rings)] + last[1:])
+        else:
+            rows[-1] = ",".join(last[:3] + ["nan"] + last[4:])
+        body = "\n".join([columns] + rows).encode() + b"\n"
+    elif kind == "truncated":
+        body = body[:-160]
+    elif kind == "trailing":
+        body = body + body[:16]
+    else:
+        samples = np.frombuffer(body, dtype="<f8").copy()
+        if kind == "nan_sample":
+            samples[-2] = np.nan
+        else:
+            samples[-1] = np.inf
+        body = samples.tobytes()
+    path.write_bytes(head + b"\n" + body)
+    return path
+
+
+def write_qfunction_bad_radii(path, grid, kind, text=False):
+    """Save the (2,3) curve on grid to path (as a text file if text) with
+    the header's radii damaged: 'short' drops the last radius, 'moved'
+    doubles all of them (so they disagree with r_min and r_max),
+    'not_geometric' moves one inner radius by 1% and 'not_numbers'
+    replaces them by strings."""
+    save_curve(path, grid, text)
 
     def damage(radii):
         if kind == "short":
@@ -149,8 +211,9 @@ def write_qfunction_bad_radii(path, grid, kind):
 
 
 def edit_qfunction_header(path, edit):
-    """Replace the JSON header line of a QFunction file by edit(header)."""
-    head, rest = path.read_text().split("\n", 1)
-    path.write_text(json.dumps(edit(json.loads(head)), sort_keys=True)
-                    + "\n" + rest)
+    """Replace the JSON header line of a QFunction file of either format
+    by edit(header), leaving the bytes after it as they are."""
+    head, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(head)), sort_keys=True)
+                     .encode() + b"\n" + rest)
     return path

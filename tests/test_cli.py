@@ -75,6 +75,23 @@ class TestFrequencyCommand:
         assert (out / "frequency_profile.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["frequency", "degree"])
+def test_text_and_raw_files_of_one_map_write_the_same_bytes(command,
+                                                            tmp_path):
+    """--input reads a text file of the format before save_qfunction's to
+    the same map as the raw file save_qfunction writes."""
+    from conftest import save_curve
+    grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64)
+    outs = []
+    for text in (True, False):
+        path = save_curve(tmp_path / f"in-{text}.qfn", grid, text)
+        code, out = run([command, "--input", str(path)], tmp_path,
+                        f"out-{text}")
+        assert code == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] and outs[0] == outs[1]
+
+
 class TestDegreeCommand:
     def test_curve34(self, tmp_path):
         code, out = run(["degree", "--curve", "3,4", "--max-steps", "8"]
@@ -262,21 +279,30 @@ def _config_file(text):
     return make
 
 
-def _damaged_file(kind):
+def _damaged_file(kind, text=False):
     def make(tmp_path):
         from conftest import write_corrupt_qfunction
         grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64)
         return str(write_corrupt_qfunction(tmp_path / f"{kind}.qfn", grid,
-                                           kind))
+                                           kind, text))
     return make
 
 
-def _bad_radii_file(kind):
+def _bad_radii_file(kind, text=False):
     def make(tmp_path):
         from conftest import write_qfunction_bad_radii
         grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64)
         return str(write_qfunction_bad_radii(tmp_path / f"{kind}.qfn", grid,
-                                             kind))
+                                             kind, text))
+    return make
+
+
+def _edited_header_file(edit):
+    def make(tmp_path):
+        from conftest import edit_qfunction_header, save_curve
+        grid = qb.default_grid(r_min=2.0 ** -6, n_theta=64)
+        path = save_curve(tmp_path / "edited.qfn", grid)
+        return str(edit_qfunction_header(path, edit))
     return make
 
 
@@ -353,15 +379,33 @@ EXIT_CASES = {
                           + FAST, 2),
     "missing_input_file": (["frequency", "--input", "/nonexistent/in.qfn"],
                            2),
-    "truncated_input": (["frequency", "--input", _damaged_file("truncated")],
-                        2),
-    "duplicated_row": (["frequency", "--input", _damaged_file("duplicated")],
-                       2),
+    "truncated_input": (["frequency", "--input",
+                         _damaged_file("truncated", text=True)], 2),
+    "duplicated_row": (["frequency", "--input",
+                        _damaged_file("duplicated", text=True)], 2),
     "index_out_of_range": (["frequency", "--input",
-                            _damaged_file("index_out_of_range")], 2),
-    "nan_sample": (["frequency", "--input", _damaged_file("nan_sample")], 2),
+                            _damaged_file("index_out_of_range", text=True)],
+                           2),
+    "nan_sample": (["frequency", "--input",
+                    _damaged_file("nan_sample", text=True)], 2),
     "mismatched_radii": (["frequency", "--input",
-                          _bad_radii_file("not_geometric")], 2),
+                          _bad_radii_file("not_geometric", text=True)], 2),
+    "truncated_payload": (["frequency", "--input",
+                           _damaged_file("truncated")], 2),
+    "trailing_payload": (["degree", "--input", _damaged_file("trailing")],
+                         2),
+    "nan_payload_sample": (["frequency", "--input",
+                            _damaged_file("nan_sample")], 2),
+    "inf_payload_sample": (["degree", "--input",
+                            _damaged_file("inf_sample")], 2),
+    "mismatched_radii_raw": (["frequency", "--input",
+                              _bad_radii_file("not_geometric")], 2),
+    "unknown_file_format": (["frequency", "--input", _edited_header_file(
+        lambda h: {**h, "format": "qbranch-qfunction-3"})], 2),
+    "infinite_r_max_without_radii": (["frequency", "--input",
+                                      _edited_header_file(lambda h: {
+                                          **h, "radii": None,
+                                          "r_max": float("inf")})], 2),
     "out_below_regular_file": (["frequency", "--curve", "2,3", "--out",
                                 _below_regular_file] + FAST, 2),
     "bare_curve_claim_degree": (["degree", "--input", _bare_claim_file], 2),
@@ -555,8 +599,8 @@ def test_fuzzed_options_exit_classified(tmp_path_factory, command, source,
 
 #: JSON values the header fuzz writes into a field: wrong types,
 #: non-finite, out of range, huge, malformed and empty, and values of the
-#: right type that disagree with the rest of the file or pass; ABSENT
-#: removes the field
+#: right type that disagree with the rest of the file or pass, the two
+#: format names among them; ABSENT removes the field
 ABSENT = "<absent>"
 HEADER_VALUES = [ABSENT, None, True, -1, 0, 1, 2, 3, 64, 73, 64.5, 2 ** 40,
                  2.0 ** -9, 0.5, 1.0, 1e308, float("nan"), float("inf"),
@@ -564,52 +608,69 @@ HEADER_VALUES = [ABSENT, None, True, -1, 0, 1, 2, 3, 64, 73, 64.5, 2 ** 40,
                  [0.0, 0.0], [0.25, 0.0], {}, {"label": "x"},
                  {"kind": "curve"},
                  {"kind": "curve", "q": 2, "p": 4, "h_coeffs": []},
-                 {"kind": "curve", "q": 2, "p": 5, "h_coeffs": [[0, 0]]}]
+                 {"kind": "curve", "q": 2, "p": 5, "h_coeffs": [[0, 0]]},
+                 "qbranch-qfunction-1", "qbranch-qfunction-2"]
 HEADER_KEYS = ["format", "q", "n_rings", "n_theta", "r_min", "r_max",
                "radii", "center", "monodromy", "metadata"]
-ROW_DAMAGE = ["truncated", "duplicated", "index_out_of_range",
-              "nan_sample", "short", "moved", "not_geometric", "not_numbers"]
+RADII_DAMAGE = ["short", "moved", "not_geometric", "not_numbers"]
+
+
+def _saved_names():
+    """(text, name) of every file saved_files holds: each format's file
+    intact and with each damage of the conftest helpers."""
+    from conftest import SAMPLE_DAMAGE
+    return [(text, name) for text in (True, False)
+            for name in ("intact", *SAMPLE_DAMAGE[text], *RADII_DAMAGE)]
 
 
 @pytest.fixture(scope="module")
 def saved_files(tmp_path_factory):
-    """The text of a small saved (2,3) file, intact and with each damage
-    of the conftest helpers, by name ("intact" or a ROW_DAMAGE name)."""
-    from conftest import write_corrupt_qfunction, write_qfunction_bad_radii
+    """The bytes of a small saved (2,3) file by (text, name), as
+    _saved_names lists them: a text file of the format before
+    save_qfunction's if text, else a raw one."""
+    from conftest import (save_curve, write_corrupt_qfunction,
+                          write_qfunction_bad_radii)
     grid = qb.default_grid(r_min=2.0 ** -9, n_theta=64)
     work = tmp_path_factory.mktemp("saved")
-    qb.save_qfunction(qb.make_multigraph(qb.CurveSpec(2, 3), grid),
-                      work / "intact")
-    for kind in ROW_DAMAGE[:4]:
-        write_corrupt_qfunction(work / kind, grid, kind)
-    for kind in ROW_DAMAGE[4:]:
-        write_qfunction_bad_radii(work / kind, grid, kind)
-    return {path.name: path.read_text() for path in work.iterdir()}
+    files = {}
+    for text, name in _saved_names():
+        path = work / f"{name}-{text}"
+        if name == "intact":
+            save_curve(path, grid, text)
+        elif name in RADII_DAMAGE:
+            write_qfunction_bad_radii(path, grid, name, text)
+        else:
+            write_corrupt_qfunction(path, grid, name, text)
+        files[text, name] = path.read_bytes()
+    return files
 
 
-@settings(max_examples=40)
+@settings(max_examples=60)
 @given(command=st.sampled_from(["frequency", "degree", "excess-decay",
                                 "bv-track"]),
-       damage=st.sampled_from(ROW_DAMAGE) | st.lists(
-           st.tuples(st.sampled_from(HEADER_KEYS),
-                     st.sampled_from(HEADER_VALUES)),
-           min_size=1, max_size=2, unique_by=lambda e: e[0]))
+       damage=st.sampled_from(_saved_names()) | st.tuples(
+           st.booleans(),
+           st.lists(st.tuples(st.sampled_from(HEADER_KEYS),
+                              st.sampled_from(HEADER_VALUES)),
+                    min_size=1, max_size=2, unique_by=lambda e: e[0])))
 def test_fuzzed_file_header_exits_classified(saved_files, tmp_path_factory,
                                              command, damage):
-    """A saved file with one or two header fields replaced or removed, or
-    with damaged rows or radii, is read by every command that takes
-    --input: it is answered or refused with exit 2 or 3, never 4, with the
-    prefix of its exit code, and a refused run writes no file."""
+    """A saved text or raw file, intact, with one or two header fields
+    replaced or removed, or with damaged samples or radii, is read by
+    every command that takes --input: it is answered or refused with exit
+    2 or 3, never 4, with the prefix of its exit code, and a refused run
+    writes no file."""
     from conftest import edit_qfunction_header
     work = tmp_path_factory.mktemp("header")
     path = work / "f.qfn"
-    if isinstance(damage, str):
-        path.write_text(saved_files[damage])
+    text, edits = damage
+    if isinstance(edits, str):
+        path.write_bytes(saved_files[text, edits])
     else:
-        path.write_text(saved_files["intact"])
+        path.write_bytes(saved_files[text, "intact"])
         edit_qfunction_header(path, lambda h: {
-            **{k: v for k, v in h.items() if k not in dict(damage)},
-            **{k: v for k, v in damage if v is not ABSENT}})
+            **{k: v for k, v in h.items() if k not in dict(edits)},
+            **{k: v for k, v in edits if v is not ABSENT}})
     args = [command, f"--input={path}", f"--out={work / 'out'}"]
     if command == "bv-track":  # the default threshold finds no interval
         args.append("--eps3=0.2")

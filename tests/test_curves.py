@@ -587,19 +587,29 @@ class TestFileFormat:
         assert g.grid.n_theta == f.grid.n_theta
         assert g.metadata["kind"] == "curve"
 
+    def test_file_is_the_header_and_the_raw_samples(self, tmp_path,
+                                                    small_grid):
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
+        path = tmp_path / "curve.qfn"
+        qb.save_qfunction(f, path)
+        head, payload = path.read_bytes().split(b"\n", 1)
+        assert json.loads(head)["format"] == "qbranch-qfunction-2"
+        assert payload == f.values.astype("<f8").tobytes()
+
     def test_rows_match_the_per_row_format(self, tmp_path, small_grid):
-        """The one-shot row formatting writes the bytes of the plain
-        per-row f-string loop, signed zeros and subnormals included."""
+        """A text file of the format before save_qfunction's, its rows in
+        the plain per-row format, signed zeros and subnormals included,
+        reads back to the same bits as the raw file of the same map."""
+        from conftest import save_qfunction_text
         f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
         special = np.array([-0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300, -1e300])
         values = f.values.copy()
         values.flat[:special.size] = special
         values.flat[-special.size:] = special[::-1]
         f = f.replace_values(values)
-        path = tmp_path / "special.qfn"
-        qb.save_qfunction(f, path)
-        text = path.read_text()
-        header, columns, body = text.split("\n", 2)
+        path = save_qfunction_text(f, tmp_path / "special.qfn")
+        header, columns, body = path.read_text().split("\n", 2)
+        assert json.loads(header)["format"] == "qbranch-qfunction-1"
         assert columns == "ring,angle,sheet,re,im"
         Q, R, T, _ = f.values.shape
         rows = []
@@ -610,7 +620,14 @@ class TestFileFormat:
                     rows.append(f"{i},{j},{k},{re:.17g},{im:.17g}\n")
         assert body == "".join(rows)
         assert "-0," in body and "4.9406564584124654e-324" in body
-        assert np.array_equal(qb.load_qfunction(path).values, f.values)
+        g = qb.load_qfunction(path)
+        assert g.values.tobytes() == f.values.tobytes()
+        qb.save_qfunction(f, tmp_path / "special-raw.qfn")
+        raw = qb.load_qfunction(tmp_path / "special-raw.qfn")
+        assert raw.values.tobytes() == g.values.tobytes()
+        assert np.array_equal(raw.monodromy, g.monodromy)
+        assert raw.grid.radii.tobytes() == g.grid.radii.tobytes()
+        assert raw.metadata == g.metadata
 
     def test_roundtrip_of_a_grid_with_ratio_one_and_a_half(self, tmp_path):
         # 1.5 is no ratio 2^(1/k): only the stored radii can describe it
@@ -651,47 +668,88 @@ class TestFileFormat:
         assert g.grid.radii.tobytes() == grid.radii.tobytes()
 
     def test_header_without_radii_loads(self, tmp_path, small_grid):
-        from conftest import edit_qfunction_header
+        from conftest import edit_qfunction_header, save_curve
         f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
-        path = tmp_path / "old.qfn"
-        qb.save_qfunction(f, path)
-        edit_qfunction_header(path, lambda h: {
-            k: v for k, v in h.items() if k != "radii"})
-        g = qb.load_qfunction(path)
-        assert np.allclose(g.grid.radii, small_grid.radii, rtol=1e-14,
-                           atol=0.0)
-        assert np.array_equal(g.values, f.values)
+        for text in (True, False):
+            path = save_curve(tmp_path / f"old-{text}.qfn", small_grid, text)
+            edit_qfunction_header(path, lambda h: {
+                k: v for k, v in h.items() if k != "radii"})
+            g = qb.load_qfunction(path)
+            assert np.allclose(g.grid.radii, small_grid.radii, rtol=1e-14,
+                               atol=0.0)
+            assert np.array_equal(g.values, f.values)
 
     @pytest.mark.parametrize("kind", ["short", "moved", "not_geometric",
                                       "not_numbers"])
     def test_rejects_radii_that_describe_no_grid(self, tmp_path, small_grid,
                                                  kind):
         from conftest import write_qfunction_bad_radii
-        path = write_qfunction_bad_radii(tmp_path / "bad.qfn", small_grid,
-                                         kind)
-        with pytest.raises(qb.ConfigError):
-            qb.load_qfunction(path)
+        for text in (True, False):
+            path = write_qfunction_bad_radii(tmp_path / f"bad-{text}.qfn",
+                                             small_grid, kind, text)
+            with pytest.raises(qb.ConfigError):
+                qb.load_qfunction(path)
 
     @pytest.mark.parametrize("kind", ["truncated", "duplicated",
                                       "index_out_of_range", "nan_sample"])
     def test_rejects_damaged_samples(self, tmp_path, small_grid, kind):
         from conftest import write_corrupt_qfunction
-        path = write_corrupt_qfunction(tmp_path / "bad.qfn", small_grid, kind)
+        path = write_corrupt_qfunction(tmp_path / "bad.qfn", small_grid, kind,
+                                       text=True)
         with pytest.raises(qb.ConfigError):
+            qb.load_qfunction(path)
+
+    @pytest.mark.parametrize("kind, message", [
+        ("truncated", "expected 100352 bytes of samples, found 100192"),
+        ("trailing", "expected 100352 bytes of samples, found 100368"),
+        ("nan_sample", "samples must be finite"),
+        ("inf_sample", "samples must be finite")])
+    def test_rejects_damaged_payload(self, tmp_path, small_grid, kind,
+                                     message):
+        from conftest import write_corrupt_qfunction
+        path = write_corrupt_qfunction(tmp_path / "bad.qfn", small_grid, kind)
+        with pytest.raises(qb.ConfigError, match=message):
             qb.load_qfunction(path)
 
     def test_counts_the_rows_before_building_the_grid(self, tmp_path,
                                                       small_grid):
         # a header without radii describes the default grid of n_rings
         # rings: 2^40 of them are refused by the row count, not allocated
-        from conftest import edit_qfunction_header
-        path = tmp_path / "huge.qfn"
-        qb.save_qfunction(qb.make_multigraph(qb.CurveSpec(2, 3),
-                                             small_grid), path)
+        from conftest import edit_qfunction_header, save_curve
+        path = save_curve(tmp_path / "huge.qfn", small_grid, text=True)
         edit_qfunction_header(path, lambda h: {
             **{k: v for k, v in h.items() if k != "radii"},
             "n_rings": 2 ** 40})
         with pytest.raises(qb.ConfigError, match="expected .* rows"):
+            qb.load_qfunction(path)
+
+    @pytest.mark.parametrize("edit", [
+        # the default grid up to r_max = inf has no ring count
+        lambda h, grid: {**h, "radii": None, "r_max": float("inf")},
+        # the counts' product is the grid's sample count, so only their
+        # signs refuse them
+        lambda h, grid: {**h, "n_rings": -1,
+                         "n_theta": -grid.n_rings * grid.n_theta}],
+        ids=["infinite_r_max", "negative_counts"])
+    def test_rejects_a_header_that_describes_no_grid(self, tmp_path,
+                                                     small_grid, edit):
+        from conftest import edit_qfunction_header, save_curve
+        for text in (True, False):
+            path = save_curve(tmp_path / f"f-{text}.qfn", small_grid, text)
+            edit_qfunction_header(path, lambda h: edit(h, small_grid))
+            with pytest.raises(qb.ConfigError, match="describes no grid"):
+                qb.load_qfunction(path)
+
+    def test_measures_the_payload_before_building_the_grid(self, tmp_path,
+                                                           small_grid):
+        # as above: the payload's length refuses 2^40 rings, which the
+        # default grid would try to allocate
+        from conftest import edit_qfunction_header, save_curve
+        path = save_curve(tmp_path / "huge.qfn", small_grid)
+        edit_qfunction_header(path, lambda h: {
+            **{k: v for k, v in h.items() if k != "radii"},
+            "n_rings": 2 ** 40})
+        with pytest.raises(qb.ConfigError, match="expected .* bytes"):
             qb.load_qfunction(path)
 
     def test_rejects_unreadable_file(self, tmp_path):
@@ -704,6 +762,15 @@ class TestFileFormat:
         path = tmp_path / "bogus.qfn"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(qb.ConfigError):
+            qb.load_qfunction(path)
+
+    @pytest.mark.parametrize("fmt", ["qbranch-qfunction-3", "", None])
+    def test_rejects_an_unknown_format(self, tmp_path, small_grid, fmt):
+        # the samples after the header are intact
+        from conftest import edit_qfunction_header, save_curve
+        path = save_curve(tmp_path / "f.qfn", small_grid)
+        edit_qfunction_header(path, lambda h: {**h, "format": fmt})
+        with pytest.raises(qb.ConfigError, match="not a qbranch QFunction"):
             qb.load_qfunction(path)
 
 
