@@ -16,10 +16,10 @@ from .errors import (ConfigError, DataError, DegenerateBlowupError,
 from .grids import PolarGrid, default_grid
 from .qvalue import (QPoint, SheetSelection, average_free, brute_force_metric,
                      eta, metric_g, optimal_matching, track_selection)
-from .curves import (CurveSpec, QFunction, analytic_degree,
-                     average_free_part, constant_profile, eta_map,
-                     evaluate_sheets, homogeneous_map, load_qfunction,
-                     make_multigraph, save_qfunction, spiral_profile)
+from .curves import (CurveSpec, QFunction, average_free_part,
+                     constant_profile, eta_map, evaluate_sheets,
+                     homogeneous_map, load_qfunction, make_multigraph,
+                     save_qfunction, spiral_profile)
 from .frequency import (Cutoff, FrequencyProfile, FrequencyRecord, RAMP,
                         SHARP, auxiliary_quantities, default_profile_radii,
                         dirichlet_energy, frequency_limit, frequency_profile,

@@ -63,8 +63,8 @@ import numpy as np
 from .errors import (ConfigError, DataError, DegenerateBlowupError,
                      DimensionError, RangeError)
 from .grids import M_DIM, PolarGrid, _ring_profile
-from .curves import (QFunction, analytic_degree, average_free_part,
-                     CurveSpec, _View, _json, _ring_amplitudes, _ring_data)
+from .curves import (QFunction, average_free_part, CurveSpec, _View, _json,
+                     _ring_amplitudes, _ring_data)
 from .excess import least_excess
 from .frequency import (frequency_profile, frequency_limit,
                         default_profile_radii)
@@ -305,15 +305,15 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
 
 def _flag_average_discrepancy(claim: CurveSpec | None, est: DegreeEstimate):
     """When the input claims a test curve, compare the measured
-    average-free degree with the curve's full-graph reference order and
-    flag a mismatch."""
+    average-free degree with the curve's full-graph contact order and flag
+    a mismatch, which only a perturbation can make."""
     if claim is None:
         return
-    ref = analytic_degree(claim)
-    est.notes["reference_degree"] = ref["value"]
+    ref = claim.contact_order()
+    est.notes["reference_degree"] = ref
     est.notes["measured_object"] = "average_free"
-    if ref["kind"] == "reference" and \
-            abs(est.value - ref["value"]) > max(0.05, 3 * est.spread):
+    if claim.has_perturbation and \
+            abs(est.value - ref) > max(0.05, 3 * est.spread):
         est.notes["discrepancy"] = True
         est.notes["discrepancy_note"] = (
             "average-free degree differs from the full-graph contact order; "

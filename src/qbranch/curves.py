@@ -2,22 +2,24 @@
 homogeneous Q-valued maps on polar grids.
 
 The primary object is the graph of the plane curve (w - h(z))^Q = z^p over
-the punctured z-disk, with p > Q >= 2 coprime and h a holomorphic
-perturbation vanishing to second order.  Its Q sheets
+the punctured z-disk, with any p > Q >= 2 and h a holomorphic perturbation
+vanishing to second order.  Its Q sheets
 
     w_j(z) = h(z) + |z|^{p/Q} exp(i p arg(z) / Q) zeta^j,   zeta = e^{2 pi i/Q},
 
 are sampled on a geometric polar grid with a globally consistent labelling:
-continuing past arg(z) = 2 pi, sheet j runs into sheet (j + p) mod Q, a
-Q-cycle exactly when gcd(p, Q) = 1.
+continuing past arg(z) = 2 pi, sheet j runs into sheet (j + p) mod Q.  With
+d = gcd(p, Q) that makes d cycles of length Q/d: for d > 1 the curve is
+reducible, d branches of degree p/Q through the origin, each the
+(Q/d, p/d) curve rotated by zeta^k, k < d.
 
 CurveSpec owns the curve: its closed form with these labels
-(CurveSpec.sheets, which make_multigraph and evaluate_sheets both read)
-and the curve a map claims in its metadata, written by make_multigraph
-and read back by CurveSpec.from_metadata; no other module evaluates the
-sheets or reads the claim.  A map resampled about another point
-(recenter), the sheet average (eta_map) and the average-free part
-(average_free_part) write their own "kind", so they claim no curve.
+(CurveSpec.sheets, which make_multigraph and evaluate_sheets both read),
+its monodromy, and the curve a map claims in its metadata, written by
+CurveSpec.claim and read back by CurveSpec.from_metadata; no other module
+evaluates the sheets or reads the claim's fields.  A map resampled about
+another point (recenter), the sheet average (eta_map) and the average-free
+part (average_free_part) write their own "kind", so they claim no curve.
 
 Both test objects are sampled about the origin; a grid centred elsewhere
 is refused.  Every map's samples are read-only, so no cached table below
@@ -54,6 +56,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +70,9 @@ from .qvalue import QPoint, _separation, _sq_norm, track_selection
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Parameters of the test curve (w - h(z))^Q = z^p.
+    """Parameters of the test curve (w - h(z))^Q = z^p, any integers
+    p > Q >= 2: with d = gcd(Q, p) > 1, the union of d copies of the
+    (Q/d, p/d) curve, rotated by zeta_Q^k about h.
 
     h_coeffs are Taylor coefficients of h starting at z^0; the constant and
     linear coefficients must vanish."""
@@ -77,12 +82,12 @@ class CurveSpec:
     h_coeffs: tuple = ()
 
     def __post_init__(self):
-        if self.q < 2:
+        # TypeError on floats and strings; numpy integers stored as ints
+        q, p = operator.index(self.q), operator.index(self.p)
+        if q < 2:
             raise SpecError("sheet count Q must be at least 2")
-        if self.p <= self.q:
+        if p <= q:
             raise SpecError("need p > Q")
-        if math.gcd(self.p, self.q) != 1:
-            raise SpecError(f"p = {self.p} and Q = {self.q} must be coprime")
         coeffs = tuple(complex(c) for c in self.h_coeffs)
         if not all(map(cmath.isfinite, coeffs)):
             raise SpecError("perturbation coefficients must be finite")
@@ -90,11 +95,18 @@ class CurveSpec:
             raise SpecError("h(0) must vanish")
         if len(coeffs) >= 2 and coeffs[1] != 0:
             raise SpecError("h'(0) must vanish")
-        object.__setattr__(self, "h_coeffs", coeffs)
+        for name, value in (("q", q), ("p", p), ("h_coeffs", coeffs)):
+            object.__setattr__(self, name, value)
 
     @property
     def has_perturbation(self) -> bool:
         return any(c != 0 for c in self.h_coeffs)
+
+    @property
+    def monodromy(self) -> np.ndarray:
+        """Continuing past theta = 2 pi, sheet j runs into sheet
+        (j + p) mod Q."""
+        return (np.arange(self.q) + self.p) % self.q
 
     def h(self, z):
         """Evaluate the perturbation polynomial at z (vectorized)."""
@@ -104,18 +116,13 @@ class CurveSpec:
             out = out * z + c
         return out
 
-    def h_order(self):
-        """Order of vanishing of h at 0, or None when h is identically 0."""
-        for k, c in enumerate(self.h_coeffs):
-            if c != 0:
-                return k
-        return None
-
-    def label(self) -> str:
-        s = f"curve Q={self.q} p={self.p}"
-        if self.has_perturbation:
-            s += " h=" + ",".join(repr(c) for c in self.h_coeffs)
-        return s
+    def contact_order(self) -> float:
+        """The full graph's contact order with its tangent plane at the
+        origin: p/Q, or the order of vanishing of h where that is lower.
+        The average-free part carries p/Q whatever h is."""
+        order = next((k for k, c in enumerate(self.h_coeffs) if c != 0),
+                     math.inf)
+        return min(self.p / self.q, float(order))
 
     def sheets(self, r, theta, out=None) -> np.ndarray:
         """The labelled sheets h(z) + r^(p/Q) exp(i p theta / Q) zeta^j at
@@ -128,11 +135,21 @@ class CurveSpec:
         out = np.multiply(root, zeta, out=out)
         return np.add(self.h(r * np.exp(1j * theta)), out, out=out)
 
+    def claim(self) -> dict:
+        """The metadata by which a map claims this curve, as from_metadata
+        reads it back."""
+        label = f"curve Q={self.q} p={self.p}"
+        if self.has_perturbation:
+            label += " h=" + ",".join(repr(c) for c in self.h_coeffs)
+        return {"kind": "curve", "q": self.q, "p": self.p,
+                "h_coeffs": [[c.real, c.imag] for c in self.h_coeffs],
+                "label": label}
+
     @classmethod
     def from_metadata(cls, meta: dict) -> "CurveSpec | None":
-        """The curve a map's metadata claims, as make_multigraph writes it,
-        or None when the map claims none.  ConfigError, naming the claimed
-        fields, when the claim is no valid CurveSpec."""
+        """The curve a map's metadata claims, as claim writes it, or None
+        when the map claims none.  ConfigError, naming the claimed fields,
+        when the claim is no valid CurveSpec."""
         if meta.get("kind") != "curve":
             return None
         q, p, hs = meta.get("q"), meta.get("p"), meta.get("h_coeffs", [])
@@ -141,23 +158,6 @@ class CurveSpec:
         except (TypeError, ValueError, SpecError) as exc:
             raise ConfigError(f"the claimed curve q={q!r}, p={p!r}, "
                               f"h_coeffs={hs!r} is malformed: {exc}") from None
-
-
-def analytic_degree(spec: CurveSpec) -> dict:
-    """Reference frequency of the curve at the origin.
-
-    For h = 0 this is the branching degree p/Q.  For h != 0 the full graph
-    seen at small scale has contact order min(p/Q, ord h) with its tangent
-    plane, while the average-free part still carries p/Q; the returned dict
-    says which number is being quoted."""
-    ratio = spec.p / spec.q
-    order = spec.h_order()
-    if order is None:
-        return {"value": ratio, "kind": "degree",
-                "branch_degree": ratio, "average_order": None}
-    value = min(ratio, float(order))
-    return {"value": value, "kind": "reference",
-            "branch_degree": ratio, "average_order": float(order)}
 
 
 def evaluate_sheets(spec: CurveSpec, z: complex) -> QPoint:
@@ -525,7 +525,7 @@ def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction
     rings at a time, each block checked while it is in cache; every node is
     formed and checked by the same operations as in one pass."""
     grid = _origin_grid(grid)
-    monodromy = (np.arange(spec.q) + spec.p) % spec.q
+    monodromy = spec.monodromy
     w = np.empty((spec.q, grid.n_rings, grid.n_theta), dtype=complex)
     values = w[..., None].view(np.float64)  # (re, im) pairs, no copy
     worst = 0.0
@@ -535,10 +535,7 @@ def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction
         ratio = _angular_step_ratio(values[:, a:b], monodromy)[1]
         worst = max(worst, float(ratio.max()))
     f = QFunction(grid=grid, values=values, monodromy=monodromy,
-                  metadata={"kind": "curve", "q": spec.q, "p": spec.p,
-                            "h_coeffs": [[c.real, c.imag]
-                                         for c in spec.h_coeffs],
-                            "label": spec.label()})
+                  metadata=spec.claim())
     if worst >= 1.0:
         raise RefinementError(
             "angular step exceeds half the sheet separation "

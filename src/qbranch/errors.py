@@ -11,7 +11,7 @@ class ConfigError(QBranchError):
 
 
 class SpecError(ConfigError):
-    """Invalid curve specification (non-coprime exponents, p <= q, ...)."""
+    """Invalid curve specification (Q < 2, p <= Q, h(0) != 0, ...)."""
 
 
 class DimensionError(QBranchError):

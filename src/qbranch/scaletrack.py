@@ -99,7 +99,10 @@ class ScaleIntervals:
     radii: list                # all scanned dyadic radii, descending
     excess_by_r: dict
     config: ScaleTrackConfig
-    empty: bool = False
+
+    @property
+    def empty(self) -> bool:
+        return not self.intervals
 
     def coinciding(self, j: int) -> bool:
         """True when interval j starts exactly where interval j-1 stopped."""
@@ -220,8 +223,7 @@ def intervals_of_flattening(source, eps3_sq: float | None = None,
             m0=current["m0"], plane=current["plane"], end_reason="floor",
             reaches_floor=True))
     return ScaleIntervals(intervals=intervals, gaps=gaps, radii=radii,
-                          excess_by_r=excess_by_r, config=cfg,
-                          empty=not intervals)
+                          excess_by_r=excess_by_r, config=cfg)
 
 
 # ----------------------------------------------------------------------------

@@ -60,10 +60,20 @@ class TestFrequencyCommand:
         assert code == 2
 
     def test_bad_curve_spec(self, tmp_path):
-        code, _ = run(["frequency", "--curve", "2,4"] + FAST, tmp_path)
+        code, _ = run(["frequency", "--curve", "4,2"] + FAST, tmp_path)
         assert code == 2
         code, _ = run(["frequency", "--curve", "nope"] + FAST, tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("command, name", [
+        ("frequency", "frequency_limit.json"), ("degree", "degree.json")])
+    def test_reducible_curve(self, tmp_path, command, name):
+        # w^4 = z^6 is two (2,3) branches, of degree 3/2
+        code, out = run([command, "--curve", "4,6"] + FAST, tmp_path)
+        assert code == 0
+        report = json.loads((out / name).read_text())
+        value = report["estimate" if command == "frequency" else "value"]
+        assert abs(value - 1.5) < 2e-6
 
     def test_file_input(self, tmp_path, small_grid):
         f = qb.make_multigraph(qb.CurveSpec(2, 3), small_grid)
@@ -341,7 +351,7 @@ EXIT_CASES = {
     "no_input": (["frequency"] + FAST, 2),
     "conflicting_inputs": (["frequency", "--curve", "2,3",
                             "--homogeneous", "1.5"] + FAST, 2),
-    "non_coprime_curve": (["frequency", "--curve", "2,4"] + FAST, 2),
+    "p_not_above_q_curve": (["frequency", "--curve", "3,3"] + FAST, 2),
     "malformed_curve": (["frequency", "--curve", "nope"] + FAST, 2),
     "unknown_flag": (["frequency", "--wibble", "7"], 2),
     "unknown_config_key": (["degree", "--config",

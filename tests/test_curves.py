@@ -1,6 +1,7 @@
 """Ground-truth multigraphs and synthetic homogeneous maps."""
 
 import json
+import math
 import re
 import warnings
 
@@ -18,9 +19,17 @@ from qbranch.qvalue import _separation, _sq_norm
 
 
 class TestCurveSpec:
-    def test_rejects_non_coprime(self):
-        with pytest.raises(qb.SpecError):
-            qb.CurveSpec(2, 4)
+    @pytest.mark.parametrize("q, p", [(2.0, 3), ("2", 3), (2, 3.0),
+                                      (2, "3")],
+                             ids=["float_q", "str_q", "float_p", "str_p"])
+    def test_rejects_non_integer_exponents(self, q, p):
+        with pytest.raises(TypeError):
+            qb.CurveSpec(q, p)
+
+    def test_stores_numpy_integers_as_ints(self):
+        spec = qb.CurveSpec(np.int64(4), np.int32(6))
+        assert type(spec.q) is int and type(spec.p) is int
+        assert spec == qb.CurveSpec(4, 6)
 
     def test_rejects_p_below_q(self):
         with pytest.raises(qb.SpecError):
@@ -42,13 +51,15 @@ class TestCurveSpec:
         with pytest.raises(qb.SpecError):
             qb.CurveSpec(2, 5, (0, 0, coef))
 
-    def test_analytic_degree(self):
-        assert qb.analytic_degree(qb.CurveSpec(2, 3))["value"] == 1.5
-        assert qb.analytic_degree(qb.CurveSpec(3, 5))["value"] == 5 / 3
-        ref = qb.analytic_degree(qb.CurveSpec(2, 5, (0, 0, 1)))
-        assert ref["value"] == 2.0
-        assert ref["kind"] == "reference"
-        assert ref["branch_degree"] == 2.5
+    @pytest.mark.parametrize("q, p, h, order", [
+        (2, 3, (), 1.5), (3, 5, (), 5 / 3), (4, 6, (), 1.5),
+        (2, 5, (0, 0, 1), 2.0), (2, 5, (0, 0, 0, 1), 2.5),
+        (2, 5, (0, 0, 0), 2.5)],
+        ids=["(2,3)", "(3,5)", "(4,6)", "(2,5)+z^2", "(2,5)+z^3", "(2,5)+0"])
+    def test_contact_order(self, q, p, h, order):
+        # p/Q, or ord h where that is lower; always a float
+        got = qb.CurveSpec(q, p, h).contact_order()
+        assert got == order and type(got) is float
 
 
 class TestEvaluateSheets:
@@ -120,6 +131,82 @@ class TestSheets:
         theta = np.angle(z) % (2 * np.pi)
         assert np.array_equal(qb.evaluate_sheets(spec, z).as_complex(),
                               spec.sheets(abs(z), theta))
+
+
+#: reducible curves (Q, p), gcd d > 1, and their reduced curves (Q/d, p/d)
+REDUCIBLE = [((4, 6), (2, 3)), ((6, 9), (2, 3)), ((6, 8), (3, 4)),
+             ((4, 10), (2, 5))]
+
+
+class TestReducibleCurve:
+    """With d = gcd(Q, p) > 1 the curve is d rotated copies of the reduced
+    (Q/d, p/d) curve: each copy's frequency is p/Q, and I, the degree and
+    the excess add up over the copies as the reduced curve's do."""
+
+    @given(curve=st.sampled_from([(q, p) for q in range(2, 7)
+                                  for p in range(q + 1, 13)
+                                  if math.gcd(q, p) > 1]),
+           h=st.sampled_from([(), (0, 0, 0.3 + 0.1j), (0, 0, 0, -0.2j)]),
+           logr=st.floats(-16.0, 0.0),
+           theta=st.floats(0.0, TWO_PI, exclude_max=True))
+    def test_sheets_are_the_rotated_reduced_sheets(self, curve, h, logr,
+                                                   theta):
+        q, p = curve
+        d = math.gcd(q, p)
+        spec, r = qb.CurveSpec(q, p, h), 2.0 ** logr
+        base = spec.h(r * np.exp(1j * theta))
+        if d < q:
+            branch = qb.CurveSpec(q // d, p // d, h).sheets(r, theta) - base
+        else:  # Q divides p: the reduced curve is the one sheet z^(p/Q)
+            branch = np.array([r ** (p // q) * np.exp(1j * (p // q) * theta)])
+        want = np.concatenate([base + np.exp(2j * np.pi * k / q) * branch
+                               for k in range(d)])
+        got = spec.sheets(r, theta)
+        dist = qb.metric_g(qb.QPoint.from_complex(got),
+                           qb.QPoint.from_complex(want))
+        assert dist <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("curve, reduced", REDUCIBLE)
+    def test_monodromy_has_one_cycle_per_copy(self, curve_cache, curve,
+                                              reduced):
+        f = curve_cache(*curve)
+        d = curve[0] // reduced[0]
+        sel = qb.SheetSelection(sheets=f.values[:, -1], monodromy=f.monodromy,
+                                closed=True)
+        assert sel.monodromy_cycle_lengths() == [reduced[0]] * d
+        assert f.check_selection() < 1
+
+    @pytest.mark.parametrize("cutoff", [qb.RAMP, qb.SHARP])
+    @pytest.mark.parametrize("curve, reduced", REDUCIBLE)
+    def test_frequency_is_the_reduced_curves(self, curve_cache, full_grid,
+                                             curve, reduced, cutoff):
+        radii = full_grid.radii[full_grid.radii >= 4 * full_grid.r_min]
+
+        def profile(c):
+            return np.array([rec.I for rec in qb.frequency_profile(
+                curve_cache(*c), radii, cutoff).records])
+        I, I_reduced = profile(curve), profile(reduced)
+        assert len(I) == len(radii)
+        assert np.max(np.abs(I / I_reduced - 1)) < 1e-13
+        assert np.max(np.abs(I - curve[1] / curve[0])) < 1e-4
+
+    @pytest.mark.parametrize("curve, reduced", REDUCIBLE)
+    def test_degree_is_the_reduced_curves(self, curve_cache, curve, reduced):
+        est, est_reduced = (qb.singularity_degree(curve_cache(*c))
+                            for c in (curve, reduced))
+        assert est.converged and est_reduced.converged
+        assert abs(est.value - est_reduced.value) < 1e-12
+        assert est.notes["reference_degree"] == curve[1] / curve[0]
+
+    @pytest.mark.parametrize("curve, reduced", REDUCIBLE)
+    def test_horizontal_excess_adds_up_over_the_copies(self, curve_cache,
+                                                       curve, reduced):
+        d = curve[0] // reduced[0]
+        for k in range(3, 15):
+            ex, ex_reduced = (qb.spherical_excess(curve_cache(*c),
+                                                  2.0 ** -k).excess
+                              for c in (curve, reduced))
+            assert ex == pytest.approx(d * ex_reduced, rel=1e-10, abs=0.0)
 
 
 class TestMultigraph:
@@ -317,7 +404,8 @@ class TestClaimedCurve:
     """CurveSpec.from_metadata reads back the curve make_multigraph claims."""
 
     SPECS = [qb.CurveSpec(2, 3), qb.CurveSpec(2, 5, (0, 0, 0.3 + 0.1j)),
-             qb.CurveSpec(3, 7, (0, 0, 0, -0.2j))]
+             qb.CurveSpec(3, 7, (0, 0, 0, -0.2j)),
+             qb.CurveSpec(4, 6, (0, 0, 0.2j))]
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_reads_back_the_claim(self, spec, tmp_path):
@@ -349,8 +437,9 @@ class TestClaimedCurve:
         ({"q": 2, "p": 3, "h_coeffs": [[0, 0], ["1", 0]]},
          "h_coeffs=[[0, 0], ['1', 0]] is malformed"),
         ({"q": 1, "p": 3}, "Q must be at least 2"),
-        ({"q": 2, "p": 4}, "coprime"),
+        ({"q": 3, "p": 2}, "need p > Q"),
         ({"q": 2, "p": 3, "h_coeffs": [[0.5, 0]]}, "h(0) must vanish"),
+        ({"q": 2, "p": 3.0}, "p=3.0,"),
     ])
     def test_malformed_claim_names_the_fields(self, meta, message):
         with pytest.raises(qb.ConfigError, match=re.escape(message)) as err:

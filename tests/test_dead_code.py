@@ -237,3 +237,13 @@ def test_the_curve_lives_in_curve_spec():
                                           "curves.py:make_multigraph"]
     assert _package_callers("from_metadata") == [
         "blowup.py:singularity_degree"]
+    # the claim is written next to its reader, and the contact order is
+    # read once, by the degree's discrepancy flag
+    assert _package_callers("claim") == ["curves.py:make_multigraph"]
+    assert _package_callers("contact_order") == [
+        "blowup.py:_flag_average_discrepancy"]
+    defined = set().union(*(_definitions(node.body)
+                            for path in SOURCES
+                            for node in ast.walk(ast.parse(path.read_text()))
+                            if isinstance(node, (ast.Module, ast.ClassDef))))
+    assert not {"analytic_degree", "h_order", "label"} & defined

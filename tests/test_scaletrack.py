@@ -241,6 +241,13 @@ class TestUniversalFrequency:
         with pytest.raises(qb.DataError):
             qb.universal_frequency(curve_cache(2, 3), iv)
 
+    def test_empty_is_read_off_the_intervals(self, curve_cache):
+        iv = qb.ScaleIntervals(intervals=[], gaps=[], radii=[],
+                               excess_by_r={}, config=qb.ScaleTrackConfig())
+        assert iv.empty
+        with pytest.raises(qb.DataError, match="no flattening intervals"):
+            qb.universal_frequency(curve_cache(2, 3), iv)
+
     def test_csv_exports(self, curve_cache):
         f = curve_cache(2, 3)
         iv = qb.intervals_of_flattening(f, eps3_sq=0.1)
