@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, DegenerateBlowupError,
                      DimensionError, RangeError)
-from .grids import M_DIM, PolarGrid, _ring_profile
+from .grids import M_DIM, PolarGrid
 from .curves import (QFunction, average_free_part, CurveSpec, _View, _json,
                      _ring_amplitudes, _ring_data)
 from .excess import least_excess
@@ -169,16 +169,9 @@ def _branched_part(f: QFunction) -> QFunction:
 
 
 def l2_norm_on_ball(f: QFunction, radius: float) -> float:
-    """sqrt of int_{B_radius} |f|^2, from the |f|^2 ring profile alone:
-    nothing is differentiated.  Column B of the ring table gives the same
-    integral bit for bit, and the l2_norm normalizer reads it there, where
-    a degree estimate has built it anyway; here a fresh map would pay a
-    whole sweep for it (best of 10 on the default grid, 2-vCPU host: 0.3
-    to 0.5 ms for this profile against 12 to 31 ms for the sweep, for
-    (2,3) to (4,5))."""
-    rule = f.rule()
-    return float(np.sqrt(rule._disk_integral(
-        rule.disk_table(_ring_profile(f.values)), radius)))
+    """sqrt of int_{B_radius} |f|^2, read off column B of f's ring table
+    as frequency.dirichlet_energy reads column A."""
+    return float(np.sqrt(f.rule()._disk_integral(_ring_data(f), radius)[1]))
 
 
 def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
@@ -197,10 +190,8 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
         if r_ref > grid.r_max * (1 + 1e-12):
             raise RangeError(
                 f"reference ball {reference} * {r} exceeds the grid")
-        # |f|^2 off f's ring table, which a degree estimate's profile
-        # reads anyway; the norm of the blow-up on B_reference scales from it
-        raw = float(np.sqrt(f.rule()._disk_integral(_ring_data(f), r_ref)[1]))
-        normalizer = raw * r ** (-(M_DIM + 2) / 2.0)
+        # the norm of the blow-up on B_reference scales from f's on B_r_ref
+        normalizer = l2_norm_on_ball(f, r_ref) * r ** (-(M_DIM + 2) / 2.0)
     elif mode == "excess_sqrt":
         ex = least_excess(f, r)
         normalizer = math.sqrt(max(ex, 0.0))

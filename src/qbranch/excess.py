@@ -64,7 +64,6 @@ class Plane:
     """Graph plane {(x, A x)} with tilt matrix A (codomain x base)."""
 
     tilt: np.ndarray  # (2, 2)
-    note: str = ""
 
     def __post_init__(self):
         A = np.asarray(self.tilt, dtype=float).reshape(2, 2)
@@ -78,7 +77,7 @@ class Plane:
         return float(np.linalg.norm(self.tilt))
 
 
-HORIZONTAL = Plane(np.zeros((2, 2)), note="horizontal")
+HORIZONTAL = Plane(np.zeros((2, 2)))
 
 
 @dataclass
@@ -175,8 +174,7 @@ def optimal_plane(f: QFunction, r: float) -> dict:
     if tau[0] <= 1e-12:
         raise TiltError("the optimal plane is not a graph over the base")
     t = tau / tau[0]
-    plane = Plane(np.array([[-t[3], t[1]], [-t[4], t[2]]]),
-                  note=f"optimal at r={r:.6g}")
+    plane = Plane(np.array([[-t[3], t[1]], [-t[4], t[2]]]))
     return {"plane": plane, "iterations": 1,
             "excess": _excess(S0, _plucker_of_tilt(plane.tilt) @ S1, r)}
 

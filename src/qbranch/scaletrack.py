@@ -31,10 +31,12 @@ subtracted.  The plane, removed from every sheet alike, drops out with the
 average, and I is scale invariant, so every record is I of f's
 average-free part (of f itself when single-valued) at the global radius:
 one ring table serves all intervals.  The plane only truncates intervals
-tilted beyond the regime where that linearization is trusted.  Both sides
-of a seam read the table at t_j, so seam jumps are zero in this
-linearized stand-in.  The negative variation of log(I + 1) splits into a
-within-interval and a jump part.
+tilted beyond the regime where that linearization is trusted.  A seam,
+where interval j meets interval j-1 at t_j, is interval j's own record at
+t_j, read as both of its limits, so seam jumps are zero in this linearized
+stand-in, and an interval with no record at t_j (the zero-length
+]r_floor, r_floor] one) has no seam.  The negative variation of
+log(I + 1) splits into a within-interval and a jump part.
 """
 
 from __future__ import annotations
@@ -274,8 +276,10 @@ def universal_frequency(f: QFunction, intervals: ScaleIntervals,
     ConfigError otherwise), each record being I of the measured object
     v = _branched_part(f) at that radius (the blow-up is a view of v, and
     its plane drops out with the average; the plane only truncates).
-    Jumps are recorded at interior seams; both sides read v at t_j, so they
-    are zero here.  All records come from one _records call on v."""
+    A seam's jump is interval j's record at its top t_j, where it meets
+    interval j-1, taken as both limits, so it is zero here; that record
+    carries the jump flag.  All records come from one _records call on v,
+    one per radius."""
     rpo = int(round(math.log(2.0) / f.grid.dt))
     if points_per_octave < 1 or rpo % points_per_octave:
         raise ConfigError(f"points_per_octave {points_per_octave} does not "
@@ -299,24 +303,20 @@ def universal_frequency(f: QFunction, intervals: ScaleIntervals,
         keep = (rho > rec.s / rec.t * (1 + 1e-12)) \
             & (x / 2 >= radii[0] * (1 - 1e-12))
         spans.append((rec.j, (rho[keep] * rec.t)[::-1].tolist()))
-    # seams: interval j meets interval j-1 at t_j; both sides read v there
-    seams = [rec for j, rec in enumerate(intervals.intervals)
-             if j > 0 and intervals.coinciding(j)
-             and j not in truncated and j - 1 not in truncated]
-    found = iter(_records(v, [r for _, rs in spans for r in rs]
-                          + [rec.t for rec in seams], cutoff))
+    found = iter(_records(v, [r for _, rs in spans for r in rs], cutoff))
     # zip draws from its radii first, so each span takes its own records
     records = [ProfileRecord(r=r, j=j, I=fr.I)
                for j, rs in spans for r, fr in zip(rs, found) if fr.valid]
+    # interval j meets interval j-1 at t_j, where its top record (rho = 1)
+    # lies: that record is the seam, so an interval without one has none
     jumps = []
-    for rec, seam in zip(seams, found):
-        if not seam.valid:
-            continue
-        jumps.append(JumpRecord(t=rec.t, I_left=seam.I, I_right=seam.I,
-                                m0=rec.m0))
-        for pr in records:
-            if pr.j == rec.j and abs(pr.r - rec.t) <= 1e-12 * rec.t:
-                pr.jump_flag = True
+    for pr in records:
+        rec = intervals.intervals[pr.j]
+        if pr.r == rec.t and intervals.coinciding(pr.j) \
+                and pr.j - 1 not in truncated:
+            pr.jump_flag = True
+            jumps.append(JumpRecord(t=rec.t, I_left=pr.I, I_right=pr.I,
+                                    m0=rec.m0))
     return UniversalProfile(
         records=records, jumps=jumps,
         interval_m0=[rec.m0 for rec in intervals.intervals],

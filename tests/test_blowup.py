@@ -238,14 +238,24 @@ class TestNormalize:
         direct = qb.rescale(f, 0.25)
         assert np.abs(u.values * h - direct.values).max() < 1e-12
 
-    def test_l2_norm_reads_the_cached_ring_table(self, curve_cache):
+    def test_l2_norm_reads_the_cached_ring_table(self, curve_cache,
+                                                 monkeypatch):
+        # a fresh map's first norm builds its ring table, and a second norm
+        # reads that table and sweeps nothing more
         f = curve_cache(3, 4)
         fresh = qb.QFunction(grid=f.grid, values=f.values,
                              monodromy=f.monodromy)
-        cold = qb.l2_norm_on_ball(fresh, 0.5)
-        assert fresh._cache.keys() <= {"rule"}  # nothing differentiated
-        _ring_data(fresh)
-        assert qb.l2_norm_on_ball(fresh, 0.5) == cold
+        swept, gradients = [], qb.QFunction.gradients
+
+        def spy(self, reduce):
+            swept.append(self)
+            return gradients(self, reduce)
+
+        monkeypatch.setattr(qb.QFunction, "gradients", spy)
+        first = qb.l2_norm_on_ball(fresh, 0.5)
+        assert "ring_data" in fresh._cache and swept == [fresh]
+        assert qb.l2_norm_on_ball(fresh, 0.5) == first
+        assert swept == [fresh]
 
     def test_l2_norm_is_the_ring_tables_column(self, full_grid):
         # the samples-only table and column B of the ring table, which the

@@ -160,11 +160,10 @@ def test_sample_shape_is_read_in_one_class():
 
 
 def test_gradients_have_one_caller():
-    # every table comes from one sweep of the map's one differentiation;
-    # only the L2 norm builds a table of its own, from the samples alone
+    # every table comes from one sweep of the map's one differentiation,
+    # the L2 norm's included: it reads column B of the ring table
     assert _package_callers("gradients") == ["curves.py:_sweep"]
-    assert _package_callers("disk_table") == [
-        "blowup.py:l2_norm_on_ball", "curves.py:_sweep"]
+    assert _package_callers("disk_table") == ["curves.py:_sweep"]
 
 
 def test_imports_sit_at_module_level_and_form_a_dag():

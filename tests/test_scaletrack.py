@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import qbranch as qb
+from qbranch import frequency
 from qbranch.blowup import _branched_part
 from qbranch.scaletrack import IntervalRecord, JumpRecord, ProfileRecord
 
@@ -293,6 +294,53 @@ class TestSingleTable:
             [(rec.r, rec.j) for rec in base.records]
         for a, b in zip(base.records, moved.records):
             assert abs(a.I - b.I) <= 1e-12
+
+    @pytest.mark.parametrize("q,p", [(2, 3), (3, 4), (3, 5), (4, 5)])
+    def test_a_seam_is_the_record_at_its_top(self, curve_cache, q, p):
+        # a jump sits at the top t_j of a recorded interval j, on the
+        # record of j there, and never at a radius outside every ]s_j, t_j]
+        f = curve_cache(q, p)
+        iv = qb.intervals_of_flattening(f, eps3_sq=0.2)
+        prof = qb.universal_frequency(f, iv)
+        assert prof.jumps
+        by_place = {(rec.j, rec.r): rec for rec in prof.records}
+        for jp in prof.jumps:
+            assert any(rec.s < jp.t <= rec.t for rec in iv.intervals)
+            (j,) = [rec.j for rec in iv.intervals if rec.t == jp.t]
+            top = by_place[(j, jp.t)]
+            assert top.jump_flag and jp.I_left == jp.I_right == top.I
+        assert sum(rec.jump_flag for rec in prof.records) == len(prof.jumps)
+
+    def test_a_zero_length_interval_changes_nothing(self, curve_cache):
+        # ]r_floor, r_floor] holds no radius, so it has no record and no
+        # seam; only its m0 still enters the budget
+        f = curve_cache(2, 3)
+        iv = qb.intervals_of_flattening(f, eps3_sq=0.2)
+        last = iv.intervals[-1]
+        assert last.s == last.t == iv.config.r_floor
+        kept = qb.universal_frequency(f, iv)
+        dropped = qb.universal_frequency(
+            f, dataclasses.replace(iv, intervals=iv.intervals[:-1]))
+        assert kept.records_csv() == dropped.records_csv()
+        assert kept.jumps_csv() == dropped.jumps_csv()
+        assert kept.notes == dropped.notes
+        assert kept.interval_m0 == dropped.interval_m0 + [last.m0]
+        for key in ("total", "ac_part", "jump_part"):
+            assert qb.bv_budget(kept)[key] == qb.bv_budget(dropped)[key]
+
+    def test_each_radius_is_evaluated_once(self, curve_cache, monkeypatch):
+        f = curve_cache(2, 3)
+        iv = qb.intervals_of_flattening(f, eps3_sq=0.2)
+        calls, quantities = [], frequency._quantities
+
+        def spy(g, s, cutoff):
+            calls.append(list(s))
+            return quantities(g, s, cutoff)
+
+        monkeypatch.setattr(frequency, "_quantities", spy)
+        prof = qb.universal_frequency(f, iv, points_per_octave=2)
+        assert prof.jumps
+        assert calls == [[rec.r for rec in prof.records]]
 
     @pytest.mark.parametrize("t", [2.0 ** -9, 2.0])
     def test_refuses_interval_tops_off_the_grid(self, t):
