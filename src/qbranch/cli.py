@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Subcommands: frequency, degree, excess-decay, bv-track, hardt-simon,
-intervals, selfcheck.  Exit codes: 0 ok, 2 configuration error, 3 numeric
-degeneracy, 4 internal error.  Every run checks its whole configuration
-before any computation: each option is checked once, by the library type
-that owns it (Cutoff, BlowupConfig, ScaleTrackConfig), or here when no type
-owns it, and all three types are built for every subcommand.  A subcommand
-computes everything in memory and returns its files, {name: text}; only
-then are they written, each through a temporary name and an atomic rename,
-so a failing run leaves no partial files.  Computation is single-threaded,
-so identical configuration and seed produce byte-identical outputs;
---threads is still accepted and validated for compatibility, and has no
-effect.
+intervals, selfcheck.  Every subcommand takes the same options, so one
+parser reads them all: the subcommand is its positional argument, and the
+options may stand before or after it.  Exit codes: 0 ok, 2 configuration
+error, 3 numeric degeneracy, 4 internal error.  Every run checks its whole
+configuration before any computation: each option is checked once, by the
+library type that owns it (Cutoff, BlowupConfig, ScaleTrackConfig), or
+here when no type owns it, and all three types are built for every
+subcommand.  A subcommand computes everything in memory and returns its
+files, {name: text}; only then are they written, each through a temporary
+name and an atomic rename, so a failing run leaves no partial files.
+Computation is single-threaded, so identical configuration and seed
+produce byte-identical outputs; --threads is still accepted and validated
+for compatibility, and has no effect.
 
 Options may come from a flat key-value config file (one `key value` pair
 per line, '#' comments) with command-line `--key value` overrides.
@@ -364,14 +366,14 @@ _HANDLERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser: every subcommand takes every option, so the command is
+    a positional choice and the options may stand before or after it."""
     parser = argparse.ArgumentParser(
         prog="qbranch",
         description="Q-valued multigraph laboratory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        for key, (_, _, help_text) in _KEYS.items():
-            p.add_argument(f"--{key}", help=help_text)
+    parser.add_argument("command", choices=_HANDLERS)
+    for key, (_, _, help_text) in _KEYS.items():
+        parser.add_argument(f"--{key}", help=help_text)
     return parser
 
 

@@ -35,8 +35,8 @@ the mass expansion reads beside it); when the map is no average-free
 part, which is known by the parent samples its sweep reads (_free_of),
 also its area table if its codomain is planar, the only one the excess
 reads; and when in addition Q > 1 and the map has no average-free part
-yet, that part's ring table, from the blocks minus their sheet mean (both
-stencils are linear), which average_free_part then takes over.  A table
+yet, that part's ring table, reduced by the part's own reduction
+(_centred(_profiles)), which average_free_part then takes over.  A table
 already cached is skipped, and the cache keys are named here alone.  The
 sheet average (eta_map) and the average-free part live here too: how the
 part comes by its ring table is part of that policy.
@@ -44,11 +44,13 @@ part comes by its ring table is part of that policy.
 Derived maps are views, not copies (_View): a dilation (blowup._dilate)
 holds its parent map and the average-free part holds its parent's
 samples, and each forms its own samples only when a caller reads them.
-The part's sweep runs over its parent's samples and takes every block,
-derivatives included, minus its sheet mean, which is how its parent's
-sweep seeds it: so the part's ring table has one path, the same bits
-whichever sweep built it, and a degree estimate never forms the part's
-samples.
+An average-free part's blocks are its parent's blocks minus their sheet
+mean (both stencils are linear), and that is stated in one place: _centred
+wraps every reduction of the part's own sweep, which runs over its
+parent's samples, and the reduction by which its parent's sweep seeds it.
+So the part's ring table comes from one function whichever sweep built
+it, its ring amplitudes are read off the same blocks (_ring_amplitudes),
+and a degree estimate never forms the part's samples.
 """
 
 from __future__ import annotations
@@ -237,24 +239,16 @@ class QFunction:
         the monodromy covering circle), swept over grids._ring_blocks: the
         list of reduce(x, du_dr, du_dth) over the blocks, x the block's
         samples, so no derivative outlives its block and no map's whole
-        derivative is ever formed.  An average-free part sweeps its
-        parent's samples and hands reduce each of the three blocks minus
-        its sheet mean, exactly as its parent's sweep seeds its ring table
-        (both stencils are linear), so its tables have one path and it
-        never forms its own samples."""
-        free = self._free_of
-        x, radii = (self.values if free is None else free), self.grid.radii
-        out = []
+        derivative is ever formed.  An average-free part sweeps the parent
+        samples it holds (_free_of), so it never forms its own: reduce gets
+        the parent's blocks, and _sweep centres them (_centred)."""
+        x = self.values if self._free_of is None else self._free_of
+        radii, out = self.grid.radii, []
         for (a, b), du_dr, du_dth in zip(
                 _ring_blocks(x), d_dr_geometric(x, radii),
                 d_dtheta_periodic(x, self.monodromy)):
             du_dth *= 1.0 / radii[None, a:b, None, None]
-            if free is None:
-                out.append(reduce(x[:, a:b], du_dr, du_dth))
-            else:  # the derivative blocks are fresh: centred in place
-                out.append(reduce(_minus_sheet_mean(x[:, a:b]),
-                                  _minus_sheet_mean(du_dr, du_dr),
-                                  _minus_sheet_mean(du_dth, du_dth)))
+            out.append(reduce(x[:, a:b], du_dr, du_dth))
         return out
 
     # ---- consistency --------------------------------------------------
@@ -309,14 +303,15 @@ def _minus_sheet_mean(a: np.ndarray, out=None) -> np.ndarray:
 def _ring_amplitudes(f: QFunction) -> np.ndarray:
     """The largest sample magnitude on each ring of f, once per map, a
     block of rings at a time: no full-size temporary is formed.  An
-    average-free part has them from its build."""
-    return f.cached("ring_amplitudes", lambda: _amplitudes(
-        f.values[:, a:b] for a, b in _ring_blocks(f.values)))
-
-
-def _amplitudes(blocks) -> np.ndarray:
-    """Per ring, the largest magnitude over blocks of rings (Q, ., T, n)."""
-    return np.concatenate([np.abs(b).max(axis=(0, 2, 3)) for b in blocks])
+    average-free part reads its blocks as its parent's blocks minus their
+    sheet mean, so it never forms its own samples."""
+    def build():
+        x = f.values if f._free_of is None else f._free_of
+        blocks = (x[:, a:b] for a, b in _ring_blocks(x))
+        if f._free_of is not None:
+            blocks = (_minus_sheet_mean(b) for b in blocks)
+        return np.concatenate([np.abs(b).max(axis=(0, 2, 3)) for b in blocks])
+    return f.cached("ring_amplitudes", build)
 
 
 def _angular_step_ratio(x: np.ndarray, monodromy: np.ndarray):
@@ -379,17 +374,23 @@ def _sweep(f: QFunction, *keys: str):
     """f's table under keys[0], cached: when it is missing, from one pass
     of f's one differentiation (QFunction.gradients), whose blocks of rings
     fill the requested tables and the others of the policy in the module
-    docstring that are not cached yet."""
+    docstring that are not cached yet.  An average-free part's run reduces
+    its parent's blocks through _centred."""
     c = f._cache
     if keys[0] not in c:
         keys += ("ring_data",)
         if f._free_of is None:
             keys += ("area_moments",) if f.n == 2 else ()
             if f.q > 1 and "average_free" not in c:
+                # last: its reduction centres the derivative blocks in
+                # place, so no reduction may read them after it
                 keys += ("free_ring_data",)
         todo = [k for k in dict.fromkeys(keys) if k not in c]
         reduce = [_REDUCTIONS[k](f) for k in todo]
-        blocks = f.gradients(lambda *b: [r(*b) for r in reduce])
+
+        def sweep(*block):
+            return [r(*block) for r in reduce]
+        blocks = f.gradients(sweep if f._free_of is None else _centred(sweep))
         for k, rows in zip(todo, zip(*blocks)):
             table = f.rule().disk_table(np.concatenate(rows))
             f.cached(k, lambda: table)
@@ -403,10 +404,16 @@ def _profiles(x, du_dr, du_dth) -> np.ndarray:
                      _ring_profile(x, du_dr), P]).T
 
 
-def _free_profiles(*block) -> np.ndarray:
-    """The rows of the average-free part's F: _profiles of the block
-    minus its sheet mean, as the part's own sweep gives them."""
-    return _profiles(*map(_minus_sheet_mean, block))
+def _centred(reduce):
+    """reduce, handed a block of a map's rings as its average-free part's
+    block: the samples minus their sheet mean, and the derivative blocks,
+    which the sweep formed fresh, centred in place (both stencils are
+    linear).  The one path of the part's tables: its own sweep and the
+    seed from its parent's sweep both reduce through it."""
+    def centred(x, du_dr, du_dth):
+        return reduce(_minus_sheet_mean(x), _minus_sheet_mean(du_dr, du_dr),
+                      _minus_sheet_mean(du_dth, du_dth))
+    return centred
 
 
 def _quartic_rows(x, du_dr, du_dth) -> np.ndarray:
@@ -448,7 +455,7 @@ def _area_rows(f: QFunction):
 
 #: per table key, the reduction of a block of f's rings to the table's rows
 _REDUCTIONS = {"ring_data": lambda f: _profiles,
-               "free_ring_data": lambda f: _free_profiles,
+               "free_ring_data": lambda f: _centred(_profiles),
                "area_moments": _area_rows,
                "quartic_data": lambda f: _quartic_rows}
 
@@ -471,27 +478,23 @@ def average_free_part(f: QFunction) -> QFunction:
     it holds (_free_of).  The part is a view (_View) of f's samples: its
     own are formed only when a caller reads values, and its tables come
     from one sweep of f's samples whose blocks, derivatives included, are
-    taken minus their sheet mean.  When f was swept first, that sweep gave
-    the part's ring table, with the same bits.  Its ring amplitudes come
-    from one pass of blocks when it is built, which refuses with
-    DimensionError samples whose sheet mean overflows."""
+    taken minus their sheet mean (_centred).  When f was swept first, that
+    sweep gave the part's ring table through the same reduction.  Its ring
+    amplitudes (_ring_amplitudes) are read when it is built, which refuses
+    with DimensionError samples whose sheet mean overflows."""
     if f._free_of is not None:
         return f
 
     def build():
         x = f.values
-        with np.errstate(over="ignore", invalid="ignore"):
-            amplitudes = _amplitudes(_minus_sheet_mean(x[:, a:b])
-                                     for a, b in _ring_blocks(x))
-        if not np.all(np.isfinite(amplitudes)):
-            raise DimensionError("samples must be finite")
-        amplitudes.flags.writeable = False
         # it claims no curve
         meta = {**f.metadata, "kind": "average-free",
                 "notes": f.metadata.get("notes", []) + ["average-free"]}
         v = _View(lambda: _minus_sheet_mean(x), x.shape, f.grid,
                   f.monodromy.copy(), meta, free_of=x)
-        v._cache["ring_amplitudes"] = amplitudes
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(_ring_amplitudes(v))):
+                raise DimensionError("samples must be finite")
         if "free_ring_data" in f._cache:
             v.cached("ring_data", lambda: f._cache.pop("free_ring_data"))
         return v

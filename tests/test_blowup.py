@@ -404,10 +404,12 @@ class TestAverageFree:
         assert [built.count(key) for key in
                 ("average_free", "ring_data", "free_ring_data")] == [1, 2, 1]
         # f's one sweep also fills the area table the flattening scan's
-        # excess reads, and v's ring table; no gradient, no Cartesian
-        # Jacobians and no per-sheet profile are kept
+        # excess reads, and v's ring table; v's ring amplitudes, read when
+        # v is built, are cached like every table; no gradient, no
+        # Cartesian Jacobians and no per-sheet profile are kept
         assert set(built) == {"rule", "average_free", "ring_data",
-                              "area_moments", "free_ring_data"}
+                              "area_moments", "free_ring_data",
+                              "ring_amplitudes"}
 
     def test_repeated_harmonic_sheet_collapses(self, small_grid):
         x, y = small_grid.nodes_xy()
@@ -494,6 +496,21 @@ class TestSingularityDegree:
         assert est.value == pytest.approx(5 / 3, abs=1e-4)
         assert est.spread < 1e-6
         assert est.converged
+
+    def test_degree_is_the_frequency_limit_not_the_growth_exponent(
+            self, full_grid):
+        # r^1.5 times the fixed pair {e, -e} is no harmonic branch: column
+        # B of its part's ring table grows like r^3, as a homogeneity of
+        # 1.5, while its frequency is 1.5 / 2; the degree is the frequency
+        f = qb.homogeneous_map(1.5, qb.constant_profile([[1, 0], [-1, 0]]),
+                               grid=full_grid)
+        est = qb.singularity_degree(f)
+        r = full_grid.radii
+        B = _ring_data(qb.average_free_part(f))[0][:, 1]
+        assert np.abs(B / (4 * np.pi * r ** 3) - 1).max() < 1e-13
+        assert est.value == pytest.approx(0.75, abs=1e-4)
+        assert est.converged
+        assert "at least 1" in est.notes["below_one_note"]
 
     def test_amplitude_and_dilation_invariance(self, curve_cache):
         f = curve_cache(3, 4)

@@ -280,6 +280,27 @@ class TestConfigHandling:
                        "--radii", "1..0.5"] + FAST, tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    def test_options_may_precede_the_command(self, command, tmp_path):
+        # one parser: every command takes every option, on either side
+        source = [] if command == "selfcheck" else ["--curve", "2,3"]
+        source += ["--eps3", "0.2"]  # intervals for bv-track
+        before, out_b = run(source + FAST + [command], tmp_path, "before")
+        after, out_a = run([command] + source + FAST, tmp_path, "after")
+        assert before == after
+        files = sorted(p.name for p in out_a.iterdir())
+        assert sorted(p.name for p in out_b.iterdir()) == files
+        assert all((out_b / name).read_bytes() == (out_a / name).read_bytes()
+                   for name in files)
+
+    @pytest.mark.parametrize("args", [[], ["wibble"], ["--curve", "2,3"],
+                                      ["degree", "degree"]])
+    def test_command_is_one_of_the_handlers(self, args, tmp_path, capsys):
+        code, out = run(args, tmp_path)
+        assert code == 2
+        assert "usage: qbranch" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _config_file(text):
     def make(tmp_path):

@@ -246,3 +246,15 @@ def test_the_curve_lives_in_curve_spec():
                             for node in ast.walk(ast.parse(path.read_text()))
                             if isinstance(node, (ast.Module, ast.ClassDef))))
     assert not {"analytic_degree", "h_order", "label"} & defined
+
+
+def test_the_average_free_part_is_centred_in_one_wrapper():
+    # gradients only differentiates: the part's blocks are its parent's
+    # minus their sheet mean in _centred, which reduces both the part's own
+    # sweep and the seed its parent's sweep writes, and in the part's
+    # amplitudes and samples; _move_ratio centres sheet moves
+    assert _package_callers("_minus_sheet_mean") == [
+        "curves.py:_centred", "curves.py:_move_ratio",
+        "curves.py:_ring_amplitudes", "curves.py:average_free_part"]
+    assert not any("_free_profiles" in _definitions(
+        ast.parse(path.read_text()).body) for path in SOURCES)
