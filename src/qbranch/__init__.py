@@ -10,9 +10,8 @@ the stitched frequency across flattening intervals with BV jump accounting.
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DataError, DegenerateBlowupError,
-                     DegenerateHeightError, DimensionError, NumericError,
-                     QBranchError, RangeError, RefinementError, SpecError,
-                     TiltError, TrackingError)
+                     DimensionError, NumericError, QBranchError, RangeError,
+                     RefinementError, SpecError, TiltError, TrackingError)
 from .grids import PolarGrid, default_grid
 from .qvalue import (QPoint, SheetSelection, average_free, brute_force_metric,
                      eta, metric_g, optimal_matching, track_selection)
@@ -21,10 +20,8 @@ from .curves import (CurveSpec, QFunction, average_free_part,
                      homogeneous_map, load_qfunction, make_multigraph,
                      save_qfunction, spiral_profile)
 from .frequency import (Cutoff, FrequencyProfile, FrequencyRecord, RAMP,
-                        SHARP, auxiliary_quantities, default_profile_radii,
-                        dirichlet_energy, frequency_limit, frequency_profile,
-                        recenter, smoothed_D, smoothed_H, smoothed_I,
-                        variation_residuals)
+                        SHARP, default_profile_radii, dirichlet_energy,
+                        frequency_limit, frequency_profile, recenter)
 from .blowup import (BlowupConfig, DegreeEstimate, HardtSimonResult,
                      coarse_blowup_normalize, hardt_simon_check,
                      homogeneity_check, l2_norm_on_ball, rescale,

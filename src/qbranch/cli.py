@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import tempfile
 
@@ -111,9 +112,16 @@ def _parse_radii(spec: str, grid) -> list:
     return radii
 
 
+#: where a sum of terms is cut: at a '+', which is dropped, or before a
+#: '-', unless the sign is a number's exponent's ('1e-3') or inside
+#: parentheses ('(0.3+0.2j)')
+_TERM_CUT = re.compile(r"(?<![\d.][eE])(?:\+|(?=-))(?![^(]*\))")
+
+
 def _parse_perturbation(text: str):
-    """Accept 'z^k', 'c z^k' products joined by '+', or a coefficient list
-    'c0,c1,c2,...'."""
+    """Accept 'z^k', 'c z^k' products joined by '+' or '-', or a
+    coefficient list 'c0,c1,c2,...'.  A coefficient is a Python complex
+    literal, parenthesized ('(0.3+0.2j)z^3') or not ('1e-3z^2')."""
     text = text.strip()
     if not text:
         return ()
@@ -124,7 +132,7 @@ def _parse_perturbation(text: str):
             raise ConfigError(
                 f"cannot parse perturbation {text!r}") from None
     coeffs: dict[int, complex] = {}
-    for term in text.replace("-", "+-").split("+"):
+    for term in _TERM_CUT.split(text):
         term = term.strip()
         if not term:
             continue
@@ -132,10 +140,12 @@ def _parse_perturbation(text: str):
         if not z or (tail and not tail.startswith("^")):
             raise ConfigError(f"cannot parse perturbation term {term!r}")
         head = head.strip().rstrip("*").strip()
+        if head in ("", "-"):
+            head += "1"
         try:
             power = int(tail[1:]) if tail else 1
-            coef = complex(head) if head not in ("", "-") else \
-                (-1 + 0j if head == "-" else 1 + 0j)
+            coef = -complex(head[1:]) if head.startswith("-(") \
+                else complex(head)
         except ValueError:
             raise ConfigError(
                 f"cannot parse perturbation term {term!r}") from None

@@ -511,11 +511,6 @@ def _origin_grid(grid: PolarGrid | None) -> PolarGrid:
     return grid
 
 
-#: bytes of samples make_multigraph forms at once: the angular check of a
-#: block of rings this size runs while the block is in cache
-_BLOCK_BYTES = 1 << 19
-
-
 def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction:
     """Sample the curve's Q-valued graph on a polar grid centred at the
     origin (ConfigError on any other centre).
@@ -524,15 +519,16 @@ def make_multigraph(spec: CurveSpec, grid: PolarGrid | None = None) -> QFunction
     legitimate tracked selection: every angular step must move each sheet by
     less than half the local sheet separation, otherwise the angular
     resolution cannot distinguish the branches and a RefinementError asks
-    for a larger n_theta.  The samples are formed a block of _BLOCK_BYTES of
-    rings at a time, each block checked while it is in cache; every node is
-    formed and checked by the same operations as in one pass."""
+    for a larger n_theta.  The samples are formed a block of rings at a
+    time (grids._ring_blocks), each block checked while it is in cache;
+    every node is formed and checked by the same operations as in one
+    pass."""
     grid = _origin_grid(grid)
     monodromy = spec.monodromy
     w = np.empty((spec.q, grid.n_rings, grid.n_theta), dtype=complex)
     values = w[..., None].view(np.float64)  # (re, im) pairs, no copy
     worst = 0.0
-    for a, b in _ring_blocks(values, _BLOCK_BYTES):
+    for a, b in _ring_blocks(values):
         spec.sheets(grid.radii[a:b, None], grid.angles[None, :],
                     out=w[:, a:b])
         ratio = _angular_step_ratio(values[:, a:b], monodromy)[1]

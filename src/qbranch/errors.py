@@ -38,10 +38,6 @@ class RefinementError(NumericError):
     """Grid too coarse to track sheets between angular samples."""
 
 
-class DegenerateHeightError(NumericError):
-    """Height H vanished on the annulus, frequency undefined there."""
-
-
 class DegenerateBlowupError(NumericError):
     """Blow-up normalizer vanished, the rescaled limit would be trivial."""
 

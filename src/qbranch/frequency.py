@@ -50,7 +50,10 @@ profile of the average-free part) or of the stitched frequency, comes
 from _quantities over a list of scales: one table read for all the balls,
 and each window, or sharp boundary value, its own product with F (a
 stacked product's rows can round differently), so a record depends only
-on the map, its scale and the cutoff.
+on the map, its scale and the cutoff.  The quantities at one scale s are
+the fields of its record, frequency_profile(f, [s], cutoff).records[0]:
+I and the residuals are formed in _record alone, and a scale off the grid
+or with a vanishing height gives an invalid record carrying the reason.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, DegenerateHeightError, RangeError)
+from .errors import ConfigError, DataError, RangeError
 from .grids import M_DIM, TWO_PI, PolarGrid, _cell_interpolant, default_grid
 from .curves import QFunction, _csv, _ring_data
 from .qvalue import _chain_labels, _match_pairs
@@ -149,68 +152,9 @@ def _quantities(f: QFunction, s, cutoff: Cutoff = RAMP):
     return {"D": D, "H": B, "E": C, "G": P, "Sigma": Sigma, "dD": A}, off
 
 
-def _at(f: QFunction, r: float, cutoff: Cutoff) -> dict:
-    """The quantities at the one scale r, floats; RangeError when r or
-    its kink is off the grid."""
-    q, (why,) = _quantities(f, [r], cutoff)
-    if why:
-        raise RangeError(why)
-    return {k: float(v[0]) for k, v in q.items()}
-
-
 def dirichlet_energy(f: QFunction, r: float) -> float:
     """Total gradient energy int_{B_r} sum_i |Df_i|^2."""
     return float(f.rule()._disk_integral(_ring_data(f), r)[0])
-
-
-def smoothed_D(f: QFunction, r: float = 1.0, cutoff: Cutoff = RAMP) -> float:
-    return _at(f, r, cutoff)["D"]
-
-
-def smoothed_H(f: QFunction, r: float = 1.0, cutoff: Cutoff = RAMP) -> float:
-    return _at(f, r, cutoff)["H"]
-
-
-def smoothed_I(f: QFunction, r: float = 1.0, cutoff: Cutoff = RAMP) -> float:
-    q = _at(f, r, cutoff)
-    if _degenerate_height(q):
-        raise DegenerateHeightError(
-            f"height vanishes on the annulus at scale {r}")
-    return r * q["D"] / q["H"]
-
-
-def _degenerate_height(q: dict) -> bool:
-    """True when H vanishes against Sigma: the annulus is trivial and I is
-    undefined.  The floor is at least 1e-314, so H <= 0 is degenerate."""
-    return q["H"] <= DEGENERATE_HEIGHT * max(q["Sigma"], 1e-300)
-
-
-def auxiliary_quantities(f: QFunction, r: float = 1.0,
-                         cutoff: Cutoff = RAMP) -> dict:
-    q = _at(f, r, cutoff)
-    return {"E": q["E"], "G": q["G"], "Sigma": q["Sigma"]}
-
-
-def variation_residuals(f: QFunction, r: float = 1.0,
-                        cutoff: Cutoff = RAMP) -> dict:
-    """Relative residuals of the outer and inner variation identities.
-
-    res_outer = |D - E| / D and res_inner = |dD/dr - (m-2)D/r - 2G| * r / D,
-    both dimensionless; NaN with reason 'degenerate' when D vanishes."""
-    q = _at(f, r, cutoff)
-    return _residuals_from(q, r)
-
-
-def _residuals_from(q: dict, r: float) -> dict:
-    D = q["D"]
-    scale = max(q["Sigma"] / r ** 2, 1e-300)
-    if D <= 1e-13 * scale:
-        return {"residual_outer": float("nan"),
-                "residual_inner": float("nan"),
-                "reason": "degenerate"}
-    res_o = abs(D - q["E"]) / D
-    res_i = abs(q["dD"] - (M_DIM - 2) * D / r - 2.0 * q["G"]) * r / D
-    return {"residual_outer": res_o, "residual_inner": res_i, "reason": ""}
 
 
 # ----------------------------------------------------------------------------
@@ -251,20 +195,25 @@ class FrequencyProfile:
 
 
 def _record(s: float, q: dict) -> FrequencyRecord:
-    """The record at scale s from its quantities q, floats: I and the
-    residuals where the height does not vanish."""
-    rec = FrequencyRecord(r=s, D=q["D"], H=q["H"], E=q["E"], G=q["G"],
-                          Sigma=q["Sigma"])
-    if _degenerate_height(q):
-        rec.valid = False
+    """The record at scale s from its quantities q, floats.  Where H
+    vanishes against Sigma (the floor is at least 1e-314, so H <= 0 does)
+    the annulus is trivial and I undefined: the record is invalid,
+    'degenerate-height'.  Else I = s D / H, and the relative residuals of
+    the outer and inner variation identities, |D - E| / D and
+    |dD/dr - (m-2) D / s - 2 G| s / D, are NaN with reason 'degenerate'
+    where D vanishes."""
+    D, H, Sigma = q["D"], q["H"], q["Sigma"]
+    rec = FrequencyRecord(r=s, D=D, H=H, E=q["E"], G=q["G"], Sigma=Sigma)
+    if H <= DEGENERATE_HEIGHT * max(Sigma, 1e-300):
         rec.reason = "degenerate-height"
         return rec
-    rec.I = s * q["D"] / q["H"]
-    res = _residuals_from(q, s)
-    rec.res_outer = res["residual_outer"]
-    rec.res_inner = res["residual_inner"]
+    rec.I = s * D / H
     rec.valid = True
-    rec.reason = res["reason"]
+    if D <= 1e-13 * max(Sigma / s ** 2, 1e-300):
+        rec.reason = "degenerate"
+        return rec
+    rec.res_outer = abs(D - q["E"]) / D
+    rec.res_inner = abs(q["dD"] - (M_DIM - 2) * D / s - 2.0 * q["G"]) * s / D
     return rec
 
 

@@ -419,15 +419,16 @@ class RadialRule:
 
 _RADIAL_WIDTH = 7
 
-#: bytes of samples a block of rings holds: the derivative kernels and the
-#: sweep of QFunction.gradients keep a block in cache through its passes
-_BLOCK_BYTES = 1 << 17
+#: bytes of samples a block of rings holds: the derivative kernels, the
+#: sweep of QFunction.gradients and make_multigraph's angular check keep a
+#: block in cache through their passes
+_BLOCK_BYTES = 1 << 18
 
 
-def _ring_blocks(x: np.ndarray, nbytes: int | None = None) -> list:
+def _ring_blocks(x: np.ndarray) -> list:
     """Ring ranges (a, b) covering the rings of sheet samples x (Q, R, ...),
-    each block at most nbytes (_BLOCK_BYTES) of samples, or one ring."""
-    step = max((nbytes or _BLOCK_BYTES) // max(x[:, 0].nbytes, 1), 1)
+    each block at most _BLOCK_BYTES of samples, or one ring."""
+    step = max(_BLOCK_BYTES // max(x[:, 0].nbytes, 1), 1)
     return [(a, min(a + step, x.shape[1])) for a in range(0, x.shape[1], step)]
 
 

@@ -273,14 +273,18 @@ def universal_frequency(f: QFunction, intervals: ScaleIntervals,
 
     Interval j is recorded on ]s_j, t_j] at points_per_octave rings per
     octave of its blow-up at t_j (a divisor of the grid's rings per octave,
-    ConfigError otherwise), each record being I of the measured object
+    which must be a whole number: ConfigError otherwise), each record being I of the measured object
     v = _branched_part(f) at that radius (the blow-up is a view of v, and
     its plane drops out with the average; the plane only truncates).
     A seam's jump is interval j's record at its top t_j, where it meets
     interval j-1, taken as both limits, so it is zero here; that record
     carries the jump flag.  All records come from one _records call on v,
     one per radius."""
-    rpo = int(round(math.log(2.0) / f.grid.dt))
+    octave = math.log(2.0) / f.grid.dt
+    rpo = round(octave)
+    if rpo < 1 or abs(octave - rpo) > 1e-9:
+        raise ConfigError(f"the grid has {octave:.6g} rings per octave, "
+                          "not a whole number")
     if points_per_octave < 1 or rpo % points_per_octave:
         raise ConfigError(f"points_per_octave {points_per_octave} does not "
                           f"divide the grid's {rpo} rings per octave")

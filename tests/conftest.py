@@ -75,6 +75,11 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def single(f, s, cutoff=qb.RAMP):
+    """The record of f at the one scale s: a profile of that radius."""
+    return qb.frequency_profile(f, [s], cutoff).records[0]
+
+
 def whole_gradients(f):
     """f's whole derivatives du_dr and du_dtheta / r, (Q, R, T, n) each:
     the ring blocks QFunction.gradients hands out, concatenated."""

@@ -15,6 +15,7 @@ import pytest
 
 import qbranch as qb
 from qbranch.cli import main as cli_main
+from conftest import single
 
 CURVE_SET = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
 ALPHAS = [0.5, 1.0, 1.5, 2.0, 5 / 3]
@@ -123,11 +124,11 @@ def test_criterion_07_variation_identities(curves, full_grid):
     worst = 0.0
     for (q, p), f in curves.items():
         for s in (1.0, 0.5, 0.25):
-            res = qb.variation_residuals(f, r=s)
-            worst = max(worst, res["residual_outer"], res["residual_inner"])
+            rec = single(f, s)
+            worst = max(worst, rec.res_outer, rec.res_inner)
     bad = qb.homogeneous_map(
         1.0, boundary=qb.constant_profile([[1, 0], [-1, 0]]), grid=full_grid)
-    power = qb.variation_residuals(bad, r=0.5)["residual_inner"]
+    power = single(bad, 0.5).res_inner
     report(7, worst < 1e-3 and power > 1e-2,
            f"max minimizer residual {worst:.2e}, "
            f"non-minimizer inner residual {power:.2f}")

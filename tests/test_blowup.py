@@ -15,6 +15,7 @@ import qbranch as qb
 from qbranch import blowup, curves, frequency, grids
 from qbranch.curves import _area_moments, _ring_data
 from qbranch.grids import _window
+from conftest import single
 
 
 class TestRescale:
@@ -221,8 +222,8 @@ class TestScaleInvariance:
         u = u.replace_values(c * u.values)
         for s in u.grid.radii[:-7]:
             if s / 2 >= u.grid.r_min * (1 - 1e-9):
-                assert qb.smoothed_I(u, r=s) == pytest.approx(
-                    qb.smoothed_I(f, r=r * s), rel=1e-12, abs=0.0), s
+                assert single(u, s).I == pytest.approx(
+                    single(f, r * s).I, rel=1e-12, abs=0.0), s
 
 
 class TestNormalize:

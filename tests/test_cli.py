@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qbranch as qb
-from qbranch.cli import _HANDLERS, main
+from qbranch.cli import _HANDLERS, _parse_perturbation, main
 
 FAST = ["--r-min", "2^-10", "--n-theta", "256"]
 
@@ -361,6 +361,16 @@ def _bare_claim_file(tmp_path):
         **h, "metadata": {"kind": "curve"}}))
 
 
+def _ratio15_file(tmp_path):
+    """A map on a grid of radius ratio 1.5: log 2 / log 1.5 = 1.71 rings
+    per octave, not a whole number."""
+    grid = qb.PolarGrid(radii=[1.5 ** k for k in range(-24, 1)],
+                        n_theta=128)
+    path = tmp_path / "ratio15.qfn"
+    qb.save_qfunction(qb.homogeneous_map(1.5, grid=grid), path)
+    return str(path)
+
+
 #: (arguments, expected exit code); a callable argument is replaced by the
 #: path it creates under tmp_path, and --out defaults to tmp_path / "out"
 EXIT_CASES = {
@@ -394,6 +404,8 @@ EXIT_CASES = {
                                         "--eps3", "0.1",
                                         "--points-per-octave", "3"] + FAST,
                                        2),
+    "rings_per_octave_not_whole": (["bv-track", "--input", _ratio15_file],
+                                   2),
     "reversed_radii": (["frequency", "--curve", "2,3", "--radii", "1..0.5"]
                        + FAST, 2),
     "malformed_radii": (["frequency", "--curve", "2,3", "--radii",
@@ -463,6 +475,9 @@ EXIT_CASES = {
                                   "1e400z^2"] + FAST, 2),
     "perturb_nan_list": (["frequency", "--curve", "2,5", "--perturb",
                           "0,0,nan"] + FAST, 2),
+    "perturb_complex_exponent_coef": (["frequency", "--curve", "2,5",
+                                       "--perturb", "z^2-(1e-3+2e-3j)z^3"]
+                                      + FAST, 0),
     # each config type checks its keys for every subcommand, used or not
     "eps3_out_of_range": (["frequency", "--curve", "2,3", "--eps3", "5"]
                           + FAST, 2),
@@ -501,6 +516,17 @@ def test_exit_code_table(case, tmp_path, capsys):
     out = tmp_path / "out"
     if expected != 0 and out.is_dir():
         assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("1e-3z^2", (0, 0, 1e-3)),
+    ("2.5E-1z^2", (0, 0, 0.25)),
+    ("z^2-1e-3z^3", (0, 0, 1, -1e-3)),
+    ("(0.3+0.2j)z^3", (0, 0, 0, 0.3 + 0.2j)),
+])
+def test_perturbation_coefficients_keep_their_signs(text, coeffs):
+    # the sign of an exponent, or one inside parentheses, starts no term
+    assert _parse_perturbation(text) == tuple(map(complex, coeffs))
 
 
 @pytest.mark.parametrize("args, message", [

@@ -16,6 +16,7 @@ from qbranch.curves import (_angular_step_ratio, _area_moments, _area_rows,
                             _ring_data)
 from qbranch.grids import TWO_PI
 from qbranch.qvalue import _separation, _sq_norm
+from conftest import single
 
 
 class TestCurveSpec:
@@ -285,9 +286,9 @@ class TestMultigraph:
                     for s in specs], str(err.value)
 
         if block is not None:
-            monkeypatch.setattr(qb.curves, "_BLOCK_BYTES", block)
+            monkeypatch.setattr(qb.grids, "_BLOCK_BYTES", block)
         samples, message = outputs()
-        monkeypatch.setattr(qb.curves, "_BLOCK_BYTES", 1 << 60)
+        monkeypatch.setattr(qb.grids, "_BLOCK_BYTES", 1 << 60)
         ref_samples, ref_message = outputs()
         assert all(np.array_equal(a, b)
                    for a, b in zip(samples, ref_samples))
@@ -478,18 +479,18 @@ class TestReadOnlySamples:
     def test_replace_values_gets_fresh_tables(self):
         grid = qb.default_grid(r_min=2.0 ** -8, n_theta=64)
         f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
-        before = qb.smoothed_I(f, 0.5), qb.dirichlet_energy(f, 0.5)
+        before = single(f, 0.5).I, qb.dirichlet_energy(f, 0.5)
         values = 2.0 * f.values
         values[0, ..., 0] += grid.radii[:, None] ** 2
         g = f.replace_values(values)
         fresh = qb.QFunction(grid=grid, values=values.copy(),
                              monodromy=f.monodromy)
-        after = qb.smoothed_I(g, 0.5), qb.dirichlet_energy(g, 0.5)
-        assert after == (qb.smoothed_I(fresh, 0.5),
+        after = single(g, 0.5).I, qb.dirichlet_energy(g, 0.5)
+        assert after == (single(fresh, 0.5).I,
                          qb.dirichlet_energy(fresh, 0.5))
         assert after[0] != pytest.approx(before[0], rel=1e-3)
         assert after[1] != pytest.approx(before[1], rel=1e-3)
-        assert (qb.smoothed_I(f, 0.5), qb.dirichlet_energy(f, 0.5)) == before
+        assert (single(f, 0.5).I, qb.dirichlet_energy(f, 0.5)) == before
 
 
 class TestQFunctionRefusals:

@@ -223,6 +223,31 @@ def test_records_are_formed_in_one_place():
             for caller in _package_callers("_quantities")} == {"frequency.py"}
 
 
+def test_one_scale_is_read_off_its_record():
+    # the quantities at one scale are the fields of its record: the package
+    # exports no one-scale wrapper, and no module keeps a helper that forms
+    # I, its height guard or the residuals outside _record
+    wrappers = {"smoothed_D", "smoothed_H", "smoothed_I",
+                "auxiliary_quantities", "variation_residuals",
+                "DegenerateHeightError"}
+    assert not wrappers & set(dir(qbranch))
+    defined = set().union(*(_definitions(ast.parse(path.read_text()).body)
+                            for path in SOURCES))
+    assert not {"_at", "_residuals_from", "_degenerate_height"} & defined
+
+
+def test_one_sweep_block_size():
+    # the derivative kernels, the gradients sweep and make_multigraph all
+    # take their ring blocks from _ring_blocks, at the one grids size
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    blocks = [node for node in trees["grids.py"].body
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_ring_blocks"]
+    assert [a.arg for a in blocks[0].args.args] == ["x"]
+    assert [name for name, tree in trees.items()
+            if "_BLOCK_BYTES" in _definitions(tree.body)] == ["grids.py"]
+
+
 def test_the_curve_lives_in_curve_spec():
     # the test curve's closed form and the curve a map claims are read in
     # curves alone: no other module evaluates the sheets or parses the

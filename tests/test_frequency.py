@@ -23,6 +23,7 @@ import qbranch as qb
 from qbranch import frequency
 from qbranch.curves import _area_moments, _area_rows, _profiles, _ring_data
 from qbranch.grids import _cell_interpolant
+from conftest import single
 
 
 def ramp(t):
@@ -76,35 +77,36 @@ class TestSmoothedQuantities:
         D_ref, H_ref = oracle_curve23(1.0)
         assert D_ref == pytest.approx(45 * np.pi / 16, rel=1e-12)
         assert H_ref == pytest.approx(15 * np.pi / 8, rel=1e-12)
-        assert qb.smoothed_D(f, r=1.0) == pytest.approx(D_ref, rel=1e-5)
-        assert qb.smoothed_H(f, r=1.0) == pytest.approx(H_ref, rel=1e-5)
-        assert qb.smoothed_I(f, r=1.0) == pytest.approx(1.5, abs=1e-4)
+        rec = single(f, 1.0)
+        assert rec.D == pytest.approx(D_ref, rel=1e-5)
+        assert rec.H == pytest.approx(H_ref, rel=1e-5)
+        assert rec.I == pytest.approx(1.5, abs=1e-4)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 5 / 3])
     def test_homogeneous_frequency_is_degree(self, full_grid, alpha):
         f = qb.homogeneous_map(alpha, grid=full_grid)
         for s in (1.0, 0.5, 0.25):
-            assert qb.smoothed_I(f, r=s) == pytest.approx(alpha, abs=1e-3)
+            assert single(f, s).I == pytest.approx(alpha, abs=1e-3)
 
     def test_single_valued_linear_map(self, small_grid):
         f = qb.homogeneous_map(1.0, grid=small_grid)  # the map z -> z
         for s in (1.0, 0.5):
-            assert qb.smoothed_I(f, r=s) == pytest.approx(1.0, abs=1e-5)
+            assert single(f, s).I == pytest.approx(1.0, abs=1e-5)
 
-    def test_degenerate_height_raises(self, small_grid):
+    def test_degenerate_height_is_an_invalid_record(self, small_grid):
         v = np.zeros((1, small_grid.n_rings, small_grid.n_theta, 2))
         f = qb.QFunction(grid=small_grid, values=v, monodromy=[0],
                          metadata={})
-        with pytest.raises(qb.DegenerateHeightError):
-            qb.smoothed_I(f, r=small_grid.r_max)
+        rec = single(f, small_grid.r_max)
+        assert not rec.valid and rec.reason == "degenerate-height"
+        assert np.isnan([rec.I, rec.res_outer, rec.res_inner]).all()
 
 
 class TestAuxiliaryQuantities:
     def test_outer_identity_on_harmonic_homogeneous(self, full_grid):
         f = qb.homogeneous_map(1.5, grid=full_grid)
-        q = qb.auxiliary_quantities(f, r=0.5)
-        D = qb.smoothed_D(f, r=0.5)
-        assert q["E"] == pytest.approx(D, rel=1e-5)
+        rec = single(f, 0.5)
+        assert rec.E == pytest.approx(rec.D, rel=1e-5)
 
     def test_constant_map_values(self, small_grid):
         v = np.zeros((2, small_grid.n_rings, small_grid.n_theta, 2))
@@ -113,27 +115,25 @@ class TestAuxiliaryQuantities:
         f = qb.QFunction(grid=small_grid, values=v, monodromy=[0, 1],
                          metadata={})
         s = small_grid.r_max
-        q = qb.auxiliary_quantities(f, r=s)
-        assert q["E"] == pytest.approx(0.0, abs=1e-12)
-        assert q["G"] == pytest.approx(0.0, abs=1e-12)
+        rec = single(f, s)
+        assert rec.E == pytest.approx(0.0, abs=1e-12)
+        assert rec.G == pytest.approx(0.0, abs=1e-12)
         # Sigma = |u|^2 int phi(|y|/s) dy with |u|^2 = 2
         sigma_ref = 2 * quad(lambda r: 2 * np.pi * r * ramp(r / s), 0, s,
                              points=[s / 2])[0]
-        assert q["Sigma"] == pytest.approx(sigma_ref, rel=1e-7)
+        assert rec.Sigma == pytest.approx(sigma_ref, rel=1e-7)
 
     def test_curve_outer_residual_small(self, curve_cache):
-        f = curve_cache(2, 3)
-        res = qb.variation_residuals(f, r=0.5)
-        assert res["residual_outer"] < 1e-3
+        assert single(curve_cache(2, 3), 0.5).res_outer < 1e-3
 
 
 class TestVariationResiduals:
     @pytest.mark.parametrize("alpha", [1.5, 5 / 3])
     def test_minimizing_branches_have_tiny_residuals(self, full_grid, alpha):
         f = qb.homogeneous_map(alpha, grid=full_grid)
-        res = qb.variation_residuals(f, r=0.5)
-        assert res["residual_outer"] < 1e-3
-        assert res["residual_inner"] < 1e-3
+        rec = single(f, 0.5)
+        assert rec.res_outer < 1e-3
+        assert rec.res_inner < 1e-3
 
     def test_non_minimizer_triggers_inner_residual(self, full_grid):
         # the pair {|z| e, -|z| e} has a non-harmonic radial profile; its
@@ -141,18 +141,18 @@ class TestVariationResiduals:
         bad = qb.homogeneous_map(
             1.0, boundary=qb.constant_profile([[1, 0], [-1, 0]]),
             grid=full_grid)
-        res = qb.variation_residuals(bad, r=0.5)
-        assert res["residual_inner"] > 1e-2
-        assert qb.smoothed_I(bad, r=0.5) == pytest.approx(0.5, abs=1e-4)
+        rec = single(bad, 0.5)
+        assert rec.res_inner > 1e-2
+        assert rec.I == pytest.approx(0.5, abs=1e-4)
 
     def test_constant_map_guarded_as_degenerate(self, small_grid):
         v = np.ones((1, small_grid.n_rings, small_grid.n_theta, 2))
         f = qb.QFunction(grid=small_grid, values=v, monodromy=[0],
                          metadata={})
-        res = qb.variation_residuals(f, r=small_grid.r_max)
-        assert res["reason"] == "degenerate"
-        assert np.isnan(res["residual_outer"])
-        assert np.isnan(res["residual_inner"])
+        rec = single(f, small_grid.r_max)
+        assert rec.reason == "degenerate"
+        assert np.isnan(rec.res_outer)
+        assert np.isnan(rec.res_inner)
 
 
 class TestProfiles:
@@ -182,7 +182,7 @@ class TestProfiles:
         # the boundary values at an off-ring radius are read by the cell
         # quintic of the quadrature, not by a lower-order interpolant
         q, p = curve
-        I = qb.smoothed_I(curve_cache(q, p), r=r, cutoff=qb.SHARP)
+        I = single(curve_cache(q, p), r, qb.SHARP).I
         assert abs(I - p / q) < 1e-3
 
     @pytest.mark.parametrize("cutoff", [qb.RAMP, qb.SHARP])
@@ -254,13 +254,8 @@ class TestRampMoments:
         f = curve_cache(2, 3)
         for r in (0.5, 0.3):  # on a ring and between rings
             betas.clear()
-            qb.smoothed_I(f, r=r)
+            single(f, r)
             assert sorted(betas) == [1.0, 3.0]
-
-
-def single(f, s, cutoff=qb.RAMP):
-    """The record at s alone: a profile of the one radius."""
-    return qb.frequency_profile(f, [s], cutoff).records[0]
 
 
 def assert_same(records, singles):
@@ -329,8 +324,7 @@ class TestOnRingRecords:
 class TestOneRecordPath:
     """Every record comes from one path: any sorted subset of on-ring and
     between-ring radii, some with their kink below the grid, gives for each
-    radius the record and the public scalar quantities it gets alone, bit
-    for bit."""
+    radius the record it gets alone, bit for bit."""
 
     def test_each_radius_is_checked_once(self, curve_cache, monkeypatch):
         kinks, kink = [], frequency._kink
@@ -343,8 +337,8 @@ class TestOneRecordPath:
         assert [rec.valid for rec in prof.records] == [False, True, True,
                                                        False]
         for r, why in [(f.grid.r_min, "kink below"), (2.0, "outside grid")]:
-            with pytest.raises(qb.RangeError, match=why):
-                qb.smoothed_I(f, r)
+            rec = single(f, r)
+            assert not rec.valid and why in rec.reason
 
     @staticmethod
     def candidates(grid):
@@ -367,22 +361,6 @@ class TestOneRecordPath:
         radii = np.unique(cands[(np.array(picks) * cands.size).astype(int)])
         prof = qb.frequency_profile(u, radii, cutoff)
         assert_same(prof.records, [single(u, s, cutoff) for s in prof.radii])
-        for rec in prof.records:
-            s = rec.r
-            if rec.reason.startswith("scale"):
-                with pytest.raises(qb.RangeError):
-                    qb.smoothed_D(u, s, cutoff)
-                continue
-            aux = qb.auxiliary_quantities(u, s, cutoff)
-            res = qb.variation_residuals(u, s, cutoff)
-            assert repr((qb.smoothed_D(u, s, cutoff),
-                         qb.smoothed_H(u, s, cutoff), aux["E"], aux["G"],
-                         aux["Sigma"])) == \
-                repr((rec.D, rec.H, rec.E, rec.G, rec.Sigma))
-            if rec.valid:
-                assert qb.smoothed_I(u, s, cutoff) == rec.I
-                assert repr((res["residual_outer"], res["residual_inner"])) \
-                    == repr((rec.res_outer, rec.res_inner))
 
     @pytest.mark.parametrize("cutoff", [qb.RAMP, qb.SHARP])
     def test_each_window_is_its_own_product(self, curve_cache, full_grid,
@@ -439,12 +417,12 @@ class TestInvariances:
         f = curve_cache(2, 3)
         g = f.replace_values(7.0 * f.values)
         for s in (1.0, 0.25):
-            assert abs(qb.smoothed_I(g, r=s) - qb.smoothed_I(f, r=s)) < 1e-12
+            assert abs(single(g, s).I - single(f, s).I) < 1e-12
 
     def test_scale_invariance_on_aligned_dilations(self, curve_cache):
         f = curve_cache(2, 3)
         g = qb.rescale(f, 0.25)
-        assert abs(qb.smoothed_I(g, r=0.5) - qb.smoothed_I(f, r=0.125)) < 1e-10
+        assert abs(single(g, 0.5).I - single(f, 0.125).I) < 1e-10
 
     def test_monotonicity_on_minimizers(self, curve_cache, full_grid):
         radii = qb.default_profile_radii(full_grid, octaves=3.0)
@@ -480,7 +458,7 @@ class TestInvariances:
 class TestOffCenter:
     def test_recentered_profile_runs(self, curve_cache):
         f = curve_cache(2, 3)
-        val = qb.smoothed_I(qb.recenter(f, (0.3, 0.0)), r=0.02)
+        val = single(qb.recenter(f, (0.3, 0.0)), 0.02).I
         assert np.isfinite(val)
         # away from the branch point the map is a pair of regular branches,
         # so the frequency at a regular point is small

@@ -17,6 +17,7 @@ import qbranch as qb
 from qbranch import frequency
 from qbranch.blowup import _branched_part
 from qbranch.scaletrack import IntervalRecord, JumpRecord, ProfileRecord
+from conftest import single
 
 
 def hand_segmentation(excess_by_r, radii, cfg):
@@ -187,7 +188,7 @@ class TestUniversalFrequency:
         prof = qb.universal_frequency(f, qb.intervals_of_flattening(f))
         assert len(prof.records) >= 2
         for rec in prof.records:
-            assert rec.I == qb.smoothed_I(f, r=rec.r)
+            assert rec.I == single(f, rec.r).I
             assert abs(rec.I - 2.0) < 1e-3
         assert "average_free" not in f._cache
         assert qb.bv_negative_variation(prof)["total"] <= 0.01
@@ -205,6 +206,17 @@ class TestUniversalFrequency:
         f = curve_cache(2, 3)
         iv = qb.intervals_of_flattening(f, eps3_sq=0.1)
         with pytest.raises(qb.ConfigError):
+            qb.universal_frequency(f, iv, points_per_octave=ppo)
+
+    @pytest.mark.parametrize("ppo", [1, 2])
+    def test_rings_per_octave_must_be_whole(self, ppo):
+        # a ratio-1.5 grid has 1.71 rings per octave; rounded to 2, its
+        # records lay 1.17 (ppo 1) or 0.585 (ppo 2) octaves apart
+        grid = qb.PolarGrid(radii=1.5 ** np.arange(-24.0, 1.0), n_theta=128)
+        f = qb.homogeneous_map(1.5, grid=grid)
+        iv = qb.intervals_of_flattening(
+            lambda r: 1e-9, cfg=qb.ScaleTrackConfig(r_floor=2.0 ** -6))
+        with pytest.raises(qb.ConfigError, match="not a whole number"):
             qb.universal_frequency(f, iv, points_per_octave=ppo)
 
     @pytest.mark.parametrize("cutoff", [qb.RAMP, qb.SHARP])
