@@ -64,7 +64,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, RangeError
-from .grids import M_DIM, TWO_PI, PolarGrid, _cell_interpolant, default_grid
+from .grids import (M_DIM, TWO_PI, PolarGrid, _cell_interpolant, _ring_blocks,
+                    default_grid)
 from .curves import QFunction, _csv, _ring_data
 from .qvalue import _chain_labels, _match_pairs
 
@@ -330,7 +331,10 @@ def recenter(f: QFunction, x) -> QFunction:
     th = np.mod(np.arctan2(py, px), TWO_PI)
     if rr.min() < grid.r_min:
         raise RangeError("recentered grid dips below the sampled core")
-    raw = _bilinear_sheets(f, rr, th)  # (Q, R', T', n) unordered per node
+    # (Q, R', T', n) unordered per node, a block of rings at a time
+    raw = np.empty((f.q, *rr.shape, f.n))
+    for a, b in _ring_blocks(raw):
+        raw[:, a:b] = _bilinear_sheets(f, rr[a:b], th[a:b])
     # a curve f claims holds about the origin: like eta_map, the result
     # writes its own kind, so it claims none
     return _track_node_sets(new, raw, metadata={
@@ -346,12 +350,14 @@ def _bilinear_sheets(f: QFunction, rr, th):
     jt = (th / grid.d_theta).astype(int) % grid.n_theta
     fj = th / grid.d_theta - (th / grid.d_theta).astype(int)
     vals = f.values
-    wrapped = vals[f.monodromy][:, :, :1]
-    ext = np.concatenate([vals, wrapped], axis=2)
-    v00 = ext[:, it, jt]
-    v01 = ext[:, it, jt + 1]
-    v10 = ext[:, it + 1, jt]
-    v11 = ext[:, it + 1, jt + 1]
+    # the column past 2 pi is column 0 of the sheet the monodromy sends to
+    jn = (jt + 1) % grid.n_theta
+    sheet = np.where(jn == 0, f.monodromy[:, None, None],
+                     np.arange(f.q)[:, None, None])
+    v00 = vals[:, it, jt]
+    v01 = vals[sheet, it, jn]
+    v10 = vals[:, it + 1, jt]
+    v11 = vals[sheet, it + 1, jn]
     ftb = ft[None, :, :, None]
     fjb = fj[None, :, :, None]
     return ((1 - ftb) * ((1 - fjb) * v00 + fjb * v01)
@@ -363,23 +369,28 @@ def _track_node_sets(grid: PolarGrid, raw: np.ndarray, metadata: dict) -> QFunct
 
     The angle-0 spoke is tracked outward across the rings first, then each
     ring around the circle, as a closed chain, from its spoke-labelled
-    first sample: labels are continuous both ways."""
+    first sample: labels are continuous both ways.  raw is relabelled in
+    place, and the rings are matched a block at a time."""
     Q, R, T, n = raw.shape
     nodes = raw.transpose(1, 2, 0, 3)  # (R, T, Q, n)
     spoke = nodes[:, 0]
     labels = _chain_labels(_match_pairs(spoke[:-1], spoke[1:], range(1, R)))
-    first = np.take_along_axis(spoke, labels[:, :, None], axis=1)[:, None]
-    rings = np.concatenate([first, nodes[:, 1:], first], axis=1)
-    sigma = _match_pairs(rings[:, :-1].reshape(-1, Q, n),
-                         rings[:, 1:].reshape(-1, Q, n),
-                         list(range(1, T + 1)) * R)
-    labels = _chain_labels(sigma.reshape(R, T, Q))  # (R, T + 1, Q)
-    mono = labels[:, T]
+    spoke[...] = np.take_along_axis(spoke, labels[:, :, None], axis=1)
+    values = np.empty_like(raw)
+    mono = np.empty((R, Q), dtype=int)
+    for a, b in _ring_blocks(raw):
+        rings = nodes[a:b]
+        sigma = _match_pairs(rings.reshape(-1, Q, n),
+                             np.roll(rings, -1, axis=1).reshape(-1, Q, n),
+                             list(range(1, T + 1)) * (b - a))
+        labels = _chain_labels(sigma.reshape(b - a, T, Q))  # (B, T + 1, Q)
+        mono[a:b] = labels[:, T]
+        values[:, a:b] = np.take_along_axis(
+            rings, labels[:, :T, :, None], axis=2).transpose(2, 0, 1, 3)
     if np.any(np.sort(mono, axis=1) != np.arange(Q)):
         raise RangeError("inconsistent ring monodromy after resampling")
     if np.any(mono != mono[0]):
         raise RangeError("monodromy changed between rings; the new disk "
                          "must not cross the branch point")
-    sheets = np.take_along_axis(rings[:, :T], labels[:, :T, :, None], axis=2)
-    return QFunction(grid=grid, values=np.ascontiguousarray(
-        sheets.transpose(2, 0, 1, 3)), monodromy=mono[0], metadata=metadata)
+    return QFunction(grid=grid, values=values, monodromy=mono[0],
+                     metadata=metadata)

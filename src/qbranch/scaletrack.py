@@ -34,15 +34,14 @@ one ring table serves all intervals.  The plane only truncates intervals
 tilted beyond the regime where that linearization is trusted.  A seam,
 where interval j meets interval j-1 at t_j, is interval j's own record at
 t_j, read as both of its limits, so seam jumps are zero in this linearized
-stand-in, and an interval with no record at t_j (the zero-length
-]r_floor, r_floor] one) has no seam.  The negative variation of
-log(I + 1) splits into a within-interval and a jump part.
+stand-in.  The negative variation of log(I + 1) splits into a
+within-interval and a jump part.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,7 +90,10 @@ class IntervalRecord:
     m0: float
     plane: Plane | None
     end_reason: str            # 'excess', 'concentration', 'drift', 'floor'
-    reaches_floor: bool = False
+
+    @property
+    def reaches_floor(self) -> bool:
+        return self.end_reason == "floor"
 
 
 @dataclass
@@ -107,11 +109,11 @@ class ScaleIntervals:
         return not self.intervals
 
     def coinciding(self, j: int) -> bool:
-        """True when interval j starts exactly where interval j-1 stopped."""
-        if j == 0:
-            return False
-        return abs(self.intervals[j].t - self.intervals[j - 1].s) \
-            <= 1e-12 * self.intervals[j].t
+        """True when interval j starts where interval j-1 stopped: j-1
+        ended by concentration or drift, which open the next interval at
+        its bottom (an excess end leaves a gap)."""
+        return j > 0 and self.intervals[j - 1].end_reason in (
+            "concentration", "drift")
 
     def min_ratio(self) -> float:
         return min(rec.s / rec.t for rec in self.intervals) \
@@ -164,20 +166,18 @@ def intervals_of_flattening(source, eps3_sq: float | None = None,
 
     source is a QFunction (the least excess per radius, and the optimal
     plane below the threshold) or a synthetic excess table (callable or dict; planes omitted,
-    the drift rule is then inactive).  No radius below the threshold yields
-    an empty, flagged result rather than an error."""
-    if cfg is None:
-        cfg = ScaleTrackConfig()
-    overrides = {}
+    the drift rule is then inactive).  Concentration and drift are tested
+    only above the floor radius r_floor, and no interval opens there: the
+    open interval ends at r_floor by 'floor', or by 'excess' when the
+    floor's excess is above the threshold, which makes the floor a gap.  So
+    every interval has length.  No radius below the threshold yields an
+    empty, flagged result rather than an error."""
+    cfg = cfg or ScaleTrackConfig()
     if eps3_sq is not None:
-        overrides["eps3_sq"] = eps3_sq
+        cfg = replace(cfg, eps3_sq=eps3_sq)
     if isinstance(source, QFunction):
         # the per-radius excess quadrature needs rings below the scan floor
-        floor = max(cfg.r_floor, source.grid.r_min * 4)
-        if floor != cfg.r_floor:
-            overrides["r_floor"] = floor
-    if overrides:
-        cfg = ScaleTrackConfig(**{**cfg.__dict__, **overrides})
+        cfg = replace(cfg, r_floor=max(cfg.r_floor, source.grid.r_min * 4))
     provider = _excess_provider(source, cfg)
     radii = _dyadic_radii(cfg)
     excess_by_r = {}
@@ -193,37 +193,32 @@ def intervals_of_flattening(source, eps3_sq: float | None = None,
     for r in radii:
         E, plane = provider(r)
         excess_by_r[r] = E
-        if current is None:
-            if E <= cfg.eps3_sq:
-                current = opened(r, E, plane)
-            else:
-                gaps.append(r)
-            continue
-        # interval continuation checks at r < t
-        reason = None
         if E > cfg.eps3_sq:
             reason = "excess"
+            gaps.append(r)
+        elif r <= cfg.r_floor * (1 + 1e-12):
+            break  # the open interval ends by 'floor' below
+        elif current is None:
+            current = opened(r, E, plane)
+            continue
         elif E > cfg.c_e * current["m0"] * (r / current["t"]) ** power:
             reason = "concentration"
-        elif current["plane"] is not None and plane is not None:
-            drift = float(np.linalg.norm(plane.tilt - current["plane"].tilt))
-            if drift > cfg.tilt_jump * math.sqrt(current["m0"]):
-                reason = "drift"
-        if reason is None:
-            continue
-        intervals.append(IntervalRecord(
-            j=len(intervals), s=r, t=current["t"], m0=current["m0"],
-            plane=current["plane"], end_reason=reason))
-        if reason == "excess":
-            current = None
-            gaps.append(r)
+        elif current["plane"] is not None and plane is not None \
+                and np.linalg.norm(plane.tilt - current["plane"].tilt) \
+                > cfg.tilt_jump * math.sqrt(current["m0"]):
+            reason = "drift"
         else:
-            current = opened(r, E, plane)
+            continue
+        if current is not None:
+            intervals.append(IntervalRecord(
+                j=len(intervals), s=r, t=current["t"], m0=current["m0"],
+                plane=current["plane"], end_reason=reason))
+        # concentration and drift restart at r; an excess end leaves a gap
+        current = None if reason == "excess" else opened(r, E, plane)
     if current is not None:
         intervals.append(IntervalRecord(
             j=len(intervals), s=cfg.r_floor, t=current["t"],
-            m0=current["m0"], plane=current["plane"], end_reason="floor",
-            reaches_floor=True))
+            m0=current["m0"], plane=current["plane"], end_reason="floor"))
     return ScaleIntervals(intervals=intervals, gaps=gaps, radii=radii,
                           excess_by_r=excess_by_r, config=cfg)
 

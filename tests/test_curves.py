@@ -948,8 +948,7 @@ class TestWriters:
         s, t, m0 = self.column(0), self.column(1), self.column(2)
         records = [qb.IntervalRecord(j=i, s=s[i], t=t[i], m0=m0[i],
                                      plane=planes[i % 3],
-                                     end_reason=("excess", "floor")[i % 2],
-                                     reaches_floor=i % 2 == 1)
+                                     end_reason=("excess", "floor")[i % 2])
                    for i in range(len(self.SPECIAL))]
         iv = qb.ScaleIntervals(intervals=records, gaps=[], radii=[],
                                excess_by_r={}, config=qb.ScaleTrackConfig())

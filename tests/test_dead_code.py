@@ -5,6 +5,7 @@ one that no module of the package references is dead code: a helper left
 behind when its last caller went away."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import qbranch
@@ -283,3 +284,20 @@ def test_the_average_free_part_is_centred_in_one_wrapper():
         "curves.py:_ring_amplitudes", "curves.py:average_free_part"]
     assert not any("_free_profiles" in _definitions(
         ast.parse(path.read_text()).body) for path in SOURCES)
+
+
+def test_interval_facts_are_read_off_end_reasons():
+    # an interval reaches the floor when it ends by 'floor', and interval j
+    # starts at the bottom of j-1 when j-1 ended by concentration or drift:
+    # no field restates the first, and coinciding compares no radii
+    assert "reaches_floor" not in {
+        field.name for field in dataclasses.fields(qbranch.IntervalRecord)}
+    tree = ast.parse(Path(qbranch.scaletrack.__file__).read_text())
+    (coinciding,) = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "coinciding"]
+    assert not any((isinstance(node, ast.Attribute)
+                    and node.attr in ("s", "t"))
+                   or (isinstance(node, ast.Constant)
+                       and isinstance(node.value, float))
+                   for node in ast.walk(coinciding))

@@ -492,6 +492,18 @@ class TestOffCenter:
         bound = (f.grid.dt ** 2 + f.grid.d_theta ** 2) / 8.0 * curvature
         assert np.max(err / bound) <= 1.0
 
+    def test_recenter_works_a_block_of_rings_at_a_time(self, curve_cache):
+        # the raw and the tracked samples, the per-node coordinates and one
+        # block's matching costs: no copy of f and no whole-grid cost array
+        f = curve_cache(4, 5)
+        tracemalloc.start()
+        try:
+            moved = qb.recenter(f, (0.4, 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * moved.values.nbytes
+
     def test_recenter_rejects_grid_overflow(self, curve_cache):
         with pytest.raises(qb.RangeError):
             qb.recenter(curve_cache(2, 3), (1.5, 0.0))

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qbranch as qb
 from qbranch import frequency
@@ -21,24 +22,29 @@ from conftest import single
 
 
 def hand_segmentation(excess_by_r, radii, cfg):
-    """Independent reference scan for synthetic excess tables (no planes)."""
+    """Independent reference scan for synthetic excess tables (no planes).
+    At the floor radius only the threshold is tested: an open interval ends
+    there by 'floor' (by 'excess' above the threshold), and none opens."""
     intervals, gaps = [], []
     current = None
     power = 2.0 - 2.0 * cfg.delta2
     for r in radii:
         E = excess_by_r[r]
+        at_floor = r == cfg.r_floor
         if current is None:
-            if E <= cfg.eps3_sq:
-                m0 = max(E, cfg.eps_bar ** 2 * r ** power)
-                current = [r, m0]
-            else:
+            if E > cfg.eps3_sq:
                 gaps.append(r)
+            elif not at_floor:
+                current = [r, max(E, cfg.eps_bar ** 2 * r ** power)]
             continue
         t, m0 = current
         if E > cfg.eps3_sq:
             intervals.append((r, t, m0, "excess"))
             current = None
             gaps.append(r)
+        elif at_floor:
+            intervals.append((r, t, m0, "floor"))
+            current = None
         elif E > cfg.c_e * m0 * (r / t) ** power:
             intervals.append((r, t, m0, "concentration"))
             current = [r, max(E, cfg.eps_bar ** 2 * r ** power)]
@@ -122,17 +128,13 @@ class TestIntervals:
                  for k, r in enumerate(radii)}
         iv = qb.intervals_of_flattening(table, cfg=cfg)
 
-        def member(rec, r):
-            if r > rec.t * (1 + 1e-12):
-                return False
-            if rec.reaches_floor:
-                return True  # the floor interval owns everything below t
-            return r > rec.s * (1 + 1e-12)
-
-        for r in radii:
-            in_interval = sum(1 for rec in iv.intervals if member(rec, r))
+        # every radius above the floor lies in one ]s_j, t_j] or one gap
+        for r in radii[:-1]:
+            in_interval = sum(rec.s < r <= rec.t for rec in iv.intervals)
             in_gap = int(r in iv.gaps)
             assert in_interval + in_gap == 1, r
+        assert iv.intervals[-1].end_reason == "floor"
+        assert iv.intervals[-1].s == radii[-1] == cfg.r_floor
 
     def test_no_admissible_radius_is_flagged_empty(self):
         iv = qb.intervals_of_flattening(lambda r: 0.9)
@@ -155,6 +157,61 @@ class TestIntervals:
         lines = iv.to_csv().strip().split("\n")
         assert lines[0] == "j,s_j,t_j,m0_j,tilt_norm,end_reason,reaches_floor"
         assert len(lines) == len(iv.intervals) + 1
+
+
+@st.composite
+def scans(draw):
+    """A random config and excess table r -> (E, plane) on its dyadic
+    radii, the floor on the ladder or between two of its radii."""
+    r_top = draw(st.sampled_from([1.0, 0.5, 0.3]))
+    k = draw(st.integers(1, 14))
+    cfg = qb.ScaleTrackConfig(
+        eps3_sq=draw(st.floats(1e-3, 1.0)), eps_bar=draw(st.floats(1e-3, 1.0)),
+        delta2=draw(st.floats(0.01, 0.45)), c_e=draw(st.floats(1.0, 4.0)),
+        tilt_jump=draw(st.floats(0.01, 1.0)), r_top=r_top,
+        r_floor=r_top * 2.0 ** -k * draw(st.sampled_from([1.0, 1.3])))
+    excess = draw(st.lists(st.floats(-8.0, 0.0).map(lambda x: 10.0 ** x),
+                           min_size=k + 1, max_size=k + 1))
+    tilt = st.lists(st.floats(-0.1, 0.1), min_size=4, max_size=4).map(
+        lambda a: qb.Plane(np.reshape(a, (2, 2))))
+    planes = draw(st.one_of(
+        st.just([None] * (k + 1)),
+        st.lists(tilt, min_size=k + 1, max_size=k + 1)))
+
+    def table(r):
+        i = round(math.log2(r_top / r))
+        return excess[i], planes[i]
+    return cfg, table, planes[0] is None
+
+
+class TestScanProperties:
+    @settings(max_examples=300)
+    @given(scan=scans())
+    def test_every_interval_has_length_and_one_floor(self, scan):
+        cfg, table, planeless = scan
+        iv = qb.intervals_of_flattening(table, cfg=cfg)
+        recs = iv.intervals
+        assert all(rec.s < rec.t for rec in recs)
+        assert [rec.j for rec in recs] == list(range(len(recs)))
+        # a floor record is the last one, at the floor radius
+        for rec in recs:
+            if rec.reaches_floor:
+                assert rec is recs[-1] and rec.s == cfg.r_floor
+        # a seam is where interval j starts at interval j-1's bottom
+        for j in range(len(recs)):
+            assert iv.coinciding(j) == (j > 0 and abs(
+                recs[j].t - recs[j - 1].s) <= 1e-12 * recs[j].t)
+        # every scanned radius above the floor lies in one interval or gap
+        for r in iv.radii:
+            if r > cfg.r_floor:
+                assert sum(rec.s < r <= rec.t for rec in recs) \
+                    + iv.gaps.count(r) == 1, r
+        if planeless:
+            ref_int, ref_gaps = hand_segmentation(iv.excess_by_r, iv.radii,
+                                                  cfg)
+            assert [(rec.s, rec.t, rec.m0, rec.end_reason)
+                    for rec in recs] == ref_int
+            assert iv.gaps == ref_gaps
 
 
 class TestUniversalFrequency:
@@ -324,21 +381,28 @@ class TestSingleTable:
         assert sum(rec.jump_flag for rec in prof.records) == len(prof.jumps)
 
     def test_a_zero_length_interval_changes_nothing(self, curve_cache):
-        # ]r_floor, r_floor] holds no radius, so it has no record and no
-        # seam; only its m0 still enters the budget
+        # the scan stops at the floor radius, so no interval is ]r_floor,
+        # r_floor]; one would hold no radius, and the records and jumps of
+        # the floor interval are those of a concentration end there
         f = curve_cache(2, 3)
         iv = qb.intervals_of_flattening(f, eps3_sq=0.2)
+        assert all(rec.s < rec.t for rec in iv.intervals)
         last = iv.intervals[-1]
-        assert last.s == last.t == iv.config.r_floor
+        assert last.end_reason == "floor"
+        assert last.s == iv.config.r_floor < last.t
+        empty = IntervalRecord(j=last.j + 1, s=last.s, t=last.s, m0=1e-3,
+                               plane=last.plane, end_reason="floor")
+        padded = dataclasses.replace(iv, intervals=iv.intervals[:-1] + [
+            dataclasses.replace(last, end_reason="concentration"), empty])
         kept = qb.universal_frequency(f, iv)
-        dropped = qb.universal_frequency(
-            f, dataclasses.replace(iv, intervals=iv.intervals[:-1]))
-        assert kept.records_csv() == dropped.records_csv()
-        assert kept.jumps_csv() == dropped.jumps_csv()
-        assert kept.notes == dropped.notes
-        assert kept.interval_m0 == dropped.interval_m0 + [last.m0]
+        moved = qb.universal_frequency(f, padded)
+        assert kept.records and kept.jumps
+        assert kept.records_csv() == moved.records_csv()
+        assert kept.jumps_csv() == moved.jumps_csv()
+        assert kept.notes == moved.notes
+        assert moved.interval_m0 == kept.interval_m0 + [empty.m0]
         for key in ("total", "ac_part", "jump_part"):
-            assert qb.bv_budget(kept)[key] == qb.bv_budget(dropped)[key]
+            assert qb.bv_budget(kept)[key] == qb.bv_budget(moved)[key]
 
     def test_each_radius_is_evaluated_once(self, curve_cache, monkeypatch):
         f = curve_cache(2, 3)
