@@ -261,8 +261,11 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
     prof = frequency_profile(v, radii=union) if union else None
 
     def limit(w):
-        return frequency_limit(replace(prof, radii=w, records=[
-            rec for rec in prof.records if w[0] <= rec.r <= w[-1]]))["estimate"]
+        # every window is a run of consecutive rings, so its records are a
+        # run of prof.records
+        i = union.index(w[0])
+        return frequency_limit(replace(
+            prof, radii=w, records=prof.records[i:i + len(w)]))["estimate"]
     steps, values = [], []
     for k, window in windows.items():
         try:

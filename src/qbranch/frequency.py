@@ -138,11 +138,14 @@ def _quantities(f: QFunction, s, cutoff: Cutoff = RAMP):
     K = len(scales)
     if cutoff.kind == "ramp":
         ball = rule._disk_integral(table, scales + kinks).T
-        M1, M3 = np.empty((2, 4, K))
+        # each scale's weights are a (1, R) matrix of the stack, so one
+        # product per beta gives every scale the bits of its own gemv
+        W1, W3 = np.empty((2, K, 1, F.shape[0]))
         for k, (x, h) in enumerate(zip(scales, kinks)):
             t_half, t_s = math.log(h), math.log(x)
-            M1[:, k] = rule.weights(t_half, t_s, 1.0) @ F
-            M3[:, k] = rule.weights(t_half, t_s, 3.0) @ F
+            W1[k] = rule.weights(t_half, t_s, 1.0)
+            W3[k] = rule.weights(t_half, t_s, 3.0)
+        M1, M3 = (W1 @ F)[:, 0].T, (W3 @ F)[:, 0].T
         return _ramp(np.array(scales), ball[:, :K], ball[:, K:], M1, M3), off
     D, Sigma = rule._disk_integral(table, scales).T[:2]
     # boundary values s F(s) of the ring profiles, by the cell quintic

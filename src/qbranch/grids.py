@@ -87,7 +87,8 @@ class PolarGrid:
             raise ConfigError("radii must be strictly increasing")
         t = np.log(r)
         dt = np.diff(t)
-        if not np.allclose(dt, dt[0], rtol=1e-10, atol=1e-14):
+        # np.allclose(dt, dt[0], rtol=1e-10, atol=1e-14) without its dispatch
+        if not np.all(np.abs(dt - dt[0]) <= 1e-14 + 1e-10 * abs(dt[0])):
             raise ConfigError("radii must form a geometric sequence")
         if self.n_theta < 64:
             raise ConfigError("n_theta must be at least 64")

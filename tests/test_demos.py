@@ -1,15 +1,11 @@
-"""Every demo runs to the end.  Between them they call every public excess
-and scaletrack entry point on the default grid; demo 03 also runs
-singularity_degree, homogeneity_check and hardt_simon_check."""
-
-import contextlib
-import io
-import pathlib
-import runpy
+"""Every demo runs to the end, and its stdout is the bytes tests/golden.json
+records.  Between them they call every public excess and scaletrack entry
+point on the default grid; demo 03 also runs singularity_degree,
+homogeneity_check and hardt_simon_check."""
 
 import pytest
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+from test_golden import demo_key, demo_stdout, recorded, report, sha256
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -22,8 +18,10 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
     ("05_scale_tracking_and_bv.py", "negative variation of log(I+1)"),
 ])
 def test_demo_runs(name, expected):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runpy.run_path(str(DEMOS / name), run_name="__main__")
-    assert expected in out.getvalue()
-    assert "nan" not in out.getvalue()
+    out = demo_stdout(name)
+    assert expected in out
+    assert "nan" not in out
+    # the key is checked alone: the other keys are test_golden.py's
+    got = {demo_key(name): sha256(out)}
+    problems = report(got, set(got) | recorded()["sha256"].keys())
+    assert not problems, "\n" + problems
