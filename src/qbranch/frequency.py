@@ -54,6 +54,9 @@ on the map, its scale and the cutoff.  The quantities at one scale s are
 the fields of its record, frequency_profile(f, [s], cutoff).records[0]:
 I and the residuals are formed in _record alone, and a scale off the grid
 or with a vanishing height gives an invalid record carrying the reason.
+The limit r -> 0 of a profile, frequency_limit, measures its rate from
+three octave medians, each _median: np.median's arithmetic bit for bit,
+without the import of numpy.ma that np.median's NaN check makes.
 """
 
 from __future__ import annotations
@@ -269,7 +272,7 @@ def frequency_limit(profile: FrequencyProfile) -> dict:
     """Extrapolate I(r) as r -> 0 from the smallest scales of a profile.
 
     Fits I(r) = I0 + c r^beta over the smallest octave, with beta measured
-    from octave-to-octave differences when at least three octaves are
+    from the differences of octave medians when at least three octaves are
     available and defaulting to 1 otherwise; the spread (max - min of I over
     the smallest octave) is an empirical stand-in for the diameter of the
     set of frequency values."""
@@ -289,7 +292,7 @@ def frequency_limit(profile: FrequencyProfile) -> dict:
             sel = (r >= r[0] * 2.0 ** k * (1 - 1e-9)) \
                 & (r < r[0] * 2.0 ** (k + 1) * (1 - 1e-9))
             if np.any(sel):
-                med.append(float(np.median(I[sel])))
+                med.append(_median(I[sel]))
         if len(med) == 3:
             d1, d2 = med[1] - med[0], med[2] - med[1]
             if abs(d1) > 1e-12 and d2 / d1 > 0:
@@ -297,6 +300,21 @@ def frequency_limit(profile: FrequencyProfile) -> dict:
     basis = np.column_stack([np.ones(octave0.sum()), r[octave0] ** beta])
     coef, *_ = np.linalg.lstsq(basis, I[octave0], rcond=None)
     return {"estimate": float(coef[0]), "spread": spread, "beta": beta}
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a 1-d array, bit for bit, without the numpy.ma import of
+    its NaN check: NaN when any entry is NaN, else the middle value of the
+    sorted array or the mean of the middle two.  Each sum starts from +0.0,
+    as np.mean's does, so a signed zero comes out as np.median gives it
+    whichever zero the sort puts in the middle."""
+    s = np.sort(x)
+    if math.isnan(s[-1]):
+        return math.nan
+    h = s.size // 2
+    if s.size % 2:
+        return 0.0 + float(s[h])
+    return (0.0 + float(s[h - 1]) + float(s[h])) / 2.0
 
 
 # ----------------------------------------------------------------------------

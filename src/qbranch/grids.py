@@ -16,6 +16,8 @@ cell's stencil sits at whole-number offsets from its lower ring, so five
 inverse Vandermonde patterns, solved once per process, serve every cell of
 every grid: a cell's weights are its pattern applied to the moments of
 e^{beta dt u} over the covered part of the cell, times dt e^{beta t_i}.
+The moments are a 16-node Gauss-Legendre rule whose nodes and weights are
+a committed table, numpy's leggauss(16) bit for bit.
 
 So a window of cells is fixed, up to the factor e^{beta t_i0} of its first
 ring, by dt, beta, its cell count, where its stencils clamp at the grid's
@@ -195,8 +197,21 @@ def _ring_profile(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 
 #: Gauss-Legendre rule of the cell moments: the integrand is entire, so 16
-#: nodes reach rounding on cells of unit length for |beta dt| up to 20
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: nodes reach rounding on cells of unit length for |beta dt| up to 20.
+#: The 8 positive nodes and their weights, mirrored: bit for bit numpy's
+#: leggauss(16), which symmetrizes its own output, without importing
+#: numpy.polynomial
+_GAUSS_HALF_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499])
+_GAUSS_HALF_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176])
+_GAUSS_NODES = np.concatenate([-_GAUSS_HALF_NODES[::-1], _GAUSS_HALF_NODES])
+_GAUSS_WEIGHTS = np.concatenate([_GAUSS_HALF_WEIGHTS[::-1],
+                                 _GAUSS_HALF_WEIGHTS])
 
 
 def _moments(a: np.ndarray, b: np.ndarray, beta: float,

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -742,3 +746,28 @@ def test_fuzzed_file_header_exits_classified(saved_files, tmp_path_factory,
         assert err.getvalue().startswith(_PREFIX[code]), err.getvalue()
         assert not (work / "out").exists() \
             or not any((work / "out").iterdir())
+
+
+def test_commands_load_neither_numpy_ma_nor_numpy_polynomial(tmp_path,
+                                                            monkeypatch):
+    # np.median's NaN check imports numpy.ma and leggauss lives in
+    # numpy.polynomial; a degree, and a frequency limit whose radii span
+    # enough octaves to take octave medians, need neither
+    fast = ["--r-min", "2^-10", "--n-theta", "128"]
+    degree = ["degree", "--curve", "2,3", *fast]
+    limit = ["frequency", "--curve", "2,3", "--radii", "2^-8..1", *fast]
+    src = pathlib.Path(qb.__file__).resolve().parents[1]
+    code = ("import sys, qbranch; from qbranch import cli; "
+            f"codes = [cli.main({degree!r} + ['--out', {str(tmp_path)!r}]), "
+            f"cli.main({limit!r} + ['--out', {str(tmp_path)!r}])]; "
+            "print(codes, [m for m in ('numpy.ma', 'numpy.polynomial') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[0, 0] []"
+    medians = []
+    monkeypatch.setattr(qb.frequency, "_median",
+                        lambda x, median=qb.frequency._median:
+                        medians.append(x.size) or median(x))
+    assert run(limit, tmp_path)[0] == 0 and len(medians) == 3

@@ -301,3 +301,29 @@ def test_interval_facts_are_read_off_end_reasons():
                    or (isinstance(node, ast.Constant)
                        and isinstance(node.value, float))
                    for node in ast.walk(coinciding))
+
+
+def _numpy_names(tree: ast.Module):
+    """numpy.x for every np.x a module reads, and the dotted name of every
+    numpy module or name it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and getattr(node.value, "id", None) in ("np", "numpy"):
+            yield f"numpy.{node.attr}"
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").startswith("numpy"):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_names_numpy_median_polynomial_or_ma():
+    # np.median's NaN check imports numpy.ma and leggauss lives in
+    # numpy.polynomial: the package takes its medians with
+    # frequency._median and its Gauss-Legendre rule from a committed table
+    named = sorted(f"{path.name}:{name}" for path in SOURCES
+                   for name in _numpy_names(ast.parse(path.read_text()))
+                   if name.split(".")[:2] in (["numpy", "median"],
+                                              ["numpy", "polynomial"],
+                                              ["numpy", "ma"]))
+    assert named == []

@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import qbranch as qb
@@ -382,6 +382,18 @@ class TestOneRecordPath:
                 assert rec.H == rec.r * (wc @ F[j0:j0 + 6])[1]
 
 
+#: finite arrays of 1 to 64 values with magnitudes from 1e-300 to 1e300,
+#: both zeros, and repeats: a draw followed by values drawn from it again
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e300]),
+    st.floats(-1e300, 1e300),
+    st.builds(lambda m, e: m * 10.0 ** e,
+              st.floats(-10.0, 10.0), st.integers(-300, 299)))
+MEDIAN_INPUTS = st.lists(_MEDIAN_VALUES, min_size=1, max_size=64).flatmap(
+    lambda x: st.lists(st.sampled_from(x), max_size=64 - len(x))
+    .map(lambda repeats: np.array(x + repeats)))
+
+
 class TestFrequencyLimit:
     def test_curve_estimates(self, curve_cache, full_grid):
         radii = qb.default_profile_radii(full_grid, octaves=3.0)
@@ -410,6 +422,19 @@ class TestFrequencyLimit:
         prof = qb.frequency_profile(f, radii=full_grid.radii[-6:-1])
         with pytest.raises(qb.DataError, match="at least one octave"):
             qb.frequency_limit(prof)
+
+    @given(MEDIAN_INPUTS)
+    @settings(max_examples=300)
+    def test_median_is_numpys_bit_for_bit(self, a):
+        # the octave medians keep the bits np.median gives them
+        assert frequency._median(a).hex() == float(np.median(a)).hex()
+
+    @pytest.mark.parametrize("x", [[np.nan], [1.0, np.nan],
+                                   [np.nan, -2.0, 3.0],
+                                   [np.inf, np.nan, -np.inf, 0.0]])
+    def test_median_of_values_with_a_nan_is_nan(self, x):
+        assert math.isnan(frequency._median(np.array(x)))
+        assert math.isnan(np.median(np.array(x)))
 
 
 class TestInvariances:

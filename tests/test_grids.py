@@ -206,6 +206,14 @@ def test_radial_weights_match_the_per_cell_rule(grid, rng, beta):
             assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
+def test_gauss_table_is_leggauss_bit_for_bit():
+    # the library commits the table so that it never imports
+    # numpy.polynomial; this test may
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert grids._GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert grids._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
 @pytest.mark.parametrize("beta", [0.05, 1.0, 10.0])
 def test_cell_moments_hold_their_digits_on_short_cells(beta):
     a = np.array([0.0, 0.0, 0.5, 0.999, 0.0])
