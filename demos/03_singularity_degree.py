@@ -1,8 +1,10 @@
 """Singularity degrees through normalized blow-ups.
 
-The estimator subtracts the sheet average, rescales along a geometric
-sequence of radii with a unit-norm normalization, and reads the frequency
-limit of every step.  On w^Q = z^p it recovers p/Q; on a perturbed curve
+The estimator subtracts the sheet average, reads the degree as half the
+leading exponent of the part's ring profile, checked against its frequency
+limit, and reports the frequency limit of every step of the blow-up along
+a geometric sequence of radii with a unit-norm normalization.  On
+w^Q = z^p it recovers p/Q to rounding; on a perturbed curve
 (w - z^2)^2 = z^5 the average-free part still carries 5/2 while the full
 graph only touches its tangent plane to order 2, and the estimate comes
 back flagged."""

@@ -12,14 +12,25 @@ average-free part it dilates.
 
 The degree is a limit of v's frequency, v the average-free part, and the
 paper proves that it does not depend on the sequence of scales, so the
-estimate reads none: it is frequency_limit, whose rate beta is measured,
-over v's rings in [8 r_min, 64 r_min].  The disjoint three-octave windows
-above it, [64 r_min, 512 r_min] and so on while their top stays within
-r_max, test it: the spread is max - min of the windows' limits, and the
-estimate is converged when at least two windows fit and the spread is
-within the convergence tolerance.  When only one window fits, as on a grid
-with room for one, the estimate is unconverged and
-notes["convergence_note"] says why; when none fits, DataError.  The
+estimate reads none.  On a map harmonic on its monodromy cover, column B
+of v's ring table, the angular integral of |v|^2, is a sum of powers
+sum_k P_k r^{2 alpha_k}, and the limit is the least alpha_k.  So the value
+is half the leading exponent of column B over v's rings in
+[8 r_min, 64 r_min], read by RadialRule.spectrum from one SVD, with no
+derivative, quadrature or rate model.  frequency_limit over the same rings,
+whose rate beta is measured, reads the paper's definition on its own and
+checks it: the value stands when the exponents are real, the residual is
+within SPECTRUM_RESIDUAL, or within the spectrum's floor on noisy samples,
+and the value is within the convergence tolerance of the limit (the
+harmonicity gate).  Else the value is the limit, the estimate is
+unconverged and notes["spectrum_note"] names the failed check.  The
+disjoint three-octave windows above, [64 r_min, 512 r_min] and so on while
+their top stays within r_max, test the limit: the spread is max - min of
+the windows' limits, and the estimate is converged when at least two
+windows fit, the spread is within the convergence tolerance and the
+spectrum passes.  When only one window fits, as on a grid with room for
+one, the estimate is unconverged and notes["convergence_note"] says why;
+when none fits, DataError.  The
 normalized blow-ups at r_k = scale^k remain as the report: each step's
 frequency limit over its top octave is listed, and a step whose normalizer
 is refused is listed as failed.  Degree, stitched frequency and Hardt-Simon
@@ -71,6 +82,9 @@ from .frequency import (frequency_profile, frequency_limit,
 
 #: normalizers below this relative size abort the blow-up as trivial
 DEGENERACY_FLOOR = 1e-14
+#: a degree's spectrum fits column B of v's ring table to this relative
+#: l2 misfit, or to its order floor where that is more (noisy samples)
+SPECTRUM_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -215,11 +229,14 @@ def coarse_blowup_normalize(f: QFunction, r: float, mode: str = "l2_norm",
 def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeEstimate:
     """Estimate the singularity degree of the graph at the grid center.
 
-    The value is the frequency limit of v, the average-free part, over its
-    rings in [8 r_min, 64 r_min]; the spread is max - min over the limits
-    of the disjoint three-octave windows [8^j 8 r_min, 8^j 64 r_min] within
-    r_max, and converged means that two of them fit and agree within
-    convergence_tol.  The normalized blow-ups along r_k = scale_factor^k
+    The value is half the leading exponent of column B of v's ring table,
+    v the average-free part, over its rings in [8 r_min, 64 r_min]
+    (_spectral_degree), or the frequency limit over those rings when one
+    of the spectrum's checks fails, with notes["spectrum_note"] naming it.
+    The spread is max - min over the limits of the disjoint three-octave
+    windows [8^j 8 r_min, 8^j 64 r_min] within r_max, and converged means
+    that two of them fit and agree within convergence_tol and that the
+    spectrum passed.  The normalized blow-ups along r_k = scale_factor^k
     are the per-step report: each step's frequency limit over its top
     octave.  Every record is read off one frequency profile of v (see the
     module docstring).  A value below 1 - convergence_tol, which the paper
@@ -266,7 +283,7 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
         i = union.index(w[0])
         return frequency_limit(replace(
             prof, radii=w, records=prof.records[i:i + len(w)]))["estimate"]
-    steps, values = [], []
+    steps, values, fitting = [], [], []
     for k, window in windows.items():
         try:
             steps.append((k, cfg.scale_factor ** k, limit(window)))
@@ -275,6 +292,7 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
     for window in limits:
         with suppress(DataError):
             values.append(limit(window))
+            fitting.append(window)
     failures = sorted(failures.items())
     if len(steps) < 3 or not values:
         raise DataError(
@@ -282,8 +300,9 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
             f"{len(values)} fitting limit windows (need 1); "
             f"failures: {failures}")
     spread = max(values) - min(values)
-    converged = len(values) > 1 and spread <= cfg.convergence_tol
-    est = DegreeEstimate(values[0], spread, steps, converged)
+    value, notes = _spectral_degree(v, fitting[0], values[0], cfg)
+    converged = not notes and len(values) > 1 and spread <= cfg.convergence_tol
+    est = DegreeEstimate(value, spread, steps, converged, notes)
     if len(values) < 2:
         est.notes["convergence_note"] = ("only one three-octave limit window "
                                          "fits; convergence needs two")
@@ -295,6 +314,34 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
         est.notes["step_failures"] = [[k, reason] for k, reason in failures]
     _flag_average_discrepancy(claim, est)
     return est
+
+
+def _spectral_degree(v: QFunction, window: list, limit: float,
+                     cfg: BlowupConfig) -> tuple[float, dict]:
+    """(value, notes): half the leading exponent of column B of v's ring
+    table over window, RadialRule.spectrum's, and no notes when its three
+    checks hold: every exponent real, a residual within SPECTRUM_RESIDUAL
+    or the spectrum's floor, whichever is more, and a value within
+    cfg.convergence_tol of limit, the window's frequency limit.  The
+    spectrum's floor keeps its order below half the Hankel matrix's rank.
+    Column B is a sum of powers only on a map harmonic on its cover, and
+    there its leading exponent is twice the frequency limit, so the last
+    check is the harmonicity gate.  When a check fails, or the window has no
+    spectrum, the value is limit and notes["spectrum_note"] names the
+    check."""
+    try:
+        spec = v.rule().spectrum(_ring_data(v)[0][:, 1], window[0], window[-1])
+    except DataError as exc:
+        return limit, {"spectrum_note": f"column B's spectrum: {exc}"}
+    lam, deg, res = spec.exponents, spec.leading().real / 2, spec.residual
+    for failed, why in [
+            (np.any(lam.imag), f"non-real exponents {lam.round(6).tolist()}"),
+            (res > max(SPECTRUM_RESIDUAL, spec.floor), f"residual {res:.3g}"),
+            (abs(deg - limit) > cfg.convergence_tol, f"degree {deg!r} is off"
+             f" the frequency limit {limit!r}: not harmonic on its cover")]:
+        if failed:
+            return limit, {"spectrum_note": f"column B's spectrum: {why}"}
+    return deg, {}
 
 
 def _flag_average_discrepancy(claim: CurveSpec | None, est: DegreeEstimate):

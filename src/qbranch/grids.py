@@ -31,6 +31,13 @@ stacked ring profiles with their cumulative table and inner core as one
 table, built by RadialRule.disk_table (the frequency profiles and the area
 moments alike), and every disk integral reads such a table.
 
+The rings are uniform in t, so a ring profile that is a sum of powers of r
+is an exponential sum sampled at equal steps.  RadialRule.spectrum reads
+its exponents by the matrix pencil, one SVD of the samples' Hankel matrix
+and the eigenvalues of its shifted signal subspace, with no derivative
+and no quadrature: it is the package's one exponent reader, and the
+singularity degree takes its value from it.
+
 A blow-up of a map lives on the map's rings relabelled (radii divided by
 the dilation ratio), a grid with the same dt, so a window at the same
 place below the top ring is one cached window for the map and all its
@@ -60,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError, DataError, RangeError
 from .qvalue import _cycles
 
 TWO_PI = 2.0 * np.pi
@@ -309,6 +316,32 @@ def _window(dt: float, beta: float, n: int, bottom: int, top: int,
     return int(rel[0]), w
 
 
+#: singular values of a spectrum's Hankel matrix above this fraction of the
+#: largest count toward its order, unless noise lifts the floor (see
+#: RadialRule.spectrum)
+SPECTRUM_FLOOR = 1e-11
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """A ring profile over a window as an exponential sum in t = log r,
+    F(r) = sum_k a_k (r / r_0)^{lambda_k}, r_0 the window's first ring:
+    the exponents lambda_k (complex, sorted by real part), the amplitudes
+    a_k, the Hankel matrix's singular values relative to the largest, the
+    floor above which they count toward the order, and the sum's relative
+    l2 misfit to the samples levelled as RadialRule.spectrum levels them."""
+
+    exponents: np.ndarray
+    amplitudes: np.ndarray
+    singular_values: np.ndarray
+    floor: float
+    residual: float
+
+    def leading(self) -> complex:
+        """The exponent of least real part, the one that rules as r -> 0."""
+        return complex(self.exponents[0])
+
+
 class RadialRule:
     """Weight factory for integrals  int_{t_a}^{t_b} F(t) e^{beta t} dt
     with F known at the grid rings.  Its weights come from the process-wide
@@ -427,6 +460,50 @@ class RadialRule:
             core = f0 * self.grid.r_min ** beta / (p + beta)
         core = np.where((f0 == 0.0) | (p + beta <= 0.1), 0.0, core)
         return float(core) if core.ndim == 0 else core
+
+    def spectrum(self, F: np.ndarray, lo: float, hi: float) -> Spectrum:
+        """The exponential sum through one ring profile F at the grid rings
+        in [lo, hi], by the matrix pencil (Y. Hua and T. K. Sarkar, IEEE
+        Trans. ASSP 38 (1990) 814-824).  The N samples over the first one,
+        y_i, fill the Hankel matrix Y[i, j] = y_{i+j} with L + 1 columns,
+        L = N // 2.  Its singular values above the floor, SPECTRUM_FLOOR of
+        the largest or 100 times the median where that is more, give the
+        order M, at most half their number; the shift of the first M right
+        singular vectors has the eigenvalues e^{lambda_k dt}.  The
+        amplitudes come from least squares.  DataError when fewer than 8
+        rings lie in the window, the first sample vanishes or no singular
+        value stands above the floor."""
+        F = np.asarray(F, dtype=float)[(self.grid.radii >= lo * (1 - 1e-12))
+                                       & (self.grid.radii <= hi * (1 + 1e-12))]
+        if F.size < 8 or not F[0]:
+            raise DataError(f"a spectrum needs at least 8 rings and a nonzero "
+                            f"first sample, got {F[:1]} on {F.size} rings")
+        N, L = F.size, F.size // 2
+        # e^{-c i} levels the last sample with the first and shifts every
+        # exponent by -c / dt: the rows weigh alike, which keeps the least
+        # kept singular values clear of the rounding of the largest
+        c = math.log(abs(F[-1] / F[0])) / (N - 1) if F[-1] else 0.0
+        y = F / F[0] * np.exp(-c * np.arange(N))
+        _, s, Vh = np.linalg.svd(y[np.arange(N - L)[:, None]
+                                   + np.arange(L + 1)])
+        # noise in the samples lifts the least singular values into a
+        # plateau, which holds the median while the order is below half the
+        # rank: the floor stands two decades above it
+        floor = max(SPECTRUM_FLOOR, 100 * s[s.size // 2] / s[0])
+        V = Vh[:np.count_nonzero(s > floor * s[0])].T
+        if not V.size:
+            raise DataError(f"no singular value above the noise, {floor:.3g}")
+        P = np.linalg.lstsq(V[:-1], V[1:], rcond=None)[0]
+        mu = np.sort_complex(np.log(np.linalg.eigvals(P).astype(complex)))
+        # y_i = sum_k Re(a_k e^{mu_k i}), mu_k = lambda_k dt - c, with the
+        # mu_k and a_k in conjugate pairs: one real system in the interleaved
+        # Re a_k, Im a_k, whose least-norm solution pairs them (a complex
+        # solve would page in complex LAPACK, 0.7 MB)
+        A = (np.exp(mu) ** np.arange(N)[:, None]).conj().view(float)
+        x = np.linalg.lstsq(A, y, rcond=None)[0]
+        return Spectrum((mu + c) / self.grid.dt, x.view(complex) * F[0],
+                        s / s[0], floor,
+                        float(np.linalg.norm(A @ x - y) / np.linalg.norm(y)))
 
 
 # ----------------------------------------------------------------------------

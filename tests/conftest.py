@@ -40,20 +40,30 @@ def curve_cache(full_grid):
     return get
 
 
+def union_of(grid, *parts):
+    """The union of the curves c.(Q, p) over parts (c, Q, p) on grid: each
+    curve's sheets times c, their monodromy cycles side by side.  It is
+    holomorphic, so area-minimizing, its sheet average is 0 and its degree
+    is the least p/Q.  It claims no curve."""
+    maps = [qb.make_multigraph(qb.CurveSpec(q, p), grid) for _, q, p in parts]
+    starts = np.cumsum([0] + [f.q for f in maps])
+    label = "+".join(f"{'' if c == 1 else c}({q},{p})" for c, q, p in parts)
+    return qb.QFunction(
+        grid=grid,
+        values=np.concatenate([c * f.values for (c, _, _), f in zip(parts,
+                                                                   maps)]),
+        monodromy=np.concatenate([f.monodromy + k
+                                  for f, k in zip(maps, starts)]),
+        metadata={"kind": "union", "label": label})
+
+
 @pytest.fixture(scope="session")
 def union_curve(full_grid):
     """The union (2,3) u 2.(3,4) on the default grid: sheets +-z^{3/2} and
-    2 zeta_3^k z^{4/3}, two monodromy cycles of lengths 2 and 3.  It is
-    holomorphic, so area-minimizing, its sheet average is 0 and its degree
-    is 4/3, which the sharp I(s) approaches at the slow rate s^{1/3}.  It
-    claims no curve."""
-    a = qb.make_multigraph(qb.CurveSpec(2, 3), full_grid)
-    b = qb.make_multigraph(qb.CurveSpec(3, 4), full_grid)
-    return qb.QFunction(grid=full_grid,
-                        values=np.concatenate([a.values, 2.0 * b.values]),
-                        monodromy=np.concatenate([a.monodromy,
-                                                  b.monodromy + 2]),
-                        metadata={"kind": "union", "label": "(2,3)+2(3,4)"})
+    2 zeta_3^k z^{4/3}, two monodromy cycles of lengths 2 and 3.  Its
+    degree is 4/3, which the sharp I(s) approaches at the slow rate
+    s^{1/3}."""
+    return union_of(full_grid, (1, 2, 3), (2, 3, 4))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import qbranch as qb
 from qbranch import blowup, curves, frequency, grids
 from qbranch.curves import _area_moments, _ring_data
 from qbranch.grids import _window
-from conftest import single
+from conftest import single, union_of
 
 
 class TestRescale:
@@ -502,7 +502,8 @@ class TestSingularityDegree:
             self, full_grid):
         # r^1.5 times the fixed pair {e, -e} is no harmonic branch: column
         # B of its part's ring table grows like r^3, as a homogeneity of
-        # 1.5, while its frequency is 1.5 / 2; the degree is the frequency
+        # 1.5, while its frequency is 1.5 / 2; the degree is the frequency,
+        # and the spectrum's disagreement with it leaves it unconverged
         f = qb.homogeneous_map(1.5, qb.constant_profile([[1, 0], [-1, 0]]),
                                grid=full_grid)
         est = qb.singularity_degree(f)
@@ -510,7 +511,8 @@ class TestSingularityDegree:
         B = _ring_data(qb.average_free_part(f))[0][:, 1]
         assert np.abs(B / (4 * np.pi * r ** 3) - 1).max() < 1e-13
         assert est.value == pytest.approx(0.75, abs=1e-4)
-        assert est.converged
+        assert not est.converged
+        assert "not harmonic on its cover" in est.notes["spectrum_note"]
         assert "at least 1" in est.notes["below_one_note"]
 
     def test_amplitude_and_dilation_invariance(self, curve_cache):
@@ -624,21 +626,87 @@ class TestOneLimit:
     @pytest.mark.parametrize("scale_factor", [0.25, 0.5, 0.6, 0.7])
     def test_impostor_is_unconverged(self, impostor, scale_factor):
         # I oscillates in log r: the windows' limits disagree by 3.2e-2,
-        # whichever scale sequence the steps take
+        # whichever scale sequence the steps take, and column B's spectrum
+        # holds the log-periodic factor's exponents 3 +- 2 pi i k / ln 2
         est = qb.singularity_degree(impostor, qb.BlowupConfig(
             scale_factor=scale_factor))
         assert not est.converged
         assert est.spread > qb.BlowupConfig().convergence_tol
+        assert "non-real exponents" in est.notes["spectrum_note"]
 
     def test_value_is_the_lowest_windows_limit(self, union_curve,
                                                curve_cache):
+        # the value is half the leading exponent of column B's spectrum
+        # over the lowest window, checked against that window's limit
         for f in (union_curve, curve_cache(3, 5)):
             v = qb.average_free_part(f)
             window = qb.default_profile_radii(v.grid, octaves=3.0,
                                               top=64 * v.grid.r_min)
             lim = qb.frequency_limit(qb.frequency_profile(v, radii=window))
+            spec = v.rule().spectrum(_ring_data(v)[0][:, 1], window[0],
+                                     window[-1])
+            est = qb.singularity_degree(f)
             assert window[0] == 8 * v.grid.r_min
-            assert qb.singularity_degree(f).value == lim["estimate"]
+            assert est.value == spec.leading().real / 2
+            assert abs(est.value - lim["estimate"]) \
+                <= qb.BlowupConfig().convergence_tol
+
+    @pytest.mark.parametrize("parts, degree", [
+        (((1, 2, 3), (2, 3, 4)), 4 / 3),
+        (((2, 2, 3), (1, 5, 8)), 3 / 2),
+        (((2, 7, 10), (1, 2, 3)), 10 / 7),
+        (((2, 5, 6), (1, 4, 5)), 6 / 5)])
+    def test_close_unions_read_their_lower_degree(self, full_grid, parts,
+                                                  degree):
+        # the two lowest degrees lie 1/6 to 1/20 apart, so I approaches the
+        # lower one at a rate 2 (alpha_2 - alpha_1) of 1/3 down to 1/10:
+        # a limit whose rate is clipped at 1/4 missed it by up to 2.6e-3
+        f = union_of(full_grid, *parts)
+        for scale_factor in (0.25, 0.5, 0.6):
+            est = qb.singularity_degree(f, qb.BlowupConfig(
+                scale_factor=scale_factor))
+            assert est.converged and "spectrum_note" not in est.notes
+            assert abs(est.value - degree) <= 1e-10
+
+    @pytest.mark.parametrize("q, p", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5),
+                                      (2, 7), (2, 9)])
+    def test_curves_read_their_degree_to_rounding(self, curve_cache, q, p):
+        # column B of a curve's ring table is one power of r: the frequency
+        # limit missed 9/2 by 2.6e-3, the spectrum misses it by rounding
+        est = qb.singularity_degree(curve_cache(q, p))
+        assert est.converged and abs(est.value - p / q) <= 1e-12
+
+    @pytest.mark.parametrize("parts, degree, tol", [
+        (((1, 2, 3),), 3 / 2, 2e-9), (((2, 5, 6), (1, 4, 5)), 6 / 5, 3e-6)])
+    def test_noisy_samples_keep_their_spectrum(self, full_grid, parts,
+                                               degree, tol):
+        # a relative error of 1e-8 in the values lifts the Hankel matrix's
+        # least singular values to about 1e-10, over the fixed 1e-11 floor;
+        # the floor follows them, so the order stays the number of branches
+        # and the residual, about 5e-10, stays within the floor.  Over 20
+        # seeds the spectrum missed by at most 1.9e-10 and 3.2e-7, the
+        # frequency limit by 1.4e-6 and 2.4e-3
+        f = union_of(full_grid, *parts)
+        noise = np.random.default_rng(1).standard_normal(f.values.shape)
+        f = f.replace_values(f.values * (1 + 1e-8 * noise))
+        est = qb.singularity_degree(f)
+        assert est.converged and "spectrum_note" not in est.notes
+        assert abs(est.value - degree) <= tol
+
+    def test_a_window_without_spectrum_keeps_its_limit(self):
+        # the map vanishes on B_{2^-5}, so column B's first sample in the
+        # lowest window, at 2^-7, is zero
+        grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), grid)
+        f = f.replace_values(np.where(grid.radii[:, None, None] < 2.0 ** -5,
+                                      0.0, f.values))
+        window = qb.default_profile_radii(grid, octaves=3.0,
+                                          top=64 * grid.r_min)
+        lim = qb.frequency_limit(qb.frequency_profile(
+            qb.average_free_part(f), radii=window))
+        est = qb.singularity_degree(f)
+        assert est.value == lim["estimate"] and not est.converged
+        assert "nonzero first sample" in est.notes["spectrum_note"]
 
     def test_one_window_is_no_convergence(self):
         grid = qb.default_grid(r_min=2.0 ** -8, n_theta=256)
@@ -753,10 +821,13 @@ class TestStepsFromOneProfile:
     @pytest.mark.parametrize("q, p, tol", [(2, 5, 6e-5), (3, 7, 3.5e-5)])
     def test_no_step_reads_a_clamped_window(self, curve_cache, q, p, tol,
                                             scale_factor):
-        # read off each blow-up's own top octave, whose windows clamp at
-        # its grid top, these estimates miss p/Q by 7.4e-5 and 4.4e-5
+        # every step's limit reads v's octave below r_m and misses p/Q by
+        # 5.07e-5 and 3.16e-5; read off each blow-up's own top octave,
+        # whose windows clamp at its grid top, it misses by 7.09e-5 and
+        # 4.32e-5.  The value is the spectrum's, which no window clamps
         est = qb.singularity_degree(curve_cache(q, p), qb.BlowupConfig(
             scale_factor=scale_factor))
+        assert max(abs(I - p / q) for _, _, I in est.per_step_I) <= tol
         assert abs(est.value - p / q) <= tol
 
 

@@ -101,6 +101,17 @@ def test_degree_steps_read_one_profile():
         "blowup.py:singularity_degree"]
 
 
+def test_exponents_are_read_by_one_pencil():
+    # the degree's value is half the leading exponent of
+    # RadialRule.spectrum, and the pencil's SVD and eigenvalue solve are
+    # the package's only ones
+    assert _package_callers("_spectral_degree") == [
+        "blowup.py:singularity_degree"]
+    assert _package_callers("spectrum") == ["blowup.py:_spectral_degree"]
+    assert _package_callers("svd") == _package_callers("eigvals") == [
+        "grids.py:RadialRule.spectrum"]
+
+
 def test_angular_differentiation_has_one_caller():
     assert _package_callers("d_dtheta_periodic") == [
         "curves.py:QFunction.gradients"]

@@ -292,6 +292,71 @@ def test_stacked_inner_core_takes_every_branch_per_column(grid):
     assert stacked[3] == stacked[4] == stacked[5] == 0.0
 
 
+def _power_sum(grid, terms):
+    """sum_k a_k (r / r_0)^{lambda_k} over terms (lambda_k, a_k) at grid's
+    rings, with the 25-ring window [r_0, 8 r_0], r_0 = grid.radii[8]."""
+    lo = float(grid.radii[8])
+    return sum(a * (grid.radii / lo) ** lam for lam, a in terms), lo, 8 * lo
+
+
+@given(terms=st.lists(st.tuples(st.floats(2.0, 6.0), st.floats(0.1, 10.0)),
+                      min_size=1, max_size=3).filter(
+    lambda terms: all(abs(x[0] - y[0]) >= 0.1
+                      for i, x in enumerate(terms) for y in terms[:i])))
+def test_spectrum_recovers_a_sum_of_powers(grid, terms):
+    # on 25 rings at 8 per octave the leading exponent comes back within
+    # 1e-9 of random sets and 1.5e-7 of the worst corner (three exponents
+    # 0.1 apart at the top of [2, 6], the least amplitude the leading one)
+    F, lo, hi = _power_sum(grid, terms)
+    spec = RadialRule(grid).spectrum(F, lo, hi)
+    assert spec.exponents.size == len(terms)
+    assert not np.any(spec.exponents.imag)
+    assert abs(spec.leading().real - min(lam for lam, _ in terms)) <= 1e-6
+    assert spec.residual <= 1e-10
+
+
+def test_spectrum_finds_a_log_periodic_factor(grid):
+    # r^3 (1 + 0.1 sin(2 pi log2 r)) is r^3 plus the pair r^(3 +- i w),
+    # w = 2 pi / ln 2
+    F, lo, hi = _power_sum(grid, [(3.0, 1.0)])
+    F = F * (1.0 + 0.1 * np.sin(2 * np.pi * np.log2(grid.radii)))
+    spec = RadialRule(grid).spectrum(F, lo, hi)
+    # sin vanishes at r_0 = 2^-5, so the pair's amplitudes are -+0.1 / 2i
+    w = 2 * np.pi / math.log(2)
+    order = np.argsort(spec.exponents.imag)
+    assert np.allclose(spec.exponents[order], [3 - 1j * w, 3, 3 + 1j * w],
+                       rtol=0, atol=1e-8)
+    assert np.allclose(spec.amplitudes[order], [0.05j, 1, -0.05j], rtol=0,
+                       atol=1e-8)
+
+
+def test_spectrum_floor_follows_the_noise(grid):
+    # noise of 1e-8 lifts the least singular values over SPECTRUM_FLOOR;
+    # the floor stands 100 times above their median, so the two terms
+    # stay the order, and samples of pure noise have no spectrum
+    F, lo, hi = _power_sum(grid, [(2.0, 1.0), (2.5, 0.5)])
+    F = F * (1 + 1e-8 * np.random.default_rng(2).standard_normal(F.shape))
+    spec = RadialRule(grid).spectrum(F, lo, hi)
+    s = spec.singular_values
+    assert spec.floor == 100 * s[s.size // 2] > grids.SPECTRUM_FLOOR
+    assert spec.exponents.size == 2 and not np.any(spec.exponents.imag)
+    assert abs(spec.leading().real - 2.0) <= 1e-6
+    assert spec.residual <= spec.floor
+    with pytest.raises(qb.DataError, match="no singular value above"):
+        RadialRule(grid).spectrum(
+            1 + np.random.default_rng(3).random(grid.n_rings), lo, hi)
+
+
+def test_spectrum_refusals(grid):
+    rule = RadialRule(grid)
+    F, lo, _ = _power_sum(grid, [(2.0, 1.0)])
+    with pytest.raises(qb.DataError, match="at least 8 rings.* on 7 rings"):
+        rule.spectrum(F, lo, lo * 2 ** (6 / 8))
+    F[8] = 0.0
+    with pytest.raises(qb.DataError, match=r"nonzero first .* \[0\.\] on 25"):
+        rule.spectrum(F, lo, 8 * lo)
+
+
 def test_disk_integral_refuses_radii_off_the_grid(grid):
     rule = RadialRule(grid)
     with pytest.raises(qb.RangeError):
