@@ -55,12 +55,14 @@ table, and the degeneracy guard's amplitude of v is taken once per map.
 The estimator lists every step that failed, with the reason, in step order
 under notes["step_failures"], a reference ball leaving the grid included.
 The Hardt-Simon check reads the map's ring table as well, so it
-differentiates nothing that is cached.  The tables, and the average-free
-part, a view of its parent's samples whose tables come from one sweep of
-them whichever caller built them first, are built in curves; so a degree
-estimate never forms v's samples.  A value below 1 - convergence_tol is
-flagged in notes["below_one_note"]: the paper proves the degree is at
-least 1 at a flat singular point of a minimizer.
+differentiates nothing that is cached, and shares the degree's exponent
+reader: its alpha, growth exponent and closed form come from one
+RadialRule.spectrum of column B over [rho, 1/2].  The tables, and the
+average-free part, a view of its parent's samples whose tables come from
+one sweep of them whichever caller built them first, are built in curves;
+so a degree estimate never forms v's samples.  A value below
+1 - convergence_tol is flagged in notes["below_one_note"]: the paper
+proves the degree is at least 1 at a flat singular point of a minimizer.
 """
 
 from __future__ import annotations
@@ -396,72 +398,49 @@ class HardtSimonResult:
         return _json(asdict(self))
 
 
-def hardt_simon_check(f: QFunction, rho_inner: float,
-                      alpha: float | None = None) -> HardtSimonResult:
+def hardt_simon_check(f: QFunction, rho_inner: float) -> HardtSimonResult:
     """Quadrature of int_{B_1/2 \\ B_rho} sum_i |d/dr (f_i/|x|)|^2 dx and its
-    comparison with the homogeneous closed form
-    (alpha-1)^2 * int_{dB_1} |f|^2 * int_rho^{1/2} s^{2 alpha - 3} ds.
+    comparison with the closed form read off one RadialRule.spectrum of
+    column B of f's ring table, B = |f|^2, over the rings in [rho, 1/2]:
+    with B = Re sum_k a_k (r / r0)^lambda_k, the integral of
+    (lambda_k / 2 - 1)^2 a_k (s / r0)^lambda_k s^-3 over [rho, 1/2] summed,
+    Re sum_k (lambda_k - 2) / 4 a_k r0^-lambda_k
+    (2^{2 - lambda_k} - rho^{lambda_k - 2}).  It is exact on every map whose
+    column B is a sum of powers, homogeneous maps and their unions.
 
-    The integral stays bounded as rho decreases exactly when alpha >= 1;
-    for alpha < 1 it grows like rho^{2 alpha - 2}.  The growth exponent is
-    the log-log slope of the annulus integrals int_{B_2s \\ B_s} over
-    s in {rho, 2 rho, 4 rho} with 2s <= 1/2, exact powers s^{2 alpha - 2} on
-    an alpha-homogeneous map, and doubles as a divergence detector.
+    alpha_used is half the leading exponent, the least degree among the
+    powers.  The integral stays bounded as rho decreases exactly when it is
+    at least 1, and grows like rho^{2 alpha - 2} when it is less: the
+    leading exponent less 2 is growth_exponent, which flags divergence.
     RangeError when rho_inner is below two grid floors, or above 1/8, where
-    fewer than two annuli fit below 1/2.  All is read off f's ring table:
-    with B = |f|^2, C = f . f_r and P = |f_r|^2 the integrand is
-    (P - 2 C / r + B / r^2) / r^2, and B gives the boundary data."""
+    the spectrum's window [rho, 1/2] spans less than two octaves; DataError
+    from the spectrum, as when B vanishes at rho.  The integrand
+    (P - 2 C / r + B / r^2) / r^2, with C = f . f_r and P = |f_r|^2, is
+    read off the ring table too."""
     grid = f.grid
     if not rho_inner >= grid.r_min * 2 * (1 - 1e-12):
         raise RangeError("rho_inner must be at least two grid floors")
     if not rho_inner <= 0.125:
-        raise RangeError("rho_inner must be at most 1/8, so that two "
-                         "annuli [s, 2s] fit below 1/2 for the growth fit")
+        raise RangeError("rho_inner must be at most 1/8, so that the "
+                         "spectrum's window [rho, 1/2] spans two octaves")
     if grid.r_max < 0.5:
         raise RangeError("grid must reach radius 1/2")
     rule = f.rule()
     _, B, C, P = _ring_data(f)[0].T
     r = grid.radii
-    W = (P - 2.0 * C / r + B / r ** 2) / r ** 2
-
-    def integral_over(a, b, F=W):
-        return float(rule.weights(math.log(a), math.log(b), 2.0) @ F)
-
-    integral = integral_over(rho_inner, 0.5)
-
-    # boundary data and homogeneity estimate
-    i_top = grid.n_rings - 1
-    i_mid = max(i_top - 16, 0)
-    if alpha is None:
-        ell_top, ell_mid = B[i_top], B[i_mid]
-        if ell_top <= 0 or ell_mid <= 0:
-            alpha = 1.0
-        else:
-            alpha = float(np.log(ell_top / ell_mid)
-                          / (2.0 * (grid.t[i_top] - grid.t[i_mid])))
-    boundary_l2 = float(B[i_top] / grid.radii[i_top] ** (2 * alpha))
-
-    if abs(alpha - 1.0) < 1e-12:
-        closed = 0.0
-    else:
-        ex = 2.0 * alpha - 2.0
-        closed = (alpha - 1.0) ** 2 * boundary_l2 \
-            * (0.5 ** ex - rho_inner ** ex) / ex
+    integral = float(rule.weights(math.log(rho_inner), math.log(0.5), 2.0)
+                     @ ((P - 2.0 * C / r + B / r ** 2) / r ** 2))
+    spec = rule.spectrum(B, rho_inner, 0.5)
+    lam, lead = spec.exponents, spec.leading().real
+    closed = float(np.sum((lam - 2) / 4 * spec.amplitudes * spec.r0 ** -lam
+                          * (0.5 ** (lam - 2) - rho_inner ** (lam - 2))).real)
+    boundary_l2 = float(B[-1] / r[-1] ** lead)
     residual = abs(integral - closed)
     if closed > 1e-12 * max(1.0, boundary_l2):
         residual /= closed
-
-    scales = [s for s in (rho_inner, 2 * rho_inner, 4 * rho_inner)
-              if 2 * s <= 0.5]
-    vals = [integral_over(s, 2 * s) for s in scales]
-    # W's terms cancel on a 1-homogeneous map: below 1e-12 of theirs is noise
-    size = [integral_over(s, 2 * s, (P + B / r ** 2) / r ** 2)
-            for s in scales]
-    slope = float(np.polyfit(np.log(scales), np.log(vals), 1)[0]) \
-        if all(v > 1e-12 * z for v, z in zip(vals, size)) else 0.0
     return HardtSimonResult(integral=integral,
                             polar_identity_residual=residual,
-                            alpha_used=float(alpha),
-                            growth_exponent=slope,
-                            divergent=slope < -0.05,
+                            alpha_used=lead / 2,
+                            growth_exponent=lead - 2,
+                            divergent=lead - 2 < -0.05,
                             boundary_l2=boundary_l2)

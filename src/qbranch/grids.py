@@ -325,17 +325,19 @@ SPECTRUM_FLOOR = 1e-11
 @dataclass(frozen=True)
 class Spectrum:
     """A ring profile over a window as an exponential sum in t = log r,
-    F(r) = sum_k a_k (r / r_0)^{lambda_k}, r_0 the window's first ring:
+    F(r) = Re sum_k a_k (r / r0)^{lambda_k}, r0 the window's first ring:
     the exponents lambda_k (complex, sorted by real part), the amplitudes
     a_k, the Hankel matrix's singular values relative to the largest, the
-    floor above which they count toward the order, and the sum's relative
-    l2 misfit to the samples levelled as RadialRule.spectrum levels them."""
+    floor above which they count toward the order, the sum's relative l2
+    misfit to the samples levelled as RadialRule.spectrum levels them, and
+    r0."""
 
     exponents: np.ndarray
     amplitudes: np.ndarray
     singular_values: np.ndarray
     floor: float
     residual: float
+    r0: float
 
     def leading(self) -> complex:
         """The exponent of least real part, the one that rules as r -> 0."""
@@ -471,10 +473,12 @@ class RadialRule:
         order M, at most half their number; the shift of the first M right
         singular vectors has the eigenvalues e^{lambda_k dt}.  The
         amplitudes come from least squares.  DataError when fewer than 8
-        rings lie in the window, the first sample vanishes or no singular
-        value stands above the floor."""
-        F = np.asarray(F, dtype=float)[(self.grid.radii >= lo * (1 - 1e-12))
-                                       & (self.grid.radii <= hi * (1 + 1e-12))]
+        rings lie in the window, the first sample vanishes, no singular
+        value stands above the floor or the shift has a zero eigenvalue,
+        as on a profile that vanishes after its first sample."""
+        inside = (self.grid.radii >= lo * (1 - 1e-12)) \
+            & (self.grid.radii <= hi * (1 + 1e-12))
+        F = np.asarray(F, dtype=float)[inside]
         if F.size < 8 or not F[0]:
             raise DataError(f"a spectrum needs at least 8 rings and a nonzero "
                             f"first sample, got {F[:1]} on {F.size} rings")
@@ -494,7 +498,11 @@ class RadialRule:
         if not V.size:
             raise DataError(f"no singular value above the noise, {floor:.3g}")
         P = np.linalg.lstsq(V[:-1], V[1:], rcond=None)[0]
-        mu = np.sort_complex(np.log(np.linalg.eigvals(P).astype(complex)))
+        z = np.linalg.eigvals(P).astype(complex)
+        if not z.all():
+            raise DataError("the shift has a zero eigenvalue: the profile "
+                            "is no exponential sum")
+        mu = np.sort_complex(np.log(z))
         # y_i = sum_k Re(a_k e^{mu_k i}), mu_k = lambda_k dt - c, with the
         # mu_k and a_k in conjugate pairs: one real system in the interleaved
         # Re a_k, Im a_k, whose least-norm solution pairs them (a complex
@@ -503,7 +511,8 @@ class RadialRule:
         x = np.linalg.lstsq(A, y, rcond=None)[0]
         return Spectrum((mu + c) / self.grid.dt, x.view(complex) * F[0],
                         s / s[0], floor,
-                        float(np.linalg.norm(A @ x - y) / np.linalg.norm(y)))
+                        float(np.linalg.norm(A @ x - y) / np.linalg.norm(y)),
+                        float(self.grid.radii[inside][0]))
 
 
 # ----------------------------------------------------------------------------

@@ -14,6 +14,10 @@ settings.register_profile("qbranch", derandomize=True, deadline=None,
 settings.load_profile("qbranch")
 
 
+#: the acceptance curves (Q, p)
+CURVE_SET = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
+
+
 @pytest.fixture(scope="session")
 def full_grid():
     """The default laboratory grid (16 octaves, 512 angles)."""

@@ -15,9 +15,8 @@ import pytest
 
 import qbranch as qb
 from qbranch.cli import main as cli_main
-from conftest import single
+from conftest import CURVE_SET, single
 
-CURVE_SET = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
 ALPHAS = [0.5, 1.0, 1.5, 2.0, 5 / 3]
 
 
@@ -147,7 +146,7 @@ def test_criterion_08_hardt_simon(full_grid):
         qb.homogeneous_map(1.0,
                            boundary=qb.constant_profile([[1, 0], [-1, 0]]),
                            grid=full_grid),
-        rho_inner=rho, alpha=1.0)
+        rho_inner=rho)
     report(8, worst_res < 0.01 and div.divergent
            and abs(lin.integral) <= 1e-10,
            f"polar residual {worst_res:.2e}, divergence flag "

@@ -15,7 +15,7 @@ import qbranch as qb
 from qbranch import blowup, curves, frequency, grids
 from qbranch.curves import _area_moments, _ring_data
 from qbranch.grids import _window
-from conftest import single, union_of
+from conftest import CURVE_SET, single, union_of
 
 
 class TestRescale:
@@ -849,7 +849,7 @@ class TestHardtSimon:
         f = qb.homogeneous_map(
             1.0, boundary=qb.constant_profile([[1, 0], [-1, 0]]),
             grid=full_grid)
-        res = qb.hardt_simon_check(f, rho_inner=2.0 ** -8, alpha=1.0)
+        res = qb.hardt_simon_check(f, rho_inner=2.0 ** -8)
         assert abs(res.integral) < 1e-10
         assert not res.divergent
 
@@ -889,7 +889,8 @@ class TestHardtSimon:
     @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.5])
     @pytest.mark.parametrize("rho", [2.0 ** -10, 2.0 ** -4, 0.1, 0.125])
     def test_growth_exponent_is_exact(self, alpha, rho):
-        # the annulus integrals over [s, 2s] are exact powers s^(2 alpha - 2)
+        # column B is one power r^(2 alpha), whose exponent less 2 is the
+        # integral's growth rho^(2 alpha - 2)
         grid = qb.default_grid(r_min=2.0 ** -12, n_theta=128)
         res = qb.hardt_simon_check(qb.homogeneous_map(alpha, grid=grid), rho)
         assert res.growth_exponent == pytest.approx(2 * alpha - 2, abs=1e-6)
@@ -912,13 +913,59 @@ class TestHardtSimon:
 
     def test_degree_one_integral_is_rounding(self):
         # the integrand's three terms cancel on a 1-homogeneous map, to
-        # rounding, and no growth is fitted to that rounding
+        # rounding, and the growth is read off column B, not off that
+        # rounding
         grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
         res = qb.hardt_simon_check(qb.homogeneous_map(1.0, grid=grid),
                                    2.0 ** -6)
         assert abs(res.integral) <= 1e-12
-        assert res.growth_exponent == 0.0
+        assert abs(res.growth_exponent) <= 1e-12
         assert not res.divergent
+
+    @pytest.mark.parametrize("parts", [((1, 2, 3), (2, 3, 4)),
+                                       ((2, 5, 6), (1, 4, 5)),
+                                       ((1, 2, 3), (2, 2, 5))])
+    def test_union_reads_every_branch(self, full_grid, parts):
+        # column B of a union is a sum of powers, one per branch, and the
+        # closed form sums the branches: one alpha for all of them would
+        # miss by 4.2e-3, 8.5e-4 and 0.2
+        res = qb.hardt_simon_check(qb.average_free_part(
+            union_of(full_grid, *parts)), 64 * full_grid.r_min)
+        alpha = min(p / q for _, q, p in parts)
+        assert res.polar_identity_residual <= 1e-6
+        assert abs(res.alpha_used - alpha) <= 1e-10
+        assert abs(res.growth_exponent - (2 * alpha - 2)) <= 1e-10
+        assert not res.divergent
+
+    def test_impostor_misses_the_closed_form(self, impostor, full_grid):
+        # the log-periodic factor gives column B non-real exponents
+        # 3 +- 2 pi i k / ln 2 about the real 3, outside the closed form
+        res = qb.hardt_simon_check(impostor, 64 * full_grid.r_min)
+        assert res.polar_identity_residual > 0.01
+        assert abs(res.alpha_used - 1.5) <= 1e-10
+
+    def test_coinciding_sheets_have_no_spectrum(self, full_grid):
+        # the average-free part of two equal sheets is zero, so column B
+        # vanishes at rho
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), full_grid)
+        f = f.replace_values(np.repeat(f.values[:1], 2, axis=0))
+        with pytest.raises(qb.DataError, match="nonzero first sample"):
+            qb.hardt_simon_check(qb.average_free_part(f),
+                                 64 * full_grid.r_min)
+
+    @given(parts=st.lists(st.tuples(st.floats(0.5, 2.0),
+                                    st.sampled_from(CURVE_SET)),
+                          min_size=1, max_size=3,
+                          unique_by=lambda part: part[1]))
+    def test_unions_meet_their_closed_form(self, parts):
+        # one to three branches of distinct curves, each scaled: over every
+        # corner of the scales the least alpha came back within 1.5e-10
+        grid = qb.default_grid(r_min=2.0 ** -10, n_theta=256)
+        f = union_of(grid, *[(c, q, p) for c, (q, p) in parts])
+        res = qb.hardt_simon_check(qb.average_free_part(f), 64 * grid.r_min)
+        assert res.polar_identity_residual <= 1e-5
+        assert abs(res.alpha_used - min(p / q for _, (q, p) in parts)) \
+            <= 1e-9
 
     def test_rho_below_grid(self, curve_cache):
         with pytest.raises(qb.RangeError):
@@ -926,7 +973,7 @@ class TestHardtSimon:
 
     @pytest.mark.parametrize("rho", [0.2, 0.5, 0.7, math.inf, math.nan])
     def test_rho_without_annulus(self, small_grid, rho):
-        # fewer than two annuli [s, 2s] fit below 1/2: no growth to fit
+        # the spectrum's window [rho, 1/2] spans less than two octaves
         f = qb.homogeneous_map(0.8, grid=small_grid)
         with pytest.raises(qb.RangeError):
             qb.hardt_simon_check(f, rho)

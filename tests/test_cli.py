@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -237,6 +238,17 @@ class TestOtherCommands:
         res = json.loads((out / "hardt_simon.json").read_text())
         assert res["divergent"] is False
         assert res["growth_exponent"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_hardt_simon_refuses_coinciding_sheets(self, tmp_path):
+        # the average-free part of two equal sheets is zero, so column B
+        # has no spectrum: a numeric error, not an answer
+        f = qb.make_multigraph(qb.CurveSpec(2, 3), qb.default_grid(
+            r_min=2.0 ** -10, n_theta=256))
+        path = tmp_path / "coinciding.qfn"
+        qb.save_qfunction(f.replace_values(np.repeat(f.values[:1], 2, 0)),
+                          path)
+        code, out = run(["hardt-simon", "--input", str(path)], tmp_path)
+        assert code == 3 and not out.exists()
 
     def test_intervals(self, tmp_path):
         code, out = run(["intervals", "--curve", "2,3", "--eps3", "0.1"]

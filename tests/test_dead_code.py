@@ -107,9 +107,30 @@ def test_exponents_are_read_by_one_pencil():
     # the package's only ones
     assert _package_callers("_spectral_degree") == [
         "blowup.py:singularity_degree"]
-    assert _package_callers("spectrum") == ["blowup.py:_spectral_degree"]
+    assert _package_callers("spectrum") == ["blowup.py:_spectral_degree",
+                                            "blowup.py:hardt_simon_check"]
     assert _package_callers("svd") == _package_callers("eigvals") == [
         "grids.py:RadialRule.spectrum"]
+
+
+def test_hardt_simon_reads_column_b_spectrum():
+    # alpha, the closed form and the growth exponent are read off one
+    # spectrum: the check takes no alpha and fits no log ratio or slope.
+    # The excess decay fit is the one exponent fit left outside grids, and
+    # frequency_limit keeps its rate fit, which reads the paper's definition
+    tree = ast.parse(Path(qbranch.blowup.__file__).read_text())
+    (check,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "hardt_simon_check"]
+    assert [a.arg for a in check.args.args] == ["f", "rho_inner"]
+    assert not check.args.kwonlyargs
+    assert not any(isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "log"
+                   and any(isinstance(arg, ast.BinOp)
+                           and isinstance(arg.op, ast.Div)
+                           for arg in node.args)
+                   for node in ast.walk(tree))
+    assert _package_callers("polyfit") == ["excess.py:excess_decay_fit"]
 
 
 def test_angular_differentiation_has_one_caller():

@@ -2,6 +2,7 @@
 quadrature weight: each use is exact where its docstring says so."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,7 @@ def test_spectrum_recovers_a_sum_of_powers(grid, terms):
     assert not np.any(spec.exponents.imag)
     assert abs(spec.leading().real - min(lam for lam, _ in terms)) <= 1e-6
     assert spec.residual <= 1e-10
+    assert spec.r0 == lo
 
 
 def test_spectrum_finds_a_log_periodic_factor(grid):
@@ -355,6 +357,18 @@ def test_spectrum_refusals(grid):
     F[8] = 0.0
     with pytest.raises(qb.DataError, match=r"nonzero first .* \[0\.\] on 25"):
         rule.spectrum(F, lo, 8 * lo)
+
+
+def test_spectrum_refuses_a_zero_eigenvalue():
+    # a profile that vanishes after its first ring has the shift 0, whose
+    # logarithm would be the exponent -inf
+    grid = qb.default_grid()
+    F = np.zeros(grid.n_rings)
+    F[8] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qb.DataError, match="zero eigenvalue"):
+            RadialRule(grid).spectrum(F, grid.radii[8], grid.radii[32])
 
 
 def test_disk_integral_refuses_radii_off_the_grid(grid):
