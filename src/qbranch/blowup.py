@@ -17,18 +17,19 @@ of v's ring table, the angular integral of |v|^2, is a sum of powers
 sum_k P_k r^{2 alpha_k}, and the limit is the least alpha_k.  So the value
 is half the leading exponent of column B over v's rings in
 [8 r_min, 64 r_min], read by RadialRule.spectrum from one SVD, with no
-derivative, quadrature or rate model.  frequency_limit over the same rings,
-whose rate beta is measured, reads the paper's definition on its own and
-checks it: the value stands when the exponents are real, the residual is
-within SPECTRUM_RESIDUAL, or within the spectrum's floor on noisy samples,
-and the value is within the convergence tolerance of the limit (the
-harmonicity gate).  Else the value is the limit, the estimate is
-unconverged and notes["spectrum_note"] names the failed check.  The
-disjoint three-octave windows above, [64 r_min, 512 r_min] and so on while
-their top stays within r_max, test the limit: the spread is max - min of
-the windows' limits, and the estimate is converged when at least two
-windows fit, the spread is within the convergence tolerance and the
-spectrum passes.  When only one window fits, as on a grid with room for
+derivative, quadrature or rate model.  frequency_limit over the same rings
+reads the paper's definition, the ratio of the leading amplitudes of s D
+and H on the exponents of H's own pencil, and checks it: the value stands
+when the exponents are real, the residual is within SPECTRUM_RESIDUAL, or
+within the spectrum's floor on noisy samples, and the value is within the
+convergence tolerance of the limit (the harmonicity gate).  Else the value
+is the limit, the estimate is unconverged and notes["spectrum_note"] names
+the failed check.  The disjoint three-octave windows above,
+[64 r_min, 512 r_min] and so on while their top stays within r_max, test
+the limit: the spread is max - min of the windows' limits, a window whose
+H has no spectrum standing for its smallest octave's values of I, and the
+estimate is converged when at least two windows fit, the spread is within
+the convergence tolerance and the spectrum passes.  When only one window fits, as on a grid with room for
 one, the estimate is unconverged and notes["convergence_note"] says why;
 when none fits, DataError.  The
 normalized blow-ups at r_k = scale^k remain as the report: each step's
@@ -80,13 +81,10 @@ from .curves import (QFunction, average_free_part, CurveSpec, _View, _json,
                      _ring_amplitudes, _ring_data)
 from .excess import least_excess
 from .frequency import (frequency_profile, frequency_limit,
-                        default_profile_radii)
+                        default_profile_radii, _smallest_octave)
 
 #: normalizers below this relative size abort the blow-up as trivial
 DEGENERACY_FLOOR = 1e-14
-#: a degree's spectrum fits column B of v's ring table to this relative
-#: l2 misfit, or to its order floor where that is more (noisy samples)
-SPECTRUM_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -236,9 +234,10 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
     (_spectral_degree), or the frequency limit over those rings when one
     of the spectrum's checks fails, with notes["spectrum_note"] naming it.
     The spread is max - min over the limits of the disjoint three-octave
-    windows [8^j 8 r_min, 8^j 64 r_min] within r_max, and converged means
-    that two of them fit and agree within convergence_tol and that the
-    spectrum passed.  The normalized blow-ups along r_k = scale_factor^k
+    windows [8^j 8 r_min, 8^j 64 r_min] within r_max, a window whose limit
+    carries a limit_note counting with its smallest octave's values of I,
+    and converged means that two of them fit and agree within
+    convergence_tol and that the spectrum passed.  The normalized blow-ups along r_k = scale_factor^k
     are the per-step report: each step's frequency limit over its top
     octave.  Every record is read off one frequency profile of v (see the
     module docstring).  A value below 1 - convergence_tol, which the paper
@@ -267,7 +266,7 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
             continue
         # I_{u_k}(s) = I_v(r_k s): u_k's top octave is v's octave below
         # r_m, the ring of v that is u_k's top ring
-        windows[k] = default_profile_radii(
+        windows[k, r_k] = default_profile_radii(
             grid, octaves=1.0, top=grid.radii[u_k.grid.n_rings - 1])
     # disjoint three-octave windows of v's rings from 8 r_min up: the
     # lowest one's limit is the estimate, the others test it
@@ -279,21 +278,25 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
     # no window at all: the DataError below, not frequency_profile's refusal
     prof = frequency_profile(v, radii=union) if union else None
 
-    def limit(w):
+    def sub(w):
         # every window is a run of consecutive rings, so its records are a
         # run of prof.records
         i = union.index(w[0])
-        return frequency_limit(replace(
-            prof, radii=w, records=prof.records[i:i + len(w)]))["estimate"]
-    steps, values, fitting = [], [], []
-    for k, window in windows.items():
+        return replace(prof, radii=w, records=prof.records[i:i + len(w)])
+    steps, values, octaves, fitting = [], [], [], []
+    for (k, r_k), window in windows.items():
         try:
-            steps.append((k, cfg.scale_factor ** k, limit(window)))
+            steps.append((k, r_k, frequency_limit(sub(window))["estimate"]))
         except DataError as exc:
             failures[k] = str(exc)
     for window in limits:
         with suppress(DataError):
-            values.append(limit(window))
+            lim = frequency_limit(sub(window))
+            values.append(lim["estimate"])
+            if "limit_note" in lim:
+                # a window with no spectrum stands for its smallest octave's
+                # values of I
+                octaves.extend(_smallest_octave(sub(window).valid_records()))
             fitting.append(window)
     failures = sorted(failures.items())
     if len(steps) < 3 or not values:
@@ -301,7 +304,7 @@ def singularity_degree(f: QFunction, cfg: BlowupConfig | None = None) -> DegreeE
             f"{len(steps)} usable blow-up steps (need 3) and "
             f"{len(values)} fitting limit windows (need 1); "
             f"failures: {failures}")
-    spread = max(values) - min(values)
+    spread = max(values + octaves) - min(values + octaves)
     value, notes = _spectral_degree(v, fitting[0], values[0], cfg)
     converged = not notes and len(values) > 1 and spread <= cfg.convergence_tol
     est = DegreeEstimate(value, spread, steps, converged, notes)
@@ -323,7 +326,8 @@ def _spectral_degree(v: QFunction, window: list, limit: float,
     """(value, notes): half the leading exponent of column B of v's ring
     table over window, RadialRule.spectrum's, and no notes when its three
     checks hold: every exponent real, a residual within SPECTRUM_RESIDUAL
-    or the spectrum's floor, whichever is more, and a value within
+    or the spectrum's floor, whichever is more (the two Spectrum.defect
+    reads), and a value within
     cfg.convergence_tol of limit, the window's frequency limit.  The
     spectrum's floor keeps its order below half the Hankel matrix's rank.
     Column B is a sum of powers only on a map harmonic on its cover, and
@@ -333,17 +337,14 @@ def _spectral_degree(v: QFunction, window: list, limit: float,
     check."""
     try:
         spec = v.rule().spectrum(_ring_data(v)[0][:, 1], window[0], window[-1])
+        deg = spec.leading().real / 2
+        why = spec.defect() or (abs(deg - limit) > cfg.convergence_tol and (
+            f"degree {deg!r} is off the frequency limit {limit!r}: not "
+            "harmonic on its cover"))
     except DataError as exc:
-        return limit, {"spectrum_note": f"column B's spectrum: {exc}"}
-    lam, deg, res = spec.exponents, spec.leading().real / 2, spec.residual
-    for failed, why in [
-            (np.any(lam.imag), f"non-real exponents {lam.round(6).tolist()}"),
-            (res > max(SPECTRUM_RESIDUAL, spec.floor), f"residual {res:.3g}"),
-            (abs(deg - limit) > cfg.convergence_tol, f"degree {deg!r} is off"
-             f" the frequency limit {limit!r}: not harmonic on its cover")]:
-        if failed:
-            return limit, {"spectrum_note": f"column B's spectrum: {why}"}
-    return deg, {}
+        why = exc
+    return (limit, {"spectrum_note": f"column B's spectrum: {why}"}) if why \
+        else (deg, {})
 
 
 def _flag_average_discrepancy(claim: CurveSpec | None, est: DegreeEstimate):

@@ -54,9 +54,12 @@ on the map, its scale and the cutoff.  The quantities at one scale s are
 the fields of its record, frequency_profile(f, [s], cutoff).records[0]:
 I and the residuals are formed in _record alone, and a scale off the grid
 or with a vanishing height gives an invalid record carrying the reason.
-The limit r -> 0 of a profile, frequency_limit, measures its rate from
-three octave medians, each _median: np.median's arithmetic bit for bit,
-without the import of numpy.ma that np.median's NaN check makes.
+The limit r -> 0 of a profile, frequency_limit, fits no rate of its own:
+on a harmonic map H and s D are sums of the same powers of s, so the
+pencil (grids.pencil) of the records' H gives the exponents, and the limit
+is the ratio of the leading amplitudes of s D and H on them.  The records
+of the grid's top two rings are left out, because their windows clamp
+and carry another bias.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, RangeError
-from .grids import (M_DIM, TWO_PI, PolarGrid, _cell_interpolant, _ring_blocks,
-                    default_grid)
+from .grids import (_ABOVE, M_DIM, TWO_PI, PolarGrid, _cell_interpolant,
+                    _ring_blocks, default_grid, pencil)
 from .curves import QFunction, _csv, _ring_data
 from .qvalue import _chain_labels, _match_pairs
 
@@ -190,6 +193,8 @@ class FrequencyProfile:
     records: list
     cutoff: Cutoff
     notes: dict = field(default_factory=dict)
+    #: the grid of the records, which frequency_limit reads its rings off
+    grid: PolarGrid | None = field(default=None, compare=False, repr=False)
 
     def valid_records(self) -> list:
         return [rec for rec in self.records if rec.valid]
@@ -251,7 +256,8 @@ def frequency_profile(f: QFunction, radii=None,
         raise ConfigError("radii must be sorted strictly increasing")
     return FrequencyProfile(center=tuple(f.grid.center), radii=radii,
                             records=_records(f, radii, cutoff), cutoff=cutoff,
-                            notes={"label": f.metadata.get("label", "")})
+                            notes={"label": f.metadata.get("label", "")},
+                            grid=f.grid)
 
 
 def default_profile_radii(grid: PolarGrid, octaves: float = 2.0,
@@ -264,57 +270,64 @@ def default_profile_radii(grid: PolarGrid, octaves: float = 2.0,
 def _radii_in(grid: PolarGrid, lo: float, hi: float) -> list:
     """The grid radii in [lo, hi], each end widened by 1e-12 relative."""
     r = grid.radii
-    sel = r[(r >= lo * (1 - 1e-12)) & (r <= hi * (1 + 1e-12))]
-    return [float(v) for v in sel]
+    return r[(r >= lo * (1 - 1e-12)) & (r <= hi * (1 + 1e-12))].tolist()
 
 
 def frequency_limit(profile: FrequencyProfile) -> dict:
-    """Extrapolate I(r) as r -> 0 from the smallest scales of a profile.
+    """The limit of I(r) as r -> 0, read off the heights of the profile.
 
-    Fits I(r) = I0 + c r^beta over the smallest octave, with beta measured
-    from the differences of octave medians when at least three octaves are
-    available and defaulting to 1 otherwise; the spread (max - min of I over
-    the smallest octave) is an empirical stand-in for the diameter of the
-    set of frequency values."""
+    On a map harmonic on its cover, H and s D are sums of the same powers
+    of s, so I = s D / H tends to the ratio of their leading amplitudes:
+    the estimate is r0 d_1 / h_1, with H = sum_k h_k (s / r0)^lambda_k and
+    D (s / r0) = sum_k d_k (s / r0)^lambda_k fitted on the exponents of
+    H's pencil, and beta, the rate of I's approach, is lambda_2 - lambda_1
+    (0 on a one-term spectrum).  The records read are the valid ones at
+    least _ABOVE rings below the grid's top ring, whose windows do not
+    clamp.  When they are fewer than 8, not on consecutive rings, or their
+    spectrum is no sum of real powers, the estimate is the mean of I over
+    the smallest octave, beta is 0 and the key "limit_note" names the
+    reason.  The spread is max - min of I over the smallest octave, an
+    empirical stand-in for the diameter of the set of frequency values.
+    DataError on fewer than 4 valid records or less than an octave."""
     recs = sorted(profile.valid_records(), key=lambda rec: rec.r)
-    if len(recs) < 4:
-        raise DataError("need at least 4 valid radii")
-    r = np.array([rec.r for rec in recs])
-    I = np.array([rec.I for rec in recs])
-    if r[-1] / r[0] < 2.0 * (1 - 1e-9):
-        raise DataError("valid radii must span at least one octave")
-    octave0 = r <= r[0] * 2.0 * (1 + 1e-9)
-    spread = float(I[octave0].max() - I[octave0].min())
-    beta = 1.0
-    if r[-1] / r[0] >= 8.0 * (1 - 1e-9):
-        med = []
-        for k in range(3):
-            sel = (r >= r[0] * 2.0 ** k * (1 - 1e-9)) \
-                & (r < r[0] * 2.0 ** (k + 1) * (1 - 1e-9))
-            if np.any(sel):
-                med.append(_median(I[sel]))
-        if len(med) == 3:
-            d1, d2 = med[1] - med[0], med[2] - med[1]
-            if abs(d1) > 1e-12 and d2 / d1 > 0:
-                beta = float(np.clip(np.log2(d2 / d1), 0.25, 4.0))
-    basis = np.column_stack([np.ones(octave0.sum()), r[octave0] ** beta])
-    coef, *_ = np.linalg.lstsq(basis, I[octave0], rcond=None)
-    return {"estimate": float(coef[0]), "spread": spread, "beta": beta}
+    if len(recs) < 4 or recs[-1].r / recs[0].r < 2.0 * (1 - 1e-9):
+        raise DataError("need at least 4 valid radii spanning at least one "
+                        "octave")
+    I = _smallest_octave(recs)
+    try:
+        estimate, beta, note = *_amplitude_ratio(profile.grid, recs), {}
+    except DataError as exc:
+        estimate, beta, note = float(I.mean()), 0.0, {"limit_note": str(exc)}
+    return {"estimate": estimate, "spread": float(I.max() - I.min()),
+            "beta": beta, **note}
 
 
-def _median(x: np.ndarray) -> float:
-    """np.median of a 1-d array, bit for bit, without the numpy.ma import of
-    its NaN check: NaN when any entry is NaN, else the middle value of the
-    sorted array or the mean of the middle two.  Each sum starts from +0.0,
-    as np.mean's does, so a signed zero comes out as np.median gives it
-    whichever zero the sort puts in the middle."""
-    s = np.sort(x)
-    if math.isnan(s[-1]):
-        return math.nan
-    h = s.size // 2
-    if s.size % 2:
-        return 0.0 + float(s[h])
-    return (0.0 + float(s[h - 1]) + float(s[h])) / 2.0
+def _smallest_octave(recs: list) -> np.ndarray:
+    """I of the records recs, sorted by radius, within an octave of the
+    first."""
+    return np.array([rec.I for rec in recs
+                     if rec.r <= recs[0].r * 2.0 * (1 + 1e-9)])
+
+
+def _amplitude_ratio(grid: PolarGrid | None, recs: list) -> tuple:
+    """(r0 d_1 / h_1, lambda_2 - lambda_1) of frequency_limit from the
+    records recs, sorted by radius, on grid (none on no grid); DataError
+    saying why there is none."""
+    top = grid.radii[-1 - _ABOVE] if grid else 0.0
+    r, H, D = np.array([(rec.r, rec.H, rec.D) for rec in recs
+                        if rec.r <= top]).reshape(-1, 3).T
+    if r.size < 8 or not np.array_equal(r, _radii_in(grid, r[0], r[-1])):
+        raise DataError(f"{r.size} valid records {_ABOVE} or more rings below"
+                        " the top: the spectrum needs 8 on consecutive rings")
+    spec = pencil(H, grid.dt, r[0])
+    if why := spec.defect():
+        raise DataError(f"H's spectrum: {why}")
+    lam, x = spec.exponents.real, r / r[0]
+    # unlevelled rows: levelled as the pencil levels its own, the lowest
+    # sharp window of 2.(5,6) u (4,5) read 3.8e-6 off its limit, not 4.1e-7
+    h, d = np.linalg.lstsq(x[:, None] ** lam, np.column_stack([H, D * x]),
+                           rcond=None)[0][0]
+    return float(r[0] * d / h), float(lam[1] - lam[0]) if lam.size > 1 else 0.0
 
 
 # ----------------------------------------------------------------------------

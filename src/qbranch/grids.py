@@ -32,11 +32,13 @@ table, built by RadialRule.disk_table (the frequency profiles and the area
 moments alike), and every disk integral reads such a table.
 
 The rings are uniform in t, so a ring profile that is a sum of powers of r
-is an exponential sum sampled at equal steps.  RadialRule.spectrum reads
-its exponents by the matrix pencil, one SVD of the samples' Hankel matrix
-and the eigenvalues of its shifted signal subspace, with no derivative
-and no quadrature: it is the package's one exponent reader, and the
-singularity degree takes its value from it.
+is an exponential sum sampled at equal steps.  pencil reads the
+exponents of such samples by the matrix pencil, one SVD of their Hankel
+matrix and the eigenvalues of its shifted signal subspace, with no
+derivative and no quadrature: it is the package's one exponent reader.
+RadialRule.spectrum is the pencil of a ring profile's slice over a
+window, from which the singularity degree takes its value, and the
+frequency limit reads the pencil of its records' heights.
 
 A blow-up of a map lives on the map's rings relabelled (radii divided by
 the dilation ratio), a grid with the same dt, so a window at the same
@@ -318,8 +320,11 @@ def _window(dt: float, beta: float, n: int, bottom: int, top: int,
 
 #: singular values of a spectrum's Hankel matrix above this fraction of the
 #: largest count toward its order, unless noise lifts the floor (see
-#: RadialRule.spectrum)
+#: pencil)
 SPECTRUM_FLOOR = 1e-11
+#: a spectrum fits its samples to this relative l2 misfit, or to its order
+#: floor where that is more (noisy samples), when it is a sum of powers
+SPECTRUM_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -329,8 +334,7 @@ class Spectrum:
     the exponents lambda_k (complex, sorted by real part), the amplitudes
     a_k, the Hankel matrix's singular values relative to the largest, the
     floor above which they count toward the order, the sum's relative l2
-    misfit to the samples levelled as RadialRule.spectrum levels them, and
-    r0."""
+    misfit to the samples levelled as pencil levels them, and r0."""
 
     exponents: np.ndarray
     amplitudes: np.ndarray
@@ -342,6 +346,15 @@ class Spectrum:
     def leading(self) -> complex:
         """The exponent of least real part, the one that rules as r -> 0."""
         return complex(self.exponents[0])
+
+    def defect(self) -> str:
+        """Why the sum is no sum of real powers through its samples: a
+        non-real exponent, or a residual above SPECTRUM_RESIDUAL and the
+        floor; "" when neither."""
+        if np.any(self.exponents.imag):
+            return f"non-real exponents {self.exponents.round(6).tolist()}"
+        return "" if self.residual <= max(SPECTRUM_RESIDUAL, self.floor) \
+            else f"residual {self.residual:.3g}"
 
 
 class RadialRule:
@@ -464,55 +477,56 @@ class RadialRule:
         return float(core) if core.ndim == 0 else core
 
     def spectrum(self, F: np.ndarray, lo: float, hi: float) -> Spectrum:
-        """The exponential sum through one ring profile F at the grid rings
-        in [lo, hi], by the matrix pencil (Y. Hua and T. K. Sarkar, IEEE
-        Trans. ASSP 38 (1990) 814-824).  The N samples over the first one,
-        y_i, fill the Hankel matrix Y[i, j] = y_{i+j} with L + 1 columns,
-        L = N // 2.  Its singular values above the floor, SPECTRUM_FLOOR of
-        the largest or 100 times the median where that is more, give the
-        order M, at most half their number; the shift of the first M right
-        singular vectors has the eigenvalues e^{lambda_k dt}.  The
-        amplitudes come from least squares.  DataError when fewer than 8
-        rings lie in the window, the first sample vanishes, no singular
-        value stands above the floor or the shift has a zero eigenvalue,
-        as on a profile that vanishes after its first sample."""
-        inside = (self.grid.radii >= lo * (1 - 1e-12)) \
-            & (self.grid.radii <= hi * (1 + 1e-12))
-        F = np.asarray(F, dtype=float)[inside]
-        if F.size < 8 or not F[0]:
-            raise DataError(f"a spectrum needs at least 8 rings and a nonzero "
-                            f"first sample, got {F[:1]} on {F.size} rings")
-        N, L = F.size, F.size // 2
-        # e^{-c i} levels the last sample with the first and shifts every
-        # exponent by -c / dt: the rows weigh alike, which keeps the least
-        # kept singular values clear of the rounding of the largest
-        c = math.log(abs(F[-1] / F[0])) / (N - 1) if F[-1] else 0.0
-        y = F / F[0] * np.exp(-c * np.arange(N))
-        _, s, Vh = np.linalg.svd(y[np.arange(N - L)[:, None]
-                                   + np.arange(L + 1)])
-        # noise in the samples lifts the least singular values into a
-        # plateau, which holds the median while the order is below half the
-        # rank: the floor stands two decades above it
-        floor = max(SPECTRUM_FLOOR, 100 * s[s.size // 2] / s[0])
-        V = Vh[:np.count_nonzero(s > floor * s[0])].T
-        if not V.size:
-            raise DataError(f"no singular value above the noise, {floor:.3g}")
-        P = np.linalg.lstsq(V[:-1], V[1:], rcond=None)[0]
-        z = np.linalg.eigvals(P).astype(complex)
-        if not z.all():
-            raise DataError("the shift has a zero eigenvalue: the profile "
-                            "is no exponential sum")
-        mu = np.sort_complex(np.log(z))
-        # y_i = sum_k Re(a_k e^{mu_k i}), mu_k = lambda_k dt - c, with the
-        # mu_k and a_k in conjugate pairs: one real system in the interleaved
-        # Re a_k, Im a_k, whose least-norm solution pairs them (a complex
-        # solve would page in complex LAPACK, 0.7 MB)
-        A = (np.exp(mu) ** np.arange(N)[:, None]).conj().view(float)
-        x = np.linalg.lstsq(A, y, rcond=None)[0]
-        return Spectrum((mu + c) / self.grid.dt, x.view(complex) * F[0],
-                        s / s[0], floor,
-                        float(np.linalg.norm(A @ x - y) / np.linalg.norm(y)),
-                        float(self.grid.radii[inside][0]))
+        """The pencil of one ring profile F at the grid rings in [lo, hi]:
+        their slice of F, the grid's dt and the first of them as r0."""
+        r = self.grid.radii
+        inside = (r >= lo * (1 - 1e-12)) & (r <= hi * (1 + 1e-12))
+        return pencil(F[inside], self.grid.dt, float(r[inside.argmax()]))
+
+
+def pencil(F: np.ndarray, dt: float, r0: float) -> Spectrum:
+    """The exponential sum through samples F at r0 e^{i dt}, i = 0, 1, ...,
+    by the matrix pencil (Y. Hua and T. K. Sarkar, IEEE Trans. ASSP 38
+    (1990) 814-824).  The N samples over the first one, y_i, fill the
+    Hankel matrix Y[i, j] = y_{i+j} with L + 1 columns, L = N // 2.  Its
+    singular values above the floor, SPECTRUM_FLOOR of the largest or 100
+    times the median where that is more, give the order M, at most half
+    their number; the shift of the first M right singular vectors has the
+    eigenvalues e^{lambda_k dt}.  The amplitudes come from least squares.
+    DataError when there are fewer than 8 samples, the first vanishes, no
+    singular value stands above the floor or the shift has a zero
+    eigenvalue, as on samples that vanish after the first."""
+    if F.size < 8 or not F[0]:
+        raise DataError(f"a spectrum needs at least 8 rings and a nonzero "
+                        f"first sample, got {F[:1]} on {F.size} rings")
+    N, L = F.size, F.size // 2
+    # e^{-c i} levels the last sample with the first and shifts every
+    # exponent by -c / dt: the rows weigh alike, which keeps the least
+    # kept singular values clear of the rounding of the largest
+    c = math.log(abs(F[-1] / F[0])) / (N - 1) if F[-1] else 0.0
+    y = F / F[0] * np.exp(-c * np.arange(N))
+    _, s, Vh = np.linalg.svd(y[np.arange(N - L)[:, None] + np.arange(L + 1)])
+    # noise in the samples lifts the least singular values into a plateau,
+    # which holds the median while the order is below half the rank: the
+    # floor stands two decades above it
+    floor = max(SPECTRUM_FLOOR, 100 * s[s.size // 2] / s[0])
+    V = Vh[:np.count_nonzero(s > floor * s[0])].T
+    if not V.size:
+        raise DataError(f"no singular value above the noise, {floor:.3g}")
+    P = np.linalg.lstsq(V[:-1], V[1:], rcond=None)[0]
+    z = np.linalg.eigvals(P).astype(complex)
+    if not z.all():
+        raise DataError("the shift has a zero eigenvalue: the profile is no "
+                        "exponential sum")
+    mu = np.sort_complex(np.log(z))
+    # y_i = sum_k Re(a_k e^{mu_k i}), mu_k = lambda_k dt - c, with the mu_k
+    # and a_k in conjugate pairs: one real system in the interleaved
+    # Re a_k, Im a_k, whose least-norm solution pairs them (a complex solve
+    # would page in complex LAPACK, 0.7 MB)
+    A = (np.exp(mu) ** np.arange(N)[:, None]).conj().view(float)
+    x = np.linalg.lstsq(A, y, rcond=None)[0]
+    return Spectrum((mu + c) / dt, x.view(complex) * F[0], s / s[0], floor,
+                    float(np.linalg.norm(A @ x - y) / np.linalg.norm(y)), r0)
 
 
 # ----------------------------------------------------------------------------

@@ -612,9 +612,8 @@ class TestOneLimit:
 
     @pytest.mark.parametrize("mode", ["l2_norm", "excess_sqrt"])
     def test_union_converges_to_its_lower_degree(self, union_curve, mode):
-        # I approaches 4/3 at the rate s^{1/3}: a one-octave window, whose
-        # rate is fixed at 1, misses it by about 3e-3 and moves with the
-        # scale sequence
+        # I approaches 4/3 at the rate s^{1/3}: a limit fitted at a fixed
+        # rate missed it by about 3e-3 and moved with the scale sequence
         ests = [qb.singularity_degree(union_curve, qb.BlowupConfig(
             scale_factor=sf, normalization=mode)) for sf in (0.25, 0.5, 0.6)]
         for est in ests:
@@ -625,9 +624,11 @@ class TestOneLimit:
 
     @pytest.mark.parametrize("scale_factor", [0.25, 0.5, 0.6, 0.7])
     def test_impostor_is_unconverged(self, impostor, scale_factor):
-        # I oscillates in log r: the windows' limits disagree by 3.2e-2,
-        # whichever scale sequence the steps take, and column B's spectrum
-        # holds the log-periodic factor's exponents 3 +- 2 pi i k / ln 2
+        # I oscillates in log r: H's spectrum in every window holds the
+        # log-periodic factor's exponents 4 +- 2 pi i k / ln 2, so no window
+        # has a limit and each stands for its smallest octave's values of
+        # I, which span 2.6e-2 whichever scale sequence the steps take;
+        # column B's spectrum holds the exponents 3 +- 2 pi i k / ln 2
         est = qb.singularity_degree(impostor, qb.BlowupConfig(
             scale_factor=scale_factor))
         assert not est.converged
@@ -660,13 +661,15 @@ class TestOneLimit:
                                                   degree):
         # the two lowest degrees lie 1/6 to 1/20 apart, so I approaches the
         # lower one at a rate 2 (alpha_2 - alpha_1) of 1/3 down to 1/10:
-        # a limit whose rate is clipped at 1/4 missed it by up to 2.6e-3
+        # a limit whose rate is clipped at 1/4 missed it by up to 2.6e-3,
+        # and its windows spread by up to 8.6e-3
         f = union_of(full_grid, *parts)
         for scale_factor in (0.25, 0.5, 0.6):
             est = qb.singularity_degree(f, qb.BlowupConfig(
                 scale_factor=scale_factor))
             assert est.converged and "spectrum_note" not in est.notes
             assert abs(est.value - degree) <= 1e-10
+            assert est.spread <= 2e-6
 
     @pytest.mark.parametrize("q, p", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5),
                                       (2, 7), (2, 9)])

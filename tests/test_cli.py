@@ -43,6 +43,7 @@ class TestFrequencyCommand:
         assert max(abs(v - 1.5) for v in values) < 1e-3
         lim = json.loads((out / "frequency_limit.json").read_text())
         assert lim["estimate"] == pytest.approx(1.5, abs=0.01)
+        assert "limit_note" not in lim  # the top two rings are left out
 
     def test_sharp_cutoff_agrees(self, tmp_path):
         _, out_a = run(["frequency", "--curve", "2,3"] + FAST,
@@ -53,6 +54,7 @@ class TestFrequencyCommand:
         lim_b = json.loads((out_b / "frequency_limit.json").read_text())
         assert lim_b["estimate"] == pytest.approx(lim_a["estimate"],
                                                   rel=0.01)
+        assert "limit_note" not in lim_a and "limit_note" not in lim_b
 
     def test_missing_input_is_config_error(self, tmp_path, capsys):
         code, _ = run(["frequency"] + FAST, tmp_path)
@@ -760,11 +762,10 @@ def test_fuzzed_file_header_exits_classified(saved_files, tmp_path_factory,
             or not any((work / "out").iterdir())
 
 
-def test_commands_load_neither_numpy_ma_nor_numpy_polynomial(tmp_path,
-                                                            monkeypatch):
+def test_commands_load_neither_numpy_ma_nor_numpy_polynomial(tmp_path):
     # np.median's NaN check imports numpy.ma and leggauss lives in
-    # numpy.polynomial; a degree, and a frequency limit whose radii span
-    # enough octaves to take octave medians, need neither
+    # numpy.polynomial; a degree, and a frequency limit over three octaves,
+    # need neither
     fast = ["--r-min", "2^-10", "--n-theta", "128"]
     degree = ["degree", "--curve", "2,3", *fast]
     limit = ["frequency", "--curve", "2,3", "--radii", "2^-8..1", *fast]
@@ -778,8 +779,3 @@ def test_commands_load_neither_numpy_ma_nor_numpy_polynomial(tmp_path,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[0, 0] []"
-    medians = []
-    monkeypatch.setattr(qb.frequency, "_median",
-                        lambda x, median=qb.frequency._median:
-                        medians.append(x.size) or median(x))
-    assert run(limit, tmp_path)[0] == 0 and len(medians) == 3

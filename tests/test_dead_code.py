@@ -103,21 +103,40 @@ def test_degree_steps_read_one_profile():
 
 def test_exponents_are_read_by_one_pencil():
     # the degree's value is half the leading exponent of
-    # RadialRule.spectrum, and the pencil's SVD and eigenvalue solve are
-    # the package's only ones
+    # RadialRule.spectrum, the frequency limit reads the pencil of its
+    # records' heights, and the pencil's SVD and eigenvalue solve are the
+    # package's only ones
     assert _package_callers("_spectral_degree") == [
         "blowup.py:singularity_degree"]
     assert _package_callers("spectrum") == ["blowup.py:_spectral_degree",
                                             "blowup.py:hardt_simon_check"]
+    assert _package_callers("pencil") == ["frequency.py:_amplitude_ratio",
+                                          "grids.py:RadialRule.spectrum"]
     assert _package_callers("svd") == _package_callers("eigvals") == [
-        "grids.py:RadialRule.spectrum"]
+        "grids.py:pencil"]
+
+
+def test_frequency_limit_fits_no_rate_of_its_own():
+    # the limit is the ratio of the leading amplitudes on the pencil's
+    # exponents: no clipped rate, no log2 of octave differences, no median
+    # (recenter's np.clip keeps its bilinear cells on the grid)
+    tree = ast.parse(Path(qbranch.frequency.__file__).read_text())
+    limit = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name in ("frequency_limit", "_amplitude_ratio",
+                               "_smallest_octave")]
+    assert len(limit) == 3
+    assert not [node.attr for top in limit for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "clip"]
+    assert not [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("log2", "median")]
+    assert "_median" not in _definitions(tree.body)
 
 
 def test_hardt_simon_reads_column_b_spectrum():
     # alpha, the closed form and the growth exponent are read off one
     # spectrum: the check takes no alpha and fits no log ratio or slope.
-    # The excess decay fit is the one exponent fit left outside grids, and
-    # frequency_limit keeps its rate fit, which reads the paper's definition
+    # The excess decay fit is the one exponent fit left outside grids
     tree = ast.parse(Path(qbranch.blowup.__file__).read_text())
     (check,) = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef)
@@ -351,8 +370,8 @@ def _numpy_names(tree: ast.Module):
 
 def test_no_module_names_numpy_median_polynomial_or_ma():
     # np.median's NaN check imports numpy.ma and leggauss lives in
-    # numpy.polynomial: the package takes its medians with
-    # frequency._median and its Gauss-Legendre rule from a committed table
+    # numpy.polynomial: the package takes no median and its Gauss-Legendre
+    # rule from a committed table
     named = sorted(f"{path.name}:{name}" for path in SOURCES
                    for name in _numpy_names(ast.parse(path.read_text()))
                    if name.split(".")[:2] in (["numpy", "median"],

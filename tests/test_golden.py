@@ -2,7 +2,7 @@
 
 The manifest maps each output to the SHA-256 of its bytes:
 - every file that each command of COMMANDS writes, keyed
-  "<command> :: <file name>": the ten README commands, then four more;
+  "<command> :: <file name>": the ten README commands, then five more;
 - each command's exit code and stdout, keyed "<command> :: stdout";
 - the stdout of each demo, keyed "demo <file> :: stdout"; test_demos.py
   checks these, so the suite runs each demo once;
@@ -41,7 +41,7 @@ DEMOS = ROOT / "demos"
 DEMO_NAMES = sorted(p.name for p in DEMOS.glob("*.py"))
 WRITE = "python tests/test_golden.py --write"
 
-#: the README commands, then four whose bytes earlier changes moved or
+#: the README commands, then five whose bytes earlier changes moved or
 #: that reach paths the README commands do not; each gets its own --out
 COMMANDS = [
     "frequency --curve 2,3 --radii 2^-8..1",
@@ -58,6 +58,7 @@ COMMANDS = [
     "degree --curve 2,5 --perturb 0.3z^2-0.2z^3",
     "intervals --curve 3,4 --eps3 0.2",
     "bv-track --curve 3,4 --eps3 0.2",
+    "frequency --curve 2,5 --perturb z^2",
 ]
 #: the benchmark workloads, and the jobs of each that are digested
 WORKLOADS = ("degree", "flatten", "track_io")

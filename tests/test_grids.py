@@ -317,6 +317,33 @@ def test_spectrum_recovers_a_sum_of_powers(grid, terms):
     assert spec.r0 == lo
 
 
+@given(terms=st.lists(st.tuples(st.floats(1.0, 6.0), st.floats(0.1, 10.0)),
+                      min_size=1, max_size=3).filter(
+    lambda terms: all(abs(x[0] - y[0]) >= 0.3
+                      for i, x in enumerate(terms) for y in terms[:i])),
+       dt=st.floats(math.log(2) / 16, math.log(2) / 4),
+       first=st.integers(0, 8), n=st.integers(16, 40))
+def test_pencil_recovers_power_sums_at_any_step(terms, dt, first, n):
+    # equally spaced samples of a sum of powers at a random step give its
+    # exponents back, and RadialRule.spectrum is the pencil of its slice
+    # of the rings, bit for bit
+    radii = 2.0 ** -6 * np.exp(dt * np.arange(first + n + 4))
+    g = qb.PolarGrid(radii=radii, n_theta=64)
+    lo, hi = float(g.radii[first]), float(g.radii[first + n - 1])
+    F = sum(a * (g.radii / lo) ** lam for lam, a in terms)
+    spec = grids.pencil(F[first:first + n], g.dt, lo)
+    lams = sorted(lam for lam, _ in terms)
+    assert spec.exponents.size == len(terms) and spec.defect() == ""
+    assert np.abs(spec.exponents.real - lams).max() <= 1e-5
+    assert abs(spec.leading().real - lams[0]) <= 1e-6
+    assert spec.r0 == lo
+    ring = RadialRule(g).spectrum(F, lo, hi)
+    for name in ("exponents", "amplitudes", "singular_values"):
+        assert np.array_equal(getattr(ring, name), getattr(spec, name))
+    assert (ring.floor, ring.residual, ring.r0) == (spec.floor,
+                                                    spec.residual, spec.r0)
+
+
 def test_spectrum_finds_a_log_periodic_factor(grid):
     # r^3 (1 + 0.1 sin(2 pi log2 r)) is r^3 plus the pair r^(3 +- i w),
     # w = 2 pi / ln 2
